@@ -12,6 +12,7 @@ from .errors import (
     EmptyBasesError,
     ExchangeViolationError,
     ExhaustivenessFailureError,
+    InputError,
     LimitExceededError,
     LoopsPresentError,
     NotCleanInputError,

@@ -7,6 +7,11 @@ class SplitMWError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InputError(SplitMWError, ValueError):
+    """Input from outside the program is malformed: a wrong shape, a value
+    of the wrong type, or a repeated element or basis."""
+
+
 class EmptyBasesError(SplitMWError):
     """A matroid was given an empty basis family."""
 

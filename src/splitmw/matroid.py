@@ -24,10 +24,11 @@ from collections.abc import Iterable
 from itertools import combinations
 from math import comb
 
-from .bitset import bits, drop_bit, mask_of
+from .bitset import bits, compress, drop_bit, mask_of
 from .errors import (
     EmptyBasesError,
     ExchangeViolationError,
+    InputError,
     LimitExceededError,
     WrongBasisSizeError,
 )
@@ -45,7 +46,10 @@ class Matroid:
     The constructor performs only cheap structural checks (sizes, ranges,
     non-emptiness); it trusts the caller that the family satisfies basis
     exchange.  Use `from_bases` for untrusted input -- it additionally runs
-    the full exchange check -- or call `check_exchange()` explicitly.
+    the exchange check -- or call `check_exchange()` explicitly.  The check
+    is local (Maurer's criterion): |B|*r*(n-r) basis lookups, plus r-1 for
+    each basis B, e in B and pair f1, f2 outside B for which neither
+    B-e+f1 nor B-e+f2 is a basis.
     """
 
     __slots__ = ("n", "rank", "bases", "element_map", "_cache")
@@ -310,7 +314,7 @@ class Matroid:
         inter = {b & a for b in self.bases}
         r = max(m.bit_count() for m in inter)
         kept = tuple(bits(a))
-        new_bases = {_compress(m, kept) for m in inter if m.bit_count() == r}
+        new_bases = {compress(m, kept) for m in inter if m.bit_count() == r}
         return Matroid(len(kept), r, new_bases, element_map=kept)
 
     def dual(self) -> Matroid:
@@ -327,32 +331,69 @@ class Matroid:
     # -- validation -----------------------------------------------------
 
     def check_exchange(self) -> None:
-        """Verify the basis exchange axiom over all basis pairs; raise with a
-        witness (B1, B2, e) on the first failure."""
+        """Verify the basis exchange axiom; raise ExchangeViolationError
+        with a witness (B1, B2, e) if it fails.
+
+        Uses Maurer's local criterion (S. B. Maurer, "Matroid basis graphs
+        I", JCT B 1973): an equal-size family is a basis family iff its
+        basis graph (bases joined by a single swap) is connected and
+        exchange holds for every pair B1, B2 with |B1 \\ B2| = 2.  The
+        witness is valid but need not be the first failing pair in sorted
+        order.
+        """
         family = self.bases
-        ordered = sorted(family)
-        for b1 in ordered:
-            for b2 in ordered:
-                if b1 == b2:
+        # A loop is in no basis, so it takes part in no swap: cost is
+        # independent of how many loops the ground set has.
+        support = self.full_mask & ~self.loops()
+        # swaps[b][i] = mask of f outside b such that b - e_i + f is a basis
+        swaps = {}
+        for b in family:
+            outside = [1 << f for f in bits(support & ~b)]
+            row = []
+            for e in bits(b):
+                rest = b ^ (1 << e)
+                row.append(sum(fb for fb in outside if (rest | fb) in family))
+            swaps[b] = row
+
+        # Distance 2: exchange of e1 from b toward b2 = b - e1 - e2 + f1 + f2
+        # fails exactly when neither f1 nor f2 is a swap partner of e1.
+        for b in sorted(family):
+            elems = bits(b)
+            for e1, partners in zip(elems, swaps[b]):
+                lonely = bits(support & ~b & ~partners)
+                if len(lonely) < 2:
                     continue
-                only1 = b1 & ~b2
-                cand = b2 & ~b1
-                rest = only1
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    removed = b1 ^ low
-                    swap = cand
-                    ok = False
-                    while swap:
-                        f = swap & -swap
-                        swap ^= f
-                        if (removed | f) in family:
-                            ok = True
-                            break
-                    if not ok:
-                        raise ExchangeViolationError(
-                            bits(b1), bits(b2), low.bit_length() - 1)
+                rest = b ^ (1 << e1)
+                cores = [rest ^ (1 << e2) for e2 in bits(rest)]
+                for f1, f2 in combinations(lonely, 2):
+                    added = (1 << f1) | (1 << f2)
+                    for core in cores:
+                        if (core | added) in family:
+                            raise ExchangeViolationError(
+                                elems, bits(core | added), e1)
+
+        # Connectivity of the basis graph, from the smallest basis.
+        start = min(family)
+        seen = {start}
+        stack = [start]
+        while stack:
+            b = stack.pop()
+            for e, partners in zip(bits(b), swaps[b]):
+                rest = b ^ (1 << e)
+                for f in bits(partners):
+                    nb = rest | (1 << f)
+                    if nb not in seen:
+                        seen.add(nb)
+                        stack.append(nb)
+        if len(seen) < len(family):
+            # The closest pair across the cut is a witness: a basis
+            # b1 - e + f with f in b2 would be a neighbour of b1, so in
+            # `seen`, and closer to b2.
+            rest_of_family = sorted(family - seen)
+            b1, b2 = min(((x, y) for x in sorted(seen) for y in rest_of_family),
+                         key=lambda p: (p[0] & ~p[1]).bit_count())
+            raise ExchangeViolationError(bits(b1), bits(b2),
+                                         bits(b1 & ~b2)[0])
 
     # -- serialization ---------------------------------------------------
 
@@ -364,32 +405,47 @@ class Matroid:
                 "bases": basis_lists}
 
 
-def _compress(mask: int, kept: tuple[int, ...]) -> int:
-    out = 0
-    for new, old in enumerate(kept):
-        if mask >> old & 1:
-            out |= 1 << new
-    return out
-
-
 def matroid_from_dict(d: dict) -> Matroid:
     """Parse and fully validate a matroid-bases-v1 record."""
+    if not isinstance(d, dict):
+        raise InputError(f"expected a JSON object, got {type(d).__name__}")
     if d.get("format") != "matroid-bases-v1":
-        raise ValueError(f"not a matroid-bases-v1 record: {d.get('format')!r}")
-    return from_bases(int(d["n"]), int(d["rank"]), d["bases"])
+        raise InputError(f"not a matroid-bases-v1 record: {d.get('format')!r}")
+    for key in ("n", "rank", "bases"):
+        if key not in d:
+            raise InputError(f"matroid-bases-v1 record has no {key!r}")
+    bases = d["bases"]
+    if not (isinstance(bases, list) and all(isinstance(b, list) for b in bases)):
+        raise InputError("'bases' must be a list of lists of elements")
+    return from_bases(d["n"], d["rank"], bases)
 
 
 # -- constructors --------------------------------------------------------
 
+def _require_int(name: str, value) -> None:
+    # bool is an int subclass, and JSON true/false must not pass as 1/0
+    if type(value) is not int:
+        raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 def from_bases(n: int, rank: int, bases: Iterable[Iterable[int]]) -> Matroid:
-    """Build a matroid from explicit bases, validating the exchange axiom."""
-    masks = []
+    """Build a matroid from explicit bases, validating element types and
+    ranges, distinctness, and the exchange axiom."""
+    _require_int("n", n)
+    _require_int("rank", rank)
+    masks = set()
     for b in bases:
         subset = tuple(b)
         for e in subset:
+            _require_int("element", e)
             if not 0 <= e < n:
-                raise ValueError(f"element {e} outside ground set of size {n}")
-        masks.append(mask_of(subset))
+                raise InputError(f"element {e} outside ground set of size {n}")
+        mask = mask_of(subset)
+        if mask.bit_count() != len(subset):
+            raise InputError(f"basis {list(subset)} repeats an element")
+        if mask in masks:
+            raise InputError(f"basis {bits(mask)} is listed more than once")
+        masks.add(mask)
     m = Matroid(n, rank, masks)
     m.check_exchange()
     return m

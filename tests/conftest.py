@@ -10,10 +10,16 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import settings
 
 from splitmw import Multigraph, graphic
 from splitmw.bitset import bits, mask_of
 from splitmw.corpus import doubled_doubled_4cycle, figure_minimal_graph, k4_graph
+
+# Tier-1 runs the same generated examples every time (derandomize also
+# disables the example database), and a slow host fails no example.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture
@@ -61,6 +67,33 @@ def brute_isomorphic(m1, m2) -> bool:
         if remapped == target:
             return True
     return False
+
+
+def pairwise_exchange_violation(m):
+    """The basis exchange axiom checked over all ordered basis pairs:
+    the first (B1, B2, e) in sorted order for which no f in B2\\B1 makes
+    (B1\\{e})|{f} a basis, or None.  Quadratic in the basis count."""
+    family = m.bases
+    ordered = sorted(family)
+    for b1 in ordered:
+        for b2 in ordered:
+            if b1 == b2:
+                continue
+            for e in bits(b1 & ~b2):
+                removed = b1 ^ (1 << e)
+                if not any((removed | (1 << f)) in family for f in bits(b2 & ~b1)):
+                    return bits(b1), bits(b2), e
+    return None
+
+
+def is_exchange_witness(m, basis1, basis2, e) -> bool:
+    """(B1, B2, e) are two bases and an element of B1\\B2 such that no
+    f in B2\\B1 makes (B1\\{e})|{f} a basis."""
+    b1, b2 = mask_of(basis1), mask_of(basis2)
+    if b1 not in m.bases or b2 not in m.bases or not (b1 & ~b2) >> e & 1:
+        return False
+    removed = b1 ^ (1 << e)
+    return not any((removed | (1 << f)) in m.bases for f in bits(b2 & ~b1))
 
 
 def connected_by_partition_oracle(m) -> bool:

@@ -2,6 +2,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from splitmw import cli
 
 
@@ -208,6 +210,21 @@ class TestErrors:
         code, _, err = run_cli(["check-mw", "-"], "not json",
                                monkeypatch, capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("doc", [
+        '{"format":"matroid-bases-v1","n":2,"rank":1,"bases":5}',
+        '[1,2]',
+        '{"format":"matroid-bases-v1","n":1,"rank":1,"bases":[[0.5]]}',
+        '{"format":"matroid-bases-v1","n":true,"rank":1,"bases":[[0]]}',
+        '{"format":"matroid-bases-v1","n":2,"rank":1,"bases":[[0,0]]}',
+        '{"format":"matroid-bases-v1","n":2,"rank":1,"bases":[[0],[0],[1]]}',
+        '{"format":"matroid-bases-v1","n":2,"rank":1,"bases":[[true],[0]]}',
+    ], ids=["bases-not-list", "record-not-object", "float-element", "bool-n",
+            "repeated-element", "duplicate-basis", "bool-element"])
+    def test_malformed_matroid_exits_2(self, doc, monkeypatch, capsys):
+        code, out, err = run_cli(["tutte", "-"], doc, monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_memo_cap_flag(self, monkeypatch, capsys):
         doc = construct(["--minimal", "5,10"], monkeypatch, capsys)

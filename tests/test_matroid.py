@@ -1,10 +1,15 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from splitmw import (
     EmptyBasesError,
     ExchangeViolationError,
+    InputError,
+    Matroid,
     Multigraph,
     WrongBasisSizeError,
     from_bases,
@@ -15,9 +20,19 @@ from splitmw import (
     uniform,
 )
 from splitmw.bitset import bits, mask_of
-from splitmw.corpus import graphic_corpus, minimal_matroids, uniform_matroids
+from splitmw.corpus import (
+    graphic_corpus,
+    minimal_matroids,
+    tutte_identity_corpus,
+    uniform_matroids,
+)
 
-from conftest import brute_isomorphic, connected_by_partition_oracle
+from conftest import (
+    brute_isomorphic,
+    connected_by_partition_oracle,
+    is_exchange_witness,
+    pairwise_exchange_violation,
+)
 
 
 class TestConstructors:
@@ -47,6 +62,19 @@ class TestConstructors:
     def test_from_bases_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             from_bases(3, 1, [[5]])
+
+    @pytest.mark.parametrize("n, rank, bases", [
+        (True, 1, [[0]]),
+        (2, 1.0, [[0]]),
+        (2, 1, [[0.0]]),
+        (2, 1, [[False], [1]]),
+        (2, 2, [[0, 0]]),
+        (2, 1, [[0], [0], [1]]),
+        (3, 2, [[0, 1], [1, 0], [1, 2]]),
+    ])
+    def test_from_bases_rejects_malformed(self, n, rank, bases):
+        with pytest.raises(InputError):
+            from_bases(n, rank, bases)
 
     def test_uniform_small(self):
         assert uniform(1, 2).bases == frozenset({0b01, 0b10})
@@ -264,6 +292,62 @@ class TestExchangeProperty:
         m.delete(2).check_exchange()
         m.contract(4).check_exchange()
         m.direct_sum(uniform(1, 2)).check_exchange()
+
+    def test_every_family_up_to_five_elements(self):
+        # Labeled matroids on n points, OEIS A058673.
+        known = [1, 2, 5, 16, 68, 406]
+        for n, count in enumerate(known):
+            accepted = 0
+            for r in range(n + 1):
+                subsets = [mask_of(c) for c in combinations(range(n), r)]
+                for pick in range(1, 1 << len(subsets)):
+                    m = Matroid(n, r, (subsets[i] for i in bits(pick)))
+                    accepted += agree_with_pairwise_oracle(m)
+            assert accepted == count
+
+    @pytest.mark.parametrize("n, rank, family", [
+        (6, 3, [[0, 1, 2], [3, 4, 5]]),
+        # every basis of U(4,5) on 0..4 except 0123 lies at distance 3 from
+        # 4567, and 0123, at distance 4, is no witness for any element
+        (8, 4, [list(c) for c in combinations(range(5), 4)] + [[4, 5, 6, 7]]),
+    ])
+    def test_disconnected_basis_graph_without_distance_two_pairs(
+            self, n, rank, family):
+        m = Matroid(n, rank, [mask_of(b) for b in family])
+        assert not agree_with_pairwise_oracle(m)
+
+    @given(st.data())
+    def test_near_matroids(self, data):
+        m = data.draw(st.sampled_from(NEAR_SOURCES))
+        family = set(m.bases)
+        if data.draw(st.booleans()):
+            outside = [mask_of(c) for c in combinations(range(m.n), m.rank)
+                       if mask_of(c) not in family]
+            if outside:
+                family.add(data.draw(st.sampled_from(outside)))
+        else:
+            for _ in range(data.draw(st.integers(1, 2))):
+                if len(family) > 1:
+                    family.discard(data.draw(st.sampled_from(sorted(family))))
+        agree_with_pairwise_oracle(Matroid(m.n, m.rank, family))
+
+
+NEAR_SOURCES = [m for m in tutte_identity_corpus() if m.n <= 9]
+
+
+def agree_with_pairwise_oracle(m) -> bool:
+    """Assert that check_exchange and the pairwise oracle give the same
+    verdict on m, and that a rejection carries a valid witness; return
+    whether m was accepted."""
+    expected = pairwise_exchange_violation(m)
+    try:
+        m.check_exchange()
+    except ExchangeViolationError as err:
+        assert expected is not None
+        assert is_exchange_witness(m, err.basis1, err.basis2, err.element)
+        return False
+    assert expected is None
+    return True
 
 
 class TestSerialization:
