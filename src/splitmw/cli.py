@@ -113,7 +113,7 @@ def _cmd_is_split(args) -> int:
 
 def _cmd_enumerate_rank2(args) -> int:
     ok = True
-    for census in verify_rank2_exhaustive(args.max_n, threads=args.threads):
+    for census in verify_rank2_exhaustive(args.max_n):
         for partition, report in zip(census.partitions, census.reports):
             record = report.to_dict()
             record["partition"] = list(partition)
@@ -159,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="splitmw",
         description="Exact matroid toolkit: Tutte polynomials, cyclic flats, "
                     "split recognition, Merino-Welsh certification.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for census enumeration")
     parser.add_argument("--memo-cap", type=int, metavar="BYTES", default=None,
                         help="capacity of the Tutte memo table in bytes")
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -12,6 +12,13 @@ class InputError(SplitMWError, ValueError):
     of the wrong type, or a repeated element or basis."""
 
 
+def require_int(name: str, value) -> None:
+    """Raise InputError unless value is an exact int.  bool is an int
+    subclass, and JSON true/false must not pass as 1/0."""
+    if type(value) is not int:
+        raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 class EmptyBasesError(SplitMWError):
     """A matroid was given an empty basis family."""
 

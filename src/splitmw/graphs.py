@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import LimitExceededError
+from .errors import InputError, LimitExceededError, require_int
 
 ORIENTATION_EDGE_LIMIT = 15
 FOREST_EDGE_LIMIT = 20
@@ -102,9 +102,31 @@ class Multigraph:
 
 
 def multigraph_from_dict(d: dict) -> Multigraph:
+    """Parse a multigraph-v1 record: an object whose `vertices` is an exact
+    int >= 0 and whose `edges` is a list of [u, v] pairs of exact ints
+    below `vertices`.  Any breach raises InputError."""
+    if not isinstance(d, dict):
+        raise InputError(f"expected a JSON object, got {type(d).__name__}")
     if d.get("format") != "multigraph-v1":
-        raise ValueError(f"not a multigraph-v1 record: {d.get('format')!r}")
-    return Multigraph(int(d["vertices"]), d["edges"])
+        raise InputError(f"not a multigraph-v1 record: {d.get('format')!r}")
+    for key in ("vertices", "edges"):
+        if key not in d:
+            raise InputError(f"multigraph-v1 record has no {key!r}")
+    vertices, edges = d["vertices"], d["edges"]
+    require_int("vertices", vertices)
+    if vertices < 0:
+        raise InputError(f"vertices must be >= 0, got {vertices}")
+    if not isinstance(edges, list):
+        raise InputError("'edges' must be a list of [u, v] pairs")
+    for edge in edges:
+        if not (isinstance(edge, list) and len(edge) == 2):
+            raise InputError(f"edge {edge!r} is not a [u, v] pair")
+        for end in edge:
+            require_int("edge endpoint", end)
+            if not 0 <= end < vertices:
+                raise InputError(f"edge {edge} has an endpoint outside "
+                                 f"0..{vertices - 1}")
+    return Multigraph(vertices, edges)
 
 
 def count_spanning_trees(g: Multigraph, limit: int = FOREST_EDGE_LIMIT) -> int:

@@ -5,9 +5,12 @@ Conventions used throughout the package:
   * The ground set is E = {0, ..., n-1}.  Subsets of E are int bitmasks
     (bit i set <=> element i in the subset), see `bitset`.
   * A matroid is stored as its full family of bases, each an n-bit mask of
-    popcount `rank`.  Every query (rank, closure, minors, duals, circuits)
-    is a short popcount loop over that family; this is exact and more than
-    fast enough at the target scale (general matroids up to ~20 elements).
+    popcount `rank`.  Single queries (rank, closure, minors, duals,
+    components) are short popcount loops over that family.
+  * Whole-table queries (independence and rank tables, rank levels,
+    circuits) hold one bit per subset in a 2^n-bit int and close it under
+    inclusion with n shift/AND/OR passes (see `bitset`): about n*(r+2)
+    passes over 2^n bits in all, up to n = TABLE_LIMIT.
   * rank(A) = max over bases B of |A & B|, which equals the matroid rank
     of A because every independent set extends to a basis.
 
@@ -24,16 +27,30 @@ from collections.abc import Iterable
 from itertools import combinations
 from math import comb
 
-from .bitset import bits, compress, drop_bit, mask_of
+from .bitset import (
+    bits,
+    compress,
+    down_closure,
+    drop_bit,
+    element_masks,
+    mask_of,
+    members,
+    popcount_classes,
+    spread,
+    table_of,
+    up_closure,
+)
 from .errors import (
     EmptyBasesError,
     ExchangeViolationError,
     InputError,
     LimitExceededError,
     WrongBasisSizeError,
+    require_int,
 )
 
-# Full-table methods (independence/rank tables, circuits) allocate 2^n bytes.
+# Full-table methods (independent sets, rank levels and tables, circuits)
+# allocate 2^n bits per table, and the byte tables 2^n bytes.
 TABLE_LIMIT = 20
 
 # Spanning-forest enumeration cutoff for graphic().
@@ -143,84 +160,81 @@ class Matroid:
         """No loops and no coloops."""
         return self.loops() == 0 and self.coloops() == 0
 
-    def independence_table(self) -> bytearray:
-        """indep[mask] = 1 iff mask is independent, for every mask < 2^n."""
+    def independent_sets(self) -> int:
+        """Table (see `bitset`) of the independent sets: the down-closure
+        of the bases, n passes over a 2^n-bit int."""
         if self.n > TABLE_LIMIT:
             raise LimitExceededError(f"n={self.n} exceeds table limit {TABLE_LIMIT}")
-        cached = self._cache.get("indep")
+        cached = self._cache.get("indepsets")
+        if cached is None:
+            cached = down_closure(table_of(self.bases, self.n), self.n)
+            self._cache["indepsets"] = cached
+        return cached
+
+    def rank_levels(self) -> tuple[int, ...]:
+        """levels[k] = table of the subsets of rank >= k, for k = 0..rank:
+        the up-closure of the independent k-sets."""
+        cached = self._cache.get("levels")
         if cached is not None:
             return cached
-        indep = bytearray(1 << self.n)
-        stack = []
-        for b in self.bases:
-            if not indep[b]:
-                indep[b] = 1
-                stack.append(b)
-        while stack:
-            m = stack.pop()
-            rest = m
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                child = m ^ low
-                if not indep[child]:
-                    indep[child] = 1
-                    stack.append(child)
-        self._cache["indep"] = indep
-        return indep
+        n = self.n
+        indep = self.independent_sets()
+        pop = popcount_classes(n)
+        levels = ((1 << (1 << n)) - 1,) + tuple(
+            up_closure(indep & pop[k], n) for k in range(1, self.rank + 1))
+        self._cache["levels"] = levels
+        return levels
+
+    def independence_table(self) -> bytearray:
+        """indep[mask] = 1 iff mask is independent, for every mask < 2^n."""
+        cached = self._cache.get("indep")
+        if cached is None:
+            cached = bytearray(spread(self.independent_sets(), self.n))
+            self._cache["indep"] = cached
+        return cached
 
     def rank_table(self) -> bytearray:
-        """rank[mask] for every mask < 2^n, by DP over the independence table."""
+        """rank[mask] for every mask < 2^n: the number of rank levels that
+        hold the mask.  Each level is spread to one byte per mask, and the
+        spread levels are added as ints (a byte never exceeds the rank, so
+        no carry crosses a byte)."""
         cached = self._cache.get("ranktab")
         if cached is not None:
             return cached
-        indep = self.independence_table()
-        table = bytearray(1 << self.n)
-        for m in range(1, 1 << self.n):
-            if indep[m]:
-                table[m] = m.bit_count()
-            else:
-                # rank of a dependent set equals the max over single removals
-                best = 0
-                rest = m
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    r = table[m ^ low]
-                    if r > best:
-                        best = r
-                table[m] = best
+        n = self.n
+        total = sum(int.from_bytes(spread(level, n), "little")
+                    for level in self.rank_levels()[1:])
+        table = bytearray(total.to_bytes(1 << n, "little"))
         self._cache["ranktab"] = table
         return table
 
     def circuits(self) -> list[int]:
-        """All circuits (minimal dependent sets) as masks, ascending."""
+        """All circuits (minimal dependent sets) as masks, ascending: the
+        dependent masks whose every single removal is independent."""
         cached = self._cache.get("circuits")
         if cached is not None:
             return cached
-        indep = self.independence_table()
-        out = []
-        for m in range(1, 1 << self.n):
-            if indep[m]:
-                continue
-            rest = m
-            minimal = True
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if not indep[m ^ low]:
-                    minimal = False
-                    break
-            if minimal:
-                out.append(m)
+        n = self.n
+        indep = self.independent_sets()
+        full = (1 << (1 << n)) - 1
+        minimal = full ^ indep
+        for i, hi in enumerate(element_masks(n)):
+            # a mask holding i needs its removal of i to be independent
+            minimal &= (indep << (1 << i)) | (full ^ hi)
+        out = members(minimal)
         self._cache["circuits"] = out
         return out
 
     def components(self) -> list[int]:
         """Connected components as masks, ordered by smallest element.
 
-        Two elements are in one component iff some circuit contains both;
-        loops and coloops end up as singleton components.
+        Two elements are in one component iff some circuit contains both.
+        Fix a basis B and join each f outside B to every e in B for which
+        B - e + f is a basis, that is, to its fundamental circuit.  Each
+        class of these joins lies in one component, and it is a separator
+        (its rank is its share of B), so the classes are the components.
+        This takes r*(n-r) basis lookups; loops and coloops join nothing
+        and end up as singleton components.
         """
         cached = self._cache.get("components")
         if cached is not None:
@@ -233,11 +247,14 @@ class Matroid:
                 x = parent[x]
             return x
 
-        for c in self.circuits():
-            els = bits(c)
-            r0 = find(els[0])
-            for e in els[1:]:
-                parent[find(e)] = r0
+        family = self.bases
+        b = min(family)
+        removals = [(e, b ^ (1 << e)) for e in bits(b)]
+        for f in bits(self.full_mask & ~b):
+            fb = 1 << f
+            for e, rest in removals:
+                if (rest | fb) in family:
+                    parent[find(e)] = find(f)
         groups: dict[int, int] = {}
         for e in range(self.n):
             r = find(e)
@@ -422,22 +439,16 @@ def matroid_from_dict(d: dict) -> Matroid:
 
 # -- constructors --------------------------------------------------------
 
-def _require_int(name: str, value) -> None:
-    # bool is an int subclass, and JSON true/false must not pass as 1/0
-    if type(value) is not int:
-        raise InputError(f"{name} must be an integer, got {value!r}")
-
-
 def from_bases(n: int, rank: int, bases: Iterable[Iterable[int]]) -> Matroid:
     """Build a matroid from explicit bases, validating element types and
     ranges, distinctness, and the exchange axiom."""
-    _require_int("n", n)
-    _require_int("rank", rank)
+    require_int("n", n)
+    require_int("rank", rank)
     masks = set()
     for b in bases:
         subset = tuple(b)
         for e in subset:
-            _require_int("element", e)
+            require_int("element", e)
             if not 0 <= e < n:
                 raise InputError(f"element {e} outside ground set of size {n}")
         mask = mask_of(subset)

@@ -19,7 +19,6 @@ astronomically many labeled families, without changing any verdict.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -134,18 +133,14 @@ def _census_entry(partition: tuple[int, ...]) -> MWReport:
     return check_mw(m)
 
 
-def verify_rank2_exhaustive(n_max: int, threads: int = 1) -> list[Rank2Census]:
+def verify_rank2_exhaustive(n_max: int) -> list[Rank2Census]:
     """One census per 2 <= n <= n_max over all rank-2 isomorphism classes."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     censuses = []
     for n in range(2, n_max + 1):
         parts = rank2_census_partitions(n)
-        if threads > 1 and parts:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                reports = list(pool.map(_census_entry, parts))
-        else:
-            reports = [_census_entry(p) for p in parts]
+        reports = [_census_entry(p) for p in parts]
         censuses.append(Rank2Census(
             n=n, partitions=tuple(parts), reports=tuple(reports),
             all_pass=all(r.mult_ok for r in reports)))

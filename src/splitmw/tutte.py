@@ -4,8 +4,10 @@ Two independent engines cross-check each other:
 
   * `tutte_subset_sum` -- the corank-nullity expansion
         T(x,y) = sum over A of (x-1)^(r(E)-r(A)) * (y-1)^(|A|-r(A)),
-    evaluated from a full-table rank DP over all 2^n subsets.  Reference
-    engine, O(2^n * n).
+    evaluated from the Whitney numbers, which are counted from the
+    matroid's rank levels (tables of 2^n bits, see `Matroid.rank_levels`).
+    Reference engine: about n*(r+2) passes over 2^n-bit ints to build the
+    levels, then (r+1)*(n-r+1) bit counts.
   * `tutte_dc` -- deletion-contraction with eager loop/coloop stripping,
     a closed form for uniform minors, pivoting inside a largest parallel
     class, and an LRU-bounded memo keyed on a relabeling-canonicalized
@@ -22,7 +24,7 @@ import threading
 from collections import OrderedDict
 from math import comb
 
-from .bitset import drop_bit
+from .bitset import drop_bit, popcount_classes
 from .errors import LimitExceededError
 from .matroid import Matroid
 
@@ -154,17 +156,29 @@ def tutte_from_dict(d: dict) -> TuttePolynomial:
 
 # -- reference engine: corank-nullity subset sum ---------------------------
 
+def whitney_numbers(m: Matroid) -> list[list[int]]:
+    """w[a][b] = number of subsets with corank deficit a and nullity b.
+
+    Read from the rank levels: the subsets of rank exactly k with s elements
+    are (rank >= k) & ~(rank >= k+1) & pop[s], counted with one bit_count."""
+    r, n = m.rank, m.n
+    c = n - r
+    levels = m.rank_levels() + (0,)
+    pop = popcount_classes(n)
+    whitney = [[0] * (c + 1) for _ in range(r + 1)]
+    for k in range(r + 1):
+        exact = levels[k] & ~levels[k + 1]
+        row = whitney[r - k]
+        for s in range(k, k + c + 1):
+            row[s - k] = (exact & pop[s]).bit_count()
+    return whitney
+
+
 def tutte_subset_sum(m: Matroid, limit: int = SUBSET_SUM_LIMIT) -> TuttePolynomial:
     if m.n > limit:
         raise LimitExceededError(f"n={m.n} exceeds subset-sum limit {limit}")
-    r, n = m.rank, m.n
-    c = n - r
-    table = m.rank_table()
-    # whitney[a][b] = number of subsets with corank deficit a and nullity b
-    whitney = [[0] * (c + 1) for _ in range(r + 1)]
-    for a in range(1 << n):
-        ra = table[a]
-        whitney[r - ra][a.bit_count() - ra] += 1
+    r, c = m.rank, m.n - m.rank
+    whitney = whitney_numbers(m)
     coeffs = [[0] * (c + 1) for _ in range(r + 1)]
     for a in range(r + 1):
         wrow = whitney[a]

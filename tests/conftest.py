@@ -11,10 +11,16 @@ from itertools import combinations, permutations
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from splitmw import Multigraph, graphic
+from splitmw import Matroid, Multigraph, graphic
 from splitmw.bitset import bits, mask_of
-from splitmw.corpus import doubled_doubled_4cycle, figure_minimal_graph, k4_graph
+from splitmw.corpus import (
+    doubled_doubled_4cycle,
+    figure_minimal_graph,
+    k4_graph,
+    tutte_identity_corpus,
+)
 
 # Tier-1 runs the same generated examples every time (derandomize also
 # disables the example database), and a slow host fails no example.
@@ -50,6 +56,39 @@ def fano():
              {1, 4, 6}, {2, 3, 6}, {2, 4, 5}]
     bases = [c for c in combinations(range(7), 3) if set(c) not in lines]
     return from_bases(7, 3, bases)
+
+
+def every_family(n: int):
+    """Every nonempty family of equal-size subsets of {0..n-1}, as an
+    unchecked Matroid: 2^C(n,r) - 1 families for each rank r."""
+    for r in range(n + 1):
+        subsets = [mask_of(c) for c in combinations(range(n), r)]
+        for pick in range(1, 1 << len(subsets)):
+            yield Matroid(n, r, (subsets[i] for i in bits(pick)))
+
+
+DERIVED_SOURCES = [m for m in tutte_identity_corpus() if m.n <= 6]
+
+
+@st.composite
+def derived_matroids(draw):
+    """A small corpus matroid, dualized, cut down by deletions and
+    contractions, and summed with a second one: at most 12 elements."""
+    parts = []
+    for _ in range(draw(st.integers(1, 2))):
+        m = draw(st.sampled_from(DERIVED_SOURCES))
+        if draw(st.booleans()):
+            m = m.dual()
+        for _ in range(draw(st.integers(0, 2))):
+            if m.n == 0:
+                break
+            e = draw(st.integers(0, m.n - 1))
+            m = m.delete(e) if draw(st.booleans()) else m.contract(e)
+        parts.append(m)
+    out = parts[0]
+    for m in parts[1:]:
+        out = out.direct_sum(m)
+    return out
 
 
 def brute_isomorphic(m1, m2) -> bool:
@@ -94,6 +133,85 @@ def is_exchange_witness(m, basis1, basis2, e) -> bool:
         return False
     removed = b1 ^ (1 << e)
     return not any((removed | (1 << f)) in m.bases for f in bits(b2 & ~b1))
+
+
+def independence_table_oracle(m) -> bytearray:
+    """indep[mask] = 1 iff mask is independent: every subset of a basis,
+    found by a depth-first walk down from the bases, one mask at a time."""
+    indep = bytearray(1 << m.n)
+    stack = []
+    for b in m.bases:
+        if not indep[b]:
+            indep[b] = 1
+            stack.append(b)
+    while stack:
+        mask = stack.pop()
+        for e in bits(mask):
+            child = mask ^ (1 << e)
+            if not indep[child]:
+                indep[child] = 1
+                stack.append(child)
+    return indep
+
+
+def rank_table_oracle(m) -> bytearray:
+    """rank[mask] by DP over all 2^n masks: the size of an independent
+    mask, else the largest rank among its single removals."""
+    indep = independence_table_oracle(m)
+    table = bytearray(1 << m.n)
+    for mask in range(1, 1 << m.n):
+        if indep[mask]:
+            table[mask] = mask.bit_count()
+        else:
+            table[mask] = max(table[mask ^ (1 << e)] for e in bits(mask))
+    return table
+
+
+def circuits_oracle(m) -> list[int]:
+    """Dependent masks whose every single removal is independent, ascending."""
+    indep = independence_table_oracle(m)
+    return [mask for mask in range(1, 1 << m.n)
+            if not indep[mask]
+            and all(indep[mask ^ (1 << e)] for e in bits(mask))]
+
+
+def is_paving_oracle(m) -> bool:
+    """No dependent mask has fewer than `rank` elements."""
+    indep = independence_table_oracle(m)
+    return all(indep[mask] or mask.bit_count() >= m.rank
+               for mask in range(1 << m.n))
+
+
+def components_oracle(m) -> list[int]:
+    """Classes of "some circuit holds both", by union-find over every
+    circuit; masks ordered by smallest element."""
+    parent = list(range(m.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for c in circuits_oracle(m):
+        els = bits(c)
+        for e in els[1:]:
+            parent[find(e)] = find(els[0])
+    groups: dict[int, int] = {}
+    for e in range(m.n):
+        root = find(e)
+        groups[root] = groups.get(root, 0) | (1 << e)
+    return sorted(groups.values(), key=lambda mask: mask & -mask)
+
+
+def whitney_numbers_oracle(m) -> list[list[int]]:
+    """w[a][b] = number of masks with r(E) - r(A) = a and |A| - r(A) = b,
+    counted one mask at a time over the oracle rank table."""
+    table = rank_table_oracle(m)
+    w = [[0] * (m.n - m.rank + 1) for _ in range(m.rank + 1)]
+    for mask in range(1 << m.n):
+        ra = table[mask]
+        w[m.rank - ra][mask.bit_count() - ra] += 1
+    return w
 
 
 def connected_by_partition_oracle(m) -> bool:

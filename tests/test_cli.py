@@ -170,13 +170,6 @@ class TestEnumerateRank2:
         n4 = [tuple(r["partition"]) for r in report_lines if r["n"] == 4]
         assert n4 == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
-    def test_threads_flag_gives_same_output(self, monkeypatch, capsys):
-        code1, out1, _ = run_cli(["enumerate-rank2", "--max-n", "6"],
-                                 None, monkeypatch, capsys)
-        code2, out2, _ = run_cli(["--threads", "4", "enumerate-rank2",
-                                  "--max-n", "6"], None, monkeypatch, capsys)
-        assert (code1, out1) == (code2, out2)
-
 
 class TestOracle:
     def test_triangle_counts(self, monkeypatch, capsys):
@@ -225,6 +218,22 @@ class TestErrors:
         code, out, err = run_cli(["tutte", "-"], doc, monkeypatch, capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("doc, reason", [
+        ('{"format":"multigraph-v1","vertices":2,"edges":5}', "'edges' must be a list"),
+        ('[1]', "expected a JSON object"),
+        ('{"format":"multigraph-v1","vertices":true,"edges":[[0,0]]}',
+         "vertices must be an integer"),
+        ('{"format":"multigraph-v1","vertices":3,"edges":[[0.5,1]]}',
+         "edge endpoint must be an integer"),
+        ('{"format":"multigraph-v1","vertices":3,"edges":[[0,1,2]]}',
+         "is not a [u, v] pair"),
+    ], ids=["edges-not-list", "record-not-object", "bool-vertices",
+            "float-endpoint", "three-endpoints"])
+    def test_malformed_multigraph_exits_2(self, doc, reason, monkeypatch, capsys):
+        code, out, err = run_cli(["oracle", "-"], doc, monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and reason in err
 
     def test_memo_cap_flag(self, monkeypatch, capsys):
         doc = construct(["--minimal", "5,10"], monkeypatch, capsys)

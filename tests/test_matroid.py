@@ -9,6 +9,7 @@ from splitmw import (
     EmptyBasesError,
     ExchangeViolationError,
     InputError,
+    LimitExceededError,
     Matroid,
     Multigraph,
     WrongBasisSizeError,
@@ -26,12 +27,21 @@ from splitmw.corpus import (
     tutte_identity_corpus,
     uniform_matroids,
 )
+from splitmw.flats import is_paving
+from splitmw.matroid import TABLE_LIMIT
 
 from conftest import (
     brute_isomorphic,
+    circuits_oracle,
+    components_oracle,
     connected_by_partition_oracle,
+    derived_matroids,
+    every_family,
+    independence_table_oracle,
     is_exchange_witness,
+    is_paving_oracle,
     pairwise_exchange_violation,
+    rank_table_oracle,
 )
 
 
@@ -180,6 +190,59 @@ class TestRankAndClosure:
                 assert table[a] == m.rank_of(a)
 
 
+def assert_tables_match_oracles(m):
+    """The bit-parallel tables, circuits, components and paving test give
+    what the one-mask-at-a-time oracles give."""
+    assert m.independence_table() == independence_table_oracle(m)
+    assert m.rank_table() == rank_table_oracle(m)
+    assert m.circuits() == circuits_oracle(m)
+    assert m.components() == components_oracle(m)
+    assert is_paving(m) == is_paving_oracle(m)
+
+
+class TestTableKernel:
+    def test_corpus(self):
+        for m in tutte_identity_corpus():
+            if m.n <= 9:
+                assert_tables_match_oracles(m)
+
+    def test_every_matroid_up_to_five_elements(self):
+        for n in range(6):
+            for m in every_family(n):
+                if pairwise_exchange_violation(m) is None:
+                    assert_tables_match_oracles(m)
+
+    @given(derived_matroids())
+    def test_duals_minors_and_sums(self, m):
+        assert_tables_match_oracles(m)
+
+    def test_empty_ground_set(self):
+        m = uniform(0, 0)
+        assert m.independence_table() == bytearray([1])
+        assert m.rank_table() == bytearray([0])
+        assert (m.circuits(), m.components(), is_paving(m)) == ([], [], True)
+        assert_tables_match_oracles(m)
+
+    def test_loops_and_coloops(self):
+        # loops 0,1; a coloop 2; U(2,4) on 3..6; another loop 7
+        m = (uniform(0, 2).direct_sum(uniform(1, 1)).direct_sum(uniform(2, 4))
+             .direct_sum(uniform(0, 1)))
+        assert [bits(c) for c in m.components()] == [[0], [1], [2], [3, 4, 5, 6], [7]]
+        assert [bits(c) for c in m.circuits() if c.bit_count() == 1] == [[0], [1], [7]]
+        assert_tables_match_oracles(m)
+
+    def test_table_limit(self):
+        m = uniform(1, TABLE_LIMIT)
+        table = m.rank_table()
+        assert len(table) == 1 << TABLE_LIMIT
+        assert table[0] == 0 and sum(table) == (1 << TABLE_LIMIT) - 1
+        big = uniform(1, TABLE_LIMIT + 1)
+        for query in (big.independent_sets, big.rank_levels, big.independence_table,
+                      big.rank_table, big.circuits, lambda: is_paving(big)):
+            with pytest.raises(LimitExceededError):
+                query()
+
+
 class TestMinorsDualsSums:
     def test_contract_parallel_element_creates_loops(self):
         c = minimal(4, 7).contract(4)
@@ -297,12 +360,7 @@ class TestExchangeProperty:
         # Labeled matroids on n points, OEIS A058673.
         known = [1, 2, 5, 16, 68, 406]
         for n, count in enumerate(known):
-            accepted = 0
-            for r in range(n + 1):
-                subsets = [mask_of(c) for c in combinations(range(n), r)]
-                for pick in range(1, 1 << len(subsets)):
-                    m = Matroid(n, r, (subsets[i] for i in bits(pick)))
-                    accepted += agree_with_pairwise_oracle(m)
+            accepted = sum(agree_with_pairwise_oracle(m) for m in every_family(n))
             assert accepted == count
 
     @pytest.mark.parametrize("n, rank, family", [

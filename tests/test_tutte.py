@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given
 
 from splitmw import (
     LimitExceededError,
@@ -16,10 +17,19 @@ from splitmw.corpus import (
     graphic_corpus,
     minimal_matroids,
     rank2_matroids,
+    tutte_identity_corpus,
     uniform_matroids,
 )
+from splitmw.tutte import whitney_numbers
 
-from conftest import dense_to_sparse, oracle_tutte_coeffs
+from conftest import (
+    dense_to_sparse,
+    derived_matroids,
+    every_family,
+    oracle_tutte_coeffs,
+    pairwise_exchange_violation,
+    whitney_numbers_oracle,
+)
 
 
 def both_engines(m):
@@ -114,6 +124,38 @@ class TestEngineAgreement:
         shuffled = Matroid(6, 3, remapped)
         assert tutte_dc(shuffled) == tutte_subset_sum(shuffled)
         assert tutte_dc(shuffled) == tutte_dc(m)
+
+
+class TestWhitneyNumbers:
+    """Counts from the rank levels against a 2^n loop over the oracle
+    rank table."""
+
+    def test_corpus(self):
+        for m in tutte_identity_corpus():
+            if m.n <= 9:
+                assert whitney_numbers(m) == whitney_numbers_oracle(m)
+
+    def test_every_matroid_up_to_five_elements(self):
+        for n in range(6):
+            for m in every_family(n):
+                if pairwise_exchange_violation(m) is None:
+                    assert whitney_numbers(m) == whitney_numbers_oracle(m)
+
+    @given(derived_matroids())
+    def test_duals_minors_and_sums(self, m):
+        assert whitney_numbers(m) == whitney_numbers_oracle(m)
+
+    def test_loops_coloops_and_empty(self):
+        assert whitney_numbers(uniform(0, 0)) == [[1]]
+        # a loop and a coloop: the four subsets fill the four cells, the
+        # coloop deciding the corank deficit and the loop the nullity
+        assert whitney_numbers(uniform(0, 1).direct_sum(uniform(1, 1))) == [[1, 1], [1, 1]]
+
+    def test_totals(self):
+        m = minimal(4, 7)
+        w = whitney_numbers(m)
+        assert sum(map(sum, w)) == 1 << m.n
+        assert w[0][0] == len(m.bases)
 
 
 class TestIdentities:
