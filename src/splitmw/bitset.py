@@ -1,13 +1,24 @@
-"""Subsets of {0,...,n-1} as int bitmasks, and families of them as tables.
+"""Subsets of {0,...,n-1} as int bitmasks, and families of them as tables
+or as packed slots.
 
 A *table* is one Python int of 2^n bits in which bit m stands for the
 subset with mask m.  Closing a table downward or upward under inclusion is
 n whole-int shift/AND/OR passes (the fast zeta transform over the subset
 lattice), so the per-mask work runs inside the interpreter's big-int code.
+
+A *packed* family is one Python int holding the masks of a family in
+fixed-width slots, one slot per mask (an `array` of the narrowest unsigned
+type that fits n bits, read as one int).  Its *column* for element e,
+(packed >> e) & ones with `ones` the bit 0 of every slot, has a bit in
+exactly the slots of the masks that hold e; so element degrees, loops,
+coloops and "never together in a mask" are bit counts and ANDs of whole
+columns, and relabeling the ground set is one shift and OR per element.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Iterable
 from functools import lru_cache
 
@@ -108,6 +119,52 @@ def up_closure(table: int, n: int) -> int:
     for i, hi in enumerate(element_masks(n)):
         table |= (table << (1 << i)) & hi
     return table
+
+
+# -- packed families ----------------------------------------------------------
+
+# unsigned array typecodes, narrowest first
+_SLOT_CODES = ("B", "H", "I", "L", "Q")
+
+
+@lru_cache(maxsize=None)
+def slot_code(n: int) -> str:
+    """Typecode of the narrowest array slot that holds an n-bit mask."""
+    for code in _SLOT_CODES:
+        if array(code).itemsize * 8 >= n:
+            return code
+    raise ValueError(f"no array slot holds {n} bits")
+
+
+def pack(masks: Iterable[int], code: str) -> int:
+    """The masks in consecutive slots of one int."""
+    return int.from_bytes(array(code, masks).tobytes(), sys.byteorder)
+
+
+def unpack(packed: int, count: int, code: str) -> array:
+    """The `count` slots of a packed int, in slot order."""
+    out = array(code)
+    out.frombytes(packed.to_bytes(count * out.itemsize, sys.byteorder))
+    return out
+
+
+def slot_ones(count: int, code: str) -> int:
+    """The packed int with bit 0 of each of `count` slots set."""
+    return int.from_bytes((array(code, (1,)) * count).tobytes(), sys.byteorder)
+
+
+def columns(packed: int, ones: int, n: int) -> list[int]:
+    """cols[e] = the slots of the masks that hold e, at each slot's bit 0."""
+    return [(packed >> e) & ones for e in range(n)]
+
+
+def place(cols: Iterable[int]) -> int:
+    """The packed family whose element i has column cols[i]: the inverse of
+    `columns`, and a relabeling when the columns are given in a new order."""
+    packed = 0
+    for i, col in enumerate(cols):
+        packed |= col << i
+    return packed
 
 
 def spread(table: int, n: int) -> bytes:

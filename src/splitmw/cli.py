@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import tutte as tutte_mod
-from .errors import ClassificationFailureError, SplitMWError
+from .errors import ClassificationFailureError, InputError, SplitMWError
 from .flats import cyclic_flats, is_split
 from .graphs import (
     Multigraph,
@@ -40,10 +40,14 @@ def _dumps(obj) -> str:
 
 
 def _read_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        # the decoder recurses once per level of [ or {
+        raise InputError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _load_matroid(path: str) -> Matroid:
@@ -52,6 +56,17 @@ def _load_matroid(path: str) -> Matroid:
 
 def _load_multigraph(path: str) -> Multigraph:
     return multigraph_from_dict(_read_json(path))
+
+
+def _byte_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a byte count of at least 0, got {text!r}")
+    return value
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -159,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="splitmw",
         description="Exact matroid toolkit: Tutte polynomials, cyclic flats, "
                     "split recognition, Merino-Welsh certification.")
-    parser.add_argument("--memo-cap", type=int, metavar="BYTES", default=None,
+    parser.add_argument("--memo-cap", type=_byte_count, metavar="BYTES", default=None,
                         help="capacity of the Tutte memo table in bytes")
     sub = parser.add_subparsers(dest="verb", required=True)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bitset import bits
 from .errors import (
@@ -48,14 +48,20 @@ BASE_RULES = frozenset({RULE_BASE_RANK1, RULE_BASE_CORANK1, RULE_BASE_RANK2,
                         RULE_BASE_CORANK2, RULE_BASE_MINIMAL})
 
 
-def matroid_digest(m: Matroid) -> str:
-    payload = json.dumps(m.to_dict(), separators=(",", ":"), sort_keys=True)
+def matroid_digest(record: dict) -> str:
+    """Short hash of a matroid's matroid-bases-v1 record (`Matroid.to_dict`)."""
+    payload = json.dumps(record, separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
 class ProofNode:
+    """One step of a certificate tree.  `record` is the matroid's
+    matroid-bases-v1 record, built once for the digest and shared by
+    `to_dict`."""
+
     matroid: Matroid
+    record: dict = field(compare=False, repr=False)
     digest: str
     rule: str
     mw: MWReport
@@ -75,7 +81,7 @@ class ProofNode:
         if self.minimal_kn is not None:
             params["k"], params["n"] = self.minimal_kn
         return {"rule": self.rule, "params": params, "digest": self.digest,
-                "matroid": self.matroid.to_dict(), "mw": self.mw.to_dict(),
+                "matroid": self.record, "mw": self.mw.to_dict(),
                 "children": [c.to_dict() for c in self.children]}
 
 
@@ -100,20 +106,19 @@ def _minor_is_clean(minor: Matroid) -> bool:
     return minor.loops() == 0 and minor.coloops() == 0
 
 
-def no_clean_pivot(m: Matroid) -> bool:
-    """True iff for every element, deleting or contracting it leaves a loop
-    or a coloop somewhere."""
-    for e in range(m.n):
-        if _minor_is_clean(m.delete(e)) and _minor_is_clean(m.contract(e)):
-            return False
-    return True
-
-
 def _clean_pivot(m: Matroid) -> int | None:
+    """The lowest element whose deletion and contraction both have no loop
+    and no coloop, or None."""
     for e in range(m.n):
         if _minor_is_clean(m.delete(e)) and _minor_is_clean(m.contract(e)):
             return e
     return None
+
+
+def no_clean_pivot(m: Matroid) -> bool:
+    """True iff for every element, deleting or contracting it leaves a loop
+    or a coloop somewhere."""
+    return _clean_pivot(m) is None
 
 
 @dataclass(frozen=True)
@@ -165,24 +170,26 @@ def _base_rule(rank: int, corank: int) -> str | None:
 
 def _build(m: Matroid) -> ProofNode:
     mw = check_mw(m)
-    digest = matroid_digest(m)
+    record = m.to_dict()
+    digest = matroid_digest(record)
     comps = m.components()
     if len(comps) != 1:
         children = tuple(_build(m.restrict(c)) for c in comps)
-        return ProofNode(m, digest, RULE_DIRECT_SUM, mw, children)
+        return ProofNode(m, record, digest, RULE_DIRECT_SUM, mw, children)
     rank, corank = m.rank, m.n - m.rank
     rule = _base_rule(rank, corank)
     if rule is not None:
-        return ProofNode(m, digest, rule, mw)
+        return ProofNode(m, record, digest, rule, mw)
     kn = recognize_minimal(m)
     if kn is not None:
-        return ProofNode(m, digest, RULE_BASE_MINIMAL, mw, minimal_kn=kn)
+        return ProofNode(m, record, digest, RULE_BASE_MINIMAL, mw, minimal_kn=kn)
     e = _clean_pivot(m)
     if e is None:
         # would contradict the base-case classification; abort loudly
         raise ClassificationFailureError(m)
     children = (_build(m.delete(e)), _build(m.contract(e)))
-    return ProofNode(m, digest, RULE_DELETE_CONTRACT, mw, children, element=e)
+    return ProofNode(m, record, digest, RULE_DELETE_CONTRACT, mw, children,
+                     element=e)
 
 
 def trace(m: Matroid) -> ProofTrace:

@@ -11,7 +11,13 @@ Two independent engines cross-check each other:
   * `tutte_dc` -- deletion-contraction with eager loop/coloop stripping,
     a closed form for uniform minors, pivoting inside a largest parallel
     class, and an LRU-bounded memo keyed on a relabeling-canonicalized
-    basis family.
+    basis family.  Each recursion node packs its bases into one int, one
+    array slot per basis, and works on the n columns of that int (see
+    `bitset`): degrees are bit counts, loops and coloops are empty and
+    full columns, parallel pairs are disjoint columns, and the canonical
+    relabeling and the minors' families are n shifts and ORs followed by
+    one C-level unpack.  Per node that is O(n^2) whole-int operations plus
+    a sort of the relabeled bases, with no loop over the bits of each basis.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
 Coefficient matrices are indexed coeffs[i][j] = coefficient of x^i y^j and
@@ -20,11 +26,13 @@ always have shape (rank+1) x (corank+1) of the source matroid.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
+from functools import lru_cache
+from itertools import compress
 from math import comb
+from operator import add
 
-from .bitset import drop_bit, popcount_classes
+from .bitset import columns, pack, place, popcount_classes, slot_code, slot_ones, unpack
 from .errors import LimitExceededError
 from .matroid import Matroid
 
@@ -49,6 +57,14 @@ class TuttePolynomial:
                 if c < 0:
                     raise ValueError("Tutte coefficients are nonnegative")
         object.__setattr__(self, "coeffs", rows)
+
+    @classmethod
+    def _of(cls, rows: tuple) -> TuttePolynomial:
+        """Wrap a tuple of equal-length tuples of nonnegative ints without
+        checking it again: sums and shifts of valid matrices are valid."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "coeffs", rows)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("TuttePolynomial instances are immutable")
@@ -101,20 +117,21 @@ class TuttePolynomial:
         rows = [zero_row] * dx
         for row in self.coeffs:
             rows.append((0,) * dy + row)
-        return TuttePolynomial(rows)
+        return TuttePolynomial._of(tuple(rows))
 
     def __add__(self, other):
         if not isinstance(other, TuttePolynomial):
             return NotImplemented
-        nr = max(len(self.coeffs), len(other.coeffs))
-        nc = max(len(self.coeffs[0]), len(other.coeffs[0]))
-        out = [[0] * nc for _ in range(nr)]
-        for src in (self.coeffs, other.coeffs):
-            for i, row in enumerate(src):
-                orow = out[i]
-                for j, c in enumerate(row):
-                    orow[j] += c
-        return TuttePolynomial(out)
+        a, b = self.coeffs, other.coeffs
+        nr, nc = max(len(a), len(b)), max(len(a[0]), len(b[0]))
+
+        def padded(rows):
+            zeros = (0,) * nc
+            return ([row + zeros[len(row):] for row in rows]
+                    + [zeros] * (nr - len(rows)))
+
+        return TuttePolynomial._of(tuple(
+            tuple(map(add, x, y)) for x, y in zip(padded(a), padded(b))))
 
     def __mul__(self, other):
         if not isinstance(other, TuttePolynomial):
@@ -140,9 +157,6 @@ class TuttePolynomial:
                 "rank": self.x_degree_bound,
                 "corank": self.y_degree_bound,
                 "coeffs": [[str(c) for c in row] for row in self.coeffs]}
-
-
-ONE = TuttePolynomial(((1,),))
 
 
 def tutte_from_dict(d: dict) -> TuttePolynomial:
@@ -197,17 +211,13 @@ def tutte_subset_sum(m: Matroid, limit: int = SUBSET_SUM_LIMIT) -> TuttePolynomi
 # -- deletion-contraction engine -------------------------------------------
 
 class TutteMemo:
-    """Byte-capped LRU memo shared across recursions.
-
-    Concurrent use is safe: entries are immutable values, a lock guards the
-    table, and duplicated work between racing callers is tolerated.
-    """
+    """Byte-capped LRU memo shared across recursions.  Entries are
+    immutable values, so a hit can be returned as it is."""
 
     def __init__(self, capacity_bytes: int = 64 << 20):
         self.capacity_bytes = capacity_bytes
         self._data: OrderedDict = OrderedDict()
         self._bytes = 0
-        self._lock = threading.Lock()
 
     @staticmethod
     def _entry_cost(key, poly: TuttePolynomial) -> int:
@@ -215,36 +225,31 @@ class TutteMemo:
         return 96 + 8 * len(key[1]) + 32 * cells
 
     def get(self, key):
-        with self._lock:
-            val = self._data.get(key)
-            if val is not None:
-                self._data.move_to_end(key)
-            return val
+        val = self._data.get(key)
+        if val is not None:
+            self._data.move_to_end(key)
+        return val
 
     def put(self, key, poly: TuttePolynomial):
-        cost = self._entry_cost(key, poly)
-        with self._lock:
-            if key in self._data:
-                return
-            self._data[key] = poly
-            self._bytes += cost
-            self._evict()
+        if key in self._data:
+            return
+        self._data[key] = poly
+        self._bytes += self._entry_cost(key, poly)
+        self._evict()
 
     def _evict(self):
-        # caller holds the lock; keep at least one entry so progress is visible
+        # keep at least one entry so progress is visible
         while self._bytes > self.capacity_bytes and len(self._data) > 1:
             old_key, old_val = self._data.popitem(last=False)
             self._bytes -= self._entry_cost(old_key, old_val)
 
     def set_capacity(self, capacity_bytes: int):
-        with self._lock:
-            self.capacity_bytes = capacity_bytes
-            self._evict()
+        self.capacity_bytes = capacity_bytes
+        self._evict()
 
     def clear(self):
-        with self._lock:
-            self._data.clear()
-            self._bytes = 0
+        self._data.clear()
+        self._bytes = 0
 
     def __len__(self):
         return len(self._data)
@@ -258,9 +263,11 @@ def set_memo_capacity(capacity_bytes: int) -> None:
     _global_memo.set_capacity(capacity_bytes)
 
 
+@lru_cache(maxsize=None)
 def _uniform_tutte(k: int, n: int) -> TuttePolynomial:
     """Closed form for U_{k,n} from the corank-nullity sum: subsets of size
-    s <= k contribute C(n,s)(x-1)^(k-s), larger ones C(n,s)(y-1)^(s-k)."""
+    s <= k contribute C(n,s)(x-1)^(k-s), larger ones C(n,s)(y-1)^(s-k).
+    Cached, since polynomials are immutable."""
     coeffs = [[0] * (n - k + 1) for _ in range(k + 1)]
     coeffs[0][0] += comb(n, k)
     for s in range(k):
@@ -276,101 +283,78 @@ def _uniform_tutte(k: int, n: int) -> TuttePolynomial:
     return TuttePolynomial(coeffs)
 
 
-def _canonical_key(n: int, bases: tuple[int, ...]):
-    """Memo key: the basis family after a deterministic relabeling.
+def _columns(n: int, bases) -> tuple[list[int], int, str]:
+    """(columns, the full column, slot typecode) of a basis family."""
+    code = slot_code(n)
+    ones = slot_ones(len(bases), code)
+    return columns(pack(bases, code), ones, n), ones, code
 
-    Elements are sorted by (parallel-class size, basis degree); relabeling
-    preserves the Tutte polynomial, so key collisions are sound by
-    construction and symmetric minors coalesce.
+
+def _strip(cols: list[int], ones: int) -> tuple[list[int], int, int]:
+    """Drop loops and coloops: (kept columns, n_coloops, n_loops).  The kept
+    bases stay distinct, so the slots are unchanged."""
+    kept = [c for c in cols if c and c != ones]
+    if len(kept) == len(cols):
+        return cols, 0, 0
+    ncoloops = cols.count(ones)
+    return kept, ncoloops, len(cols) - len(kept) - ncoloops
+
+
+def _key_and_pivot(cols: list[int], count: int, code: str):
+    """Memo key and pivot of the family of `count` bases with these columns.
+
+    e's parallel-class size is 1 + #{f : no basis holds both e and f} and
+    its degree is the number of bases holding it.  The key is (n, the sorted
+    bases) after relabeling the elements in order of (class size, degree,
+    index); relabeling preserves the Tutte polynomial, so key collisions are
+    sound by construction and symmetric minors coalesce.  The pivot is the
+    lowest-index element of a largest class.
     """
-    degree = [0] * n
-    cooc = [0] * n
-    for b in bases:
-        rest = b
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            e = low.bit_length() - 1
-            degree[e] += 1
-            cooc[e] |= b
-    class_size = [n - cooc[e].bit_count() + 1 for e in range(n)]
-    order = sorted(range(n), key=lambda e: (class_size[e], degree[e]))
-    pos = [0] * n
-    for new, old in enumerate(order):
-        pos[old] = new
-    remapped = []
-    for b in bases:
-        nb = 0
-        rest = b
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nb |= 1 << pos[low.bit_length() - 1]
-        remapped.append(nb)
-    return (n, tuple(sorted(remapped)))
+    n = len(cols)
+    degree = [c.bit_count() for c in cols]
+    size = [1] * n
+    for e, col in enumerate(cols):
+        if not col:
+            size[e] += 1    # a loop shares no basis with itself either
+        for f in range(e + 1, n):
+            if not col & cols[f]:
+                size[e] += 1
+                size[f] += 1
+    order = sorted(range(n), key=lambda e: (size[e], degree[e]))
+    relabeled = unpack(place([cols[e] for e in order]), count, code)
+    return (n, tuple(sorted(relabeled))), size.index(max(size))
 
 
-def _pivot(n: int, bases: tuple[int, ...]) -> int:
-    """Lowest-index element of a largest parallel class."""
-    cooc = [0] * n
-    for b in bases:
-        rest = b
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cooc[low.bit_length() - 1] |= b
-    best_e, best_size = 0, -1
-    for e in range(n):
-        size = n - cooc[e].bit_count() + 1
-        if size > best_size:
-            best_e, best_size = e, size
-    return best_e
+def _children(cols: list[int], e: int, ones: int, count: int, code: str):
+    """The basis lists of the deletion and the contraction of e (e not a
+    loop or coloop): every basis with e dropped, which is one relabeling of
+    the other columns, split by the slots of column e."""
+    dropped = unpack(place(cols[:e] + cols[e + 1:]), count, code).tolist()
+    return (list(compress(dropped, unpack(cols[e] ^ ones, count, code))),
+            list(compress(dropped, unpack(cols[e], count, code))))
 
 
-def _strip(n: int, bases: tuple[int, ...]):
-    """Remove loops and coloops, returning (n', bases', n_coloops, n_loops)."""
-    union = 0
-    inter = bases[0]
-    for b in bases:
-        union |= b
-        inter &= b
-    full = (1 << n) - 1
-    loops = full & ~union
-    coloops = inter
-    if not loops and not coloops:
-        return n, bases, 0, 0
-    drop = loops | coloops
-    kept = [e for e in range(n) if not drop >> e & 1]
-    new_bases = set()
-    for b in bases:
-        core = b & ~coloops
-        nb = 0
-        for new, old in enumerate(kept):
-            if core >> old & 1:
-                nb |= 1 << new
-        new_bases.add(nb)
-    return (len(kept), tuple(sorted(new_bases)),
-            coloops.bit_count(), loops.bit_count())
-
-
-def _dc(n: int, bases: tuple[int, ...], memo: TutteMemo) -> TuttePolynomial:
-    n, bases, ncoloops, nloops = _strip(n, bases)
-    if n == 0:
-        core = ONE
+def _dc(n: int, bases, memo: TutteMemo) -> TuttePolynomial:
+    """T of the matroid on n elements with these bases (a sized iterable of
+    masks, in any order)."""
+    count = len(bases)
+    k = next(iter(bases)).bit_count()
+    if count == comb(n, k):
+        # every k-subset, so no columns are needed: U(k,n) has no loop or
+        # coloop unless k is 0 or n, where the closed form is y^n or x^n
+        return _uniform_tutte(k, n)
+    cols, ones, code = _columns(n, bases)
+    cols, ncoloops, nloops = _strip(cols, ones)
+    n, k = len(cols), k - ncoloops
+    if count == comb(n, k):
+        core = _uniform_tutte(k, n)
     else:
-        k = bases[0].bit_count()
-        if len(bases) == comb(n, k):
-            core = _uniform_tutte(k, n)
-        else:
-            key = _canonical_key(n, bases)
-            core = memo.get(key)
-            if core is None:
-                e = _pivot(n, bases)
-                bit = 1 << e
-                deleted = tuple(sorted(drop_bit(b, e) for b in bases if not b & bit))
-                contracted = tuple(sorted(drop_bit(b ^ bit, e) for b in bases if b & bit))
-                core = _dc(n - 1, deleted, memo) + _dc(n - 1, contracted, memo)
-                memo.put(key, core)
+        key, e = _key_and_pivot(cols, count, code)
+        core = memo.get(key)
+        if core is None:
+            deleted, contracted = _children(cols, e, ones, count, code)
+            core = _dc(n - 1, deleted, memo) + _dc(n - 1, contracted, memo)
+            memo.put(key, core)
     if ncoloops or nloops:
         return core.shift(ncoloops, nloops)
     return core
@@ -382,4 +366,4 @@ def tutte_dc(m: Matroid, limit: int = DC_LIMIT,
         raise LimitExceededError(f"n={m.n} exceeds deletion-contraction limit {limit}")
     if memo is None:
         memo = _global_memo
-    return _dc(m.n, tuple(sorted(m.bases)), memo)
+    return _dc(m.n, m.bases, memo)

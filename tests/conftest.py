@@ -1,26 +1,28 @@
 """Shared fixtures and independent desk oracles.
 
 The oracles here deliberately avoid the package's optimized code paths
-(rank tables, canonical memo keys) so that agreement is a real cross-check
-rather than the same computation twice.
+(rank tables, column-packed basis families) so that agreement is a real
+cross-check rather than the same computation twice.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from splitmw import Matroid, Multigraph, graphic
-from splitmw.bitset import bits, mask_of
+from splitmw.bitset import bits, drop_bit, mask_of
 from splitmw.corpus import (
     doubled_doubled_4cycle,
     figure_minimal_graph,
     k4_graph,
     tutte_identity_corpus,
 )
+from splitmw.tutte import TuttePolynomial, _uniform_tutte
 
 # Tier-1 runs the same generated examples every time (derandomize also
 # disables the example database), and a slow host fails no example.
@@ -237,7 +239,6 @@ def oracle_tutte_coeffs(m) -> dict[tuple[int, int], int]:
             ra = max((b & a).bit_count() for b in m.bases) if a else 0
             da, db = r - ra, size - ra
             # accumulate (x-1)^da * (y-1)^db term by binomial expansion
-            from math import comb
             for i in range(da + 1):
                 ci = comb(da, i) * ((-1) ** (da - i))
                 for j in range(db + 1):
@@ -250,3 +251,82 @@ def dense_to_sparse(t) -> dict[tuple[int, int], int]:
     return {(i, j): c
             for i, row in enumerate(t.coeffs)
             for j, c in enumerate(row) if c}
+
+
+# -- deletion-contraction, one basis and one bit at a time -------------------
+
+def canonical_key_oracle(n: int, bases: tuple[int, ...]):
+    """Memo key: (n, the sorted bases) after relabeling the elements in order
+    of (parallel-class size, basis degree, index), where e's class size is
+    n + 1 minus the number of elements sharing a basis with e."""
+    degree = [0] * n
+    cooc = [0] * n
+    for b in bases:
+        for e in bits(b):
+            degree[e] += 1
+            cooc[e] |= b
+    class_size = [n - cooc[e].bit_count() + 1 for e in range(n)]
+    order = sorted(range(n), key=lambda e: (class_size[e], degree[e]))
+    pos = [0] * n
+    for new, old in enumerate(order):
+        pos[old] = new
+    remapped = [mask_of(pos[e] for e in bits(b)) for b in bases]
+    return (n, tuple(sorted(remapped)))
+
+
+def pivot_oracle(n: int, bases: tuple[int, ...]) -> int:
+    """Lowest-index element of a largest parallel class."""
+    cooc = [0] * n
+    for b in bases:
+        for e in bits(b):
+            cooc[e] |= b
+    best_e, best_size = 0, -1
+    for e in range(n):
+        size = n - cooc[e].bit_count() + 1
+        if size > best_size:
+            best_e, best_size = e, size
+    return best_e
+
+
+def strip_oracle(n: int, bases: tuple[int, ...]):
+    """Remove loops and coloops: (n', sorted bases', n_coloops, n_loops)."""
+    union = 0
+    inter = bases[0]
+    for b in bases:
+        union |= b
+        inter &= b
+    loops = ((1 << n) - 1) & ~union
+    coloops = inter
+    kept = [e for e in range(n) if not (loops | coloops) >> e & 1]
+    new_bases = {mask_of(new for new, old in enumerate(kept) if b >> old & 1)
+                 for b in bases}
+    return (len(kept), tuple(sorted(new_bases)),
+            coloops.bit_count(), loops.bit_count())
+
+
+def children_oracle(bases: tuple[int, ...], e: int):
+    """Sorted basis families of the deletion and the contraction of e."""
+    bit = 1 << e
+    return (tuple(sorted(drop_bit(b, e) for b in bases if not b & bit)),
+            tuple(sorted(drop_bit(b, e) for b in bases if b & bit)))
+
+
+def dc_oracle(n: int, bases: tuple[int, ...], memo):
+    """Deletion-contraction over sorted tuples with the oracles above:
+    strip, closed form for uniform minors, memo on the canonical key, pivot
+    in a largest parallel class, deletion before contraction."""
+    n, bases, ncoloops, nloops = strip_oracle(n, bases)
+    if n == 0:
+        core = TuttePolynomial(((1,),))
+    else:
+        k = bases[0].bit_count()
+        if len(bases) == comb(n, k):
+            core = _uniform_tutte(k, n)
+        else:
+            key = canonical_key_oracle(n, bases)
+            core = memo.get(key)
+            if core is None:
+                deleted, contracted = children_oracle(bases, pivot_oracle(n, bases))
+                core = dc_oracle(n - 1, deleted, memo) + dc_oracle(n - 1, contracted, memo)
+                memo.put(key, core)
+    return core.shift(ncoloops, nloops)

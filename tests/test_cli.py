@@ -235,6 +235,20 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and reason in err
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(["tutte", str(path)], None, monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "nested too deeply" in err
+
+    @pytest.mark.parametrize("cap", ["-1", "x"])
+    def test_bad_memo_cap_exits_2(self, cap, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--memo-cap", cap, "selftest"], None, monkeypatch, capsys)
+        assert exc.value.code == 2
+        assert "--memo-cap: expected a byte count of at least 0" in capsys.readouterr().err
+
     def test_memo_cap_flag(self, monkeypatch, capsys):
         doc = construct(["--minimal", "5,10"], monkeypatch, capsys)
         code, out, _ = run_cli(["--memo-cap", "4000", "tutte", "-"],

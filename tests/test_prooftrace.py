@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
 from splitmw import (
     ColoopsPresentError,
     LoopsPresentError,
+    Matroid,
     NotSplitError,
     classify_base_case,
     is_split,
@@ -19,7 +23,12 @@ from splitmw.corpus import (
     rank2_matroids,
     uniform_matroids,
 )
-from splitmw.prooftrace import BASE_RULES, RULE_DELETE_CONTRACT, RULE_DIRECT_SUM
+from splitmw.prooftrace import (
+    BASE_RULES,
+    RULE_DELETE_CONTRACT,
+    RULE_DIRECT_SUM,
+    matroid_digest,
+)
 
 
 def check_tree_structure(node):
@@ -207,6 +216,21 @@ class TestSerialization:
         assert d["mw"]["format"] == "mw-v1"
         assert len(d["children"]) == 2
         assert "format" not in d["children"][0]
+
+    def test_each_node_record_is_built_once(self, k4, monkeypatch):
+        built = []
+        to_dict = Matroid.to_dict
+        monkeypatch.setattr(Matroid, "to_dict", lambda m: built.append(m) or to_dict(m))
+        t = trace(k4)
+        text = json.dumps(t.to_dict(), separators=(",", ":"))
+        assert len(built) == t.node_count()
+        for node in t.walk():
+            assert node.record == to_dict(node.matroid)
+            assert node.digest == matroid_digest(node.record)
+        # the trace-v1 bytes and the digest payload are unchanged
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e0a4d5deac6feb381f57b1b7dfe99d8958f5e6a177c94cec8cd0c4f41e2b88ac")
+        assert trace(minimal(3, 5)).root.digest == "6b6caefd6dc35d43"
 
     def test_minimal_params(self):
         d = trace(minimal(4, 7)).to_dict()

@@ -3,6 +3,7 @@ from hypothesis import given
 
 from splitmw import (
     LimitExceededError,
+    Multigraph,
     TutteMemo,
     TuttePolynomial,
     graphic,
@@ -20,14 +21,26 @@ from splitmw.corpus import (
     tutte_identity_corpus,
     uniform_matroids,
 )
-from splitmw.tutte import whitney_numbers
+from splitmw.bitset import place, unpack
+from splitmw.tutte import (
+    _children,
+    _columns,
+    _key_and_pivot,
+    _strip,
+    whitney_numbers,
+)
 
 from conftest import (
+    canonical_key_oracle,
+    children_oracle,
+    dc_oracle,
     dense_to_sparse,
     derived_matroids,
     every_family,
     oracle_tutte_coeffs,
     pairwise_exchange_violation,
+    pivot_oracle,
+    strip_oracle,
     whitney_numbers_oracle,
 )
 
@@ -156,6 +169,83 @@ class TestWhitneyNumbers:
         w = whitney_numbers(m)
         assert sum(map(sum, w)) == 1 << m.n
         assert w[0][0] == len(m.bases)
+
+
+def check_column_pass(m):
+    """Keys, pivots, the stripped family and the children of the column
+    pass against the one-basis-at-a-time oracles, before and after
+    stripping loops and coloops."""
+    n, bases = m.n, tuple(sorted(m.bases))
+    count = len(bases)
+    cols, ones, code = _columns(n, bases)
+    if n:
+        assert _key_and_pivot(cols, count, code) == (
+            canonical_key_oracle(n, bases), pivot_oracle(n, bases))
+    kept, ncoloops, nloops = _strip(cols, ones)
+    family = tuple(sorted(unpack(place(kept), count, code)))
+    n, stripped, *dropped = strip_oracle(n, bases)
+    assert (len(kept), family, ncoloops, nloops) == (n, stripped, *dropped)
+    if n:
+        key, e = _key_and_pivot(kept, count, code)
+        assert (key, e) == (canonical_key_oracle(n, stripped),
+                            pivot_oracle(n, stripped))
+        deleted, contracted = _children(kept, e, ones, count, code)
+        assert (tuple(sorted(deleted)), tuple(sorted(contracted))) == \
+            children_oracle(stripped, e)
+
+
+def with_loop_and_coloop(m):
+    """A loop below m's elements and a coloop above them."""
+    return uniform(0, 1).direct_sum(m).direct_sum(uniform(1, 1))
+
+
+class TestColumnPass:
+    """The column-packed deletion-contraction step against the per-basis
+    oracles: equal keys, pivots, stripped families and children, and the
+    same memo, entry for entry, after a whole run."""
+
+    def test_corpus(self):
+        for m in tutte_identity_corpus():
+            check_column_pass(m)
+
+    def test_every_matroid_up_to_five_elements(self):
+        for n in range(6):
+            for m in every_family(n):
+                if pairwise_exchange_violation(m) is None:
+                    check_column_pass(m)
+
+    @given(derived_matroids())
+    def test_duals_minors_and_sums(self, m):
+        check_column_pass(m)
+
+    # n = 8 and 16, the widest ground sets of one- and two-byte slots, one
+    # past each, and DC_LIMIT = 24
+    @pytest.mark.parametrize("m", [
+        minimal(4, 8), minimal(4, 9), minimal(8, 16), minimal(8, 17),
+        minimal(12, 24), uniform(3, 7).direct_sum(uniform(1, 1)),
+        with_loop_and_coloop(minimal(3, 6)), with_loop_and_coloop(minimal(3, 7)),
+        with_loop_and_coloop(minimal(7, 14)), with_loop_and_coloop(minimal(7, 15)),
+        with_loop_and_coloop(minimal(11, 22)),
+        with_loop_and_coloop(uniform(2, 4).direct_sum(minimal(5, 11))),
+    ], ids=lambda m: f"n{m.n}-r{m.rank}-{len(m.bases)}")
+    def test_slot_width_edges(self, m):
+        check_column_pass(m)
+
+    # the default capacity, and one that keeps 25 of Petersen's 65 entries
+    @pytest.mark.parametrize("capacity", [64 << 20, 100000])
+    def test_memo_matches_oracle_recursion(self, capacity, fano, k4):
+        k5 = Multigraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+        petersen = Multigraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                              + [(i, i + 5) for i in range(5)]
+                              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        for m in [fano, k4, graphic(k5), graphic(petersen), minimal(5, 10),
+                  with_loop_and_coloop(minimal(4, 8)),
+                  rank2_from_partition([1, 2, 3, 2])]:
+            memo, oracle_memo = TutteMemo(capacity), TutteMemo(capacity)
+            oracle = dc_oracle(m.n, tuple(sorted(m.bases)), oracle_memo)
+            assert tutte_dc(m, memo=memo) == oracle
+            assert list(memo._data.items()) == list(oracle_memo._data.items())
+            assert memo._bytes == oracle_memo._bytes
 
 
 class TestIdentities:
