@@ -21,6 +21,10 @@ import sys
 from array import array
 from collections.abc import Iterable
 from functools import lru_cache
+from itertools import compress
+from operator import add
+
+from .errors import LimitExceededError
 
 
 def mask_of(items: Iterable[int]) -> int:
@@ -38,21 +42,6 @@ def bits(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
-
-
-def drop_bit(mask: int, e: int) -> int:
-    """Remove position e and shift everything above it down one slot."""
-    low = mask & ((1 << e) - 1)
-    return low | ((mask >> (e + 1)) << e)
-
-
-def compress(mask: int, kept: tuple[int, ...]) -> int:
-    """Re-express mask on the relabeled ground set given by `kept` (ascending)."""
-    out = 0
-    for new, old in enumerate(kept):
-        if mask >> old & 1:
-            out |= 1 << new
     return out
 
 
@@ -126,6 +115,10 @@ def up_closure(table: int, n: int) -> int:
 # unsigned array typecodes, narrowest first
 _SLOT_CODES = ("B", "H", "I", "L", "Q")
 
+# The widest mask an array slot holds: packed families, and so minors,
+# loops, coloops, parallel classes and records, need n <= SLOT_LIMIT.
+SLOT_LIMIT = 64
+
 
 @lru_cache(maxsize=None)
 def slot_code(n: int) -> str:
@@ -133,7 +126,7 @@ def slot_code(n: int) -> str:
     for code in _SLOT_CODES:
         if array(code).itemsize * 8 >= n:
             return code
-    raise ValueError(f"no array slot holds {n} bits")
+    raise LimitExceededError(f"n={n} exceeds the packed-slot limit {SLOT_LIMIT}")
 
 
 def pack(masks: Iterable[int], code: str) -> int:
@@ -165,6 +158,85 @@ def place(cols: Iterable[int]) -> int:
     for i, col in enumerate(cols):
         packed |= col << i
     return packed
+
+
+def column_view(n: int, masks) -> tuple[list[int], int, str]:
+    """(columns, the full column, slot typecode) of a sized family of masks."""
+    code = slot_code(n)
+    ones = slot_ones(len(masks), code)
+    return columns(pack(masks, code), ones, n), ones, code
+
+
+def minor_families(cols: list[int], e: int, ones: int, count: int,
+                   code: str) -> tuple[list[int], list[int]]:
+    """(the masks without e, the masks with e), each with position e dropped
+    and the positions above it moved down one: one relabeling of the other
+    columns, split by the slots of column e."""
+    dropped = unpack(place(cols[:e] + cols[e + 1:]), count, code).tolist()
+    return (list(compress(dropped, unpack(cols[e] ^ ones, count, code))),
+            list(compress(dropped, unpack(cols[e], count, code))))
+
+
+def _reversed_bits() -> bytes:
+    """Each byte with its eight bits in reverse order, built by doubling:
+    adding bit k to a byte adds bit 7-k to its reversal."""
+    rev = [0]
+    for k in range(8):
+        rev += [r | (0x80 >> k) for r in rev]
+    return bytes(rev)
+
+
+_REVERSED_BITS = _reversed_bits()
+
+
+def _reversed_slots(raw: bytes) -> bytes:
+    """Every bit of a run of slots in reverse order: each slot's mask is
+    bit-reversed within the slot width, and the slots come out last first."""
+    return raw.translate(_REVERSED_BITS)[::-1]
+
+
+def lex_order(masks: Iterable[int], n: int) -> array:
+    """Masks of equal size in lexicographic order of their ascending element
+    lists.
+
+    For two such lists, the first place they differ holds the smallest
+    element of the symmetric difference, and the list that has it comes
+    first.  Bit-reversed, that element is the highest differing bit, so the
+    order is descending order of the bit-reversed masks: one C-level sort of
+    ints between two byte-table reversals."""
+    code = slot_code(n)
+    flipped = array(code)
+    flipped.frombytes(_reversed_slots(array(code, masks).tobytes()))
+    out = array(code)
+    # reversing again also turns the ascending sort into descending order
+    out.frombytes(_reversed_slots(array(code, sorted(flipped)).tobytes()))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _byte_elements(j: int) -> tuple[list[int], ...]:
+    """For each byte value, the elements its set bits stand for when it is
+    byte j of a mask."""
+    return tuple([8 * j + i for i in range(8) if b >> i & 1] for b in range(256))
+
+
+def element_lists(slots: array, n: int) -> list[list[int]]:
+    """The ascending element list of each slot's mask (of at most n bits),
+    as new lists: each byte looked up in a per-byte table, the pieces joined
+    by C-level maps."""
+    width = slots.itemsize
+    raw = slots.tobytes()
+
+    def byte(j):
+        start = j if sys.byteorder == "little" else width - 1 - j
+        return map(_byte_elements(j).__getitem__, raw[start::width])
+
+    lists = byte(0)
+    for j in range(1, (n + 7) >> 3):
+        lists = map(add, lists, byte(j))
+    if n <= 8:
+        lists = map(list.copy, lists)   # not the table's own lists
+    return list(lists)
 
 
 def spread(table: int, n: int) -> bytes:

@@ -5,17 +5,26 @@ restriction has no coloops.  A connected matroid is *split* when its proper
 cyclic flats (those other than the empty set and the full ground set) form
 an antichain under inclusion; a general matroid is split when at most one
 of its connected components is non-uniform and that component is connected
-split.  Flat enumeration sweeps every subset, one mask at a time, against
-the rank table, which the bit-parallel kernel builds in about n*(r+2) passes
-over 2^n-bit ints (see `Matroid.rank_table`); `is_paving` is one AND on the
-independent-set table.
+split.
+
+Flats come from the matroid's rank levels L_k, the tables (see `bitset`) of
+the subsets of rank >= k, in whole-int passes with hi_i, the table of the
+masks holding i.  Adding i to a mask A without i raises its rank iff A is
+in ((L_k & hi_i) >> 2^i) & ~L_k for some level k, so the flats are the
+masks that pass this for every i they lack; removing i from a mask A with
+i lowers its rank iff A is in L_k & hi_i & ~(L_k << 2^i) for some k, and
+the cyclic flats are the flats for which no removal does.  That is about
+n*r passes over 2^n-bit ints on top of the levels (`Matroid.rank_levels`,
+about n*(r+2) more).  The cyclic flats, with their ranks, are found once
+per matroid and shared by `cyclic_flats`, `is_connected_split` and
+`is_split`.  `is_paving` is one AND on the independent-set table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bits, popcount_classes
+from .bitset import bits, element_masks, members, popcount_classes
 from .errors import LimitExceededError
 from .matroid import Matroid
 
@@ -27,46 +36,58 @@ def _check_limit(m: Matroid, limit: int):
         raise LimitExceededError(f"n={m.n} exceeds flat-enumeration limit {limit}")
 
 
+def _by_size(table: int, n: int) -> list[int]:
+    """The masks a table holds, sorted by (size, mask)."""
+    return [a for cls in popcount_classes(n) for a in members(table & cls)]
+
+
+def _flat_table(m: Matroid) -> int:
+    """The table of the flats: no single addition keeps the rank."""
+    levels = m.rank_levels()[1:]
+    flat = (1 << (1 << m.n)) - 1
+    for i, hi in enumerate(element_masks(m.n)):
+        width = 1 << i
+        raised = 0
+        for level in levels:
+            raised |= ((level & hi) >> width) & ~level
+        flat &= hi | raised
+    return flat
+
+
 def flats(m: Matroid, limit: int = FLATS_LIMIT) -> list[int]:
     """All flats as masks, sorted by (size, mask)."""
     _check_limit(m, limit)
-    table = m.rank_table()
-    out = []
-    full = m.full_mask
-    for a in range(1 << m.n):
-        ra = table[a]
-        rest = full & ~a
-        is_flat = True
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if table[a | low] == ra:
-                is_flat = False
-                break
-        if is_flat:
-            out.append(a)
-    out.sort(key=lambda a: (a.bit_count(), a))
-    return out
+    return _by_size(_flat_table(m), m.n)
 
 
-def _cyclic_flat_masks(m: Matroid, limit: int = FLATS_LIMIT) -> list[int]:
-    """Flats whose restriction has no coloop: rank drops for no single removal."""
+def _cyclic_flat_ranks(m: Matroid,
+                       limit: int = FLATS_LIMIT) -> tuple[tuple[int, int], ...]:
+    """(mask, rank) of each cyclic flat, sorted by (size, mask): the flats
+    whose restriction has no coloop, so no single removal lowers the rank.
+    Computed once per matroid."""
     _check_limit(m, limit)
-    table = m.rank_table()
-    out = []
-    for f in flats(m, limit):
-        rf = table[f]
-        rest = f
-        cyclic = True
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if table[f ^ low] != rf:
-                cyclic = False
-                break
-        if cyclic:
-            out.append(f)
-    return out
+    cached = m._cache.get("cyclicflats")
+    if cached is not None:
+        return cached
+    levels = m.rank_levels()
+    cyclic = _flat_table(m)
+    for i, hi in enumerate(element_masks(m.n)):
+        width = 1 << i
+        for level in levels[1:]:
+            cyclic &= ~(level & hi & ~(level << width))
+    ranks = {}
+    for k, (level, above) in enumerate(zip(levels, levels[1:] + (0,))):
+        for f in members(cyclic & level & ~above):
+            ranks[f] = k
+    cached = tuple((f, ranks[f]) for f in _by_size(cyclic, m.n))
+    m._cache["cyclicflats"] = cached
+    return cached
+
+
+def _proper(m: Matroid, limit: int) -> list[int]:
+    """The cyclic flats other than the empty set and the ground set."""
+    full = m.full_mask
+    return [f for f, _ in _cyclic_flat_ranks(m, limit) if f != 0 and f != full]
 
 
 def _is_antichain(masks: list[int]) -> bool:
@@ -82,9 +103,7 @@ def is_connected_split(m: Matroid, limit: int = FLATS_LIMIT) -> bool:
     """Connected with proper cyclic flats forming an inclusion antichain."""
     if not m.is_connected():
         return False
-    full = m.full_mask
-    proper = [f for f in _cyclic_flat_masks(m, limit) if f != 0 and f != full]
-    return _is_antichain(proper)
+    return _is_antichain(_proper(m, limit))
 
 
 def is_split(m: Matroid, limit: int = FLATS_LIMIT) -> bool:
@@ -94,9 +113,11 @@ def is_split(m: Matroid, limit: int = FLATS_LIMIT) -> bool:
     permitted summands.
     """
     _check_limit(m, limit)
+    comps = m.components()
     non_uniform = []
-    for comp in m.components():
-        r = m.restrict(comp)
+    for comp in comps:
+        # a connected matroid is its own only component
+        r = m if len(comps) == 1 else m.restrict(comp)
         if not r.is_uniform():
             non_uniform.append(r)
     if len(non_uniform) > 1:
@@ -148,14 +169,12 @@ class CyclicFlatReport:
 
 
 def cyclic_flats(m: Matroid, limit: int = FLATS_LIMIT) -> CyclicFlatReport:
-    masks = _cyclic_flat_masks(m, limit)
-    table = m.rank_table()
-    full = m.full_mask
-    proper = [f for f in masks if f != 0 and f != full]
+    pairs = _cyclic_flat_ranks(m, limit)
+    proper = _proper(m, limit)
     return CyclicFlatReport(
         n=m.n,
-        flats=tuple(masks),
-        ranks=tuple(table[f] for f in masks),
+        flats=tuple(f for f, _ in pairs),
+        ranks=tuple(r for _, r in pairs),
         proper_flats=tuple(proper),
         is_antichain=_is_antichain(proper),
         is_connected_split=is_connected_split(m, limit),

@@ -5,8 +5,15 @@ Conventions used throughout the package:
   * The ground set is E = {0, ..., n-1}.  Subsets of E are int bitmasks
     (bit i set <=> element i in the subset), see `bitset`.
   * A matroid is stored as its full family of bases, each an n-bit mask of
-    popcount `rank`.  Single queries (rank, closure, minors, duals,
-    components) are short popcount loops over that family.
+    popcount `rank`.  Single queries (rank, closure, duals, components) are
+    short popcount loops over that family.
+  * Family-level queries read the packed columns (`Matroid.columns`, see
+    `bitset`), built once per matroid: loops and coloops are the empty and
+    full columns, parallel classes are disjoint columns, and the families
+    of minors (`delete`/`contract`/`restrict`) are one relabeling of the
+    kept columns, unpacked in C.  Slots hold at most SLOT_LIMIT = 64 bits.
+    Records (`to_dict`) sort the masks as ints and write each through
+    per-byte element tables.
   * Whole-table queries (independence and rank tables, rank levels,
     circuits) hold one bit per subset in a 2^n-bit int and close it under
     inclusion with n shift/AND/OR passes (see `bitset`): about n*(r+2)
@@ -24,20 +31,25 @@ set size, rank, and basis family.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 
 from .bitset import (
+    SLOT_LIMIT,
     bits,
-    compress,
+    column_view,
     down_closure,
-    drop_bit,
+    element_lists,
     element_masks,
+    lex_order,
     mask_of,
     members,
+    minor_families,
+    place,
     popcount_classes,
     spread,
     table_of,
+    unpack,
     up_closure,
 )
 from .errors import (
@@ -61,12 +73,13 @@ class Matroid:
     """An immutable matroid given by its bases.
 
     The constructor performs only cheap structural checks (sizes, ranges,
-    non-emptiness); it trusts the caller that the family satisfies basis
-    exchange.  Use `from_bases` for untrusted input -- it additionally runs
-    the exchange check -- or call `check_exchange()` explicitly.  The check
-    is local (Maurer's criterion): |B|*r*(n-r) basis lookups, plus r-1 for
-    each basis B, e in B and pair f1, f2 outside B for which neither
-    B-e+f1 nor B-e+f2 is a basis.
+    non-emptiness), each over the whole family in C; it trusts the caller
+    that the family satisfies basis exchange.  Use `from_bases` for
+    untrusted input -- it additionally runs the exchange check -- or call
+    `check_exchange()` explicitly.  The check is local (Maurer's
+    criterion): |B|*r*(n-r) basis lookups, plus r-1 for each basis B, e in
+    B and pair f1, f2 outside B for which neither B-e+f1 nor B-e+f2 is a
+    basis.
     """
 
     __slots__ = ("n", "rank", "bases", "element_map", "_cache")
@@ -79,13 +92,16 @@ class Matroid:
         if not 0 <= rank <= n:
             raise ValueError(f"rank {rank} out of range for n={n}")
         full = (1 << n) - 1
-        for b in bases:
-            if b & ~full:
-                raise ValueError(f"basis mask {b:#x} has elements >= n={n}")
-            if b.bit_count() != rank:
-                raise WrongBasisSizeError(
-                    f"basis {tuple(bits(b))} has {b.bit_count()} elements, "
-                    f"expected rank {rank}")
+        if (min(bases) < 0 or max(bases) > full
+                or set(map(int.bit_count, bases)) != {rank}):
+            # some basis fails; name the first one found
+            for b in bases:
+                if b & ~full:
+                    raise ValueError(f"basis mask {b:#x} has elements >= n={n}")
+                if b.bit_count() != rank:
+                    raise WrongBasisSizeError(
+                        f"basis {tuple(bits(b))} has {b.bit_count()} elements, "
+                        f"expected rank {rank}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "bases", bases)
@@ -140,21 +156,28 @@ class Matroid:
                 cl |= low
         return cl
 
-    # -- loops, coloops, connectivity -----------------------------------
+    # -- packed columns, loops, coloops, connectivity -----------------------
+
+    def columns(self) -> tuple[tuple[int, ...], int, str]:
+        """(cols, ones, code): the bases packed into one int, one array slot
+        each (typecode `code`), and cols[e], the slots of the bases that
+        hold e, at each slot's bit 0; `ones` is the full column (see
+        `bitset`).  Built once, on first use."""
+        cached = self._cache.get("columns")
+        if cached is None:
+            cols, ones, code = column_view(self.n, self.bases)
+            cached = (tuple(cols), ones, code)
+            self._cache["columns"] = cached
+        return cached
 
     def loops(self) -> int:
-        """Mask of elements contained in no basis."""
-        union = 0
-        for b in self.bases:
-            union |= b
-        return self.full_mask & ~union
+        """Mask of elements contained in no basis: the empty columns."""
+        return mask_of(e for e, col in enumerate(self.columns()[0]) if not col)
 
     def coloops(self) -> int:
-        """Mask of elements contained in every basis."""
-        inter = self.full_mask
-        for b in self.bases:
-            inter &= b
-        return inter
+        """Mask of elements contained in every basis: the full columns."""
+        cols, ones, _ = self.columns()
+        return mask_of(e for e, col in enumerate(cols) if col == ones)
 
     def is_clean(self) -> bool:
         """No loops and no coloops."""
@@ -269,24 +292,21 @@ class Matroid:
     def parallel_classes(self) -> list[int]:
         """Parallel classes of the non-loop elements, as masks.
 
-        e and f are parallel iff rank({e,f}) = 1, i.e. no basis contains both.
+        e and f are parallel iff rank({e,f}) = 1, i.e. no basis contains
+        both: e's class is e and every non-loop f whose column shares no
+        slot with e's.
         """
         cached = self._cache.get("parclasses")
         if cached is not None:
             return cached
-        loops = self.loops()
-        nonloops = self.full_mask & ~loops
+        cols = self.columns()[0]
         seen = 0
         classes = []
-        for e in range(self.n):
-            bit = 1 << e
-            if bit & (loops | seen):
+        for e, col in enumerate(cols):
+            if not col or seen >> e & 1:
                 continue
-            co = 0
-            for b in self.bases:
-                if b & bit:
-                    co |= b
-            cls = bit | (nonloops & ~co)
+            cls = (1 << e) | mask_of(
+                f for f, other in enumerate(cols) if other and not col & other)
             classes.append(cls)
             seen |= cls
         self._cache["parclasses"] = classes
@@ -298,40 +318,39 @@ class Matroid:
 
     # -- minors, duals, sums ---------------------------------------------
 
-    def delete(self, e: int) -> Matroid:
-        """Delete element e; ground set reindexed, mapping in element_map."""
+    def _minor(self, e: int, contract: bool) -> Matroid:
+        """M\\e or M/e, from the bases without e and the bases with e
+        (`bitset.minor_families`); if one side is empty, e is a loop or a
+        coloop, and both minors are the other side."""
         if not 0 <= e < self.n:
             raise IndexError(f"element {e} out of range for n={self.n}")
-        bit = 1 << e
-        keep = [b for b in self.bases if not b & bit]
-        if keep:
-            new_bases = [drop_bit(b, e) for b in keep]
-            new_rank = self.rank
-        else:  # e is a coloop
-            new_bases = [drop_bit(b ^ bit, e) for b in self.bases]
-            new_rank = self.rank - 1
+        cols, ones, code = self.columns()
+        without, with_e = minor_families(cols, e, ones, len(self.bases), code)
+        if with_e and (contract or not without):
+            rank, family = self.rank - 1, with_e
+        else:
+            rank, family = self.rank, without
         emap = tuple(i for i in range(self.n) if i != e)
-        return Matroid(self.n - 1, new_rank, new_bases, element_map=emap)
+        return Matroid(self.n - 1, rank, family, element_map=emap)
+
+    def delete(self, e: int) -> Matroid:
+        """Delete element e; ground set reindexed, mapping in element_map."""
+        return self._minor(e, contract=False)
 
     def contract(self, e: int) -> Matroid:
         """Contract element e (deletion if e is a loop); reindexed as in delete."""
-        if not 0 <= e < self.n:
-            raise IndexError(f"element {e} out of range for n={self.n}")
-        bit = 1 << e
-        if self.loops() & bit:
-            return self.delete(e)
-        new_bases = [drop_bit(b ^ bit, e) for b in self.bases if b & bit]
-        emap = tuple(i for i in range(self.n) if i != e)
-        return Matroid(self.n - 1, self.rank - 1, new_bases, element_map=emap)
+        return self._minor(e, contract=True)
 
     def restrict(self, a: int) -> Matroid:
         """Restriction to the subset `a`, reindexed; bases are the maximal
-        intersections of bases with `a`."""
+        intersections of bases with `a`, read off the columns of `a`."""
         self._check_subset(a)
-        inter = {b & a for b in self.bases}
-        r = max(m.bit_count() for m in inter)
         kept = tuple(bits(a))
-        new_bases = {compress(m, kept) for m in inter if m.bit_count() == r}
+        cols, _, code = self.columns()
+        inter = unpack(place([cols[i] for i in kept]), len(self.bases), code)
+        sizes = list(map(int.bit_count, inter))
+        r = max(sizes)
+        new_bases = compress(inter, map(r.__eq__, sizes))
         return Matroid(len(kept), r, new_bases, element_map=kept)
 
     def dual(self) -> Matroid:
@@ -416,10 +435,14 @@ class Matroid:
 
     def to_dict(self) -> dict:
         """matroid-bases-v1 record, in canonical order (bases sorted
-        ascending within, lexicographically across)."""
-        basis_lists = sorted(bits(b) for b in self.bases)
+        ascending within, lexicographically across).
+
+        All bases have `rank` elements, and for lists of equal length
+        lexicographic order is descending order of the bit-reversed masks
+        (see `bitset.lex_order`), so the masks are sorted as ints and each
+        is then written out through per-byte element tables."""
         return {"format": "matroid-bases-v1", "n": self.n, "rank": self.rank,
-                "bases": basis_lists}
+                "bases": element_lists(lex_order(self.bases, self.n), self.n)}
 
 
 def matroid_from_dict(d: dict) -> Matroid:
@@ -444,6 +467,9 @@ def from_bases(n: int, rank: int, bases: Iterable[Iterable[int]]) -> Matroid:
     ranges, distinctness, and the exchange axiom."""
     require_int("n", n)
     require_int("rank", rank)
+    if n > SLOT_LIMIT:
+        # before any work or memory that grows with n
+        raise LimitExceededError(f"n={n} exceeds the packed-slot limit {SLOT_LIMIT}")
     masks = set()
     for b in bases:
         subset = tuple(b)

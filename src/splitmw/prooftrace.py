@@ -36,7 +36,6 @@ from .matroid import Matroid
 from .merino_welsh import MWReport, check_mw
 
 RULE_DIRECT_SUM = "direct-sum-split"
-RULE_DUALIZE = "dualize"
 RULE_DELETE_CONTRACT = "delete-contract"
 RULE_BASE_RANK1 = "base-rank-1"
 RULE_BASE_CORANK1 = "base-corank-1"
@@ -102,15 +101,27 @@ class ProofTrace:
         return d
 
 
-def _minor_is_clean(minor: Matroid) -> bool:
-    return minor.loops() == 0 and minor.coloops() == 0
-
-
 def _clean_pivot(m: Matroid) -> int | None:
     """The lowest element whose deletion and contraction both have no loop
-    and no coloop, or None."""
-    for e in range(m.n):
-        if _minor_is_clean(m.delete(e)) and _minor_is_clean(m.contract(e)):
+    and no coloop, or None.  Decided from the columns, building no minor.
+
+    A loop or coloop f of M stays one in both minors of any other element,
+    and removing a loop or coloop e leaves the others as they were; so with
+    any loop or coloop, only a sole one can be a clean pivot.  Otherwise,
+    for e and f != e: M\\e (the bases outside column e) has the coloop f
+    iff ~cols[e] & ~cols[f] is empty, a series pair, and M/e (the bases in
+    column e) has the loop f iff cols[e] & cols[f] is empty, a parallel
+    pair.  M/e has no coloop: a basis holding e and f exchanges f against
+    a basis without f (f is no coloop of M) into one that holds e but not
+    f.  Dually, M\\e has no loop."""
+    cols, ones, _ = m.columns()
+    flawed = [e for e, col in enumerate(cols) if not col or col == ones]
+    if flawed:
+        return flawed[0] if len(flawed) == 1 else None
+    outside = [ones ^ col for col in cols]
+    for e, (col, out) in enumerate(zip(cols, outside)):
+        if all(col & other and out & other_out
+               for f, (other, other_out) in enumerate(zip(cols, outside)) if f != e):
             return e
     return None
 

@@ -28,11 +28,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import lru_cache
-from itertools import compress
 from math import comb
 from operator import add
 
-from .bitset import columns, pack, place, popcount_classes, slot_code, slot_ones, unpack
+# the minors' families are split as for Matroid.delete and Matroid.contract
+from .bitset import column_view as _columns
+from .bitset import minor_families as _children
+from .bitset import place, popcount_classes, unpack
 from .errors import LimitExceededError
 from .matroid import Matroid
 
@@ -283,13 +285,6 @@ def _uniform_tutte(k: int, n: int) -> TuttePolynomial:
     return TuttePolynomial(coeffs)
 
 
-def _columns(n: int, bases) -> tuple[list[int], int, str]:
-    """(columns, the full column, slot typecode) of a basis family."""
-    code = slot_code(n)
-    ones = slot_ones(len(bases), code)
-    return columns(pack(bases, code), ones, n), ones, code
-
-
 def _strip(cols: list[int], ones: int) -> tuple[list[int], int, int]:
     """Drop loops and coloops: (kept columns, n_coloops, n_loops).  The kept
     bases stay distinct, so the slots are unchanged."""
@@ -323,15 +318,6 @@ def _key_and_pivot(cols: list[int], count: int, code: str):
     order = sorted(range(n), key=lambda e: (size[e], degree[e]))
     relabeled = unpack(place([cols[e] for e in order]), count, code)
     return (n, tuple(sorted(relabeled))), size.index(max(size))
-
-
-def _children(cols: list[int], e: int, ones: int, count: int, code: str):
-    """The basis lists of the deletion and the contraction of e (e not a
-    loop or coloop): every basis with e dropped, which is one relabeling of
-    the other columns, split by the slots of column e."""
-    dropped = unpack(place(cols[:e] + cols[e + 1:]), count, code).tolist()
-    return (list(compress(dropped, unpack(cols[e] ^ ones, count, code))),
-            list(compress(dropped, unpack(cols[e], count, code))))
 
 
 def _dc(n: int, bases, memo: TutteMemo) -> TuttePolynomial:

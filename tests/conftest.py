@@ -14,8 +14,8 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from splitmw import Matroid, Multigraph, graphic
-from splitmw.bitset import bits, drop_bit, mask_of
+from splitmw import Matroid, Multigraph, graphic, tutte
+from splitmw.bitset import bits, mask_of
 from splitmw.corpus import (
     doubled_doubled_4cycle,
     figure_minimal_graph,
@@ -28,6 +28,16 @@ from splitmw.tutte import TuttePolynomial, _uniform_tutte
 # disables the example database), and a slow host fails no example.
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+
+
+@pytest.fixture(autouse=True)
+def restore_memo_capacity():
+    """Put back the process-wide Tutte memo's capacity after each test, so
+    a test that runs `splitmw --memo-cap` in-process leaves later tests the
+    capacity it found."""
+    capacity = tutte._global_memo.capacity_bytes
+    yield
+    tutte.set_memo_capacity(capacity)
 
 
 @pytest.fixture
@@ -330,3 +340,115 @@ def dc_oracle(n: int, bases: tuple[int, ...], memo):
                 core = dc_oracle(n - 1, deleted, memo) + dc_oracle(n - 1, contracted, memo)
                 memo.put(key, core)
     return core.shift(ncoloops, nloops)
+
+
+# -- matroid structure, one basis and one mask at a time --------------------
+
+def drop_bit(mask: int, e: int) -> int:
+    """Remove position e and shift everything above it down one place."""
+    low = mask & ((1 << e) - 1)
+    return low | ((mask >> (e + 1)) << e)
+
+
+def loops_oracle(m) -> int:
+    """Elements in no basis: the complement of the union of the bases."""
+    union = 0
+    for b in m.bases:
+        union |= b
+    return m.full_mask & ~union
+
+
+def coloops_oracle(m) -> int:
+    """Elements in every basis: the intersection of the bases."""
+    inter = m.full_mask
+    for b in m.bases:
+        inter &= b
+    return inter
+
+
+def parallel_classes_oracle(m) -> list[int]:
+    """e's class is e and every non-loop element outside the union of the
+    bases holding e, for each e not yet in a class."""
+    loops = loops_oracle(m)
+    nonloops = m.full_mask & ~loops
+    seen = 0
+    classes = []
+    for e in range(m.n):
+        bit = 1 << e
+        if bit & (loops | seen):
+            continue
+        co = 0
+        for b in m.bases:
+            if b & bit:
+                co |= b
+        cls = bit | (nonloops & ~co)
+        classes.append(cls)
+        seen |= cls
+    return classes
+
+
+def delete_oracle(m, e: int):
+    """(n, rank, bases) of M\\e: the bases without e, or, if e is a
+    coloop, every basis with e removed."""
+    bit = 1 << e
+    keep = [b for b in m.bases if not b & bit]
+    if keep:
+        return m.n - 1, m.rank, frozenset(drop_bit(b, e) for b in keep)
+    return m.n - 1, m.rank - 1, frozenset(drop_bit(b ^ bit, e) for b in m.bases)
+
+
+def contract_oracle(m, e: int):
+    """(n, rank, bases) of M/e: the bases with e, e removed; a loop is
+    deleted."""
+    bit = 1 << e
+    if loops_oracle(m) & bit:
+        return delete_oracle(m, e)
+    return (m.n - 1, m.rank - 1,
+            frozenset(drop_bit(b ^ bit, e) for b in m.bases if b & bit))
+
+
+def restrict_oracle(m, a: int):
+    """(n, rank, bases) of M|a: the largest intersections of bases with a,
+    relabeled onto 0..|a|-1."""
+    inter = {b & a for b in m.bases}
+    r = max(x.bit_count() for x in inter)
+    kept = bits(a)
+    return len(kept), r, frozenset(
+        mask_of(new for new, old in enumerate(kept) if x >> old & 1)
+        for x in inter if x.bit_count() == r)
+
+
+def to_dict_oracle(m) -> dict:
+    """matroid-bases-v1 record: each basis's element list, lists sorted."""
+    return {"format": "matroid-bases-v1", "n": m.n, "rank": m.rank,
+            "bases": sorted(bits(b) for b in m.bases)}
+
+
+def clean_pivot_oracle(m):
+    """The lowest e whose deletion and contraction, both built, have no
+    loop and no coloop, or None."""
+    def clean(parts):
+        minor = Matroid(*parts)
+        return not loops_oracle(minor) and not coloops_oracle(minor)
+
+    for e in range(m.n):
+        if clean(delete_oracle(m, e)) and clean(contract_oracle(m, e)):
+            return e
+    return None
+
+
+def flats_oracle(m) -> list[int]:
+    """Masks no single addition keeps at the same rank, by one sweep of the
+    rank table, sorted by (size, mask)."""
+    table = rank_table_oracle(m)
+    out = [a for a in range(1 << m.n)
+           if all(table[a | (1 << e)] != table[a]
+                  for e in range(m.n) if not a >> e & 1)]
+    return sorted(out, key=lambda a: (a.bit_count(), a))
+
+
+def cyclic_flats_oracle(m) -> list[tuple[int, int]]:
+    """(mask, rank) of the flats no single removal lowers in rank."""
+    table = rank_table_oracle(m)
+    return [(f, table[f]) for f in flats_oracle(m)
+            if all(table[f ^ (1 << e)] == table[f] for e in bits(f))]

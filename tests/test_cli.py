@@ -1,10 +1,16 @@
+import contextlib
 import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from splitmw import cli
+from splitmw import SplitMWError, cli, matroid_from_dict
+from splitmw.graphs import multigraph_from_dict
+
+from conftest import derived_matroids
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -256,3 +262,64 @@ class TestErrors:
         assert code == 0
         record = json.loads(out)
         assert record["rank"] == 5
+
+
+# Arbitrary JSON, records with the right format and arbitrary fields, and
+# matroid records with one basis dropped or not, so that some documents get
+# past each reader.  Ints stay small: a huge
+# "vertices" is a known way to make the multigraph verbs allocate.
+small_ints = st.integers(-1, 7)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 80) | st.floats() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=5)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=12)
+matroid_like = st.fixed_dictionaries({
+    "format": st.just("matroid-bases-v1"),
+    "n": small_ints | json_values,
+    "rank": small_ints | json_values,
+    "bases": st.lists(st.lists(small_ints, max_size=4), max_size=8) | json_values})
+graph_like = st.fixed_dictionaries({
+    "format": st.just("multigraph-v1"),
+    "vertices": small_ints | json_values,
+    "edges": st.lists(st.lists(small_ints, min_size=2, max_size=2), max_size=6)
+    | json_values})
+
+
+def drop_basis(record: dict, i: int) -> dict:
+    bases = record["bases"]
+    return dict(record, bases=bases[:i] + bases[i + 1:])
+
+
+matroid_records = derived_matroids().map(lambda m: m.to_dict())
+near_records = st.builds(drop_basis, matroid_records, st.integers(0, 30))
+documents = json_values | matroid_like | graph_like | matroid_records | near_records
+
+# every verb that reads a file, with the reader it applies
+FILE_VERBS = [(["tutte"], matroid_from_dict), (["check-mw"], matroid_from_dict),
+              (["cyclic-flats"], matroid_from_dict), (["is-split"], matroid_from_dict),
+              (["trace"], matroid_from_dict), (["oracle"], multigraph_from_dict),
+              (["construct", "--graphic"], multigraph_from_dict)]
+
+
+def well_formed(reader, doc) -> bool:
+    try:
+        reader(doc)
+    except (SplitMWError, ValueError):
+        return False
+    return True
+
+
+# each example runs seven whole CLI invocations
+@settings(max_examples=50)
+@given(documents)
+def test_arbitrary_json_exits_0_1_or_2(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    for verb, reader in FILE_VERBS:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(verb + [str(path)])
+        assert code in (0, 1, 2), verb
+        if code == 1:
+            assert well_formed(reader, doc), verb

@@ -1,7 +1,12 @@
+import importlib
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from splitmw import (
     LimitExceededError,
+    Matroid,
     cyclic_flats,
     flats,
     is_connected_split,
@@ -12,8 +17,24 @@ from splitmw import (
     rank2_from_partition,
     uniform,
 )
-from splitmw.bitset import mask_of
-from splitmw.corpus import graphic_corpus, minimal_matroids, uniform_matroids
+from splitmw.bitset import bits, mask_of
+from splitmw.corpus import (
+    graphic_corpus,
+    minimal_matroids,
+    tutte_identity_corpus,
+    uniform_matroids,
+)
+
+from conftest import (
+    cyclic_flats_oracle,
+    derived_matroids,
+    every_family,
+    flats_oracle,
+    pairwise_exchange_violation,
+)
+
+# the package attribute `flats` is the function, not the module
+flats_module = importlib.import_module("splitmw.flats")
 
 
 class TestFlats:
@@ -150,3 +171,58 @@ def test_report_serialization(dd4):
     assert d["proper_antichain"] is False
     assert {"set": [0, 1], "rank": 1} in d["flats"]
     assert all(f["set"] == sorted(f["set"]) for f in d["flats"])
+
+
+def assert_flats_match_oracles(m):
+    """The table passes give the flats, and the cyclic flats with their
+    ranks, in (size, mask) order, as one rank-table sweep does."""
+    assert flats(m) == flats_oracle(m)
+    report = cyclic_flats(m)
+    assert list(zip(report.flats, report.ranks)) == cyclic_flats_oracle(m)
+
+
+class TestFlatTablePasses:
+    def test_corpus(self):
+        for m in tutte_identity_corpus():
+            if m.n <= 9:
+                assert_flats_match_oracles(m)
+
+    def test_every_matroid_up_to_five_elements(self):
+        for n in range(6):
+            for m in every_family(n):
+                if pairwise_exchange_violation(m) is None:
+                    assert_flats_match_oracles(m)
+
+    @given(derived_matroids())
+    def test_duals_minors_and_sums(self, m):
+        assert_flats_match_oracles(m)
+
+    def test_cyclic_flats_are_found_once(self, monkeypatch, dd4):
+        calls = []
+        flat_table = flats_module._flat_table
+        monkeypatch.setattr(flats_module, "_flat_table",
+                            lambda m: calls.append(m) or flat_table(m))
+        for m in (minimal(4, 7), dd4):
+            calls.clear()
+            cyclic_flats(m)
+            is_split(m)
+            assert calls == [m]
+
+
+def relabeled(m, perm):
+    """m with element e renamed perm[e]."""
+    return Matroid(m.n, m.rank, (mask_of(perm[e] for e in bits(b)) for b in m.bases))
+
+
+class TestSplitProperties:
+    @given(st.data())
+    def test_invariant_under_relabeling(self, data):
+        m = data.draw(derived_matroids())
+        perm = data.draw(st.permutations(range(m.n)))
+        assert is_split(relabeled(m, perm)) == is_split(m)
+
+    @given(derived_matroids())
+    def test_closed_under_minors(self, m):
+        if is_split(m):
+            for e in range(m.n):
+                assert is_split(m.delete(e)) and is_split(m.contract(e))

@@ -20,7 +20,7 @@ from splitmw import (
     rank2_from_partition,
     uniform,
 )
-from splitmw.bitset import bits, mask_of
+from splitmw.bitset import SLOT_LIMIT, bits, mask_of
 from splitmw.corpus import (
     graphic_corpus,
     minimal_matroids,
@@ -33,15 +33,22 @@ from splitmw.matroid import TABLE_LIMIT
 from conftest import (
     brute_isomorphic,
     circuits_oracle,
+    coloops_oracle,
     components_oracle,
     connected_by_partition_oracle,
+    contract_oracle,
+    delete_oracle,
     derived_matroids,
     every_family,
     independence_table_oracle,
     is_exchange_witness,
     is_paving_oracle,
+    loops_oracle,
     pairwise_exchange_violation,
+    parallel_classes_oracle,
     rank_table_oracle,
+    restrict_oracle,
+    to_dict_oracle,
 )
 
 
@@ -428,3 +435,99 @@ class TestSerialization:
                "bases": [[0, 1], [2, 3]]}
         with pytest.raises(ExchangeViolationError):
             matroid_from_dict(bad)
+
+
+def assert_columns_match_oracles(m):
+    """Loops, coloops, parallel classes, every single-element minor, a
+    spread of restrictions and the record, read from the packed columns,
+    equal what the one-basis-at-a-time oracles give."""
+    assert m.loops() == loops_oracle(m)
+    assert m.coloops() == coloops_oracle(m)
+    assert m.parallel_classes() == parallel_classes_oracle(m)
+    for e in range(m.n):
+        emap = tuple(i for i in range(m.n) if i != e)
+        for minor, oracle in ((m.delete(e), delete_oracle(m, e)),
+                              (m.contract(e), contract_oracle(m, e))):
+            assert (minor.n, minor.rank, minor.bases) == oracle
+            assert minor.element_map == emap
+    step = max(1, (1 << m.n) // 16)
+    for a in [*range(0, 1 << m.n, step), m.full_mask, *m.components()]:
+        r = m.restrict(a)
+        assert (r.n, r.rank, r.bases) == restrict_oracle(m, a)
+        assert r.element_map == tuple(bits(a))
+    assert m.to_dict() == to_dict_oracle(m)
+
+
+def with_loop_and_coloop(m):
+    """A loop below m's elements and a coloop above them."""
+    return uniform(0, 1).direct_sum(m).direct_sum(uniform(1, 1))
+
+
+class TestPackedColumns:
+    def test_corpus(self):
+        for m in tutte_identity_corpus():
+            if m.n <= 12:
+                assert_columns_match_oracles(m)
+
+    def test_every_matroid_up_to_five_elements(self):
+        for n in range(6):
+            for m in every_family(n):
+                if pairwise_exchange_violation(m) is None:
+                    assert_columns_match_oracles(m)
+
+    @given(derived_matroids())
+    def test_duals_minors_and_sums(self, m):
+        assert_columns_match_oracles(m)
+
+    # n = 0; 8 and 16, the last ground sets that fit one and two bytes of
+    # element tables, and one past each; 24, the deletion-contraction limit
+    @pytest.mark.parametrize("m", [
+        uniform(0, 0), minimal(4, 8), with_loop_and_coloop(minimal(3, 6)),
+        minimal(4, 9), with_loop_and_coloop(minimal(3, 7)), minimal(8, 16),
+        uniform(2, 16), with_loop_and_coloop(minimal(7, 14)), minimal(8, 17),
+        uniform(15, 17), with_loop_and_coloop(minimal(7, 15)), minimal(12, 24),
+        uniform(2, 24), with_loop_and_coloop(minimal(11, 22)),
+        with_loop_and_coloop(uniform(2, 4).direct_sum(minimal(5, 11))),
+    ], ids=lambda m: f"n{m.n}-r{m.rank}-{len(m.bases)}")
+    def test_byte_table_edges(self, m):
+        assert m.to_dict() == to_dict_oracle(m)
+        assert m.loops() == loops_oracle(m) and m.coloops() == coloops_oracle(m)
+        assert m.parallel_classes() == parallel_classes_oracle(m)
+        for e in (0, m.n // 2, m.n - 1)[:m.n]:
+            assert (m.delete(e).n, m.delete(e).rank, m.delete(e).bases) == \
+                delete_oracle(m, e)
+            assert (m.contract(e).n, m.contract(e).rank, m.contract(e).bases) == \
+                contract_oracle(m, e)
+
+    def test_records_do_not_share_lists(self):
+        for m in (minimal(2, 4), minimal(4, 9)):
+            first = m.to_dict()
+            for basis in first["bases"]:
+                basis.append(99)
+            assert m.to_dict() == to_dict_oracle(m)
+
+    def test_slot_limit(self):
+        m = uniform(1, SLOT_LIMIT)
+        assert m.to_dict() == to_dict_oracle(m)
+        assert m.delete(SLOT_LIMIT - 1) == uniform(1, SLOT_LIMIT - 1)
+        big = Matroid(SLOT_LIMIT + 1, 1, [1 << SLOT_LIMIT])
+        for query in (big.to_dict, big.loops, big.coloops, big.parallel_classes,
+                      lambda: big.delete(0), lambda: big.contract(0),
+                      lambda: big.restrict(1)):
+            with pytest.raises(LimitExceededError):
+                query()
+        # the reader stops before any work proportional to n
+        with pytest.raises(LimitExceededError):
+            from_bases(SLOT_LIMIT + 1, 1, [[0]])
+
+    @pytest.mark.parametrize("n, rank, bases, error, message", [
+        (3, 1, [0b1, 0b11], WrongBasisSizeError,
+         "basis (0, 1) has 2 elements, expected rank 1"),
+        (2, 1, [0b1, 0b100], ValueError, "basis mask 0x4 has elements >= n=2"),
+        (2, 1, [0b1, -1], ValueError, "basis mask -0x1 has elements >= n=2"),
+    ])
+    def test_constructor_names_the_offending_basis(self, n, rank, bases, error,
+                                                   message):
+        with pytest.raises(error) as exc:
+            Matroid(n, rank, bases)
+        assert str(exc.value) == message

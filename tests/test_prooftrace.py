@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given
 
 from splitmw import (
     ColoopsPresentError,
@@ -21,13 +22,22 @@ from splitmw.corpus import (
     graphic_corpus,
     minimal_matroids,
     rank2_matroids,
+    tutte_identity_corpus,
     uniform_matroids,
 )
 from splitmw.prooftrace import (
     BASE_RULES,
     RULE_DELETE_CONTRACT,
     RULE_DIRECT_SUM,
+    _clean_pivot,
     matroid_digest,
+)
+
+from conftest import (
+    clean_pivot_oracle,
+    derived_matroids,
+    every_family,
+    pairwise_exchange_violation,
 )
 
 
@@ -166,6 +176,36 @@ class TestNoCleanPivot:
         assert no_clean_pivot(uniform(1, 2))
 
 
+def assert_pivot_matches_oracle(m):
+    expected = clean_pivot_oracle(m)
+    assert _clean_pivot(m) == expected
+    assert no_clean_pivot(m) == (expected is None)
+
+
+class TestCleanPivotFromColumns:
+    """The column test against building both minors of every element."""
+
+    def test_corpus(self):
+        for m in tutte_identity_corpus():
+            assert_pivot_matches_oracle(m)
+
+    def test_every_matroid_up_to_five_elements(self):
+        # includes every placement of loops and coloops
+        for n in range(6):
+            for m in every_family(n):
+                if pairwise_exchange_violation(m) is None:
+                    assert_pivot_matches_oracle(m)
+
+    @given(derived_matroids())
+    def test_duals_minors_and_sums(self, m):
+        assert_pivot_matches_oracle(m)
+
+    def test_sole_loop_or_coloop_is_the_pivot(self):
+        assert _clean_pivot(uniform(2, 4).direct_sum(uniform(0, 1))) == 4
+        assert _clean_pivot(uniform(1, 1).direct_sum(uniform(2, 4))) == 0
+        assert _clean_pivot(uniform(1, 1).direct_sum(uniform(0, 1))) is None
+
+
 class TestClassifyBaseCase:
     def test_minimal_case(self):
         c = classify_base_case(minimal(3, 7))
@@ -231,6 +271,24 @@ class TestSerialization:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "e0a4d5deac6feb381f57b1b7dfe99d8958f5e6a177c94cec8cd0c4f41e2b88ac")
         assert trace(minimal(3, 5)).root.digest == "6b6caefd6dc35d43"
+
+    def test_each_minor_is_built_once(self, k4, monkeypatch):
+        built = []
+        for name in ("delete", "contract", "restrict"):
+            method = getattr(Matroid, name)
+            monkeypatch.setattr(Matroid, name, lambda m, x, method=method, name=name:
+                                built.append(name) or method(m, x))
+        for m in (k4, uniform(2, 4).direct_sum(minimal(3, 6))):
+            built.clear()
+            t = trace(m)
+            rules = [node.rule for node in t.walk()]
+            pivots = rules.count(RULE_DELETE_CONTRACT)
+            assert built.count("delete") == built.count("contract") == pivots
+            # direct-sum children, and the split test of a disconnected root
+            comps = len(m.components())
+            assert built.count("restrict") == sum(
+                len(node.children) for node in t.walk()
+                if node.rule == RULE_DIRECT_SUM) + (comps if comps > 1 else 0)
 
     def test_minimal_params(self):
         d = trace(minimal(4, 7)).to_dict()

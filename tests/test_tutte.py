@@ -249,6 +249,16 @@ class TestColumnPass:
 
 
 class TestIdentities:
+    @given(derived_matroids())
+    def test_deletion_contraction(self, m):
+        """T(M) = T(M\\e) + T(M/e) for every e that is not a loop or a
+        coloop, with the minors' polynomials from the other engine."""
+        t = tutte_dc(m)
+        for e in range(m.n):
+            if (m.loops() | m.coloops()) >> e & 1:
+                continue
+            assert t == tutte_subset_sum(m.delete(e)) + tutte_subset_sum(m.contract(e))
+
     def test_duality_transposes_coefficients(self):
         for m in minimal_matroids(8) + uniform_matroids(6) + graphic_corpus(10, 8):
             assert tutte_dc(m.dual()) == tutte_dc(m).transpose()
