@@ -8,11 +8,12 @@ lattice), so the per-mask work runs inside the interpreter's big-int code.
 
 A *packed* family is one Python int holding the masks of a family in
 fixed-width slots, one slot per mask (an `array` of the narrowest unsigned
-type that fits n bits, read as one int).  Its *column* for element e,
-(packed >> e) & ones with `ones` the bit 0 of every slot, has a bit in
-exactly the slots of the masks that hold e; so element degrees, loops,
-coloops and "never together in a mask" are bit counts and ANDs of whole
-columns, and relabeling the ground set is one shift and OR per element.
+machine type that fits n bits, read as one int; past 64 bits, slots of
+(n+7)//8 bytes).  Its *column* for element e, (packed >> e) & ones with
+`ones` the bit 0 of every slot, has a bit in exactly the slots of the
+masks that hold e; so element degrees, loops, coloops and "never together
+in a mask" are bit counts and ANDs of whole columns, and relabeling the
+ground set is one shift and OR per element.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from collections.abc import Iterable
 from functools import lru_cache
 from itertools import compress
 from operator import add
-
-from .errors import LimitExceededError
 
 
 def mask_of(items: Iterable[int]) -> int:
@@ -112,38 +111,53 @@ def up_closure(table: int, n: int) -> int:
 
 # -- packed families ----------------------------------------------------------
 
-# unsigned array typecodes, narrowest first
-_SLOT_CODES = ("B", "H", "I", "L", "Q")
-
-# The widest mask an array slot holds: packed families, and so minors,
-# loops, coloops, parallel classes and records, need n <= SLOT_LIMIT.
-SLOT_LIMIT = 64
+# array typecode for each slot width (in bytes) that is a machine type
+_ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
 @lru_cache(maxsize=None)
-def slot_code(n: int) -> str:
-    """Typecode of the narrowest array slot that holds an n-bit mask."""
-    for code in _SLOT_CODES:
-        if array(code).itemsize * 8 >= n:
-            return code
-    raise LimitExceededError(f"n={n} exceeds the packed-slot limit {SLOT_LIMIT}")
+def slot_width(n: int) -> int:
+    """Bytes per slot for n-bit masks: the narrowest machine type that
+    holds n bits, or (n+7)//8 bytes past the widest one."""
+    for width in sorted(_ARRAY_CODES):
+        if 8 * width >= n:
+            return width
+    return (n + 7) >> 3
 
 
-def pack(masks: Iterable[int], code: str) -> int:
+def to_slots(masks: Iterable[int], width: int) -> bytes:
+    """The masks as consecutive `width`-byte slots, in native byte order:
+    one array when the width is a machine type, else one slot per mask."""
+    code = _ARRAY_CODES.get(width)
+    if code is not None:
+        return array(code, masks).tobytes()
+    return b"".join(m.to_bytes(width, sys.byteorder) for m in masks)
+
+
+def from_slots(raw: bytes, width: int):
+    """The masks in a run of `width`-byte slots, as a sequence of ints."""
+    code = _ARRAY_CODES.get(width)
+    if code is not None:
+        out = array(code)
+        out.frombytes(raw)
+        return out
+    return [int.from_bytes(raw[i:i + width], sys.byteorder)
+            for i in range(0, len(raw), width)]
+
+
+def pack(masks: Iterable[int], width: int) -> int:
     """The masks in consecutive slots of one int."""
-    return int.from_bytes(array(code, masks).tobytes(), sys.byteorder)
+    return int.from_bytes(to_slots(masks, width), sys.byteorder)
 
 
-def unpack(packed: int, count: int, code: str) -> array:
+def unpack(packed: int, count: int, width: int):
     """The `count` slots of a packed int, in slot order."""
-    out = array(code)
-    out.frombytes(packed.to_bytes(count * out.itemsize, sys.byteorder))
-    return out
+    return from_slots(packed.to_bytes(count * width, sys.byteorder), width)
 
 
-def slot_ones(count: int, code: str) -> int:
+def slot_ones(count: int, width: int) -> int:
     """The packed int with bit 0 of each of `count` slots set."""
-    return int.from_bytes((array(code, (1,)) * count).tobytes(), sys.byteorder)
+    return int.from_bytes(to_slots((1,), width) * count, sys.byteorder)
 
 
 def columns(packed: int, ones: int, n: int) -> list[int]:
@@ -160,21 +174,21 @@ def place(cols: Iterable[int]) -> int:
     return packed
 
 
-def column_view(n: int, masks) -> tuple[list[int], int, str]:
-    """(columns, the full column, slot typecode) of a sized family of masks."""
-    code = slot_code(n)
-    ones = slot_ones(len(masks), code)
-    return columns(pack(masks, code), ones, n), ones, code
+def column_view(n: int, masks) -> tuple[list[int], int, int]:
+    """(columns, the full column, slot width) of a sized family of masks."""
+    width = slot_width(n)
+    ones = slot_ones(len(masks), width)
+    return columns(pack(masks, width), ones, n), ones, width
 
 
 def minor_families(cols: list[int], e: int, ones: int, count: int,
-                   code: str) -> tuple[list[int], list[int]]:
+                   width: int) -> tuple[list[int], list[int]]:
     """(the masks without e, the masks with e), each with position e dropped
     and the positions above it moved down one: one relabeling of the other
     columns, split by the slots of column e."""
-    dropped = unpack(place(cols[:e] + cols[e + 1:]), count, code).tolist()
-    return (list(compress(dropped, unpack(cols[e] ^ ones, count, code))),
-            list(compress(dropped, unpack(cols[e], count, code))))
+    dropped = list(unpack(place(cols[:e] + cols[e + 1:]), count, width))
+    return (list(compress(dropped, unpack(cols[e] ^ ones, count, width))),
+            list(compress(dropped, unpack(cols[e], count, width))))
 
 
 def _reversed_bits() -> bytes:
@@ -195,22 +209,19 @@ def _reversed_slots(raw: bytes) -> bytes:
     return raw.translate(_REVERSED_BITS)[::-1]
 
 
-def lex_order(masks: Iterable[int], n: int) -> array:
-    """Masks of equal size in lexicographic order of their ascending element
-    lists.
+def lex_order(masks: Iterable[int], n: int) -> bytes:
+    """The slots (see `to_slots`) of masks of equal size, in lexicographic
+    order of their ascending element lists.
 
     For two such lists, the first place they differ holds the smallest
     element of the symmetric difference, and the list that has it comes
     first.  Bit-reversed, that element is the highest differing bit, so the
     order is descending order of the bit-reversed masks: one C-level sort of
     ints between two byte-table reversals."""
-    code = slot_code(n)
-    flipped = array(code)
-    flipped.frombytes(_reversed_slots(array(code, masks).tobytes()))
-    out = array(code)
+    width = slot_width(n)
+    flipped = from_slots(_reversed_slots(to_slots(masks, width)), width)
     # reversing again also turns the ascending sort into descending order
-    out.frombytes(_reversed_slots(array(code, sorted(flipped)).tobytes()))
-    return out
+    return _reversed_slots(to_slots(sorted(flipped), width))
 
 
 @lru_cache(maxsize=None)
@@ -220,12 +231,11 @@ def _byte_elements(j: int) -> tuple[list[int], ...]:
     return tuple([8 * j + i for i in range(8) if b >> i & 1] for b in range(256))
 
 
-def element_lists(slots: array, n: int) -> list[list[int]]:
-    """The ascending element list of each slot's mask (of at most n bits),
-    as new lists: each byte looked up in a per-byte table, the pieces joined
-    by C-level maps."""
-    width = slots.itemsize
-    raw = slots.tobytes()
+def element_lists(raw: bytes, n: int) -> list[list[int]]:
+    """The ascending element list of each slot's mask (slots of n-bit masks,
+    see `to_slots`), as new lists: each byte looked up in a per-byte table,
+    the pieces joined by C-level maps."""
+    width = slot_width(n)
 
     def byte(j):
         start = j if sys.byteorder == "little" else width - 1 - j

@@ -8,12 +8,12 @@ Conventions used throughout the package:
     popcount `rank`.  Single queries (rank, closure, duals, components) are
     short popcount loops over that family.
   * Family-level queries read the packed columns (`Matroid.columns`, see
-    `bitset`), built once per matroid: loops and coloops are the empty and
-    full columns, parallel classes are disjoint columns, and the families
-    of minors (`delete`/`contract`/`restrict`) are one relabeling of the
-    kept columns, unpacked in C.  Slots hold at most SLOT_LIMIT = 64 bits.
-    Records (`to_dict`) sort the masks as ints and write each through
-    per-byte element tables.
+    `bitset`), built once per matroid: parallel classes are disjoint
+    columns, and the families of minors (`delete`/`contract`/`restrict`)
+    are one relabeling of the kept columns, unpacked in C.  Loops and
+    coloops are one C-level OR or AND over the family.  Records
+    (`to_dict`) sort the masks as ints and write each through per-byte
+    element tables.
   * Whole-table queries (independence and rank tables, rank levels,
     circuits) hold one bit per subset in a 2^n-bit int and close it under
     inclusion with n shift/AND/OR passes (see `bitset`): about n*(r+2)
@@ -31,11 +31,12 @@ set size, rank, and basis family.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import reduce
 from itertools import combinations, compress
 from math import comb
+from operator import and_, or_
 
 from .bitset import (
-    SLOT_LIMIT,
     bits,
     column_view,
     down_closure,
@@ -73,13 +74,12 @@ class Matroid:
     """An immutable matroid given by its bases.
 
     The constructor performs only cheap structural checks (sizes, ranges,
-    non-emptiness), each over the whole family in C; it trusts the caller
-    that the family satisfies basis exchange.  Use `from_bases` for
-    untrusted input -- it additionally runs the exchange check -- or call
-    `check_exchange()` explicitly.  The check is local (Maurer's
-    criterion): |B|*r*(n-r) basis lookups, plus r-1 for each basis B, e in
-    B and pair f1, f2 outside B for which neither B-e+f1 nor B-e+f2 is a
-    basis.
+    non-emptiness); it trusts the caller that the family satisfies basis
+    exchange.  Use `from_bases` for untrusted input -- it additionally runs
+    the exchange check -- or call `check_exchange()` explicitly.  The check
+    is local (Maurer's criterion): |B|*r*(n-r) basis lookups, plus r-1 for
+    each basis B, e in B and pair f1, f2 outside B for which neither
+    B-e+f1 nor B-e+f2 is a basis.
     """
 
     __slots__ = ("n", "rank", "bases", "element_map", "_cache")
@@ -92,16 +92,13 @@ class Matroid:
         if not 0 <= rank <= n:
             raise ValueError(f"rank {rank} out of range for n={n}")
         full = (1 << n) - 1
-        if (min(bases) < 0 or max(bases) > full
-                or set(map(int.bit_count, bases)) != {rank}):
-            # some basis fails; name the first one found
-            for b in bases:
-                if b & ~full:
-                    raise ValueError(f"basis mask {b:#x} has elements >= n={n}")
-                if b.bit_count() != rank:
-                    raise WrongBasisSizeError(
-                        f"basis {tuple(bits(b))} has {b.bit_count()} elements, "
-                        f"expected rank {rank}")
+        for b in bases:
+            if b & ~full:
+                raise ValueError(f"basis mask {b:#x} has elements >= n={n}")
+            if b.bit_count() != rank:
+                raise WrongBasisSizeError(
+                    f"basis {tuple(bits(b))} has {b.bit_count()} elements, "
+                    f"expected rank {rank}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "bases", bases)
@@ -158,26 +155,29 @@ class Matroid:
 
     # -- packed columns, loops, coloops, connectivity -----------------------
 
-    def columns(self) -> tuple[tuple[int, ...], int, str]:
-        """(cols, ones, code): the bases packed into one int, one array slot
-        each (typecode `code`), and cols[e], the slots of the bases that
-        hold e, at each slot's bit 0; `ones` is the full column (see
-        `bitset`).  Built once, on first use."""
+    def columns(self) -> tuple[tuple[int, ...], int, int]:
+        """(cols, ones, width): the bases packed into one int, one slot of
+        `width` bytes each, and cols[e], the slots of the bases that hold e,
+        at each slot's bit 0; `ones` is the full column (see `bitset`).
+        Built once, on first use."""
         cached = self._cache.get("columns")
         if cached is None:
-            cols, ones, code = column_view(self.n, self.bases)
-            cached = (tuple(cols), ones, code)
+            cols, ones, width = column_view(self.n, self.bases)
+            cached = (tuple(cols), ones, width)
             self._cache["columns"] = cached
         return cached
 
+    # Not read from the columns: the reader's exchange check asks for the
+    # loops, and the columns cost n shifts of the packed int, which grows
+    # as n^2 on a large ground set of few bases.
+
     def loops(self) -> int:
-        """Mask of elements contained in no basis: the empty columns."""
-        return mask_of(e for e, col in enumerate(self.columns()[0]) if not col)
+        """Mask of elements contained in no basis."""
+        return self.full_mask & ~reduce(or_, self.bases)
 
     def coloops(self) -> int:
-        """Mask of elements contained in every basis: the full columns."""
-        cols, ones, _ = self.columns()
-        return mask_of(e for e, col in enumerate(cols) if col == ones)
+        """Mask of elements contained in every basis."""
+        return reduce(and_, self.bases)
 
     def is_clean(self) -> bool:
         """No loops and no coloops."""
@@ -324,8 +324,8 @@ class Matroid:
         coloop, and both minors are the other side."""
         if not 0 <= e < self.n:
             raise IndexError(f"element {e} out of range for n={self.n}")
-        cols, ones, code = self.columns()
-        without, with_e = minor_families(cols, e, ones, len(self.bases), code)
+        cols, ones, width = self.columns()
+        without, with_e = minor_families(cols, e, ones, len(self.bases), width)
         if with_e and (contract or not without):
             rank, family = self.rank - 1, with_e
         else:
@@ -346,8 +346,8 @@ class Matroid:
         intersections of bases with `a`, read off the columns of `a`."""
         self._check_subset(a)
         kept = tuple(bits(a))
-        cols, _, code = self.columns()
-        inter = unpack(place([cols[i] for i in kept]), len(self.bases), code)
+        cols, _, width = self.columns()
+        inter = unpack(place([cols[i] for i in kept]), len(self.bases), width)
         sizes = list(map(int.bit_count, inter))
         r = max(sizes)
         new_bases = compress(inter, map(r.__eq__, sizes))
@@ -467,9 +467,6 @@ def from_bases(n: int, rank: int, bases: Iterable[Iterable[int]]) -> Matroid:
     ranges, distinctness, and the exchange axiom."""
     require_int("n", n)
     require_int("rank", rank)
-    if n > SLOT_LIMIT:
-        # before any work or memory that grows with n
-        raise LimitExceededError(f"n={n} exceeds the packed-slot limit {SLOT_LIMIT}")
     masks = set()
     for b in bases:
         subset = tuple(b)

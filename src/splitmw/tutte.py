@@ -31,10 +31,7 @@ from functools import lru_cache
 from math import comb
 from operator import add
 
-# the minors' families are split as for Matroid.delete and Matroid.contract
-from .bitset import column_view as _columns
-from .bitset import minor_families as _children
-from .bitset import place, popcount_classes, unpack
+from .bitset import column_view, minor_families, place, popcount_classes, unpack
 from .errors import LimitExceededError
 from .matroid import Matroid
 
@@ -295,7 +292,7 @@ def _strip(cols: list[int], ones: int) -> tuple[list[int], int, int]:
     return kept, ncoloops, len(cols) - len(kept) - ncoloops
 
 
-def _key_and_pivot(cols: list[int], count: int, code: str):
+def _key_and_pivot(cols: list[int], count: int, width: int):
     """Memo key and pivot of the family of `count` bases with these columns.
 
     e's parallel-class size is 1 + #{f : no basis holds both e and f} and
@@ -316,7 +313,7 @@ def _key_and_pivot(cols: list[int], count: int, code: str):
                 size[e] += 1
                 size[f] += 1
     order = sorted(range(n), key=lambda e: (size[e], degree[e]))
-    relabeled = unpack(place([cols[e] for e in order]), count, code)
+    relabeled = unpack(place([cols[e] for e in order]), count, width)
     return (n, tuple(sorted(relabeled))), size.index(max(size))
 
 
@@ -329,16 +326,16 @@ def _dc(n: int, bases, memo: TutteMemo) -> TuttePolynomial:
         # every k-subset, so no columns are needed: U(k,n) has no loop or
         # coloop unless k is 0 or n, where the closed form is y^n or x^n
         return _uniform_tutte(k, n)
-    cols, ones, code = _columns(n, bases)
+    cols, ones, width = column_view(n, bases)
     cols, ncoloops, nloops = _strip(cols, ones)
     n, k = len(cols), k - ncoloops
     if count == comb(n, k):
         core = _uniform_tutte(k, n)
     else:
-        key, e = _key_and_pivot(cols, count, code)
+        key, e = _key_and_pivot(cols, count, width)
         core = memo.get(key)
         if core is None:
-            deleted, contracted = _children(cols, e, ones, count, code)
+            deleted, contracted = minor_families(cols, e, ones, count, width)
             core = _dc(n - 1, deleted, memo) + _dc(n - 1, contracted, memo)
             memo.put(key, core)
     if ncoloops or nloops:

@@ -20,7 +20,7 @@ from splitmw import (
     rank2_from_partition,
     uniform,
 )
-from splitmw.bitset import SLOT_LIMIT, bits, mask_of
+from splitmw.bitset import bits, mask_of
 from splitmw.corpus import (
     graphic_corpus,
     minimal_matroids,
@@ -506,19 +506,34 @@ class TestPackedColumns:
                 basis.append(99)
             assert m.to_dict() == to_dict_oracle(m)
 
-    def test_slot_limit(self):
-        m = uniform(1, SLOT_LIMIT)
+    # 64, the widest machine-type slot, and past it, where slots are
+    # (n+7)//8 bytes: 65, 72 and 73 on either side of a byte edge, and 100
+    @pytest.mark.parametrize("m", [
+        uniform(1, 64), minimal(3, 64), with_loop_and_coloop(minimal(2, 63)),
+        uniform(1, 65), minimal(2, 65), with_loop_and_coloop(minimal(3, 70)),
+        minimal(4, 72), uniform(2, 73), rank2_from_partition([30, 20, 50]),
+    ], ids=lambda m: f"n{m.n}-r{m.rank}-{len(m.bases)}")
+    def test_wide_slots(self, m):
         assert m.to_dict() == to_dict_oracle(m)
-        assert m.delete(SLOT_LIMIT - 1) == uniform(1, SLOT_LIMIT - 1)
-        big = Matroid(SLOT_LIMIT + 1, 1, [1 << SLOT_LIMIT])
-        for query in (big.to_dict, big.loops, big.coloops, big.parallel_classes,
-                      lambda: big.delete(0), lambda: big.contract(0),
-                      lambda: big.restrict(1)):
-            with pytest.raises(LimitExceededError):
-                query()
-        # the reader stops before any work proportional to n
-        with pytest.raises(LimitExceededError):
-            from_bases(SLOT_LIMIT + 1, 1, [[0]])
+        assert m.loops() == loops_oracle(m) and m.coloops() == coloops_oracle(m)
+        assert m.parallel_classes() == parallel_classes_oracle(m)
+        for e in (0, m.n // 2, m.n - 1):
+            assert (m.delete(e).n, m.delete(e).rank, m.delete(e).bases) == \
+                delete_oracle(m, e)
+            assert (m.contract(e).n, m.contract(e).rank, m.contract(e).bases) == \
+                contract_oracle(m, e)
+        for a in (m.full_mask, m.full_mask >> 1, (1 << m.n) // 3):
+            r = m.restrict(a)
+            assert (r.n, r.rank, r.bases) == restrict_oracle(m, a)
+
+    def test_reader_takes_wide_ground_sets(self):
+        m = uniform(1, 65)
+        assert matroid_from_dict(m.to_dict()) == m
+        # the reader asks for the loops, which must not build the columns:
+        # those cost n shifts of the packed int, n^2 in all
+        big = from_bases(100_000, 1, [[0], [99_999]])
+        assert big.loops() == big.full_mask ^ (1 | 1 << 99_999)
+        assert "columns" not in big._cache
 
     @pytest.mark.parametrize("n, rank, bases, error, message", [
         (3, 1, [0b1, 0b11], WrongBasisSizeError,

@@ -21,10 +21,8 @@ from splitmw.corpus import (
     tutte_identity_corpus,
     uniform_matroids,
 )
-from splitmw.bitset import place, unpack
+from splitmw.bitset import column_view, minor_families, place, unpack
 from splitmw.tutte import (
-    _children,
-    _columns,
     _key_and_pivot,
     _strip,
     whitney_numbers,
@@ -177,19 +175,19 @@ def check_column_pass(m):
     stripping loops and coloops."""
     n, bases = m.n, tuple(sorted(m.bases))
     count = len(bases)
-    cols, ones, code = _columns(n, bases)
+    cols, ones, width = column_view(n, bases)
     if n:
-        assert _key_and_pivot(cols, count, code) == (
+        assert _key_and_pivot(cols, count, width) == (
             canonical_key_oracle(n, bases), pivot_oracle(n, bases))
     kept, ncoloops, nloops = _strip(cols, ones)
-    family = tuple(sorted(unpack(place(kept), count, code)))
+    family = tuple(sorted(unpack(place(kept), count, width)))
     n, stripped, *dropped = strip_oracle(n, bases)
     assert (len(kept), family, ncoloops, nloops) == (n, stripped, *dropped)
     if n:
-        key, e = _key_and_pivot(kept, count, code)
+        key, e = _key_and_pivot(kept, count, width)
         assert (key, e) == (canonical_key_oracle(n, stripped),
                             pivot_oracle(n, stripped))
-        deleted, contracted = _children(kept, e, ones, count, code)
+        deleted, contracted = minor_families(kept, e, ones, count, width)
         assert (tuple(sorted(deleted)), tuple(sorted(contracted))) == \
             children_oracle(stripped, e)
 
