@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import tutte as tutte_mod
-from .errors import ClassificationFailureError, InputError, SplitMWError
+from .errors import ClassificationFailureError, InputError, SplitMWError, check_size
 from .flats import cyclic_flats, is_split
 from .graphs import (
     Multigraph,
@@ -50,8 +50,14 @@ def _read_json(path: str) -> dict:
         raise InputError(f"{path}: JSON nested too deeply to read") from None
 
 
-def _load_matroid(path: str) -> Matroid:
-    return matroid_from_dict(_read_json(path))
+def _load_matroid(path: str, work: str) -> Matroid:
+    """Read a matroid-bases-v1 file for `work` (a key of SIZE_LIMITS),
+    checking its n against the limit before any mask of n bits is built."""
+    record = _read_json(path)
+    n = record.get("n") if isinstance(record, dict) else None
+    if type(n) is int:
+        check_size(work, n)
+    return matroid_from_dict(record)
 
 
 def _load_multigraph(path: str) -> Multigraph:
@@ -93,7 +99,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_tutte(args) -> int:
-    m = _load_matroid(args.input)
+    m = _load_matroid(args.input,
+                      "deletion-contraction" if args.engine == "dc" else "tables")
     if args.engine == "subset":
         t = tutte_mod.tutte_subset_sum(m)
     elif args.engine == "dc":
@@ -110,19 +117,19 @@ def _cmd_tutte(args) -> int:
 
 
 def _cmd_check_mw(args) -> int:
-    report = check_mw(_load_matroid(args.input))
+    report = check_mw(_load_matroid(args.input, "deletion-contraction"))
     print(_dumps(report.to_dict()))
     return 0 if report.all_ok else 1
 
 
 def _cmd_cyclic_flats(args) -> int:
-    report = cyclic_flats(_load_matroid(args.input))
+    report = cyclic_flats(_load_matroid(args.input, "tables"))
     print(_dumps(report.to_dict()))
     return 0
 
 
 def _cmd_is_split(args) -> int:
-    print(_dumps(is_split(_load_matroid(args.input))))
+    print(_dumps(is_split(_load_matroid(args.input, "tables"))))
     return 0
 
 
@@ -139,7 +146,7 @@ def _cmd_enumerate_rank2(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    t = trace(_load_matroid(args.input))
+    t = trace(_load_matroid(args.input, "trace"))
     if args.dot:
         print(to_dot(t))
     else:

@@ -41,7 +41,31 @@ class ExchangeViolationError(SplitMWError):
 
 
 class LimitExceededError(SplitMWError):
-    """Input is larger than the configured brute-force limit."""
+    """Input is larger than the size limit of the work asked for."""
+
+
+# The largest input each kind of work takes: ground-set elements n for
+# matroids, edges for the graph counts.  The one table of size limits.
+SIZE_LIMITS = {
+    # 2^n-bit tables: independence and rank tables, circuits, the
+    # subset-sum engine, flats, cyclic flats and is_split
+    "tables": 20,
+    "deletion-contraction": 24,
+    # every trace node keeps its matroid, record and columns alive, so a
+    # sparse paving (8,18) trace already peaks at 216 MB
+    "trace": 16,
+    # brute force over edge subsets: graphic() and count_spanning_trees
+    "spanning-forests": 20,
+    # brute force over all 2^m orientations
+    "orientations": 15,
+}
+
+
+def check_size(work: str, size: int) -> None:
+    """Raise LimitExceededError if `size` is past the limit for `work`."""
+    limit = SIZE_LIMITS[work]
+    if size > limit:
+        raise LimitExceededError(f"size {size} exceeds the {work} limit {limit}")
 
 
 class NotCleanInputError(SplitMWError):

@@ -25,15 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import bits, element_masks, members, popcount_classes
-from .errors import LimitExceededError
+from .errors import check_size
 from .matroid import Matroid
-
-FLATS_LIMIT = 16
-
-
-def _check_limit(m: Matroid, limit: int):
-    if m.n > limit:
-        raise LimitExceededError(f"n={m.n} exceeds flat-enumeration limit {limit}")
 
 
 def _by_size(table: int, n: int) -> list[int]:
@@ -54,18 +47,15 @@ def _flat_table(m: Matroid) -> int:
     return flat
 
 
-def flats(m: Matroid, limit: int = FLATS_LIMIT) -> list[int]:
+def flats(m: Matroid) -> list[int]:
     """All flats as masks, sorted by (size, mask)."""
-    _check_limit(m, limit)
     return _by_size(_flat_table(m), m.n)
 
 
-def _cyclic_flat_ranks(m: Matroid,
-                       limit: int = FLATS_LIMIT) -> tuple[tuple[int, int], ...]:
+def _cyclic_flat_ranks(m: Matroid) -> tuple[tuple[int, int], ...]:
     """(mask, rank) of each cyclic flat, sorted by (size, mask): the flats
     whose restriction has no coloop, so no single removal lowers the rank.
     Computed once per matroid."""
-    _check_limit(m, limit)
     cached = m._cache.get("cyclicflats")
     if cached is not None:
         return cached
@@ -84,10 +74,10 @@ def _cyclic_flat_ranks(m: Matroid,
     return cached
 
 
-def _proper(m: Matroid, limit: int) -> list[int]:
+def _proper(m: Matroid) -> list[int]:
     """The cyclic flats other than the empty set and the ground set."""
     full = m.full_mask
-    return [f for f, _ in _cyclic_flat_ranks(m, limit) if f != 0 and f != full]
+    return [f for f, _ in _cyclic_flat_ranks(m) if f != 0 and f != full]
 
 
 def _is_antichain(masks: list[int]) -> bool:
@@ -99,20 +89,21 @@ def _is_antichain(masks: list[int]) -> bool:
     return True
 
 
-def is_connected_split(m: Matroid, limit: int = FLATS_LIMIT) -> bool:
+def is_connected_split(m: Matroid) -> bool:
     """Connected with proper cyclic flats forming an inclusion antichain."""
     if not m.is_connected():
         return False
-    return _is_antichain(_proper(m, limit))
+    return _is_antichain(_proper(m))
 
 
-def is_split(m: Matroid, limit: int = FLATS_LIMIT) -> bool:
+def is_split(m: Matroid) -> bool:
     """Direct sum of at most one connected split matroid with uniform ones.
 
     Loops and coloops are singleton uniform components, so they are always
-    permitted summands.
+    permitted summands.  Checked against the "tables" limit up front: a sum
+    of uniform matroids needs no table, but its components still cost n.
     """
-    _check_limit(m, limit)
+    check_size("tables", m.n)
     comps = m.components()
     non_uniform = []
     for comp in comps:
@@ -122,7 +113,7 @@ def is_split(m: Matroid, limit: int = FLATS_LIMIT) -> bool:
             non_uniform.append(r)
     if len(non_uniform) > 1:
         return False
-    return all(is_connected_split(r, limit) for r in non_uniform)
+    return all(is_connected_split(r) for r in non_uniform)
 
 
 def is_paving(m: Matroid) -> bool:
@@ -168,17 +159,17 @@ class CyclicFlatReport:
         }
 
 
-def cyclic_flats(m: Matroid, limit: int = FLATS_LIMIT) -> CyclicFlatReport:
-    pairs = _cyclic_flat_ranks(m, limit)
-    proper = _proper(m, limit)
+def cyclic_flats(m: Matroid) -> CyclicFlatReport:
+    pairs = _cyclic_flat_ranks(m)
+    proper = _proper(m)
     return CyclicFlatReport(
         n=m.n,
         flats=tuple(f for f, _ in pairs),
         ranks=tuple(r for _, r in pairs),
         proper_flats=tuple(proper),
         is_antichain=_is_antichain(proper),
-        is_connected_split=is_connected_split(m, limit),
-        is_split=is_split(m, limit),
+        is_connected_split=is_connected_split(m),
+        is_split=is_split(m),
         is_paving=is_paving(m),
         is_copaving=is_copaving(m),
     )

@@ -8,12 +8,28 @@ not share any machinery with the polynomial engines.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain
 
-from .errors import InputError, LimitExceededError, require_int
+from .errors import InputError, check_size, require_int
 
-ORIENTATION_EDGE_LIMIT = 15
-FOREST_EDGE_LIMIT = 20
+
+def _join(parent: dict[int, int], u: int, v: int) -> bool:
+    """Merge the trees of u and v in a union-find forest with path
+    splitting; False if they were one tree already.  Only vertices merged
+    under another are keys, so isolated vertices cost nothing: the work is
+    linear in the edges, not in the vertices."""
+    while u in parent:
+        up = parent[u]
+        parent[u] = parent.get(up, up)
+        u = up
+    while v in parent:
+        vp = parent[v]
+        parent[v] = parent.get(vp, vp)
+        v = vp
+    if u == v:
+        return False
+    parent[u] = v
+    return True
 
 
 class Multigraph:
@@ -37,53 +53,32 @@ class Multigraph:
         return f"Multigraph(vertices={self.vertex_count}, edges={len(self.edges)})"
 
     def component_count(self) -> int:
-        parent = list(range(self.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = self.vertex_count
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comps -= 1
-        return comps
+        """Vertices minus the merges of a union-find over the edges."""
+        parent: dict[int, int] = {}
+        return self.vertex_count - sum(_join(parent, u, v) for u, v in self.edges)
 
     def is_connected(self) -> bool:
         return self.vertex_count >= 1 and self.component_count() == 1
 
     def max_spanning_forests(self) -> list[int]:
         """Edge-index masks of all maximum spanning forests (spanning trees
-        when the graph is connected)."""
-        m = len(self.edges)
-        size = self.vertex_count - self.component_count()
+        when the graph is connected), in lexicographic order of their edge
+        lists.  A depth-first search adds edges in index order to a copy of
+        its forest's union-find, so it never extends a set with a cycle."""
+        edges = self.edges
         forests = []
-        for combo in combinations(range(m), size):
-            parent = list(range(self.vertex_count))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            acyclic = True
-            for idx in combo:
-                u, v = self.edges[idx]
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    acyclic = False
-                    break
-                parent[ru] = rv
-            if acyclic:
-                mask = 0
-                for idx in combo:
-                    mask |= 1 << idx
+        # (next edge to try, mask, edges still to add, union-find)
+        stack = [(0, 0, self.vertex_count - self.component_count(), {})]
+        while stack:
+            start, mask, left, parent = stack.pop()
+            if not left:
                 forests.append(mask)
+                continue
+            # pushed from the last edge down, so popped in index order
+            for i in range(len(edges) - left, start - 1, -1):
+                grown = parent.copy()
+                if _join(grown, *edges[i]):
+                    stack.append((i + 1, mask | 1 << i, left - 1, grown))
         return forests
 
     def bridges(self) -> list[int]:
@@ -129,10 +124,9 @@ def multigraph_from_dict(d: dict) -> Multigraph:
     return Multigraph(vertices, edges)
 
 
-def count_spanning_trees(g: Multigraph, limit: int = FOREST_EDGE_LIMIT) -> int:
+def count_spanning_trees(g: Multigraph) -> int:
     """Number of maximum spanning forests of g (spanning trees if connected)."""
-    if len(g.edges) > limit:
-        raise LimitExceededError(f"{len(g.edges)} edges exceed limit {limit}")
+    check_size("spanning-forests", len(g.edges))
     return len(g.max_spanning_forests())
 
 
@@ -180,13 +174,16 @@ def _orientation_counts(g: Multigraph) -> tuple[int, int]:
     cyclic iff every edge lies on a directed cycle (equivalently both
     endpoints of every edge share a strongly connected component).  A
     self-loop is a directed cycle under either of its two (identical-looking
-    but separately counted) orientations.
+    but separately counted) orientations.  Only the vertices that edges
+    touch are numbered, so isolated ones cost nothing.
     """
     edges = g.edges
     m = len(edges)
-    nv = g.vertex_count
+    check_size("orientations", m)
+    label = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(edges)))}
+    nv = len(label)
     has_selfloop = any(u == v for u, v in edges)
-    real = [(i, u, v) for i, (u, v) in enumerate(edges) if u != v]
+    real = [(i, label[u], label[v]) for i, (u, v) in enumerate(edges) if u != v]
     acyclic = 0
     totally = 0
     for mask in range(1 << m):
@@ -205,15 +202,9 @@ def _orientation_counts(g: Multigraph) -> tuple[int, int]:
     return acyclic, totally
 
 
-def count_acyclic_orientations(g: Multigraph,
-                               limit: int = ORIENTATION_EDGE_LIMIT) -> int:
-    if len(g.edges) > limit:
-        raise LimitExceededError(f"{len(g.edges)} edges exceed limit {limit}")
+def count_acyclic_orientations(g: Multigraph) -> int:
     return _orientation_counts(g)[0]
 
 
-def count_totally_cyclic_orientations(g: Multigraph,
-                                      limit: int = ORIENTATION_EDGE_LIMIT) -> int:
-    if len(g.edges) > limit:
-        raise LimitExceededError(f"{len(g.edges)} edges exceed limit {limit}")
+def count_totally_cyclic_orientations(g: Multigraph) -> int:
     return _orientation_counts(g)[1]

@@ -9,6 +9,7 @@ pruned by pairwise basis co-occurrence counts.
 
 from __future__ import annotations
 
+from .bitset import place, unpack
 from .matroid import Matroid
 from .tutte import tutte_dc
 
@@ -21,20 +22,9 @@ def certificate(m: Matroid) -> tuple:
 
 
 def _cooccurrence(m: Matroid) -> list[list[int]]:
-    counts = [[0] * m.n for _ in range(m.n)]
-    for b in m.bases:
-        els = []
-        rest = b
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            els.append(low.bit_length() - 1)
-        for i, e in enumerate(els):
-            counts[e][e] += 1
-            for f in els[i + 1:]:
-                counts[e][f] += 1
-                counts[f][e] += 1
-    return counts
+    """counts[e][f] = the number of bases holding both e and f."""
+    cols = m.columns()[0]
+    return [[(col & other).bit_count() for other in cols] for col in cols]
 
 
 def _permutation_search(m1: Matroid, m2: Matroid) -> bool:
@@ -59,20 +49,15 @@ def _permutation_search(m1: Matroid, m2: Matroid) -> bool:
     order = sorted(range(n), key=lambda e: len(candidates[e]))
     mapping = [-1] * n
     used = [False] * n
-    bases2 = m2.bases
+    cols1, _, width = m1.columns()
 
     def assign(idx: int) -> bool:
         if idx == n:
-            remapped = set()
-            for b in m1.bases:
-                nb = 0
-                rest = b
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    nb |= 1 << mapping[low.bit_length() - 1]
-                remapped.add(nb)
-            return remapped == bases2
+            # element e of m1 becomes mapping[e]: its column moves there
+            moved = [0] * n
+            for e, x in enumerate(mapping):
+                moved[x] = cols1[e]
+            return set(unpack(place(moved), len(m1.bases), width)) == m2.bases
         e = order[idx]
         row = c1[e]
         for x in candidates[e]:

@@ -17,7 +17,8 @@ Conventions used throughout the package:
   * Whole-table queries (independence and rank tables, rank levels,
     circuits) hold one bit per subset in a 2^n-bit int and close it under
     inclusion with n shift/AND/OR passes (see `bitset`): about n*(r+2)
-    passes over 2^n bits in all, up to n = TABLE_LIMIT.
+    passes over 2^n bits in all, up to the "tables" entry of
+    `errors.SIZE_LIMITS`.
   * rank(A) = max over bases B of |A & B|, which equals the matroid rank
     of A because every independent set extends to a basis.
 
@@ -54,20 +55,15 @@ from .bitset import (
     up_closure,
 )
 from .errors import (
+    ColoopsPresentError,
     EmptyBasesError,
     ExchangeViolationError,
     InputError,
-    LimitExceededError,
+    LoopsPresentError,
     WrongBasisSizeError,
+    check_size,
     require_int,
 )
-
-# Full-table methods (independent sets, rank levels and tables, circuits)
-# allocate 2^n bits per table, and the byte tables 2^n bytes.
-TABLE_LIMIT = 20
-
-# Spanning-forest enumeration cutoff for graphic().
-GRAPHIC_EDGE_LIMIT = 20
 
 
 class Matroid:
@@ -145,12 +141,9 @@ class Matroid:
         self._check_subset(a)
         r = self.rank_of(a)
         cl = a
-        rest = self.full_mask & ~a
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if self.rank_of(a | low) == r:
-                cl |= low
+        for e in bits(self.full_mask & ~a):
+            if self.rank_of(a | 1 << e) == r:
+                cl |= 1 << e
         return cl
 
     # -- packed columns, loops, coloops, connectivity -----------------------
@@ -183,11 +176,21 @@ class Matroid:
         """No loops and no coloops."""
         return self.loops() == 0 and self.coloops() == 0
 
+    def require_clean(self) -> None:
+        """Raise LoopsPresentError, else ColoopsPresentError, naming the
+        elements, unless the matroid has no loop and no coloop.  Check the
+        size first: listing the elements is quadratic in n."""
+        loops = self.loops()
+        if loops:
+            raise LoopsPresentError(bits(loops))
+        coloops = self.coloops()
+        if coloops:
+            raise ColoopsPresentError(bits(coloops))
+
     def independent_sets(self) -> int:
         """Table (see `bitset`) of the independent sets: the down-closure
         of the bases, n passes over a 2^n-bit int."""
-        if self.n > TABLE_LIMIT:
-            raise LimitExceededError(f"n={self.n} exceeds table limit {TABLE_LIMIT}")
+        check_size("tables", self.n)
         cached = self._cache.get("indepsets")
         if cached is None:
             cached = down_closure(table_of(self.bases, self.n), self.n)
@@ -530,11 +533,9 @@ def rank2_from_partition(class_sizes: Iterable[int]) -> Matroid:
     return Matroid(n, 2, bases)
 
 
-def graphic(g, limit: int = GRAPHIC_EDGE_LIMIT) -> Matroid:
+def graphic(g) -> Matroid:
     """Cycle matroid of a multigraph: elements are edges, bases the maximum
     spanning forests.  Graph self-loops become matroid loops."""
-    if len(g.edges) > limit:
-        raise LimitExceededError(
-            f"{len(g.edges)} edges exceed the brute-force limit {limit}")
+    check_size("spanning-forests", len(g.edges))
     rank = g.vertex_count - g.component_count()
     return Matroid(len(g.edges), rank, g.max_spanning_forests())

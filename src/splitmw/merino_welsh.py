@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .bitset import bits
-from .errors import ColoopsPresentError, LoopsPresentError
+from .errors import check_size
 from .flats import is_split
 from .isomorphism import certificates_match
 from .matroid import Matroid, minimal, rank2_from_partition
@@ -63,21 +62,14 @@ def report_from_evaluations(n: int, rank: int, t20: int, t02: int, t11: int) -> 
 def check_mw(m: Matroid, engine: str = "dc") -> MWReport:
     """Evaluate the three points and decide all three inequalities.
 
-    Requires a loopless and coloopless matroid; raises naming the offending
-    elements otherwise.
+    Checks the engine's size limit, then requires a loopless and
+    coloopless matroid; raises naming the offending elements otherwise.
     """
-    loops = m.loops()
-    if loops:
-        raise LoopsPresentError(bits(loops))
-    coloops = m.coloops()
-    if coloops:
-        raise ColoopsPresentError(bits(coloops))
-    if engine == "dc":
-        t = tutte_dc(m)
-    elif engine == "subset":
-        t = tutte_subset_sum(m)
-    else:
+    if engine not in ("dc", "subset"):
         raise ValueError(f"unknown engine {engine!r}")
+    check_size("deletion-contraction" if engine == "dc" else "tables", m.n)
+    m.require_clean()
+    t = tutte_dc(m) if engine == "dc" else tutte_subset_sum(m)
     return report_from_evaluations(m.n, m.rank,
                                    t.evaluate(2, 0), t.evaluate(0, 2),
                                    t.evaluate(1, 1))
@@ -123,16 +115,6 @@ class Rank2Census:
                 "partitions": len(self.partitions), "all_pass": self.all_pass}
 
 
-def _census_entry(partition: tuple[int, ...]) -> MWReport:
-    m = rank2_from_partition(partition)
-    # the coloop-exclusion predicate is derived, so make it self-checking
-    if m.coloops():
-        raise ColoopsPresentError(bits(m.coloops()))
-    if m.loops():
-        raise LoopsPresentError(bits(m.loops()))
-    return check_mw(m)
-
-
 def verify_rank2_exhaustive(n_max: int) -> list[Rank2Census]:
     """One census per 2 <= n <= n_max over all rank-2 isomorphism classes."""
     if n_max < 2:
@@ -140,7 +122,9 @@ def verify_rank2_exhaustive(n_max: int) -> list[Rank2Census]:
     censuses = []
     for n in range(2, n_max + 1):
         parts = rank2_census_partitions(n)
-        reports = [_census_entry(p) for p in parts]
+        # check_mw raises on a coloop, so the derived coloop-exclusion
+        # predicate checks itself
+        reports = [check_mw(rank2_from_partition(p)) for p in parts]
         censuses.append(Rank2Census(
             n=n, partitions=tuple(parts), reports=tuple(reports),
             all_pass=all(r.mult_ok for r in reports)))

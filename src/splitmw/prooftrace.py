@@ -22,13 +22,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .bitset import bits
 from .errors import (
     ClassificationFailureError,
-    ColoopsPresentError,
     ExhaustivenessFailureError,
-    LoopsPresentError,
     NotSplitError,
+    check_size,
 )
 from .flats import is_split
 from .isomorphism import recognize_minimal
@@ -141,12 +139,8 @@ class BaseCaseClassification:
 def classify_base_case(m: Matroid) -> BaseCaseClassification:
     """Classify a connected split pivotless matroid as a small-rank case, a
     minimal matroid, or both; anything else is an exhaustiveness failure."""
-    loops = m.loops()
-    if loops:
-        raise LoopsPresentError(bits(loops))
-    coloops = m.coloops()
-    if coloops:
-        raise ColoopsPresentError(bits(coloops))
+    check_size("tables", m.n)
+    m.require_clean()
     if not m.is_connected():
         raise ValueError("classify_base_case requires a connected matroid")
     if not is_split(m):
@@ -208,12 +202,8 @@ def trace(m: Matroid) -> ProofTrace:
 
     The trace is `verified` iff every node's multiplicative inequality
     holds; structural rule checks are enforced during construction."""
-    loops = m.loops()
-    if loops:
-        raise LoopsPresentError(bits(loops))
-    coloops = m.coloops()
-    if coloops:
-        raise ColoopsPresentError(bits(coloops))
+    check_size("trace", m.n)
+    m.require_clean()
     if not is_split(m):
         raise NotSplitError(
             f"trace requires a split matroid; {m!r} has nested or multiple "

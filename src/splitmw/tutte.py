@@ -32,11 +32,8 @@ from math import comb
 from operator import add
 
 from .bitset import column_view, minor_families, place, popcount_classes, unpack
-from .errors import LimitExceededError
+from .errors import check_size
 from .matroid import Matroid
-
-SUBSET_SUM_LIMIT = 20
-DC_LIMIT = 24
 
 
 class TuttePolynomial:
@@ -187,9 +184,8 @@ def whitney_numbers(m: Matroid) -> list[list[int]]:
     return whitney
 
 
-def tutte_subset_sum(m: Matroid, limit: int = SUBSET_SUM_LIMIT) -> TuttePolynomial:
-    if m.n > limit:
-        raise LimitExceededError(f"n={m.n} exceeds subset-sum limit {limit}")
+def tutte_subset_sum(m: Matroid) -> TuttePolynomial:
+    """T by the corank-nullity sum, up to the "tables" size limit."""
     r, c = m.rank, m.n - m.rank
     whitney = whitney_numbers(m)
     coeffs = [[0] * (c + 1) for _ in range(r + 1)]
@@ -343,10 +339,8 @@ def _dc(n: int, bases, memo: TutteMemo) -> TuttePolynomial:
     return core
 
 
-def tutte_dc(m: Matroid, limit: int = DC_LIMIT,
-             memo: TutteMemo | None = None) -> TuttePolynomial:
-    if m.n > limit:
-        raise LimitExceededError(f"n={m.n} exceeds deletion-contraction limit {limit}")
+def tutte_dc(m: Matroid, memo: TutteMemo | None = None) -> TuttePolynomial:
+    check_size("deletion-contraction", m.n)
     if memo is None:
         memo = _global_memo
     return _dc(m.n, m.bases, memo)

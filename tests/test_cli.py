@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -266,9 +267,9 @@ class TestErrors:
 
 # Arbitrary JSON, records with the right format and arbitrary fields, and
 # matroid records with one basis dropped or not, so that some documents get
-# past each reader.  Ints stay small: a huge
-# "vertices" is a known way to make the multigraph verbs allocate.
+# past each reader.
 small_ints = st.integers(-1, 7)
+wide_ints = st.integers(-1, 10**9)
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 80) | st.floats() | st.text(max_size=4),
     lambda children: (st.lists(children, max_size=5)
@@ -276,12 +277,12 @@ json_values = st.recursive(
     max_leaves=12)
 matroid_like = st.fixed_dictionaries({
     "format": st.just("matroid-bases-v1"),
-    "n": small_ints | json_values,
+    "n": small_ints | wide_ints | json_values,
     "rank": small_ints | json_values,
     "bases": st.lists(st.lists(small_ints, max_size=4), max_size=8) | json_values})
 graph_like = st.fixed_dictionaries({
     "format": st.just("multigraph-v1"),
-    "vertices": small_ints | json_values,
+    "vertices": small_ints | wide_ints | json_values,
     "edges": st.lists(st.lists(small_ints, min_size=2, max_size=2), max_size=6)
     | json_values})
 
@@ -323,3 +324,38 @@ def test_arbitrary_json_exits_0_1_or_2(tmp_path_factory, doc):
         assert code in (0, 1, 2), verb
         if code == 1:
             assert well_formed(reader, doc), verb
+
+
+def run_file(argv, doc, path):
+    """(exit code, stdout, stderr, seconds) of one CLI run on `doc`."""
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + [str(path)])
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+# Records whose size fields ask for far more than the file holds: a rank-0
+# matroid whose 200,000 loops are listed in no error message, an n that no
+# mask is built for, and isolated vertices that no graph count walks.
+WIDE_MATROIDS = [
+    {"format": "matroid-bases-v1", "n": 200_000, "rank": 0, "bases": [[]]},
+    {"format": "matroid-bases-v1", "n": 10**8, "rank": 1, "bases": [[0]]}]
+EDGE = {"format": "multigraph-v1", "vertices": 2, "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize("verb, reader", FILE_VERBS,
+                         ids=[" ".join(verb) for verb, _ in FILE_VERBS])
+def test_wide_inputs_answer_at_once(verb, reader, tmp_path):
+    path = tmp_path / "wide.json"
+    if reader is matroid_from_dict:
+        for doc in WIDE_MATROIDS:
+            code, out, err, seconds = run_file(verb, doc, path)
+            assert (code, out) == (2, "") and len(err.encode()) < 1024
+            assert seconds < 1
+    else:
+        _, narrow, _, _ = run_file(verb, EDGE, path)
+        code, out, _, seconds = run_file(verb, dict(EDGE, vertices=10**6), path)
+        assert (code, out) == (0, narrow)
+        assert seconds < 1

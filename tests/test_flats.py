@@ -24,6 +24,7 @@ from splitmw.corpus import (
     tutte_identity_corpus,
     uniform_matroids,
 )
+from splitmw.errors import SIZE_LIMITS
 
 from conftest import (
     cyclic_flats_oracle,
@@ -48,8 +49,13 @@ class TestFlats:
         assert flats(uniform(0, 2)) == [3]
 
     def test_flats_limit(self):
+        limit = SIZE_LIMITS["tables"]
+        assert is_split(minimal(limit // 2, limit))
+        assert cyclic_flats(minimal(limit // 2, limit)).is_split
         with pytest.raises(LimitExceededError):
-            flats(uniform(1, 17))
+            flats(uniform(1, limit + 1))
+        with pytest.raises(LimitExceededError):
+            is_split(uniform(1, limit + 1))
 
     def test_every_flat_is_closed(self):
         for m in (minimal(3, 6), rank2_from_partition([2, 2, 1])):

@@ -10,6 +10,7 @@ from splitmw import (
     multigraph_from_dict,
 )
 from splitmw.corpus import bridgeless_graphs, random_multigraphs
+from splitmw.errors import SIZE_LIMITS
 
 
 def test_triangle_counts(triangle):
@@ -75,7 +76,7 @@ def test_bridgeless_corpus_properties():
 
 
 def test_orientation_limit():
-    g = Multigraph(2, [(0, 1)] * 16)
+    g = Multigraph(2, [(0, 1)] * (SIZE_LIMITS["orientations"] + 1))
     with pytest.raises(LimitExceededError):
         count_acyclic_orientations(g)
     with pytest.raises(LimitExceededError):
@@ -83,7 +84,7 @@ def test_orientation_limit():
 
 
 def test_spanning_tree_limit():
-    g = Multigraph(2, [(0, 1)] * 21)
+    g = Multigraph(2, [(0, 1)] * (SIZE_LIMITS["spanning-forests"] + 1))
     with pytest.raises(LimitExceededError):
         count_spanning_trees(g)
 

@@ -27,8 +27,8 @@ from splitmw.corpus import (
     tutte_identity_corpus,
     uniform_matroids,
 )
+from splitmw.errors import SIZE_LIMITS
 from splitmw.flats import is_paving
-from splitmw.matroid import TABLE_LIMIT
 
 from conftest import (
     brute_isomorphic,
@@ -154,7 +154,7 @@ class TestConstructors:
         assert bits(m.loops()) == [0]
 
     def test_graphic_edge_limit(self):
-        g = Multigraph(2, [(0, 1)] * 21)
+        g = Multigraph(2, [(0, 1)] * (SIZE_LIMITS["spanning-forests"] + 1))
         from splitmw import LimitExceededError
         with pytest.raises(LimitExceededError):
             graphic(g)
@@ -239,11 +239,12 @@ class TestTableKernel:
         assert_tables_match_oracles(m)
 
     def test_table_limit(self):
-        m = uniform(1, TABLE_LIMIT)
+        limit = SIZE_LIMITS["tables"]
+        m = uniform(1, limit)
         table = m.rank_table()
-        assert len(table) == 1 << TABLE_LIMIT
-        assert table[0] == 0 and sum(table) == (1 << TABLE_LIMIT) - 1
-        big = uniform(1, TABLE_LIMIT + 1)
+        assert len(table) == 1 << limit
+        assert table[0] == 0 and sum(table) == (1 << limit) - 1
+        big = uniform(1, limit + 1)
         for query in (big.independent_sets, big.rank_levels, big.independence_table,
                       big.rank_table, big.circuits, lambda: is_paving(big)):
             with pytest.raises(LimitExceededError):

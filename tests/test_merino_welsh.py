@@ -2,6 +2,7 @@ import pytest
 
 from splitmw import (
     ColoopsPresentError,
+    LimitExceededError,
     LoopsPresentError,
     check_mw,
     graphic,
@@ -14,6 +15,7 @@ from splitmw import (
     verify_rank2_exhaustive,
 )
 from splitmw.corpus import graphic_corpus, minimal_matroids, uniform_matroids
+from splitmw.errors import SIZE_LIMITS
 from splitmw.merino_welsh import report_from_evaluations
 
 from math import comb
@@ -44,6 +46,13 @@ class TestCheckMW:
         with pytest.raises(ColoopsPresentError) as exc:
             check_mw(uniform(1, 1))
         assert exc.value.elements == (0,)
+
+    @pytest.mark.parametrize("engine, work", [("dc", "deletion-contraction"),
+                                              ("subset", "tables")])
+    def test_checks_size_before_loops(self, engine, work):
+        # every element is a loop, and none is listed
+        with pytest.raises(LimitExceededError):
+            check_mw(uniform(0, SIZE_LIMITS[work] + 1), engine)
 
     def test_engines_give_identical_reports(self):
         for m in (minimal(3, 6), rank2_from_partition([3, 2]), uniform(2, 5)):

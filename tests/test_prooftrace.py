@@ -6,6 +6,7 @@ from hypothesis import given
 
 from splitmw import (
     ColoopsPresentError,
+    LimitExceededError,
     LoopsPresentError,
     Matroid,
     NotSplitError,
@@ -25,6 +26,7 @@ from splitmw.corpus import (
     tutte_identity_corpus,
     uniform_matroids,
 )
+from splitmw.errors import SIZE_LIMITS
 from splitmw.prooftrace import (
     BASE_RULES,
     RULE_DELETE_CONTRACT,
@@ -121,6 +123,13 @@ class TestTrace:
             trace(uniform(0, 3))
         with pytest.raises(ColoopsPresentError):
             trace(uniform(2, 2))
+
+    def test_checks_size_before_loops(self):
+        limit = SIZE_LIMITS["trace"]
+        with pytest.raises(LimitExceededError):
+            trace(uniform(0, limit + 1))
+        with pytest.raises(LimitExceededError):
+            trace(minimal(limit // 2, limit + 1))
 
     def test_rejects_non_split(self, dd4):
         with pytest.raises(NotSplitError):

@@ -22,6 +22,7 @@ from splitmw.corpus import (
     uniform_matroids,
 )
 from splitmw.bitset import column_view, minor_families, place, unpack
+from splitmw.errors import SIZE_LIMITS
 from splitmw.tutte import (
     _key_and_pivot,
     _strip,
@@ -217,7 +218,7 @@ class TestColumnPass:
         check_column_pass(m)
 
     # n = 8 and 16, the widest ground sets of one- and two-byte slots, one
-    # past each, and DC_LIMIT = 24
+    # past each, and the deletion-contraction limit, 24
     @pytest.mark.parametrize("m", [
         minimal(4, 8), minimal(4, 9), minimal(8, 16), minimal(8, 17),
         minimal(12, 24), uniform(3, 7).direct_sum(uniform(1, 1)),
@@ -355,8 +356,8 @@ class TestPolynomialType:
 
     def test_subset_sum_limit(self):
         with pytest.raises(LimitExceededError):
-            tutte_subset_sum(uniform(1, 21))
+            tutte_subset_sum(uniform(1, SIZE_LIMITS["tables"] + 1))
 
     def test_dc_limit(self):
         with pytest.raises(LimitExceededError):
-            tutte_dc(uniform(1, 25))
+            tutte_dc(uniform(1, SIZE_LIMITS["deletion-contraction"] + 1))
