@@ -224,7 +224,9 @@ def lex_order(masks: Iterable[int], n: int) -> bytes:
     return _reversed_slots(to_slots(sorted(flipped), width))
 
 
-@lru_cache(maxsize=None)
+# the tables of a 64-bit slot's byte positions stay cached; wider ones are
+# rebuilt per record
+@lru_cache(maxsize=8)
 def _byte_elements(j: int) -> tuple[list[int], ...]:
     """For each byte value, the elements its set bits stand for when it is
     byte j of a mask."""
@@ -234,17 +236,21 @@ def _byte_elements(j: int) -> tuple[list[int], ...]:
 def element_lists(raw: bytes, n: int) -> list[list[int]]:
     """The ascending element list of each slot's mask (slots of n-bit masks,
     see `to_slots`), as new lists: each byte looked up in a per-byte table,
-    the pieces joined by C-level maps."""
+    the pieces joined by C-level maps.  Byte positions that are zero in
+    every slot add nothing and are skipped."""
     width = slot_width(n)
-
-    def byte(j):
-        start = j if sys.byteorder == "little" else width - 1 - j
-        return map(_byte_elements(j).__getitem__, raw[start::width])
-
-    lists = byte(0)
-    for j in range(1, (n + 7) >> 3):
-        lists = map(add, lists, byte(j))
-    if n <= 8:
+    lists = None
+    joined = 0
+    for j in range((n + 7) >> 3):
+        column = raw[j if sys.byteorder == "little" else width - 1 - j::width]
+        if column.count(0) == len(column):
+            continue
+        piece = map(_byte_elements(j).__getitem__, column)
+        lists = piece if lists is None else map(add, lists, piece)
+        joined += 1
+    if lists is None:
+        return [[] for _ in range(len(raw) // width)]
+    if joined == 1:
         lists = map(list.copy, lists)   # not the table's own lists
     return list(lists)
 

@@ -31,6 +31,7 @@ set size, rank, and basis family.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable
 from functools import reduce
 from itertools import combinations, compress
@@ -73,9 +74,9 @@ class Matroid:
     non-emptiness); it trusts the caller that the family satisfies basis
     exchange.  Use `from_bases` for untrusted input -- it additionally runs
     the exchange check -- or call `check_exchange()` explicitly.  The check
-    is local (Maurer's criterion): |B|*r*(n-r) basis lookups, plus r-1 for
-    each basis B, e in B and pair f1, f2 outside B for which neither
-    B-e+f1 nor B-e+f2 is a basis.
+    is local (Maurer's criterion): the basis graph is connected and the
+    link of every (r-2)-set is complete multipartite, in O(|B|*k^2) dict
+    operations, k = min(r, n-r).
     """
 
     __slots__ = ("n", "rank", "bases", "element_map", "_cache")
@@ -376,63 +377,39 @@ class Matroid:
         Uses Maurer's local criterion (S. B. Maurer, "Matroid basis graphs
         I", JCT B 1973): an equal-size family is a basis family iff its
         basis graph (bases joined by a single swap) is connected and
-        exchange holds for every pair B1, B2 with |B1 \\ B2| = 2.  The
-        witness is valid but need not be the first failing pair in sorted
-        order.
+        exchange holds for every pair B1, B2 with |B1 \\ B2| = 2.  Such a
+        pair shares an (r-2)-set Z, and exchange holds for all pairs
+        through Z iff the link of Z (a ~ c iff Z+a+c is a basis) is
+        complete multipartite on its non-isolated vertices.  Each link is
+        checked by counting its vertices' neighbourhoods, and the basis
+        graph is searched through its (r-1)-sets, in O(|B|*k^2) dict
+        operations, k = min(r, n-r): when the corank within the support
+        (the non-loops) is below the rank, the complements of the bases
+        within the support are checked instead, and the witness mapped
+        back.  The witness is valid but need not be the first failing pair
+        in sorted order.
         """
         family = self.bases
         # A loop is in no basis, so it takes part in no swap: cost is
         # independent of how many loops the ground set has.
         support = self.full_mask & ~self.loops()
-        # swaps[b][i] = mask of f outside b such that b - e_i + f is a basis
-        swaps = {}
-        for b in family:
-            outside = [1 << f for f in bits(support & ~b)]
-            row = []
-            for e in bits(b):
-                rest = b ^ (1 << e)
-                row.append(sum(fb for fb in outside if (rest | fb) in family))
-            swaps[b] = row
-
-        # Distance 2: exchange of e1 from b toward b2 = b - e1 - e2 + f1 + f2
-        # fails exactly when neither f1 nor f2 is a swap partner of e1.
-        for b in sorted(family):
-            elems = bits(b)
-            for e1, partners in zip(elems, swaps[b]):
-                lonely = bits(support & ~b & ~partners)
-                if len(lonely) < 2:
-                    continue
-                rest = b ^ (1 << e1)
-                cores = [rest ^ (1 << e2) for e2 in bits(rest)]
-                for f1, f2 in combinations(lonely, 2):
-                    added = (1 << f1) | (1 << f2)
-                    for core in cores:
-                        if (core | added) in family:
-                            raise ExchangeViolationError(
-                                elems, bits(core | added), e1)
-
-        # Connectivity of the basis graph, from the smallest basis.
-        start = min(family)
-        seen = {start}
-        stack = [start]
-        while stack:
-            b = stack.pop()
-            for e, partners in zip(bits(b), swaps[b]):
-                rest = b ^ (1 << e)
-                for f in bits(partners):
-                    nb = rest | (1 << f)
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-        if len(seen) < len(family):
-            # The closest pair across the cut is a witness: a basis
-            # b1 - e + f with f in b2 would be a neighbour of b1, so in
-            # `seen`, and closer to b2.
-            rest_of_family = sorted(family - seen)
-            b1, b2 = min(((x, y) for x in sorted(seen) for y in rest_of_family),
-                         key=lambda p: (p[0] & ~p[1]).bit_count())
-            raise ExchangeViolationError(bits(b1), bits(b2),
-                                         bits(b1 & ~b2)[0])
+        dual = support.bit_count() < 2 * self.rank
+        if dual:
+            family = {support ^ b for b in family}
+        witness = _exchange_witness(family)
+        if witness is None:
+            return
+        b1, b2, e = witness
+        if dual:
+            # Complements keep distances.  With b1 - b2 = {e, f} and
+            # b2 - b1 = {c, d}, (support - b2) - f + c is the complement of
+            # b1 - e + d, and (support - b2) - f + d that of b1 - e + c, so
+            # f has no exchange from support - b2 toward support - b1.  A
+            # closest pair across a cut stays one, and any element of its
+            # difference is a witness.
+            rest = (b1 & ~b2) ^ (1 << e)
+            b1, b2, e = support ^ b2, support ^ b1, (rest & -rest).bit_length() - 1
+        raise ExchangeViolationError(bits(b1), bits(b2), e)
 
     # -- serialization ---------------------------------------------------
 
@@ -446,6 +423,97 @@ class Matroid:
         is then written out through per-byte element tables."""
         return {"format": "matroid-bases-v1", "n": self.n, "rank": self.rank,
                 "bases": element_lists(lex_order(self.bases, self.n), self.n)}
+
+
+def _exchange_witness(family) -> tuple[int, int, int] | None:
+    """Maurer's criterion (see `Matroid.check_exchange`) on a family of
+    equal-size masks: None if it holds, else a witness (b1, b2, e) of
+    failed exchange, two masks and an element."""
+    # ext[s] = mask of the a with s + a in the family, for each (r-1)-set s
+    # inside a member; a's bit is `low` throughout
+    ext = {}
+    get = ext.get
+    for b in family:
+        rest = b
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            s = b ^ low
+            ext[s] = get(s, 0) | low
+    # links[z] = the neighbourhoods ext[z + a] of the vertices a of z's
+    # link, for each (r-2)-set z
+    links = defaultdict(list)
+    for s, nbhd in ext.items():
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            links[s ^ low].append(nbhd)
+    # The c vertices with neighbourhood N lie outside N, so c <= m - |N| on
+    # a link of m vertices, and the c add up to m over the distinct N.  So
+    # the sum of m - |N| over the distinct N is m iff every class has
+    # c = m - |N|, that is, iff each vertex's non-neighbours are exactly
+    # the vertices with its neighbourhood: iff the link is complete
+    # multipartite.
+    for z, nbhds in links.items():
+        m = len(nbhds)
+        classes = set(nbhds)
+        if m * len(classes) - sum(map(int.bit_count, classes)) != m:
+            return _link_witness(z, reduce(or_, classes), ext)
+
+    # Connectivity of the basis graph: a search from the smallest member
+    # that takes the members through each (r-1)-set once.
+    start = min(family)
+    reached = {start}
+    stack = [start]
+    pop = ext.pop
+    while stack:
+        b = stack.pop()
+        rest = b
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            s = b ^ low
+            others = pop(s, 0)
+            while others:
+                f = others & -others
+                others ^= f
+                nb = s | f
+                if nb not in reached:
+                    reached.add(nb)
+                    stack.append(nb)
+    if len(reached) == len(family):
+        return None
+    # The closest pair across the cut is a witness: a member b1 - e + f
+    # with f in b2 would be a neighbour of b1, so reached, and closer to b2.
+    rest_of_family = sorted(family - reached)
+    b1, b2 = min(((x, y) for x in sorted(reached) for y in rest_of_family),
+                 key=lambda p: (p[0] & ~p[1]).bit_count())
+    return b1, b2, bits(b1 & ~b2)[0]
+
+
+def _link_witness(z: int, vertices: int, ext: dict) -> tuple[int, int, int]:
+    """A witness in the link of z that fails the class count: non-adjacent
+    u and v with w in N(u) - N(v); for any a in N(v), exchange of a from
+    z+a+v toward z+u+w fails, since v is adjacent to neither u nor w."""
+    classes = {}
+    rest = vertices
+    while rest:
+        a = rest & -rest
+        rest ^= a
+        nbhd = ext[z | a]
+        classes[nbhd] = classes.get(nbhd, 0) | a
+    for nu, members in classes.items():
+        others = vertices & ~nu & ~members
+        if others:
+            break
+    u, v = members & -members, others & -others
+    nv = ext[z | v]
+    if not nu & ~nv:
+        u, v, nu, nv = v, u, nv, nu
+    only_u = nu & ~nv
+    w, a = only_u & -only_u, nv & -nv
+    return z | a | v, z | u | w, a.bit_length() - 1
 
 
 def matroid_from_dict(d: dict) -> Matroid:

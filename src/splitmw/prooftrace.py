@@ -18,7 +18,6 @@ concrete instance.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -47,6 +46,9 @@ BASE_RULES = frozenset({RULE_BASE_RANK1, RULE_BASE_CORANK1, RULE_BASE_RANK2,
 
 def matroid_digest(record: dict) -> str:
     """Short hash of a matroid's matroid-bases-v1 record (`Matroid.to_dict`)."""
+    # imported here: only `trace` hashes, and the import costs every CLI
+    # verb's start-up
+    import hashlib
     payload = json.dumps(record, separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splitmw
 from splitmw import SplitMWError, cli, matroid_from_dict
 from splitmw.graphs import multigraph_from_dict
 
@@ -49,6 +53,14 @@ class TestConstruct:
                                      "edges": [[0, 1], [1, 2], [2, 0]]}))
         doc = json.loads(construct(["--graphic", str(gfile)], monkeypatch, capsys))
         assert doc["rank"] == 2 and len(doc["bases"]) == 3
+
+    def test_wide_empty_basis_at_once(self, monkeypatch, capsys):
+        # one empty basis on 20,000 elements: no byte of the record's
+        # 2,500-byte slot holds an element, so none is looked up
+        start = time.perf_counter()
+        out = construct(["--uniform", "0,20000"], monkeypatch, capsys)
+        assert time.perf_counter() - start < 1
+        assert out == '{"format":"matroid-bases-v1","n":20000,"rank":0,"bases":[[]]}\n'
 
     def test_bad_parameters_exit_2(self, monkeypatch, capsys):
         code, _, err = run_cli(["construct", "--minimal", "9,4"],
@@ -359,3 +371,13 @@ def test_wide_inputs_answer_at_once(verb, reader, tmp_path):
         code, out, _, seconds = run_file(verb, dict(EDGE, vertices=10**6), path)
         assert (code, out) == (0, narrow)
         assert seconds < 1
+
+
+def test_cli_import_leaves_hashlib_out():
+    # only `trace` hashes, and importing hashlib costs every verb start-up
+    src = str(Path(splitmw.__file__).resolve().parent.parent)
+    check = "import sys, splitmw.cli; sys.exit('hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], check=False,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

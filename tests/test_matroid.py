@@ -385,20 +385,63 @@ class TestExchangeProperty:
     @given(st.data())
     def test_near_matroids(self, data):
         m = data.draw(st.sampled_from(NEAR_SOURCES))
-        family = set(m.bases)
-        if data.draw(st.booleans()):
-            outside = [mask_of(c) for c in combinations(range(m.n), m.rank)
-                       if mask_of(c) not in family]
-            if outside:
-                family.add(data.draw(st.sampled_from(outside)))
-        else:
-            for _ in range(data.draw(st.integers(1, 2))):
-                if len(family) > 1:
-                    family.discard(data.draw(st.sampled_from(sorted(family))))
-        agree_with_pairwise_oracle(Matroid(m.n, m.rank, family))
+        agree_with_pairwise_oracle(near_matroid(data, m))
+
+    @given(st.data())
+    def test_high_rank_near_matroids(self, data):
+        # rank above corank: the check runs on the complements of the bases
+        m = data.draw(st.sampled_from(HIGH_RANK_SOURCES))
+        agree_with_pairwise_oracle(near_matroid(data, m))
+
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("drop", [0, 1234, -1])
+    def test_wide_rank2_minus_one_basis(self, drop, dual):
+        m = rank2_from_partition([30, 20, 50])
+        family = set(m.bases) - {sorted(m.bases)[drop]}
+        near = Matroid(m.n, m.rank, family)
+        if dual:
+            near = near.dual()
+        with pytest.raises(ExchangeViolationError) as exc:
+            near.check_exchange()
+        err = exc.value
+        assert is_exchange_witness(near, err.basis1, err.basis2, err.element)
+
+    def test_loops_taken_out_of_the_corank(self):
+        # U(3,5) on the non-loops 0, 2, 3, 5, 6: its corank within them, 2,
+        # is below the rank, so the complements within them are checked,
+        # though n - rank is 4
+        support = [0, 2, 3, 5, 6]
+        family = {mask_of(c) for c in combinations(support, 3)}
+        assert agree_with_pairwise_oracle(Matroid(7, 3, family))
+        # without one basis it is still a matroid (sparse paving); without
+        # two that share two elements it is not
+        for b in family:
+            assert agree_with_pairwise_oracle(Matroid(7, 3, family - {b}))
+        for pair in combinations(sorted(family), 2):
+            near = Matroid(7, 3, family.difference(pair))
+            assert bits(near.loops()) == [1, 4]
+            accepted = agree_with_pairwise_oracle(near)
+            assert accepted == ((pair[0] & pair[1]).bit_count() < 2)
+
+
+def near_matroid(data, m):
+    """m with one r-set added or one or two bases removed."""
+    family = set(m.bases)
+    if data.draw(st.booleans()):
+        outside = [mask_of(c) for c in combinations(range(m.n), m.rank)
+                   if mask_of(c) not in family]
+        if outside:
+            family.add(data.draw(st.sampled_from(outside)))
+    else:
+        for _ in range(data.draw(st.integers(1, 2))):
+            if len(family) > 1:
+                family.discard(data.draw(st.sampled_from(sorted(family))))
+    return Matroid(m.n, m.rank, family)
 
 
 NEAR_SOURCES = [m for m in tutte_identity_corpus() if m.n <= 9]
+HIGH_RANK_SOURCES = [d for m in NEAR_SOURCES
+                     for d in (m, m.dual()) if d.rank > d.n - d.rank]
 
 
 def agree_with_pairwise_oracle(m) -> bool:
@@ -501,7 +544,8 @@ class TestPackedColumns:
                 contract_oracle(m, e)
 
     def test_records_do_not_share_lists(self):
-        for m in (minimal(2, 4), minimal(4, 9)):
+        # the last: one byte position of a wide slot holds every element
+        for m in (minimal(2, 4), minimal(4, 9), Matroid(70, 1, [1, 2, 4])):
             first = m.to_dict()
             for basis in first["bases"]:
                 basis.append(99)
@@ -513,6 +557,9 @@ class TestPackedColumns:
         uniform(1, 64), minimal(3, 64), with_loop_and_coloop(minimal(2, 63)),
         uniform(1, 65), minimal(2, 65), with_loop_and_coloop(minimal(3, 70)),
         minimal(4, 72), uniform(2, 73), rank2_from_partition([30, 20, 50]),
+        # byte positions that no basis touches: all of them, and all but
+        # the first and the last
+        uniform(0, 100), Matroid(100, 1, [1, 1 << 99]),
     ], ids=lambda m: f"n{m.n}-r{m.rank}-{len(m.bases)}")
     def test_wide_slots(self, m):
         assert m.to_dict() == to_dict_oracle(m)
