@@ -4,6 +4,13 @@ Computes Tutte polynomials by two independent engines, enumerates cyclic
 flats, recognizes split matroids, decides the three Merino-Welsh
 inequalities, and emits machine-checked certificate trees showing that
 concrete split matroids satisfy the multiplicative inequality.
+
+Importing the package loads only `errors`, `matroid` and `flats` (with
+`bitset`); every other public name is imported from its submodule on first
+use (PEP 562), so a CLI verb starts with only the code it runs.  `flats`
+stays eager because its function `flats` shares the submodule's name: the
+first import of `splitmw.flats` would otherwise rebind the package
+attribute to the module.
 """
 
 from .errors import (
@@ -29,20 +36,6 @@ from .flats import (
     is_paving,
     is_split,
 )
-from .graphs import (
-    Multigraph,
-    count_acyclic_orientations,
-    count_spanning_trees,
-    count_totally_cyclic_orientations,
-    multigraph_from_dict,
-)
-from .isomorphism import (
-    are_isomorphic,
-    certificate,
-    certificates_match,
-    is_minimal_matroid,
-    recognize_minimal,
-)
 from .matroid import (
     Matroid,
     from_bases,
@@ -52,32 +45,49 @@ from .matroid import (
     rank2_from_partition,
     uniform,
 )
-from .merino_welsh import (
-    MinimalFamilySummary,
-    MWReport,
-    Rank2Census,
-    check_mw,
-    minimal_family_suite,
-    rank2_census_partitions,
-    rank2_threshold_check,
-    verify_rank2_exhaustive,
-)
-from .prooftrace import (
-    BaseCaseClassification,
-    ProofNode,
-    ProofTrace,
-    classify_base_case,
-    no_clean_pivot,
-    to_dot,
-    trace,
-)
-from .tutte import (
-    TuttePolynomial,
-    TutteMemo,
-    set_memo_capacity,
-    tutte_dc,
-    tutte_from_dict,
-    tutte_subset_sum,
-)
 
 __version__ = "0.1.0"
+
+# submodule -> the public names it defines; the first three are bound above
+_EXPORTS = {
+    "errors": ("ClassificationFailureError", "ColoopsPresentError",
+               "EmptyBasesError", "ExchangeViolationError",
+               "ExhaustivenessFailureError", "InputError", "LimitExceededError",
+               "LoopsPresentError", "NotCleanInputError", "NotSplitError",
+               "SplitMWError", "WrongBasisSizeError"),
+    "flats": ("CyclicFlatReport", "cyclic_flats", "flats", "is_connected_split",
+              "is_copaving", "is_paving", "is_split"),
+    "matroid": ("Matroid", "from_bases", "graphic", "matroid_from_dict",
+                "minimal", "rank2_from_partition", "uniform"),
+    "graphs": ("Multigraph", "count_acyclic_orientations",
+               "count_spanning_trees", "count_totally_cyclic_orientations",
+               "multigraph_from_dict"),
+    "isomorphism": ("are_isomorphic", "certificate", "certificates_match",
+                    "is_minimal_matroid", "recognize_minimal"),
+    "merino_welsh": ("MinimalFamilySummary", "MWReport", "Rank2Census",
+                     "check_mw", "minimal_family_suite",
+                     "rank2_census_partitions", "rank2_threshold_check",
+                     "verify_rank2_exhaustive"),
+    "prooftrace": ("BaseCaseClassification", "ProofNode", "ProofTrace",
+                   "classify_base_case", "no_clean_pivot", "to_dot", "trace"),
+    "tutte": ("TuttePolynomial", "TutteMemo", "set_memo_capacity", "tutte_dc",
+              "tutte_from_dict", "tutte_subset_sum"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

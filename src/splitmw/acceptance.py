@@ -11,7 +11,7 @@ import io
 import json
 import time
 from contextlib import redirect_stdout
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import corpus
 from .errors import ClassificationFailureError
@@ -160,8 +160,7 @@ def _criterion_9() -> tuple[bool, str]:
     return True, "fixtures classified correctly, nested chain reported"
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -16,13 +16,6 @@ import sys
 from . import tutte as tutte_mod
 from .errors import ClassificationFailureError, InputError, SplitMWError, check_size
 from .flats import cyclic_flats, is_split
-from .graphs import (
-    Multigraph,
-    count_acyclic_orientations,
-    count_spanning_trees,
-    count_totally_cyclic_orientations,
-    multigraph_from_dict,
-)
 from .matroid import (
     Matroid,
     graphic,
@@ -31,8 +24,21 @@ from .matroid import (
     rank2_from_partition,
     uniform,
 )
-from .merino_welsh import check_mw, verify_rank2_exhaustive
-from .prooftrace import to_dot, trace
+
+# Each verb imports only what it runs: `merino_welsh`, `prooftrace` and
+# `graphs` load on first use, here and in the handlers below.
+
+
+def check_mw(m: Matroid):
+    """`merino_welsh.check_mw`, imported on first call."""
+    from . import merino_welsh
+    return merino_welsh.check_mw(m)
+
+
+def trace(m: Matroid):
+    """`prooftrace.trace`, imported on first call."""
+    from . import prooftrace
+    return prooftrace.trace(m)
 
 
 def _dumps(obj) -> str:
@@ -60,7 +66,8 @@ def _load_matroid(path: str, work: str) -> Matroid:
     return matroid_from_dict(record)
 
 
-def _load_multigraph(path: str) -> Multigraph:
+def _load_multigraph(path: str):
+    from .graphs import multigraph_from_dict
     return multigraph_from_dict(_read_json(path))
 
 
@@ -134,6 +141,8 @@ def _cmd_is_split(args) -> int:
 
 
 def _cmd_enumerate_rank2(args) -> int:
+    from .merino_welsh import verify_rank2_exhaustive
+
     ok = True
     for census in verify_rank2_exhaustive(args.max_n):
         for partition, report in zip(census.partitions, census.reports):
@@ -148,6 +157,7 @@ def _cmd_enumerate_rank2(args) -> int:
 def _cmd_trace(args) -> int:
     t = trace(_load_matroid(args.input, "trace"))
     if args.dot:
+        from .prooftrace import to_dot
         print(to_dot(t))
     else:
         print(_dumps(t.to_dict()))
@@ -155,6 +165,12 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .graphs import (
+        count_acyclic_orientations,
+        count_spanning_trees,
+        count_totally_cyclic_orientations,
+    )
+
     g = _load_multigraph(args.input)
     record = {
         "format": "orientation-oracle-v1",

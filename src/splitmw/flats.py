@@ -22,7 +22,7 @@ per matroid and shared by `cyclic_flats`, `is_connected_split` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitset import bits, element_masks, members, popcount_classes
 from .errors import check_size
@@ -132,8 +132,7 @@ def is_copaving(m: Matroid) -> bool:
     return is_paving(m.dual())
 
 
-@dataclass(frozen=True)
-class CyclicFlatReport:
+class CyclicFlatReport(NamedTuple):
     """All cyclic flats of a matroid plus the derived classifications."""
 
     n: int

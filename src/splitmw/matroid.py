@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable
 from functools import reduce
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from math import comb
 from operator import and_, or_
 
@@ -405,10 +405,15 @@ class Matroid:
             # b2 - b1 = {c, d}, (support - b2) - f + c is the complement of
             # b1 - e + d, and (support - b2) - f + d that of b1 - e + c, so
             # f has no exchange from support - b2 toward support - b1.  A
-            # closest pair across a cut stays one, and any element of its
-            # difference is a witness.
+            # witness further apart lies across a cut of the basis graph,
+            # which complements keep too, so the walk is redone on the
+            # bases themselves.
             rest = (b1 & ~b2) ^ (1 << e)
-            b1, b2, e = support ^ b2, support ^ b1, (rest & -rest).bit_length() - 1
+            b1, b2 = support ^ b2, support ^ b1
+            if rest.bit_count() == 1:
+                e = rest.bit_length() - 1
+            else:
+                b1, b2, e = _walk_witness(self.bases, b1, b2)
         raise ExchangeViolationError(bits(b1), bits(b2), e)
 
     # -- serialization ---------------------------------------------------
@@ -484,12 +489,28 @@ def _exchange_witness(family) -> tuple[int, int, int] | None:
                     stack.append(nb)
     if len(reached) == len(family):
         return None
-    # The closest pair across the cut is a witness: a member b1 - e + f
-    # with f in b2 would be a neighbour of b1, so reached, and closer to b2.
-    rest_of_family = sorted(family - reached)
-    b1, b2 = min(((x, y) for x in sorted(reached) for y in rest_of_family),
-                 key=lambda p: (p[0] & ~p[1]).bit_count())
-    return b1, b2, bits(b1 & ~b2)[0]
+    return _walk_witness(family, start, min(family - reached))
+
+
+def _walk_witness(family, b1: int, b2: int) -> tuple[int, int, int]:
+    """A witness of failed exchange between members b1 and b2 that lie in
+    different components of the basis graph: walk b1 toward b2, one swap
+    b1 - e + f (e in b1 - b2, f in b2 - b1) at a time.  Each step stays in
+    b1's component and comes one closer to b2, which it never reaches, so
+    within r steps some e has no such f, and (b1, b2, e) is the witness."""
+    while True:
+        away = b1 & ~b2
+        e = away & -away
+        base = b1 ^ e
+        toward = b2 & ~b1
+        while toward:
+            f = toward & -toward
+            toward ^= f
+            if base | f in family:
+                b1 = base | f
+                break
+        else:
+            return b1, b2, e.bit_length() - 1
 
 
 def _link_witness(z: int, vertices: int, ext: dict) -> tuple[int, int, int]:
@@ -538,9 +559,44 @@ def from_bases(n: int, rank: int, bases: Iterable[Iterable[int]]) -> Matroid:
     ranges, distinctness, and the exchange axiom."""
     require_int("n", n)
     require_int("rank", rank)
+    rows = list(map(tuple, bases))
+    masks = _record_masks(n, rank, rows)
+    if masks is None:
+        masks = _checked_masks(n, rows)
+    m = Matroid(n, rank, masks)
+    m.check_exchange()
+    return m
+
+
+def _record_masks(n: int, rank: int, rows: list[tuple]) -> set[int] | None:
+    """The masks of `rows` in whole-record passes, or None unless every row
+    holds `rank` distinct ints of range(n) and no two rows are equal.
+
+    The rows are read off the flat element list `rank` at a time, each as
+    a sum of powers of two looked up per element; the powers are distinct
+    iff the sum has one bit per element."""
+    elements = list(chain.from_iterable(rows))
+    if not (rank > 0 and {*map(len, rows)} == {rank}
+            and {*map(type, elements)} == {int}):
+        return None
+    values = set(elements)
+    if min(values) < 0 or max(values) >= n:
+        return None
+    power = {e: 1 << e for e in values}
+    masks = list(map(sum, zip(*[map(power.__getitem__, elements)] * rank)))
+    family = set(masks)
+    if len(family) != len(masks) or {*map(int.bit_count, family)} != {rank}:
+        return None
+    return family
+
+
+def _checked_masks(n: int, rows: list[tuple]) -> set[int]:
+    """The masks of `rows`, checked one element at a time; raises
+    InputError at the first bad element, repeated element or repeated
+    basis.  Run when `_record_masks` declines, so that every error names
+    the first offender."""
     masks = set()
-    for b in bases:
-        subset = tuple(b)
+    for subset in rows:
         for e in subset:
             require_int("element", e)
             if not 0 <= e < n:
@@ -551,9 +607,7 @@ def from_bases(n: int, rank: int, bases: Iterable[Iterable[int]]) -> Matroid:
         if mask in masks:
             raise InputError(f"basis {bits(mask)} is listed more than once")
         masks.add(mask)
-    m = Matroid(n, rank, masks)
-    m.check_exchange()
-    return m
+    return masks
 
 
 def uniform(k: int, n: int) -> Matroid:

@@ -19,18 +19,15 @@ astronomically many labeled families, without changing any verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import check_size
-from .flats import is_split
-from .isomorphism import certificates_match
 from .matroid import Matroid, minimal, rank2_from_partition
 from .tutte import tutte_dc, tutte_subset_sum
 
 
-@dataclass(frozen=True)
-class MWReport:
+class MWReport(NamedTuple):
     """The three Tutte evaluations and the verdicts for each inequality."""
 
     n: int
@@ -103,8 +100,7 @@ def rank2_census_partitions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class Rank2Census:
+class Rank2Census(NamedTuple):
     n: int
     partitions: tuple[tuple[int, ...], ...]
     reports: tuple[MWReport, ...]
@@ -141,8 +137,7 @@ def rank2_threshold_check(n: int) -> bool:
 
 # -- closed-form family suite ----------------------------------------------
 
-@dataclass(frozen=True)
-class MinimalFamilyRow:
+class MinimalFamilyRow(NamedTuple):
     k: int
     n: int
     bases_ok: bool
@@ -157,8 +152,7 @@ class MinimalFamilyRow:
                 and self.split_ok and self.mult_ok)
 
 
-@dataclass(frozen=True)
-class MinimalFamilySummary:
+class MinimalFamilySummary(NamedTuple):
     rows: tuple[MinimalFamilyRow, ...]
     all_ok: bool
 
@@ -167,6 +161,9 @@ def minimal_family_suite(k_max: int, n_max: int) -> MinimalFamilySummary:
     """Check the minimal matroids T_{k,n} for 1 <= k <= min(k_max, n-1),
     n <= n_max: basis count k(n-k)+1, dual certificate matches T_{n-k,n},
     connectivity, split classification, and the multiplicative inequality."""
+    from .flats import is_split
+    from .isomorphism import certificates_match
+
     if n_max > 14:
         raise ValueError("n_max above 14 is past the intended desk scale")
     rows = []

@@ -19,7 +19,7 @@ concrete instance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     ClassificationFailureError,
@@ -53,14 +53,13 @@ def matroid_digest(record: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class ProofNode:
+class ProofNode(NamedTuple):
     """One step of a certificate tree.  `record` is the matroid's
     matroid-bases-v1 record, built once for the digest and shared by
-    `to_dict`."""
+    `to_dict`; it holds a dict, so nodes compare but do not hash."""
 
     matroid: Matroid
-    record: dict = field(compare=False, repr=False)
+    record: dict
     digest: str
     rule: str
     mw: MWReport
@@ -84,8 +83,7 @@ class ProofNode:
                 "children": [c.to_dict() for c in self.children]}
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(NamedTuple):
     root: ProofNode
     verified: bool
 
@@ -132,8 +130,7 @@ def no_clean_pivot(m: Matroid) -> bool:
     return _clean_pivot(m) is None
 
 
-@dataclass(frozen=True)
-class BaseCaseClassification:
+class BaseCaseClassification(NamedTuple):
     kind: str  # "rank-or-corank-at-most-2" | "minimal" | "both"
     minimal_kn: tuple[int, int] | None = None
 

@@ -144,11 +144,10 @@ class TestPipelines:
         assert json.loads(out)["coeffs"] == [["0", "1", "1"], ["1", "0", "0"]]
 
     def test_unverified_trace_exits_1(self, monkeypatch, capsys):
-        import dataclasses
-        from splitmw import trace as real_trace
+        from splitmw import ProofTrace, trace as real_trace
 
         def fake_trace(m):
-            return dataclasses.replace(real_trace(m), verified=False)
+            return ProofTrace(real_trace(m).root, verified=False)
 
         monkeypatch.setattr(cli, "trace", fake_trace)
         doc = construct(["--minimal", "4,7"], monkeypatch, capsys)
@@ -373,11 +372,38 @@ def test_wide_inputs_answer_at_once(verb, reader, tmp_path):
         assert seconds < 1
 
 
-def test_cli_import_leaves_hashlib_out():
-    # only `trace` hashes, and importing hashlib costs every verb start-up
+# what a verb that does not run it must not pay for at start-up
+UNUSED_AT_START = {"dataclasses", "hashlib", "splitmw.graphs", "splitmw.isomorphism",
+                   "splitmw.merino_welsh", "splitmw.prooftrace",
+                   "splitmw.acceptance", "splitmw.corpus"}
+
+
+def modules_added(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `code` that it
+    did not hold before (so site hooks of the host do not count)."""
     src = str(Path(splitmw.__file__).resolve().parent.parent)
-    check = "import sys, splitmw.cli; sys.exit('hashlib' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", check], check=False,
+    script = ("import sys\nbefore = set(sys.modules)\n" + code
+              + "\nprint(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", script], check=False,
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_import_leaves_unused_modules_out():
+    assert modules_added("import splitmw.cli") & UNUSED_AT_START == set()
+
+
+@pytest.mark.parametrize("verb, loads", [
+    ("tutte", set()), ("is-split", set()), ("cyclic-flats", set()),
+    ("check-mw", {"splitmw.merino_welsh"}),
+    ("trace", {"hashlib", "splitmw.isomorphism", "splitmw.merino_welsh",
+               "splitmw.prooftrace"})])
+def test_file_verb_loads_only_what_it_runs(verb, loads, tmp_path):
+    path = tmp_path / "t47.json"
+    path.write_text(json.dumps(splitmw.minimal(4, 7).to_dict()))
+    code = ("import contextlib, io\nfrom splitmw.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main([{verb!r}, {str(path)!r}]) == 0")
+    assert modules_added(code) & UNUSED_AT_START == loads

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from splitmw import (
     LimitExceededError,
     Matroid,
     Multigraph,
+    SplitMWError,
     WrongBasisSizeError,
     from_bases,
     graphic,
@@ -27,7 +29,7 @@ from splitmw.corpus import (
     tutte_identity_corpus,
     uniform_matroids,
 )
-from splitmw.errors import SIZE_LIMITS
+from splitmw.errors import SIZE_LIMITS, require_int
 from splitmw.flats import is_paving
 
 from conftest import (
@@ -92,6 +94,31 @@ class TestConstructors:
     def test_from_bases_rejects_malformed(self, n, rank, bases):
         with pytest.raises(InputError):
             from_bases(n, rank, bases)
+
+    @pytest.mark.parametrize("bases, message", [
+        ([[0, 1], [1, 2], [2, True]], "element must be an integer, got True"),
+        ([[0, 1], [0, 5], [1, 2.0]], "element 5 outside ground set of size 4"),
+        ([[0, 1], [2, -1], [1, "x"]], "element -1 outside ground set of size 4"),
+        ([[0, 1], [1, 1], [7, 1]], "basis [1, 1] repeats an element"),
+        ([[0, 1], [1, 0], [0, 9]], "basis [0, 1] is listed more than once"),
+        ([[0, 1], [1, 2], [3, 3, 0]], "basis [3, 3, 0] repeats an element"),
+        # only ints, and every basis of size 2
+        ([[0, 1], [2, -1], [1, 3]], "element -1 outside ground set of size 4"),
+        ([[0, 1], [1, 2], [3, 4]], "element 4 outside ground set of size 4"),
+        ([[0, 1], [2, 2], [1, 3]], "basis [2, 2] repeats an element"),
+        ([[0, 1], [2, 1], [1, 2]], "basis [1, 2] is listed more than once"),
+    ])
+    def test_from_bases_names_the_first_offender(self, bases, message):
+        with pytest.raises(InputError) as exc:
+            from_bases(4, 2, bases)
+        assert str(exc.value) == message
+
+    @given(st.integers(0, 5), st.integers(0, 3),
+           st.lists(st.lists(st.one_of(st.integers(-1, 5), st.sampled_from(
+               [True, False, 1.0, "1", None])), max_size=3), max_size=6))
+    def test_from_bases_agrees_with_the_element_loop(self, n, rank, bases):
+        assert outcome(from_bases, n, rank, bases) == \
+            outcome(reference_from_bases, n, rank, bases)
 
     def test_uniform_small(self):
         assert uniform(1, 2).bases == frozenset({0b01, 0b10})
@@ -406,6 +433,42 @@ class TestExchangeProperty:
         err = exc.value
         assert is_exchange_witness(near, err.basis1, err.basis2, err.element)
 
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("k, n", [(6, 12), (7, 14)])
+    def test_disjoint_uniform_copies(self, k, n, dual):
+        # every link is complete multipartite but the basis graph has two
+        # components: the witness comes from a walk between them, not from
+        # a search over all pairs (3 s for U(7,14) that way)
+        u = uniform(k, n)
+        m = Matroid(2 * n, k, set(u.bases) | {b << n for b in u.bases})
+        if dual:
+            m = m.dual()    # the complements are checked, the walk redone
+        start = time.perf_counter()
+        with pytest.raises(ExchangeViolationError) as exc:
+            m.check_exchange()
+        assert time.perf_counter() - start < 1
+        err = exc.value
+        assert is_exchange_witness(m, err.basis1, err.basis2, err.element)
+
+    @pytest.mark.parametrize("n, complements", [
+        # two sets, and U(4,6) on 1,2,3,6,7,8 with 2 parallel to 3: the walk
+        # stops at 0345, 1267 and 0, and 1267 - 2 + 3 is a member too
+        (9, [(0, 3, 4, 5), (0, 4, 5, 7)]
+         + [c for c in combinations([1, 2, 3, 6, 7, 8], 4) if not {2, 3} <= set(c)]),
+        # U(4,5) on 1,2,4,5,9, and U(4,6) on 0,3,5,6,7,8 with 3 parallel to
+        # 5: the walk stops at 1245, 0367 and 1, and 0367 - 3 + 5 is a member
+        (10, list(combinations([1, 2, 4, 5, 9], 4))
+         + [c for c in combinations([0, 3, 5, 6, 7, 8], 4) if not {3, 5} <= set(c)]),
+    ])
+    def test_cut_witness_of_the_complements(self, n, complements):
+        # rank n - 4 is above half of n, so the complements are checked.
+        # They fall into two components, and for the walk's witness
+        # (b1, b2, e), another element of b1 - b2 gives no witness for the
+        # bases themselves
+        full = (1 << n) - 1
+        m = Matroid(n, n - 4, {full ^ mask_of(c) for c in complements})
+        assert not agree_with_pairwise_oracle(m)
+
     def test_loops_taken_out_of_the_corank(self):
         # U(3,5) on the non-loops 0, 2, 3, 5, 6: its corank within them, 2,
         # is below the rank, so the complements within them are checked,
@@ -422,6 +485,40 @@ class TestExchangeProperty:
             assert bits(near.loops()) == [1, 4]
             accepted = agree_with_pairwise_oracle(near)
             assert accepted == ((pair[0] & pair[1]).bit_count() < 2)
+
+
+def reference_from_bases(n, rank, bases):
+    """`from_bases` as one loop over the elements in record order."""
+    require_int("n", n)
+    require_int("rank", rank)
+    masks = set()
+    for b in bases:
+        for e in b:
+            require_int("element", e)
+            if not 0 <= e < n:
+                raise InputError(f"element {e} outside ground set of size {n}")
+        mask = mask_of(b)
+        if mask.bit_count() != len(b):
+            raise InputError(f"basis {list(b)} repeats an element")
+        if mask in masks:
+            raise InputError(f"basis {bits(mask)} is listed more than once")
+        masks.add(mask)
+    m = Matroid(n, rank, masks)
+    m.check_exchange()
+    return m
+
+
+def outcome(read, n, rank, bases):
+    """What `read` gives: the matroid's fields, or the error and its
+    message (the witness of an exchange error may differ between calls of
+    the same check, so only its type is kept)."""
+    try:
+        m = read(n, rank, bases)
+    except ExchangeViolationError as exc:
+        return type(exc)
+    except (SplitMWError, ValueError) as exc:
+        return type(exc), str(exc)
+    return m.n, m.rank, m.bases
 
 
 def near_matroid(data, m):
