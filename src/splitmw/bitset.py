@@ -233,26 +233,51 @@ def _byte_elements(j: int) -> tuple[list[int], ...]:
     return tuple([8 * j + i for i in range(8) if b >> i & 1] for b in range(256))
 
 
-def element_lists(raw: bytes, n: int) -> list[list[int]]:
-    """The ascending element list of each slot's mask (slots of n-bit masks,
-    see `to_slots`), as new lists: each byte looked up in a per-byte table,
-    the pieces joined by C-level maps.  Byte positions that are zero in
-    every slot add nothing and are skipped."""
+@lru_cache(maxsize=8)
+def _byte_text(j: int) -> tuple[str, ...]:
+    """For each byte value, the text ",e1,e2,..." of the elements its set
+    bits stand for when it is byte j of a mask."""
+    return tuple("".join(f",{e}" for e in elements)
+                 for elements in _byte_elements(j))
+
+
+def _byte_pieces(raw: bytes, n: int, table):
+    """(each slot's pieces joined, how many byte positions were joined) for
+    the slots of n-bit masks: each byte j looked up in table(j), the pieces
+    added by C-level maps.  Byte positions that are zero in every slot add
+    nothing and are skipped; with none left, the first item is None."""
     width = slot_width(n)
-    lists = None
-    joined = 0
+    joined = None
+    count = 0
     for j in range((n + 7) >> 3):
         column = raw[j if sys.byteorder == "little" else width - 1 - j::width]
         if column.count(0) == len(column):
             continue
-        piece = map(_byte_elements(j).__getitem__, column)
-        lists = piece if lists is None else map(add, lists, piece)
-        joined += 1
+        piece = map(table(j).__getitem__, column)
+        joined = piece if joined is None else map(add, joined, piece)
+        count += 1
+    return joined, count
+
+
+def element_lists(raw: bytes, n: int) -> list[list[int]]:
+    """The ascending element list of each slot's mask (slots of n-bit masks,
+    see `to_slots`), as new lists, through per-byte tables of lists."""
+    lists, joined = _byte_pieces(raw, n, _byte_elements)
     if lists is None:
-        return [[] for _ in range(len(raw) // width)]
+        return [[] for _ in range(len(raw) // slot_width(n))]
     if joined == 1:
         lists = map(list.copy, lists)   # not the table's own lists
     return list(lists)
+
+
+def element_text(raw: bytes, n: int) -> str:
+    """`json.dumps(element_lists(raw, n), separators=(",", ":"))`, written
+    through per-byte tables of text instead of lists: each slot's pieces
+    ",e1,e2,..." are joined by "],[" and the comma after each "[" dropped."""
+    texts, _ = _byte_pieces(raw, n, _byte_text)
+    if texts is None:
+        return "[" + ",".join(["[]"] * (len(raw) // slot_width(n))) + "]"
+    return ("[[" + "],[".join(texts) + "]]").replace("[,", "[")
 
 
 def spread(table: int, n: int) -> bytes:

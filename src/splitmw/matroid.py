@@ -10,10 +10,12 @@ Conventions used throughout the package:
   * Family-level queries read the packed columns (`Matroid.columns`, see
     `bitset`), built once per matroid: parallel classes are disjoint
     columns, and the families of minors (`delete`/`contract`/`restrict`)
-    are one relabeling of the kept columns, unpacked in C.  Loops and
-    coloops are one C-level OR or AND over the family.  Records
-    (`to_dict`) sort the masks as ints and write each through per-byte
-    element tables.
+    are one relabeling of the kept columns, unpacked in C; a minor's
+    family is valid by construction, so it skips the constructor's
+    per-basis checks.  Loops and coloops are one C-level OR or AND over
+    the family.  Records (`to_dict`, and their canonical JSON text
+    `record_json`) sort the masks as ints once and write each through
+    per-byte tables.
   * Whole-table queries (independence and rank tables, rank levels,
     circuits) hold one bit per subset in a 2^n-bit int and close it under
     inclusion with n shift/AND/OR passes (see `bitset`): about n*(r+2)
@@ -44,6 +46,7 @@ from .bitset import (
     down_closure,
     element_lists,
     element_masks,
+    element_text,
     lex_order,
     mask_of,
     members,
@@ -72,8 +75,9 @@ class Matroid:
 
     The constructor performs only cheap structural checks (sizes, ranges,
     non-emptiness); it trusts the caller that the family satisfies basis
-    exchange.  Use `from_bases` for untrusted input -- it additionally runs
-    the exchange check -- or call `check_exchange()` explicitly.  The check
+    exchange.  Minors, valid by construction, skip even those (`_trusted`).
+    Use `from_bases` for untrusted input -- it additionally runs the
+    exchange check -- or call `check_exchange()` explicitly.  The check
     is local (Maurer's criterion): the basis graph is connected and the
     link of every (r-2)-set is complete multipartite, in O(|B|*k^2) dict
     operations, k = min(r, n-r).
@@ -96,11 +100,24 @@ class Matroid:
                 raise WrongBasisSizeError(
                     f"basis {tuple(bits(b))} has {b.bit_count()} elements, "
                     f"expected rank {rank}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "element_map", element_map)
-        object.__setattr__(self, "_cache", {})
+        self._fill(n, rank, bases, element_map)
+
+    def _fill(self, n, rank, bases, element_map):
+        set_slot = object.__setattr__
+        set_slot(self, "n", n)
+        set_slot(self, "rank", rank)
+        set_slot(self, "bases", bases)
+        set_slot(self, "element_map", element_map)
+        set_slot(self, "_cache", {})
+
+    @classmethod
+    def _trusted(cls, n: int, rank: int, bases: Iterable[int],
+                 element_map: tuple[int, ...] | None = None) -> Matroid:
+        """A matroid whose family is valid by construction (a minor of a
+        matroid), without the constructor's per-basis range and size loop."""
+        m = object.__new__(cls)
+        m._fill(n, rank, frozenset(bases), element_map)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matroid instances are immutable")
@@ -324,18 +341,23 @@ class Matroid:
 
     def _minor(self, e: int, contract: bool) -> Matroid:
         """M\\e or M/e, from the bases without e and the bases with e
-        (`bitset.minor_families`); if one side is empty, e is a loop or a
-        coloop, and both minors are the other side."""
+        (`bitset.minor_families`, split once per element and shared by
+        both minors); if one side is empty, e is a loop or a coloop, and
+        both minors are the other side."""
         if not 0 <= e < self.n:
             raise IndexError(f"element {e} out of range for n={self.n}")
-        cols, ones, width = self.columns()
-        without, with_e = minor_families(cols, e, ones, len(self.bases), width)
+        split = self._cache.get(("split", e))
+        if split is None:
+            cols, ones, width = self.columns()
+            split = minor_families(cols, e, ones, len(self.bases), width)
+            self._cache[("split", e)] = split
+        without, with_e = split
         if with_e and (contract or not without):
             rank, family = self.rank - 1, with_e
         else:
             rank, family = self.rank, without
         emap = tuple(i for i in range(self.n) if i != e)
-        return Matroid(self.n - 1, rank, family, element_map=emap)
+        return Matroid._trusted(self.n - 1, rank, family, emap)
 
     def delete(self, e: int) -> Matroid:
         """Delete element e; ground set reindexed, mapping in element_map."""
@@ -355,7 +377,7 @@ class Matroid:
         sizes = list(map(int.bit_count, inter))
         r = max(sizes)
         new_bases = compress(inter, map(r.__eq__, sizes))
-        return Matroid(len(kept), r, new_bases, element_map=kept)
+        return Matroid._trusted(len(kept), r, new_bases, kept)
 
     def dual(self) -> Matroid:
         """Matroid whose bases are the complements of this one's bases."""
@@ -418,16 +440,30 @@ class Matroid:
 
     # -- serialization ---------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """matroid-bases-v1 record, in canonical order (bases sorted
-        ascending within, lexicographically across).
+    def _lex_slots(self) -> bytes:
+        """The bases' slots in the record's order, sorted once.
 
         All bases have `rank` elements, and for lists of equal length
         lexicographic order is descending order of the bit-reversed masks
-        (see `bitset.lex_order`), so the masks are sorted as ints and each
-        is then written out through per-byte element tables."""
+        (see `bitset.lex_order`), so the masks are sorted as ints."""
+        cached = self._cache.get("lex")
+        if cached is None:
+            cached = self._cache["lex"] = lex_order(self.bases, self.n)
+        return cached
+
+    def to_dict(self) -> dict:
+        """matroid-bases-v1 record, in canonical order (bases sorted
+        ascending within, lexicographically across), each basis written
+        out through per-byte element tables."""
         return {"format": "matroid-bases-v1", "n": self.n, "rank": self.rank,
-                "bases": element_lists(lex_order(self.bases, self.n), self.n)}
+                "bases": element_lists(self._lex_slots(), self.n)}
+
+    def record_json(self) -> str:
+        """`json.dumps(self.to_dict(), separators=(",", ":"),
+        sort_keys=True)`, written from the same slots through per-byte
+        tables of text, with no record built and no JSON encoder run."""
+        return (f'{{"bases":{element_text(self._lex_slots(), self.n)},'
+                f'"format":"matroid-bases-v1","n":{self.n},"rank":{self.rank}}}')
 
 
 def _exchange_witness(family) -> tuple[int, int, int] | None:

@@ -10,6 +10,12 @@ inequality verdict from scratch -- nothing is propagated from children -- so
 a verified trace is an independent check of the argument, not a replay of
 trust.
 
+Each distinct minor is checked once per trace: a matroid equal to one
+already built (same size, rank and bases, whatever its `element_map`)
+shares that node, with its pivot, children, record and verdict, so a
+direct sum of equal components or a minor reached along two pivot orders
+costs one subtree.  The output is the same tree, node for node.
+
 A connected split matroid in which *no* element admits a clean pivot must
 be one of the base cases; `classify_base_case` checks exactly that and
 raising `ExhaustivenessFailureError` would refute the classification on a
@@ -18,7 +24,6 @@ concrete instance.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .errors import (
@@ -44,19 +49,20 @@ BASE_RULES = frozenset({RULE_BASE_RANK1, RULE_BASE_CORANK1, RULE_BASE_RANK2,
                         RULE_BASE_CORANK2, RULE_BASE_MINIMAL})
 
 
-def matroid_digest(record: dict) -> str:
-    """Short hash of a matroid's matroid-bases-v1 record (`Matroid.to_dict`)."""
+def matroid_digest(m: Matroid) -> str:
+    """Short hash of a matroid's matroid-bases-v1 record: the sha256 of its
+    compact, key-sorted JSON text, written by `Matroid.record_json`."""
     # imported here: only `trace` hashes, and the import costs every CLI
     # verb's start-up
     import hashlib
-    payload = json.dumps(record, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return hashlib.sha256(m.record_json().encode()).hexdigest()[:16]
 
 
 class ProofNode(NamedTuple):
     """One step of a certificate tree.  `record` is the matroid's
-    matroid-bases-v1 record, built once for the digest and shared by
-    `to_dict`; it holds a dict, so nodes compare but do not hash."""
+    matroid-bases-v1 record, built once and shared by `to_dict` and by
+    every node of the trace with an equal matroid; it holds a dict, so
+    nodes compare but do not hash."""
 
     matroid: Matroid
     record: dict
@@ -172,13 +178,26 @@ def _base_rule(rank: int, corank: int) -> str | None:
     return None
 
 
-def _build(m: Matroid) -> ProofNode:
+def _build(m: Matroid, built: dict) -> ProofNode:
+    """The node of m, built once per distinct matroid of the trace: `built`
+    maps each matroid built so far to its node.  A repeat shares that node,
+    relabeled by `_replace` when its `element_map` differs."""
+    node = built.get(m)
+    if node is not None:
+        if node.matroid.element_map != m.element_map:
+            node = node._replace(matroid=m)
+        return node
+    node = built[m] = _new_node(m, built)
+    return node
+
+
+def _new_node(m: Matroid, built: dict) -> ProofNode:
     mw = check_mw(m)
     record = m.to_dict()
-    digest = matroid_digest(record)
+    digest = matroid_digest(m)
     comps = m.components()
     if len(comps) != 1:
-        children = tuple(_build(m.restrict(c)) for c in comps)
+        children = tuple(_build(m.restrict(c), built) for c in comps)
         return ProofNode(m, record, digest, RULE_DIRECT_SUM, mw, children)
     rank, corank = m.rank, m.n - m.rank
     rule = _base_rule(rank, corank)
@@ -191,7 +210,7 @@ def _build(m: Matroid) -> ProofNode:
     if e is None:
         # would contradict the base-case classification; abort loudly
         raise ClassificationFailureError(m)
-    children = (_build(m.delete(e)), _build(m.contract(e)))
+    children = (_build(m.delete(e), built), _build(m.contract(e), built))
     return ProofNode(m, record, digest, RULE_DELETE_CONTRACT, mw, children,
                      element=e)
 
@@ -207,7 +226,7 @@ def trace(m: Matroid) -> ProofTrace:
         raise NotSplitError(
             f"trace requires a split matroid; {m!r} has nested or multiple "
             f"non-uniform structure")
-    root = _build(m)
+    root = _build(m, {})
     verified = all(node.mw.mult_ok for node in root.walk())
     return ProofTrace(root=root, verified=verified)
 

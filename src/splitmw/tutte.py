@@ -313,16 +313,17 @@ def _key_and_pivot(cols: list[int], count: int, width: int):
     return (n, tuple(sorted(relabeled))), size.index(max(size))
 
 
-def _dc(n: int, bases, memo: TutteMemo) -> TuttePolynomial:
+def _dc(n: int, bases, memo: TutteMemo, view=None) -> TuttePolynomial:
     """T of the matroid on n elements with these bases (a sized iterable of
-    masks, in any order)."""
+    masks, in any order); `view`, if given, returns their columns as
+    `bitset.column_view` would."""
     count = len(bases)
     k = next(iter(bases)).bit_count()
     if count == comb(n, k):
         # every k-subset, so no columns are needed: U(k,n) has no loop or
         # coloop unless k is 0 or n, where the closed form is y^n or x^n
         return _uniform_tutte(k, n)
-    cols, ones, width = column_view(n, bases)
+    cols, ones, width = view() if view else column_view(n, bases)
     cols, ncoloops, nloops = _strip(cols, ones)
     n, k = len(cols), k - ncoloops
     if count == comb(n, k):
@@ -340,7 +341,11 @@ def _dc(n: int, bases, memo: TutteMemo) -> TuttePolynomial:
 
 
 def tutte_dc(m: Matroid, memo: TutteMemo | None = None) -> TuttePolynomial:
+    """T by deletion-contraction, up to the "deletion-contraction" size
+    limit.  Past the closed form for a uniform matroid, the root reads the
+    matroid's own columns (`Matroid.columns`), which its minors and the
+    trace's pivot search read too."""
     check_size("deletion-contraction", m.n)
     if memo is None:
         memo = _global_memo
-    return _dc(m.n, m.bases, memo)
+    return _dc(m.n, m.bases, memo, m.columns)

@@ -7,6 +7,8 @@ cross-check rather than the same computation twice.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import combinations, permutations
 from math import comb
 
@@ -21,6 +23,17 @@ from splitmw.corpus import (
     figure_minimal_graph,
     k4_graph,
     tutte_identity_corpus,
+)
+from splitmw.isomorphism import recognize_minimal
+from splitmw.merino_welsh import check_mw
+from splitmw.prooftrace import (
+    RULE_BASE_MINIMAL,
+    RULE_DELETE_CONTRACT,
+    RULE_DIRECT_SUM,
+    ProofNode,
+    ProofTrace,
+    _base_rule,
+    _clean_pivot,
 )
 from splitmw.tutte import TuttePolynomial, _uniform_tutte
 
@@ -452,3 +465,41 @@ def cyclic_flats_oracle(m) -> list[tuple[int, int]]:
     table = rank_table_oracle(m)
     return [(f, table[f]) for f in flats_oracle(m)
             if all(table[f ^ (1 << e)] == table[f] for e in bits(f))]
+
+
+# -- certificate trees, every node built afresh -------------------------------
+
+def digest_oracle(record: dict) -> str:
+    """The first 16 hex digits of the sha256 of the record's compact,
+    key-sorted JSON dump."""
+    payload = json.dumps(record, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def build_oracle(m) -> ProofNode:
+    """The certificate node of m with every minor built, checked and
+    recorded again wherever it occurs: no node is shared, and each digest
+    is a JSON dump of the record."""
+    mw = check_mw(m)
+    record = m.to_dict()
+    digest = digest_oracle(record)
+    comps = m.components()
+    if len(comps) != 1:
+        children = tuple(build_oracle(m.restrict(c)) for c in comps)
+        return ProofNode(m, record, digest, RULE_DIRECT_SUM, mw, children)
+    rule = _base_rule(m.rank, m.n - m.rank)
+    if rule is not None:
+        return ProofNode(m, record, digest, rule, mw)
+    kn = recognize_minimal(m)
+    if kn is not None:
+        return ProofNode(m, record, digest, RULE_BASE_MINIMAL, mw, minimal_kn=kn)
+    e = _clean_pivot(m)
+    children = (build_oracle(m.delete(e)), build_oracle(m.contract(e)))
+    return ProofNode(m, record, digest, RULE_DELETE_CONTRACT, mw, children,
+                     element=e)
+
+
+def trace_oracle(m) -> ProofTrace:
+    """`trace` without its split check and without node sharing."""
+    root = build_oracle(m)
+    return ProofTrace(root, all(node.mw.mult_ok for node in root.walk()))

@@ -347,6 +347,39 @@ class TestMinorsDualsSums:
         assert r == minimal(2, 3)
 
 
+def assert_minors_pass_checked_constructor(m):
+    """Every single-element minor and every restriction (a spread of them
+    past eight elements), built without the constructor's checks, equals
+    the matroid the checked constructor builds from its family."""
+    step = max(1, (1 << m.n) >> 8)
+    minors = [m.restrict(a) for a in [*range(0, 1 << m.n, step), m.full_mask]]
+    for e in range(m.n):
+        minors += [m.delete(e), m.contract(e)]
+    for minor in minors:
+        assert type(minor.bases) is frozenset
+        checked = Matroid(minor.n, minor.rank, list(minor.bases),
+                          element_map=minor.element_map)
+        assert checked == minor and checked.element_map == minor.element_map
+
+
+class TestTrustedMinors:
+    def test_corpus(self):
+        for m in tutte_identity_corpus():
+            if m.n <= 12:
+                assert_minors_pass_checked_constructor(m)
+
+    @given(derived_matroids())
+    def test_duals_minors_and_sums(self, m):
+        assert_minors_pass_checked_constructor(m)
+
+    def test_checked_constructor_still_rejects_bad_masks(self):
+        family = list(minimal(3, 6).delete(0).bases)
+        with pytest.raises(ValueError, match="has elements >= n=5"):
+            Matroid(5, 3, family + [0b111 << 3])
+        with pytest.raises(WrongBasisSizeError):
+            Matroid(5, 3, family + [0b11])
+
+
 class TestConnectivity:
     def test_minimal_is_connected_and_clean(self):
         m = minimal(4, 7)

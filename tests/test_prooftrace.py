@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
 from splitmw import (
     ColoopsPresentError,
@@ -23,6 +23,7 @@ from splitmw.corpus import (
     graphic_corpus,
     minimal_matroids,
     rank2_matroids,
+    split_trace_corpus,
     tutte_identity_corpus,
     uniform_matroids,
 )
@@ -38,8 +39,11 @@ from splitmw.prooftrace import (
 from conftest import (
     clean_pivot_oracle,
     derived_matroids,
+    digest_oracle,
     every_family,
     pairwise_exchange_violation,
+    to_dict_oracle,
+    trace_oracle,
 )
 
 
@@ -267,36 +271,51 @@ class TestSerialization:
         assert "format" not in d["children"][0]
 
     def test_each_node_record_is_built_once(self, k4, monkeypatch):
+        # once per distinct matroid: M(K4) has no repeated node, U(6,10)
+        # 29 nodes on 14 distinct matroids
         built = []
         to_dict = Matroid.to_dict
         monkeypatch.setattr(Matroid, "to_dict", lambda m: built.append(m) or to_dict(m))
-        t = trace(k4)
-        text = json.dumps(t.to_dict(), separators=(",", ":"))
-        assert len(built) == t.node_count()
-        for node in t.walk():
-            assert node.record == to_dict(node.matroid)
-            assert node.digest == matroid_digest(node.record)
+        for m, nodes, distinct in ((k4, 3, 3), (uniform(6, 10), 29, 14)):
+            built.clear()
+            t = trace(m)
+            assert t.node_count() == nodes
+            assert len(built) == len(set(built)) == distinct
+            for node in t.walk():
+                assert node.record == to_dict(node.matroid)
+                assert node.digest == digest_oracle(node.record)
         # the trace-v1 bytes and the digest payload are unchanged
+        text = json.dumps(trace(k4).to_dict(), separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "e0a4d5deac6feb381f57b1b7dfe99d8958f5e6a177c94cec8cd0c4f41e2b88ac")
         assert trace(minimal(3, 5)).root.digest == "6b6caefd6dc35d43"
 
+    def test_trace_with_repeated_subtrees_is_unchanged(self):
+        t = trace(uniform(6, 10))
+        text = json.dumps(t.to_dict(), separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3041270a5495c5638615b28f828b28281ea543e4e8b562ff9676af4806274c07")
+
     def test_each_minor_is_built_once(self, k4, monkeypatch):
+        # once per distinct pivot or direct-sum node; the last two have
+        # repeated nodes
         built = []
         for name in ("delete", "contract", "restrict"):
             method = getattr(Matroid, name)
             monkeypatch.setattr(Matroid, name, lambda m, x, method=method, name=name:
                                 built.append(name) or method(m, x))
-        for m in (k4, uniform(2, 4).direct_sum(minimal(3, 6))):
+        for m in (k4, uniform(2, 4).direct_sum(minimal(3, 6)), uniform(6, 10),
+                  uniform(1, 3).direct_sum(uniform(1, 3)).direct_sum(uniform(1, 3))):
             built.clear()
             t = trace(m)
-            rules = [node.rule for node in t.walk()]
+            distinct = {node.matroid: node for node in t.walk()}.values()
+            rules = [node.rule for node in distinct]
             pivots = rules.count(RULE_DELETE_CONTRACT)
             assert built.count("delete") == built.count("contract") == pivots
             # direct-sum children, and the split test of a disconnected root
             comps = len(m.components())
             assert built.count("restrict") == sum(
-                len(node.children) for node in t.walk()
+                len(node.children) for node in distinct
                 if node.rule == RULE_DIRECT_SUM) + (comps if comps > 1 else 0)
 
     def test_minimal_params(self):
@@ -308,3 +327,92 @@ class TestSerialization:
         assert dot.startswith("digraph")
         assert dot.count("->") == 2
         assert "delete-contract" in dot
+
+
+def assert_shares_like_oracle(m) -> bool:
+    """trace(m) writes the bytes of a trace built without sharing, each
+    occurrence keeps its own relabeling, and equal matroids share their
+    record and children.  True iff some matroid occurs twice."""
+    t, expected = trace(m), trace_oracle(m)
+    assert json.dumps(t.to_dict()) == json.dumps(expected.to_dict())
+    nodes = list(t.walk())
+    for node, oracle in zip(nodes, expected.walk(), strict=True):
+        assert node.matroid.element_map == oracle.matroid.element_map
+    first = {}
+    for node in nodes:
+        seen = first.setdefault(node.matroid, node)
+        assert node.record is seen.record
+        assert all(a is b for a, b in zip(node.children, seen.children, strict=True))
+    return len(first) < len(nodes)
+
+
+class TestNodeSharing:
+    """A trace built once per distinct matroid against one that builds every
+    node afresh (`conftest.build_oracle`)."""
+
+    def test_split_trace_corpus(self):
+        repeated = sum(map(assert_shares_like_oracle, split_trace_corpus()))
+        assert repeated == 17
+
+    def test_every_clean_split_matroid_up_to_five_elements(self):
+        for n in range(6):
+            for m in every_family(n):
+                if (m.is_clean() and pairwise_exchange_violation(m) is None
+                        and is_split(m)):
+                    assert_shares_like_oracle(m)
+
+    @given(derived_matroids())
+    def test_duals_minors_and_sums(self, m):
+        assume(m.is_clean() and is_split(m))
+        assert_shares_like_oracle(m)
+
+    def test_relabeled_repeat_keeps_its_element_map(self):
+        # the three summands are equal after relabeling, so the second and
+        # third children are the first one's node with their own matroid
+        m = uniform(1, 3).direct_sum(uniform(1, 3)).direct_sum(uniform(1, 3))
+        first, second, third = trace(m).root.children
+        assert [c.matroid.element_map for c in (first, second, third)] == [
+            (0, 1, 2), (3, 4, 5), (6, 7, 8)]
+        assert first.record is second.record is third.record
+
+
+def with_loop_and_coloop(m):
+    """A loop below m's elements and a coloop above them."""
+    return uniform(0, 1).direct_sum(m).direct_sum(uniform(1, 1))
+
+
+def assert_digest_matches_oracle(m):
+    assert matroid_digest(m) == digest_oracle(to_dict_oracle(m))
+
+
+class TestDigestText:
+    """`matroid_digest` hashes text written from the packed slots; the
+    oracle hashes a JSON dump of the record."""
+
+    def test_corpus(self):
+        for m in split_trace_corpus() + tutte_identity_corpus():
+            assert_digest_matches_oracle(m)
+
+    def test_every_family_up_to_five_elements(self):
+        for n in range(6):
+            for m in every_family(n):
+                assert_digest_matches_oracle(m)
+
+    @given(derived_matroids())
+    def test_duals_minors_and_sums(self, m):
+        assert_digest_matches_oracle(m)
+
+    # n = 0, and 8, 9 and 16 on either side of a byte edge, with loops and
+    # coloops; then byte positions that no basis touches
+    @pytest.mark.parametrize("m", [
+        uniform(0, 0), uniform(1, 1), minimal(4, 8),
+        with_loop_and_coloop(minimal(3, 6)), uniform(0, 8), uniform(8, 8),
+        minimal(4, 9), with_loop_and_coloop(minimal(3, 7)), uniform(0, 9),
+        minimal(8, 16), with_loop_and_coloop(minimal(7, 14)), uniform(0, 16),
+        with_loop_and_coloop(uniform(2, 4).direct_sum(minimal(5, 8))),
+        Matroid(16, 1, [1, 1 << 15]), Matroid(70, 1, [1, 2, 4]), uniform(1, 65),
+    ], ids=lambda m: f"n{m.n}-r{m.rank}-{len(m.bases)}")
+    def test_byte_edges(self, m):
+        assert_digest_matches_oracle(m)
+        assert m.record_json() == json.dumps(
+            to_dict_oracle(m), separators=(",", ":"), sort_keys=True)
