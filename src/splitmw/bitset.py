@@ -12,8 +12,8 @@ machine type that fits n bits, read as one int; past 64 bits, slots of
 (n+7)//8 bytes).  Its *column* for element e, (packed >> e) & ones with
 `ones` the bit 0 of every slot, has a bit in exactly the slots of the
 masks that hold e; so element degrees, loops, coloops and "never together
-in a mask" are bit counts and ANDs of whole columns, and relabeling the
-ground set is one shift and OR per element.
+in a mask" (`disjoint_columns`) are bit counts and ANDs of whole columns,
+and relabeling the ground set is one shift and OR per element.
 """
 
 from __future__ import annotations
@@ -163,6 +163,21 @@ def slot_ones(count: int, width: int) -> int:
 def columns(packed: int, ones: int, n: int) -> list[int]:
     """cols[e] = the slots of the masks that hold e, at each slot's bit 0."""
     return [(packed >> e) & ones for e in range(n)]
+
+
+def disjoint_columns(cols: list[int]) -> list[int]:
+    """out[e] = the mask of the f whose column shares no slot with cols[e],
+    the f that no mask holds together with e; e itself is in it iff its
+    column is empty.  One AND per pair of columns."""
+    n = len(cols)
+    bit = [1 << f for f in range(n)]
+    out = [0 if col else bit[e] for e, col in enumerate(cols)]
+    for e, col in enumerate(cols):
+        for f in range(e + 1, n):
+            if not col & cols[f]:
+                out[e] |= bit[f]
+                out[f] |= bit[e]
+    return out
 
 
 def place(cols: Iterable[int]) -> int:

@@ -270,3 +270,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

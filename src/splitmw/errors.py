@@ -45,7 +45,8 @@ class LimitExceededError(SplitMWError):
 
 
 # The largest input each kind of work takes: ground-set elements n for
-# matroids, edges for the graph counts.  The one table of size limits.
+# matroids, edges for the graph counts, bases for the matroid builders.
+# The one table of size limits.
 SIZE_LIMITS = {
     # 2^n-bit tables: independence and rank tables, circuits, the
     # subset-sum engine, flats, cyclic flats and is_split
@@ -58,6 +59,9 @@ SIZE_LIMITS = {
     "spanning-forests": 20,
     # brute force over all 2^m orientations
     "orientations": 15,
+    # uniform, minimal and rank2_from_partition: C(24,12), the most bases a
+    # matroid on the deletion-contraction limit's 24 elements can have
+    "bases": 2_704_156,
 }
 
 

@@ -5,15 +5,16 @@ Conventions used throughout the package:
   * The ground set is E = {0, ..., n-1}.  Subsets of E are int bitmasks
     (bit i set <=> element i in the subset), see `bitset`.
   * A matroid is stored as its full family of bases, each an n-bit mask of
-    popcount `rank`.  Single queries (rank, closure, duals, components) are
-    short popcount loops over that family.
+    popcount `rank`.  Single queries (rank, closure, duals) are short
+    popcount loops over that family.  Components merge the overlapping
+    fundamental circuits of one basis, found by r*(n-r) basis lookups.
   * Family-level queries read the packed columns (`Matroid.columns`, see
     `bitset`), built once per matroid: parallel classes are disjoint
-    columns, and the families of minors (`delete`/`contract`/`restrict`)
-    are one relabeling of the kept columns, unpacked in C; a minor's
-    family is valid by construction, so it skips the constructor's
-    per-basis checks.  Loops and coloops are one C-level OR or AND over
-    the family.  Records (`to_dict`, and their canonical JSON text
+    columns (`bitset.disjoint_columns`), and the families of minors
+    (`delete`/`contract`/`restrict`) are one relabeling of the kept
+    columns, unpacked in C; a minor's family is valid by construction, so
+    it skips the constructor's per-basis checks.  Loops and coloops are
+    one C-level OR or AND over the family.  Records (`to_dict`, and their canonical JSON text
     `record_json`) sort the masks as ints once and write each through
     per-byte tables.
   * Whole-table queries (independence and rank tables, rank levels,
@@ -43,6 +44,7 @@ from operator import and_, or_
 from .bitset import (
     bits,
     column_view,
+    disjoint_columns,
     down_closure,
     element_lists,
     element_masks,
@@ -63,7 +65,9 @@ from .errors import (
     EmptyBasesError,
     ExchangeViolationError,
     InputError,
+    LimitExceededError,
     LoopsPresentError,
+    SIZE_LIMITS,
     WrongBasisSizeError,
     check_size,
     require_int,
@@ -273,37 +277,32 @@ class Matroid:
         """Connected components as masks, ordered by smallest element.
 
         Two elements are in one component iff some circuit contains both.
-        Fix a basis B and join each f outside B to every e in B for which
-        B - e + f is a basis, that is, to its fundamental circuit.  Each
-        class of these joins lies in one component, and it is a separator
-        (its rank is its share of B), so the classes are the components.
-        This takes r*(n-r) basis lookups; loops and coloops join nothing
-        and end up as singleton components.
+        Fix a basis B: the fundamental circuit of each f outside B is f and
+        every e in B for which B - e + f is a basis.  Merging the circuits
+        that overlap gives classes that each lie in one component, and each
+        is a separator (its rank is its share of B), so the classes are the
+        components.  This takes r*(n-r) basis lookups; a loop is its own
+        circuit, and a coloop lies in none and ends up alone.
         """
         cached = self._cache.get("components")
         if cached is not None:
             return cached
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         family = self.bases
         b = min(family)
-        removals = [(e, b ^ (1 << e)) for e in bits(b)]
+        inside = [1 << e for e in bits(b)]
+        comps = []
         for f in bits(self.full_mask & ~b):
             fb = 1 << f
-            for e, rest in removals:
-                if (rest | fb) in family:
-                    parent[find(e)] = find(f)
-        groups: dict[int, int] = {}
-        for e in range(self.n):
-            r = find(e)
-            groups[r] = groups.get(r, 0) | (1 << e)
-        comps = sorted(groups.values(), key=lambda m: m & -m)
+            circuit = fb | sum(eb for eb in inside if (b ^ eb) | fb in family)
+            apart = []
+            for c in comps:     # disjoint: merging one moves no other's overlap
+                if c & circuit:
+                    circuit |= c
+                else:
+                    apart.append(c)
+            comps = apart + [circuit]
+        comps += [1 << e for e in bits(b & ~reduce(or_, comps, 0))]
+        comps.sort(key=lambda m: m & -m)
         self._cache["components"] = comps
         return comps
 
@@ -314,22 +313,20 @@ class Matroid:
         """Parallel classes of the non-loop elements, as masks.
 
         e and f are parallel iff rank({e,f}) = 1, i.e. no basis contains
-        both: e's class is e and every non-loop f whose column shares no
-        slot with e's.
+        both: e's class is e and its non-loop partners in
+        `bitset.disjoint_columns`.
         """
         cached = self._cache.get("parclasses")
         if cached is not None:
             return cached
-        cols = self.columns()[0]
-        seen = 0
+        loops = self.loops()
+        seen = loops
         classes = []
-        for e, col in enumerate(cols):
-            if not col or seen >> e & 1:
-                continue
-            cls = (1 << e) | mask_of(
-                f for f, other in enumerate(cols) if other and not col & other)
-            classes.append(cls)
-            seen |= cls
+        for e, partners in enumerate(disjoint_columns(self.columns()[0])):
+            if not seen >> e & 1:
+                cls = (1 << e) | (partners & ~loops)
+                classes.append(cls)
+                seen |= cls
         self._cache["parclasses"] = classes
         return classes
 
@@ -647,9 +644,18 @@ def _checked_masks(n: int, rows: list[tuple]) -> set[int]:
 
 
 def uniform(k: int, n: int) -> Matroid:
-    """Uniform matroid U_{k,n}: every k-subset is a basis."""
+    """Uniform matroid U_{k,n}: every k-subset is a basis.  The count
+    C(n,k) is checked against the "bases" limit one factor at a time, so
+    that a count past it is never computed in full."""
     if not 0 <= k <= n:
         raise ValueError(f"uniform({k},{n}): need 0 <= k <= n")
+    count, limit = 1, SIZE_LIMITS["bases"]
+    for i in range(min(k, n - k)):
+        count = count * (n - i) // (i + 1)     # C(n, i+1) <= C(n, k)
+        if count > limit:
+            raise LimitExceededError(
+                f"uniform({k},{n}): C({n},{k}) bases exceed the bases "
+                f"limit {limit}")
     return Matroid(n, k, (mask_of(c) for c in combinations(range(n), k)))
 
 
@@ -662,6 +668,7 @@ def minimal(k: int, n: int) -> Matroid:
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"minimal({k},{n}): need 1 <= k <= n-1")
+    check_size("bases", k * (n - k) + 1)
     path = (1 << k) - 1
     bases = [path]
     for i in range(k):
@@ -678,6 +685,8 @@ def rank2_from_partition(class_sizes: Iterable[int]) -> Matroid:
         raise ValueError("need at least 2 parallel classes for rank 2")
     if any(s < 1 for s in sizes):
         raise ValueError("every class must have at least one element")
+    # each pair of elements from different classes is a basis
+    check_size("bases", (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2)
     starts = [0]
     for s in sizes:
         starts.append(starts[-1] + s)

@@ -24,7 +24,9 @@ from typing import NamedTuple
 
 from .errors import check_size
 from .matroid import Matroid, minimal, rank2_from_partition
-from .tutte import tutte_dc, tutte_subset_sum
+# perfbench/tracing.py wraps this module's `tutte_subset_sum` too, so the
+# name stays although nothing here calls it
+from .tutte import tutte_dc, tutte_subset_sum  # noqa: F401
 
 
 class MWReport(NamedTuple):
@@ -56,17 +58,16 @@ def report_from_evaluations(n: int, rank: int, t20: int, t02: int, t11: int) -> 
                     mult_ok=t20 * t02 >= t11 * t11)
 
 
-def check_mw(m: Matroid, engine: str = "dc") -> MWReport:
-    """Evaluate the three points and decide all three inequalities.
+def check_mw(m: Matroid) -> MWReport:
+    """Evaluate the three points by deletion-contraction and decide all
+    three inequalities.
 
-    Checks the engine's size limit, then requires a loopless and
-    coloopless matroid; raises naming the offending elements otherwise.
+    Checks the deletion-contraction size limit, then requires a loopless
+    and coloopless matroid; raises naming the offending elements otherwise.
     """
-    if engine not in ("dc", "subset"):
-        raise ValueError(f"unknown engine {engine!r}")
-    check_size("deletion-contraction" if engine == "dc" else "tables", m.n)
+    check_size("deletion-contraction", m.n)
     m.require_clean()
-    t = tutte_dc(m) if engine == "dc" else tutte_subset_sum(m)
+    t = tutte_dc(m)
     return report_from_evaluations(m.n, m.rank,
                                    t.evaluate(2, 0), t.evaluate(0, 2),
                                    t.evaluate(1, 1))
@@ -112,9 +113,11 @@ class Rank2Census(NamedTuple):
 
 
 def verify_rank2_exhaustive(n_max: int) -> list[Rank2Census]:
-    """One census per 2 <= n <= n_max over all rank-2 isomorphism classes."""
+    """One census per 2 <= n <= n_max over all rank-2 isomorphism classes,
+    after checking n_max against the deletion-contraction limit."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    check_size("deletion-contraction", n_max)
     censuses = []
     for n in range(2, n_max + 1):
         parts = rank2_census_partitions(n)

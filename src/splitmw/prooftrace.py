@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .bitset import disjoint_columns
 from .errors import (
     ClassificationFailureError,
     ExhaustivenessFailureError,
@@ -122,12 +123,10 @@ def _clean_pivot(m: Matroid) -> int | None:
     flawed = [e for e, col in enumerate(cols) if not col or col == ones]
     if flawed:
         return flawed[0] if len(flawed) == 1 else None
-    outside = [ones ^ col for col in cols]
-    for e, (col, out) in enumerate(zip(cols, outside)):
-        if all(col & other and out & other_out
-               for f, (other, other_out) in enumerate(zip(cols, outside)) if f != e):
-            return e
-    return None
+    parallel = disjoint_columns(cols)
+    series = disjoint_columns([ones ^ col for col in cols])
+    return next((e for e, (p, s) in enumerate(zip(parallel, series)) if not p | s),
+                None)
 
 
 def no_clean_pivot(m: Matroid) -> bool:

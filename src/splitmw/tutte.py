@@ -28,11 +28,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from operator import add
 
-from .bitset import column_view, minor_families, place, popcount_classes, unpack
-from .errors import check_size
+from .bitset import (column_view, disjoint_columns, minor_families, place,
+                     popcount_classes, unpack)
+from .errors import InputError, check_size, require_int
 from .matroid import Matroid
 
 
@@ -156,11 +158,30 @@ class TuttePolynomial:
 
 
 def tutte_from_dict(d: dict) -> TuttePolynomial:
+    """Parse a tutte-v1 record as `to_dict` writes it: exact ints for rank
+    and corank, and a rectangular matrix of ASCII decimal-digit strings of
+    their shape.  Raises InputError on anything else."""
+    if not isinstance(d, dict):
+        raise InputError(f"expected a JSON object, got {type(d).__name__}")
     if d.get("format") != "tutte-v1":
-        raise ValueError(f"not a tutte-v1 record: {d.get('format')!r}")
-    t = TuttePolynomial([[int(c) for c in row] for row in d["coeffs"]])
-    if t.x_degree_bound != int(d["rank"]) or t.y_degree_bound != int(d["corank"]):
-        raise ValueError("tutte-v1 rank/corank fields disagree with matrix shape")
+        raise InputError(f"not a tutte-v1 record: {d.get('format')!r}")
+    for key in ("rank", "corank", "coeffs"):
+        if key not in d:
+            raise InputError(f"tutte-v1 record has no {key!r}")
+    require_int("rank", d["rank"])
+    require_int("corank", d["corank"])
+    rows = d["coeffs"]
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise InputError("'coeffs' must be a list of lists of decimal strings")
+    for c in chain.from_iterable(rows):
+        if not (isinstance(c, str) and c.isascii() and c.isdigit()):
+            raise InputError(f"coefficient {c!r} is not a decimal-digit string")
+    try:
+        t = TuttePolynomial([[int(c) for c in row] for row in rows])
+    except ValueError as exc:
+        raise InputError(f"tutte-v1 coefficients: {exc}") from None
+    if (t.x_degree_bound, t.y_degree_bound) != (d["rank"], d["corank"]):
+        raise InputError("tutte-v1 rank/corank fields disagree with matrix shape")
     return t
 
 
@@ -184,23 +205,23 @@ def whitney_numbers(m: Matroid) -> list[list[int]]:
     return whitney
 
 
-def tutte_subset_sum(m: Matroid) -> TuttePolynomial:
-    """T by the corank-nullity sum, up to the "tables" size limit."""
-    r, c = m.rank, m.n - m.rank
-    whitney = whitney_numbers(m)
-    coeffs = [[0] * (c + 1) for _ in range(r + 1)]
-    for a in range(r + 1):
-        wrow = whitney[a]
-        for b in range(c + 1):
-            w = wrow[b]
+def _from_whitney(whitney: list[list[int]]) -> TuttePolynomial:
+    """T = sum of w[a][b] * (x-1)^a * (y-1)^b, expanded binomially."""
+    coeffs = [[0] * len(whitney[0]) for _ in whitney]
+    for a, wrow in enumerate(whitney):
+        for b, w in enumerate(wrow):
             if not w:
                 continue
-            # expand w * (x-1)^a * (y-1)^b
             for i in range(a + 1):
                 xi = comb(a, i) * ((-1) ** (a - i))
                 for j in range(b + 1):
                     coeffs[i][j] += w * xi * comb(b, j) * ((-1) ** (b - j))
     return TuttePolynomial(coeffs)
+
+
+def tutte_subset_sum(m: Matroid) -> TuttePolynomial:
+    """T by the corank-nullity sum, up to the "tables" size limit."""
+    return _from_whitney(whitney_numbers(m))
 
 
 # -- deletion-contraction engine -------------------------------------------
@@ -260,22 +281,13 @@ def set_memo_capacity(capacity_bytes: int) -> None:
 
 @lru_cache(maxsize=None)
 def _uniform_tutte(k: int, n: int) -> TuttePolynomial:
-    """Closed form for U_{k,n} from the corank-nullity sum: subsets of size
-    s <= k contribute C(n,s)(x-1)^(k-s), larger ones C(n,s)(y-1)^(s-k).
-    Cached, since polynomials are immutable."""
-    coeffs = [[0] * (n - k + 1) for _ in range(k + 1)]
-    coeffs[0][0] += comb(n, k)
-    for s in range(k):
-        w = comb(n, s)
-        a = k - s
-        for i in range(a + 1):
-            coeffs[i][0] += w * comb(a, i) * ((-1) ** (a - i))
-    for s in range(k + 1, n + 1):
-        w = comb(n, s)
-        b = s - k
-        for j in range(b + 1):
-            coeffs[0][j] += w * comb(b, j) * ((-1) ** (b - j))
-    return TuttePolynomial(coeffs)
+    """Closed form for U_{k,n} from the corank-nullity sum: the C(n,s)
+    subsets of size s have rank min(s,k), so corank deficit max(k-s,0) and
+    nullity max(s-k,0).  Cached, since polynomials are immutable."""
+    whitney = [[0] * (n - k + 1) for _ in range(k + 1)]
+    for s in range(n + 1):
+        whitney[max(k - s, 0)][max(s - k, 0)] = comb(n, s)
+    return _from_whitney(whitney)
 
 
 def _strip(cols: list[int], ones: int) -> tuple[list[int], int, int]:
@@ -291,23 +303,17 @@ def _strip(cols: list[int], ones: int) -> tuple[list[int], int, int]:
 def _key_and_pivot(cols: list[int], count: int, width: int):
     """Memo key and pivot of the family of `count` bases with these columns.
 
-    e's parallel-class size is 1 + #{f : no basis holds both e and f} and
-    its degree is the number of bases holding it.  The key is (n, the sorted
-    bases) after relabeling the elements in order of (class size, degree,
-    index); relabeling preserves the Tutte polynomial, so key collisions are
-    sound by construction and symmetric minors coalesce.  The pivot is the
+    e's parallel-class size is 1 + #{f : no basis holds both e and f} (see
+    `bitset.disjoint_columns`; a loop counts itself) and its degree is the
+    number of bases holding it.  The key is (n, the sorted bases) after
+    relabeling the elements in order of (class size, degree, index);
+    relabeling preserves the Tutte polynomial, so key collisions are sound
+    by construction and symmetric minors coalesce.  The pivot is the
     lowest-index element of a largest class.
     """
     n = len(cols)
     degree = [c.bit_count() for c in cols]
-    size = [1] * n
-    for e, col in enumerate(cols):
-        if not col:
-            size[e] += 1    # a loop shares no basis with itself either
-        for f in range(e + 1, n):
-            if not col & cols[f]:
-                size[e] += 1
-                size[f] += 1
+    size = [1 + p.bit_count() for p in disjoint_columns(cols)]
     order = sorted(range(n), key=lambda e: (size[e], degree[e]))
     relabeled = unpack(place([cols[e] for e in order]), count, width)
     return (n, tuple(sorted(relabeled))), size.index(max(size))

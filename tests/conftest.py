@@ -379,6 +379,14 @@ def coloops_oracle(m) -> int:
     return inter
 
 
+def never_together_oracle(m) -> list[int]:
+    """out[e] = the f that no basis holds together with e, one basis and one
+    pair at a time; e itself is among them iff e is a loop."""
+    return [mask_of(f for f in range(m.n)
+                    if not any(b >> e & 1 and b >> f & 1 for b in m.bases))
+            for e in range(m.n)]
+
+
 def parallel_classes_oracle(m) -> list[int]:
     """e's class is e and every non-loop element outside the union of the
     bases holding e, for each e not yet in a class."""

@@ -46,6 +46,8 @@ class TestConstruct:
         assert len(doc["bases"]) == 6
         doc = json.loads(construct(["--rank2", "3,1,1"], monkeypatch, capsys))
         assert len(doc["bases"]) == 7
+        doc = json.loads(construct(["--uniform", "2,100"], monkeypatch, capsys))
+        assert len(doc["bases"]) == 4950
 
     def test_graphic_from_file(self, tmp_path, monkeypatch, capsys):
         gfile = tmp_path / "triangle.json"
@@ -61,6 +63,16 @@ class TestConstruct:
         out = construct(["--uniform", "0,20000"], monkeypatch, capsys)
         assert time.perf_counter() - start < 1
         assert out == '{"format":"matroid-bases-v1","n":20000,"rank":0,"bases":[[]]}\n'
+
+    # C(40,14) = 23,206,929,840 bases, and counts too large to compute in full
+    @pytest.mark.parametrize("argv", [
+        ["--uniform", "14,40"], ["--uniform", "500000000,1000000000"],
+        ["--minimal", "3,2000000"], ["--rank2", "2000,2000"]])
+    def test_too_many_bases_exits_2_at_once(self, argv, monkeypatch, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(["construct"] + argv, None, monkeypatch, capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "") and "bases limit 2704156" in err
 
     def test_bad_parameters_exit_2(self, monkeypatch, capsys):
         code, _, err = run_cli(["construct", "--minimal", "9,4"],
@@ -187,6 +199,18 @@ class TestEnumerateRank2:
         assert all("partition" in r for r in report_lines)
         n4 = [tuple(r["partition"]) for r in report_lines if r["n"] == 4]
         assert n4 == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+    def test_max_n_past_the_limit_exits_2_before_any_census(self, monkeypatch,
+                                                            capsys):
+        from splitmw import merino_welsh
+
+        def refuse(m):
+            raise AssertionError("check_mw ran")
+        monkeypatch.setattr(merino_welsh, "check_mw", refuse)
+        code, out, err = run_cli(["enumerate-rank2", "--max-n", "25"],
+                                 None, monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert "deletion-contraction limit 24" in err
 
 
 class TestOracle:
@@ -389,6 +413,16 @@ def modules_added(code: str) -> set[str]:
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(splitmw.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "splitmw.cli", "tutte",
+                           "/nonexistent.json"], check=False,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ")
 
 
 def test_cli_import_leaves_unused_modules_out():

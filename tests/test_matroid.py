@@ -22,7 +22,7 @@ from splitmw import (
     rank2_from_partition,
     uniform,
 )
-from splitmw.bitset import bits, mask_of
+from splitmw.bitset import bits, disjoint_columns, mask_of
 from splitmw.corpus import (
     graphic_corpus,
     minimal_matroids,
@@ -46,6 +46,7 @@ from conftest import (
     is_exchange_witness,
     is_paving_oracle,
     loops_oracle,
+    never_together_oracle,
     pairwise_exchange_violation,
     parallel_classes_oracle,
     rank_table_oracle,
@@ -612,9 +613,11 @@ class TestSerialization:
 
 
 def assert_columns_match_oracles(m):
-    """Loops, coloops, parallel classes, every single-element minor, a
-    spread of restrictions and the record, read from the packed columns,
-    equal what the one-basis-at-a-time oracles give."""
+    """Loops, coloops, the pairs never in a basis together, parallel
+    classes, every single-element minor, a spread of restrictions and the
+    record, read from the packed columns, equal what the
+    one-basis-at-a-time oracles give."""
+    assert disjoint_columns(list(m.columns()[0])) == never_together_oracle(m)
     assert m.loops() == loops_oracle(m)
     assert m.coloops() == coloops_oracle(m)
     assert m.parallel_classes() == parallel_classes_oracle(m)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from splitmw import (
+    InputError,
     LimitExceededError,
     Multigraph,
     TutteMemo,
@@ -353,6 +354,28 @@ class TestPolynomialType:
         with pytest.raises(ValueError):
             tutte_from_dict({"format": "tutte-v1", "rank": 2, "corank": 0,
                              "coeffs": [["1"]]})
+
+    @pytest.mark.parametrize("record", [
+        {"format": "tutte-v1", "rank": True, "corank": 1.0,
+         "coeffs": [[0, 1.9], [True, "0"]]},
+        {"format": "tutte-v1", "rank": True, "corank": 1, "coeffs": [["0", "1"]]},
+        {"format": "tutte-v1", "rank": 0, "corank": 1.0, "coeffs": [["0", "1"]]},
+        {"format": "tutte-v1", "rank": 0, "corank": 1, "coeffs": [["0", 1]]},
+        {"format": "tutte-v1", "rank": 0, "corank": 1, "coeffs": [["0", "-1"]]},
+        {"format": "tutte-v1", "rank": 0, "corank": 1, "coeffs": [["0", "\u00b9"]]},
+        {"format": "tutte-v1", "rank": 0, "corank": 1, "coeffs": [["0", ""]]},
+        {"format": "tutte-v1", "rank": 0, "corank": 1, "coeffs": ["01"]},
+        {"format": "tutte-v1", "rank": 1, "corank": 1, "coeffs": [["0", "1"], ["1"]]},
+        {"format": "tutte-v1", "rank": 0, "coeffs": [["1"]]},
+        {"format": "tutte-v2", "rank": 0, "corank": 0, "coeffs": [["1"]]},
+        [["1"]],
+        "tutte-v1",
+    ], ids=["issue-example", "bool-rank", "float-corank", "int-coefficient",
+            "negative-string", "superscript-digit", "empty-string", "row-not-list",
+            "ragged", "missing-corank", "wrong-format", "list", "string"])
+    def test_from_dict_is_strict(self, record):
+        with pytest.raises(InputError):
+            tutte_from_dict(record)
 
     def test_subset_sum_limit(self):
         with pytest.raises(LimitExceededError):
