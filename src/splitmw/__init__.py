@@ -43,6 +43,7 @@ from .matroid import (
     matroid_from_dict,
     minimal,
     rank2_from_partition,
+    recognize_minimal,
     uniform,
 )
 
@@ -58,12 +59,11 @@ _EXPORTS = {
     "flats": ("CyclicFlatReport", "cyclic_flats", "flats", "is_connected_split",
               "is_copaving", "is_paving", "is_split"),
     "matroid": ("Matroid", "from_bases", "graphic", "matroid_from_dict",
-                "minimal", "rank2_from_partition", "uniform"),
+                "minimal", "rank2_from_partition", "recognize_minimal",
+                "uniform"),
     "graphs": ("Multigraph", "count_acyclic_orientations",
                "count_spanning_trees", "count_totally_cyclic_orientations",
                "multigraph_from_dict"),
-    "isomorphism": ("are_isomorphic", "certificate", "certificates_match",
-                    "is_minimal_matroid", "recognize_minimal"),
     "merino_welsh": ("MinimalFamilySummary", "MWReport", "Rank2Census",
                      "check_mw", "minimal_family_suite",
                      "rank2_census_partitions", "rank2_threshold_check",

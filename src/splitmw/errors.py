@@ -45,7 +45,8 @@ class LimitExceededError(SplitMWError):
 
 
 # The largest input each kind of work takes: ground-set elements n for
-# matroids, edges for the graph counts, bases for the matroid builders.
+# matroids, edges for the graph counts, bases and their bits for the matroid
+# builders.
 # The one table of size limits.
 SIZE_LIMITS = {
     # 2^n-bit tables: independence and rank tables, circuits, the
@@ -62,6 +63,9 @@ SIZE_LIMITS = {
     # uniform, minimal and rank2_from_partition: C(24,12), the most bases a
     # matroid on the deletion-contraction limit's 24 elements can have
     "bases": 2_704_156,
+    # bases times n, the bits those builders fill: C(24,12) * 24, so a
+    # count inside the "bases" limit cannot come on a huge ground set
+    "basis-bits": 64_899_744,
 }
 
 

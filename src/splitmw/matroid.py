@@ -155,9 +155,6 @@ class Matroid:
             return 0
         return max((b & a).bit_count() for b in self.bases)
 
-    def is_independent(self, a: int) -> bool:
-        return self.rank_of(a) == a.bit_count()
-
     def closure(self, a: int) -> int:
         """Smallest flat containing `a`: all e with rank(a|{e}) = rank(a)."""
         self._check_subset(a)
@@ -646,7 +643,8 @@ def _checked_masks(n: int, rows: list[tuple]) -> set[int]:
 def uniform(k: int, n: int) -> Matroid:
     """Uniform matroid U_{k,n}: every k-subset is a basis.  The count
     C(n,k) is checked against the "bases" limit one factor at a time, so
-    that a count past it is never computed in full."""
+    that a count past it is never computed in full, and then C(n,k) * n
+    against the "basis-bits" limit."""
     if not 0 <= k <= n:
         raise ValueError(f"uniform({k},{n}): need 0 <= k <= n")
     count, limit = 1, SIZE_LIMITS["bases"]
@@ -656,6 +654,7 @@ def uniform(k: int, n: int) -> Matroid:
             raise LimitExceededError(
                 f"uniform({k},{n}): C({n},{k}) bases exceed the bases "
                 f"limit {limit}")
+    check_size("basis-bits", count * n)
     return Matroid(n, k, (mask_of(c) for c in combinations(range(n), k)))
 
 
@@ -668,13 +667,34 @@ def minimal(k: int, n: int) -> Matroid:
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"minimal({k},{n}): need 1 <= k <= n-1")
-    check_size("bases", k * (n - k) + 1)
+    count = k * (n - k) + 1
+    check_size("bases", count)
+    check_size("basis-bits", count * n)
     path = (1 << k) - 1
     bases = [path]
     for i in range(k):
         for p in range(k, n):
             bases.append((path ^ (1 << i)) | (1 << p))
     return Matroid(n, k, bases)
+
+
+def recognize_minimal(m: Matroid) -> tuple[int, int] | None:
+    """Return (k, n) if m is isomorphic to the minimal matroid T_{k,n}.
+
+    T_{k,n} has a hub basis B* (the cycle path) such that every other basis
+    is a single swap (B* \\ {i}) | {p} with p outside B*; since the basis
+    count k(n-k)+1 forces all k(n-k) swaps to occur, finding any such hub
+    certifies the isomorphism exactly.  No permutation search needed.
+    """
+    k, n = m.rank, m.n
+    if not 1 <= k <= n - 1:
+        return None
+    if len(m.bases) != k * (n - k) + 1:
+        return None
+    for hub in m.bases:
+        if all(b == hub or (b ^ hub).bit_count() == 2 for b in m.bases):
+            return (k, n)
+    return None
 
 
 def rank2_from_partition(class_sizes: Iterable[int]) -> Matroid:
@@ -686,11 +706,13 @@ def rank2_from_partition(class_sizes: Iterable[int]) -> Matroid:
     if any(s < 1 for s in sizes):
         raise ValueError("every class must have at least one element")
     # each pair of elements from different classes is a basis
-    check_size("bases", (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2)
+    n = sum(sizes)
+    count = (n * n - sum(s * s for s in sizes)) // 2
+    check_size("bases", count)
+    check_size("basis-bits", count * n)
     starts = [0]
     for s in sizes:
         starts.append(starts[-1] + s)
-    n = starts[-1]
     bases = []
     for i in range(len(sizes)):
         for j in range(i + 1, len(sizes)):

@@ -23,7 +23,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import check_size
-from .matroid import Matroid, minimal, rank2_from_partition
+from .matroid import Matroid, minimal, rank2_from_partition, recognize_minimal
 # perfbench/tracing.py wraps this module's `tutte_subset_sum` too, so the
 # name stays although nothing here calls it
 from .tutte import tutte_dc, tutte_subset_sum  # noqa: F401
@@ -141,6 +141,9 @@ def rank2_threshold_check(n: int) -> bool:
 # -- closed-form family suite ----------------------------------------------
 
 class MinimalFamilyRow(NamedTuple):
+    """One T_{k,n} of the family suite; `dual_ok` is the exact recognition
+    of its dual as T_{n-k,n} by `recognize_minimal`."""
+
     k: int
     n: int
     bases_ok: bool
@@ -162,10 +165,9 @@ class MinimalFamilySummary(NamedTuple):
 
 def minimal_family_suite(k_max: int, n_max: int) -> MinimalFamilySummary:
     """Check the minimal matroids T_{k,n} for 1 <= k <= min(k_max, n-1),
-    n <= n_max: basis count k(n-k)+1, dual certificate matches T_{n-k,n},
+    n <= n_max: basis count k(n-k)+1, dual recognized exactly as T_{n-k,n},
     connectivity, split classification, and the multiplicative inequality."""
     from .flats import is_split
-    from .isomorphism import certificates_match
 
     if n_max > 14:
         raise ValueError("n_max above 14 is past the intended desk scale")
@@ -176,7 +178,7 @@ def minimal_family_suite(k_max: int, n_max: int) -> MinimalFamilySummary:
             rows.append(MinimalFamilyRow(
                 k=k, n=n,
                 bases_ok=len(m.bases) == k * (n - k) + 1,
-                dual_ok=certificates_match(m.dual(), minimal(n - k, n)),
+                dual_ok=recognize_minimal(m.dual()) == (n - k, n),
                 connected_ok=m.is_connected(),
                 split_ok=is_split(m),
                 mult_ok=check_mw(m).mult_ok,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bitset import disjoint_columns
 from .errors import (
     ClassificationFailureError,
     ExhaustivenessFailureError,
@@ -34,8 +33,7 @@ from .errors import (
     check_size,
 )
 from .flats import is_split
-from .isomorphism import recognize_minimal
-from .matroid import Matroid
+from .matroid import Matroid, recognize_minimal
 from .merino_welsh import MWReport, check_mw
 
 RULE_DIRECT_SUM = "direct-sum-split"
@@ -123,10 +121,9 @@ def _clean_pivot(m: Matroid) -> int | None:
     flawed = [e for e, col in enumerate(cols) if not col or col == ones]
     if flawed:
         return flawed[0] if len(flawed) == 1 else None
-    parallel = disjoint_columns(cols)
-    series = disjoint_columns([ones ^ col for col in cols])
-    return next((e for e, (p, s) in enumerate(zip(parallel, series)) if not p | s),
-                None)
+    return next((e for e, col in enumerate(cols)
+                 if all(col & c and (ones ^ col) & (ones ^ c)
+                        for f, c in enumerate(cols) if f != e)), None)
 
 
 def no_clean_pivot(m: Matroid) -> bool:

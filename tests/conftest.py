@@ -24,7 +24,7 @@ from splitmw.corpus import (
     k4_graph,
     tutte_identity_corpus,
 )
-from splitmw.isomorphism import recognize_minimal
+from splitmw.matroid import recognize_minimal
 from splitmw.merino_welsh import check_mw
 from splitmw.prooftrace import (
     RULE_BASE_MINIMAL,

@@ -74,6 +74,16 @@ class TestConstruct:
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "") and "bases limit 2704156" in err
 
+    # counts inside the bases limit, each basis a 2,000,000-bit mask
+    @pytest.mark.parametrize("argv", [
+        ["--minimal", "1,2000000"], ["--rank2", "1,1999999"]])
+    def test_too_many_basis_bits_exits_2_at_once(self, argv, monkeypatch,
+                                                  capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(["construct"] + argv, None, monkeypatch, capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "") and "basis-bits limit 64899744" in err
+
     def test_bad_parameters_exit_2(self, monkeypatch, capsys):
         code, _, err = run_cli(["construct", "--minimal", "9,4"],
                                None, monkeypatch, capsys)
@@ -397,7 +407,7 @@ def test_wide_inputs_answer_at_once(verb, reader, tmp_path):
 
 
 # what a verb that does not run it must not pay for at start-up
-UNUSED_AT_START = {"dataclasses", "hashlib", "splitmw.graphs", "splitmw.isomorphism",
+UNUSED_AT_START = {"dataclasses", "hashlib", "splitmw.graphs",
                    "splitmw.merino_welsh", "splitmw.prooftrace",
                    "splitmw.acceptance", "splitmw.corpus"}
 
@@ -432,8 +442,7 @@ def test_cli_import_leaves_unused_modules_out():
 @pytest.mark.parametrize("verb, loads", [
     ("tutte", set()), ("is-split", set()), ("cyclic-flats", set()),
     ("check-mw", {"splitmw.merino_welsh"}),
-    ("trace", {"hashlib", "splitmw.isomorphism", "splitmw.merino_welsh",
-               "splitmw.prooftrace"})])
+    ("trace", {"hashlib", "splitmw.merino_welsh", "splitmw.prooftrace"})])
 def test_file_verb_loads_only_what_it_runs(verb, loads, tmp_path):
     path = tmp_path / "t47.json"
     path.write_text(json.dumps(splitmw.minimal(4, 7).to_dict()))

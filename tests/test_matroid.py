@@ -20,6 +20,7 @@ from splitmw import (
     matroid_from_dict,
     minimal,
     rank2_from_partition,
+    recognize_minimal,
     uniform,
 )
 from splitmw.bitset import bits, disjoint_columns, mask_of
@@ -186,6 +187,51 @@ class TestConstructors:
         from splitmw import LimitExceededError
         with pytest.raises(LimitExceededError):
             graphic(g)
+
+
+def relabel(m, perm):
+    """m with element e renamed perm[e]."""
+    return Matroid(m.n, m.rank, (mask_of(perm[e] for e in bits(b))
+                                 for b in m.bases))
+
+
+class TestRecognizeMinimal:
+    def test_agrees_with_brute_force_sweep(self):
+        # every family of equal-size subsets on at most 5 elements, most of
+        # them not matroids: recognized exactly when isomorphic to T_{k,n}
+        for n in range(1, 6):
+            for m in every_family(n):
+                k = m.rank
+                expected = (1 <= k <= n - 1
+                            and brute_isomorphic(m, minimal(k, n)))
+                assert recognize_minimal(m) == ((k, n) if expected else None), m
+
+    def test_minimal_dual_is_minimal(self):
+        for n in range(2, 9):
+            for k in range(1, n):
+                assert recognize_minimal(minimal(k, n).dual()) == (n - k, n)
+
+    def test_recognize_minimal_family(self):
+        for m in minimal_matroids(9):
+            assert recognize_minimal(m) == (m.rank, m.n)
+
+    def test_recognize_minimal_after_relabeling(self):
+        m = relabel(minimal(3, 7), [6, 2, 4, 0, 5, 1, 3])
+        assert recognize_minimal(m) == (3, 7)
+
+    def test_recognize_minimal_rejects_uniform_with_extra_bases(self):
+        assert recognize_minimal(uniform(2, 4)) is None
+        assert recognize_minimal(uniform(2, 5)) is None
+
+    def test_recognize_minimal_accepts_extreme_uniforms(self):
+        # U_{1,n} and U_{n-1,n} are the degenerate minimal matroids
+        assert recognize_minimal(uniform(1, 5)) == (1, 5)
+        assert recognize_minimal(uniform(4, 5)) == (4, 5)
+        assert recognize_minimal(uniform(1, 1)) is None
+
+    def test_recognize_minimal_rejects_disconnected(self):
+        s = minimal(1, 2).direct_sum(minimal(1, 2))
+        assert recognize_minimal(s) is None
 
 
 class TestRankAndClosure:
