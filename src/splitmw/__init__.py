@@ -70,8 +70,8 @@ _EXPORTS = {
                      "verify_rank2_exhaustive"),
     "prooftrace": ("BaseCaseClassification", "ProofNode", "ProofTrace",
                    "classify_base_case", "no_clean_pivot", "to_dot", "trace"),
-    "tutte": ("TuttePolynomial", "TutteMemo", "set_memo_capacity", "tutte_dc",
-              "tutte_from_dict", "tutte_subset_sum"),
+    "tutte": ("TuttePolynomial", "TutteMemo", "tutte_dc", "tutte_from_dict",
+              "tutte_subset_sum"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -44,6 +44,19 @@ def bits(mask: int) -> list[int]:
     return out
 
 
+def k_subsets(k: int, n: int):
+    """The masks of the k-subsets of {0,...,n-1}, ascending, each the next
+    int with k bits (Gosper's rule), with no pool of n elements."""
+    mask, end = (1 << k) - 1, 1 << n
+    while mask < end:
+        yield mask
+        if not mask:
+            return
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((mask ^ ripple) >> 2) // low
+
+
 # -- 2^n-bit tables ---------------------------------------------------------
 
 # byte i < 3 of a table whose set bits are the masks containing element i
@@ -260,8 +273,11 @@ def _byte_pieces(raw: bytes, n: int, table):
     """(each slot's pieces joined, how many byte positions were joined) for
     the slots of n-bit masks: each byte j looked up in table(j), the pieces
     added by C-level maps.  Byte positions that are zero in every slot add
-    nothing and are skipped; with none left, the first item is None."""
+    nothing and are skipped; slots that are all zero are found by one
+    C-level count, and each gets byte 0's piece."""
     width = slot_width(n)
+    if raw.count(0) == len(raw):
+        return [table(0)[0]] * (len(raw) // width), 1
     joined = None
     count = 0
     for j in range((n + 7) >> 3):
@@ -278,8 +294,6 @@ def element_lists(raw: bytes, n: int) -> list[list[int]]:
     """The ascending element list of each slot's mask (slots of n-bit masks,
     see `to_slots`), as new lists, through per-byte tables of lists."""
     lists, joined = _byte_pieces(raw, n, _byte_elements)
-    if lists is None:
-        return [[] for _ in range(len(raw) // slot_width(n))]
     if joined == 1:
         lists = map(list.copy, lists)   # not the table's own lists
     return list(lists)
@@ -290,8 +304,6 @@ def element_text(raw: bytes, n: int) -> str:
     through per-byte tables of text instead of lists: each slot's pieces
     ",e1,e2,..." are joined by "],[" and the comma after each "[" dropped."""
     texts, _ = _byte_pieces(raw, n, _byte_text)
-    if texts is None:
-        return "[" + ",".join(["[]"] * (len(raw) // slot_width(n))) + "]"
     return ("[[" + "],[".join(texts) + "]]").replace("[,", "[")
 
 

@@ -71,17 +71,6 @@ def _load_multigraph(path: str):
     return multigraph_from_dict(_read_json(path))
 
 
-def _byte_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a byte count of at least 0, got {text!r}")
-    return value
-
-
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -110,15 +99,12 @@ def _cmd_tutte(args) -> int:
                       "deletion-contraction" if args.engine == "dc" else "tables")
     if args.engine == "subset":
         t = tutte_mod.tutte_subset_sum(m)
-    elif args.engine == "dc":
-        t = tutte_mod.tutte_dc(m)
     else:
         t = tutte_mod.tutte_dc(m)
-        reference = tutte_mod.tutte_subset_sum(m)
-        if t != reference:
-            print("engine mismatch: deletion-contraction and subset-sum "
-                  "disagree", file=sys.stderr)
-            return 1
+    if args.engine == "both" and t != tutte_mod.tutte_subset_sum(m):
+        print("engine mismatch: deletion-contraction and subset-sum "
+              "disagree", file=sys.stderr)
+        return 1
     print(_dumps(t.to_dict()))
     return 0
 
@@ -197,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="splitmw",
         description="Exact matroid toolkit: Tutte polynomials, cyclic flats, "
                     "split recognition, Merino-Welsh certification.")
-    parser.add_argument("--memo-cap", type=_byte_count, metavar="BYTES", default=None,
-                        help="capacity of the Tutte memo table in bytes")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("construct", help="build a matroid and emit matroid-bases-v1")
@@ -255,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.memo_cap is not None:
-        tutte_mod.set_memo_capacity(args.memo_cap)
     try:
         return args.func(args)
     except ClassificationFailureError as exc:

@@ -44,10 +44,10 @@ class LimitExceededError(SplitMWError):
     """Input is larger than the size limit of the work asked for."""
 
 
-# The largest input each kind of work takes: ground-set elements n for
-# matroids, edges for the graph counts, bases and their bits for the matroid
-# builders.
-# The one table of size limits.
+# The one table of size limits: the largest input each kind of work takes
+# (ground-set elements n for matroids, edges for the graph counts, bases and
+# their bits for the matroid builders), and the bytes the deletion-contraction
+# memo may hold before it evicts.
 SIZE_LIMITS = {
     # 2^n-bit tables: independence and rank tables, circuits, the
     # subset-sum engine, flats, cyclic flats and is_split
@@ -66,6 +66,10 @@ SIZE_LIMITS = {
     # bases times n, the bits those builders fill: C(24,12) * 24, so a
     # count inside the "bases" limit cannot come on a huge ground set
     "basis-bits": 64_899_744,
+    # minimal_family_suite's n_max
+    "family-suite": 14,
+    # the bytes `tutte.TutteMemo` holds, by its own count, before it evicts
+    "memo-bytes": 64 << 20,
 }
 
 

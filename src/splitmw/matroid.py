@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable
 from functools import reduce
-from itertools import chain, combinations, compress
+from itertools import chain, compress
 from math import comb
 from operator import and_, or_
 
@@ -49,6 +49,7 @@ from .bitset import (
     element_lists,
     element_masks,
     element_text,
+    k_subsets,
     lex_order,
     mask_of,
     members,
@@ -655,7 +656,7 @@ def uniform(k: int, n: int) -> Matroid:
                 f"uniform({k},{n}): C({n},{k}) bases exceed the bases "
                 f"limit {limit}")
     check_size("basis-bits", count * n)
-    return Matroid(n, k, (mask_of(c) for c in combinations(range(n), k)))
+    return Matroid(n, k, k_subsets(k, n))
 
 
 def minimal(k: int, n: int) -> Matroid:

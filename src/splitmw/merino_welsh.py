@@ -165,12 +165,12 @@ class MinimalFamilySummary(NamedTuple):
 
 def minimal_family_suite(k_max: int, n_max: int) -> MinimalFamilySummary:
     """Check the minimal matroids T_{k,n} for 1 <= k <= min(k_max, n-1),
-    n <= n_max: basis count k(n-k)+1, dual recognized exactly as T_{n-k,n},
-    connectivity, split classification, and the multiplicative inequality."""
+    n <= n_max (the "family-suite" limit): basis count k(n-k)+1, dual
+    recognized exactly as T_{n-k,n}, connectivity, split classification,
+    and the multiplicative inequality."""
     from .flats import is_split
 
-    if n_max > 14:
-        raise ValueError("n_max above 14 is past the intended desk scale")
+    check_size("family-suite", n_max)
     rows = []
     for n in range(2, n_max + 1):
         for k in range(1, min(k_max, n - 1) + 1):

@@ -5,10 +5,11 @@ split matroids.
 machine-checked tree: disconnected matroids split into their components,
 connected ones either hit a recognized base case (rank or corank at most 2,
 or a minimal matroid) or recurse through a deletion/contraction pivot whose
-two minors are both loopless and coloopless.  Every node re-derives its own
-inequality verdict from scratch -- nothing is propagated from children -- so
-a verified trace is an independent check of the argument, not a replay of
-trust.
+two minors are both loopless and coloopless.  Each node runs `check_mw`,
+but through the process-wide deletion-contraction memo that earlier nodes
+and calls filled, and equal minors share one node (below), so a verified
+trace is not an independent check of the argument (ROADMAP.md, open item
+1: an independent trace checker).
 
 Each distinct minor is checked once per trace: a matroid equal to one
 already built (same size, rank and bases, whatever its `element_map`)

@@ -10,14 +10,15 @@ Two independent engines cross-check each other:
     levels, then (r+1)*(n-r+1) bit counts.
   * `tutte_dc` -- deletion-contraction with eager loop/coloop stripping,
     a closed form for uniform minors, pivoting inside a largest parallel
-    class, and an LRU-bounded memo keyed on a relabeling-canonicalized
-    basis family.  Each recursion node packs its bases into one int, one
-    array slot per basis, and works on the n columns of that int (see
-    `bitset`): degrees are bit counts, loops and coloops are empty and
-    full columns, parallel pairs are disjoint columns, and the canonical
-    relabeling and the minors' families are n shifts and ORs followed by
-    one C-level unpack.  Per node that is O(n^2) whole-int operations plus
-    a sort of the relabeled bases, with no loop over the bits of each basis.
+    class, and an LRU memo, bounded by the "memo-bytes" size limit, keyed
+    on the packed slots of a relabeling-canonicalized basis family.  Each
+    recursion node packs its bases into one int, one array slot per basis,
+    and works on the n columns of that int (see `bitset`): degrees are bit
+    counts, loops and coloops are empty and full columns, parallel pairs
+    are disjoint columns, and the canonical relabeling and the minors'
+    families are n shifts and ORs followed by one C-level unpack.  Per node
+    that is O(n^2) whole-int operations plus a sort of the relabeled bases,
+    with no loop over the bits of each basis.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
 Coefficient matrices are indexed coeffs[i][j] = coefficient of x^i y^j and
@@ -33,8 +34,8 @@ from math import comb
 from operator import add
 
 from .bitset import (column_view, disjoint_columns, minor_families, place,
-                     popcount_classes, unpack)
-from .errors import InputError, check_size, require_int
+                     popcount_classes, slot_width, to_slots, unpack)
+from .errors import SIZE_LIMITS, InputError, check_size, require_int
 from .matroid import Matroid
 
 
@@ -227,18 +228,17 @@ def tutte_subset_sum(m: Matroid) -> TuttePolynomial:
 # -- deletion-contraction engine -------------------------------------------
 
 class TutteMemo:
-    """Byte-capped LRU memo shared across recursions.  Entries are
-    immutable values, so a hit can be returned as it is."""
+    """LRU memo shared across recursions, bounded by the "memo-bytes" size
+    limit.  Entries are immutable values, so a hit is returned as it is."""
 
-    def __init__(self, capacity_bytes: int = 64 << 20):
-        self.capacity_bytes = capacity_bytes
+    def __init__(self):
         self._data: OrderedDict = OrderedDict()
         self._bytes = 0
 
     @staticmethod
     def _entry_cost(key, poly: TuttePolynomial) -> int:
         cells = len(poly.coeffs) * len(poly.coeffs[0])
-        return 96 + 8 * len(key[1]) + 32 * cells
+        return 96 + len(key[1]) + 32 * cells
 
     def get(self, key):
         val = self._data.get(key)
@@ -251,17 +251,11 @@ class TutteMemo:
             return
         self._data[key] = poly
         self._bytes += self._entry_cost(key, poly)
-        self._evict()
-
-    def _evict(self):
+        limit = SIZE_LIMITS["memo-bytes"]
         # keep at least one entry so progress is visible
-        while self._bytes > self.capacity_bytes and len(self._data) > 1:
+        while self._bytes > limit and len(self._data) > 1:
             old_key, old_val = self._data.popitem(last=False)
             self._bytes -= self._entry_cost(old_key, old_val)
-
-    def set_capacity(self, capacity_bytes: int):
-        self.capacity_bytes = capacity_bytes
-        self._evict()
 
     def clear(self):
         self._data.clear()
@@ -272,11 +266,6 @@ class TutteMemo:
 
 
 _global_memo = TutteMemo()
-
-
-def set_memo_capacity(capacity_bytes: int) -> None:
-    """Resize the process-wide memo (evicting immediately if shrinking)."""
-    _global_memo.set_capacity(capacity_bytes)
 
 
 @lru_cache(maxsize=None)
@@ -305,18 +294,19 @@ def _key_and_pivot(cols: list[int], count: int, width: int):
 
     e's parallel-class size is 1 + #{f : no basis holds both e and f} (see
     `bitset.disjoint_columns`; a loop counts itself) and its degree is the
-    number of bases holding it.  The key is (n, the sorted bases) after
-    relabeling the elements in order of (class size, degree, index);
-    relabeling preserves the Tutte polynomial, so key collisions are sound
-    by construction and symmetric minors coalesce.  The pivot is the
-    lowest-index element of a largest class.
+    number of bases holding it.  The key is (n, the sorted bases in slots
+    of n's width, so equal families key alike) after relabeling the
+    elements in order of (class size, degree, index); that preserves the
+    Tutte polynomial, so key collisions are sound and symmetric minors
+    coalesce.  The pivot is the lowest-index element of a largest class.
     """
     n = len(cols)
     degree = [c.bit_count() for c in cols]
     size = [1 + p.bit_count() for p in disjoint_columns(cols)]
     order = sorted(range(n), key=lambda e: (size[e], degree[e]))
     relabeled = unpack(place([cols[e] for e in order]), count, width)
-    return (n, tuple(sorted(relabeled))), size.index(max(size))
+    key = n, to_slots(sorted(relabeled), slot_width(n))
+    return key, size.index(max(size))
 
 
 def _dc(n: int, bases, memo: TutteMemo, view=None) -> TuttePolynomial:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from itertools import combinations, permutations
 from math import comb
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from splitmw import Matroid, Multigraph, graphic, tutte
+from splitmw import Matroid, Multigraph, graphic
 from splitmw.bitset import bits, mask_of
 from splitmw.corpus import (
     doubled_doubled_4cycle,
@@ -41,16 +42,6 @@ from splitmw.tutte import TuttePolynomial, _uniform_tutte
 # disables the example database), and a slow host fails no example.
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
-
-
-@pytest.fixture(autouse=True)
-def restore_memo_capacity():
-    """Put back the process-wide Tutte memo's capacity after each test, so
-    a test that runs `splitmw --memo-cap` in-process leaves later tests the
-    capacity it found."""
-    capacity = tutte._global_memo.capacity_bytes
-    yield
-    tutte.set_memo_capacity(capacity)
 
 
 @pytest.fixture
@@ -281,7 +272,9 @@ def dense_to_sparse(t) -> dict[tuple[int, int], int]:
 def canonical_key_oracle(n: int, bases: tuple[int, ...]):
     """Memo key: (n, the sorted bases) after relabeling the elements in order
     of (parallel-class size, basis degree, index), where e's class size is
-    n + 1 minus the number of elements sharing a basis with e."""
+    n + 1 minus the number of elements sharing a basis with e.  The bases
+    are written one after another in native byte order, each in the
+    narrowest of 1, 2, 4 or 8 bytes that holds n bits."""
     degree = [0] * n
     cooc = [0] * n
     for b in bases:
@@ -294,7 +287,9 @@ def canonical_key_oracle(n: int, bases: tuple[int, ...]):
     for new, old in enumerate(order):
         pos[old] = new
     remapped = [mask_of(pos[e] for e in bits(b)) for b in bases]
-    return (n, tuple(sorted(remapped)))
+    width = next(w for w in (1, 2, 4, 8, (n + 7) // 8) if 8 * w >= n)
+    return (n, b"".join(b.to_bytes(width, sys.byteorder)
+                        for b in sorted(remapped)))
 
 
 def pivot_oracle(n: int, bases: tuple[int, ...]) -> int:

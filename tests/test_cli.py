@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import splitmw
 from splitmw import SplitMWError, cli, matroid_from_dict
+from splitmw.errors import SIZE_LIMITS
 from splitmw.graphs import multigraph_from_dict
 
 from conftest import derived_matroids
@@ -63,6 +64,21 @@ class TestConstruct:
         out = construct(["--uniform", "0,20000"], monkeypatch, capsys)
         assert time.perf_counter() - start < 1
         assert out == '{"format":"matroid-bases-v1","n":20000,"rank":0,"bases":[[]]}\n'
+
+    def test_wide_empty_basis_at_the_limit(self):
+        # one empty basis of SIZE_LIMITS["basis-bits"] bits, in its own
+        # process: its masks are built without a pool of n elements, and
+        # its one all-zero slot is written without a look at each byte
+        n = SIZE_LIMITS["basis-bits"]
+        src = str(Path(splitmw.__file__).resolve().parent.parent)
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "splitmw.cli", "construct",
+                               "--uniform", f"0,{n}"], check=False,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout) == (
+            0, f'{{"format":"matroid-bases-v1","n":{n},"rank":0,"bases":[[]]}}\n')
 
     # C(40,14) = 23,206,929,840 bases, and counts too large to compute in full
     @pytest.mark.parametrize("argv", [
@@ -294,20 +310,14 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "nested too deeply" in err
 
-    @pytest.mark.parametrize("cap", ["-1", "x"])
-    def test_bad_memo_cap_exits_2(self, cap, monkeypatch, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["--memo-cap", cap, "selftest"], None, monkeypatch, capsys)
-        assert exc.value.code == 2
-        assert "--memo-cap: expected a byte count of at least 0" in capsys.readouterr().err
-
-    def test_memo_cap_flag(self, monkeypatch, capsys):
+    def test_memo_cap_is_a_usage_error(self, monkeypatch, capsys):
+        # the memo's bound is the fixed "memo-bytes" size limit
         doc = construct(["--minimal", "5,10"], monkeypatch, capsys)
-        code, out, _ = run_cli(["--memo-cap", "4000", "tutte", "-"],
-                               doc, monkeypatch, capsys)
-        assert code == 0
-        record = json.loads(out)
-        assert record["rank"] == 5
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--memo-cap", "4000", "tutte", "-"], doc, monkeypatch, capsys)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: splitmw")
 
 
 # Arbitrary JSON, records with the right format and arbitrary fields, and

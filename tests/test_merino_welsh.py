@@ -172,5 +172,6 @@ class TestMinimalFamilySuite:
         assert {r.k for r in summary.rows} == {1}
 
     def test_rejects_oversized_n(self):
-        with pytest.raises(ValueError):
-            minimal_family_suite(k_max=2, n_max=15)
+        n_max = SIZE_LIMITS["family-suite"] + 1
+        with pytest.raises(LimitExceededError, match="family-suite limit 14"):
+            minimal_family_suite(k_max=2, n_max=n_max)

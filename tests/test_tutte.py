@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 
@@ -194,6 +196,11 @@ def check_column_pass(m):
             children_oracle(stripped, e)
 
 
+PETERSEN = Multigraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
 def with_loop_and_coloop(m):
     """A loop below m's elements and a coloop above them."""
     return uniform(0, 1).direct_sum(m).direct_sum(uniform(1, 1))
@@ -231,17 +238,18 @@ class TestColumnPass:
     def test_slot_width_edges(self, m):
         check_column_pass(m)
 
-    # the default capacity, and one that keeps 25 of Petersen's 65 entries
+    # the default "memo-bytes" limit, and one under which Petersen with a
+    # chord ends with 55 of the 114 entries it makes with room for all
     @pytest.mark.parametrize("capacity", [64 << 20, 100000])
-    def test_memo_matches_oracle_recursion(self, capacity, fano, k4):
+    def test_memo_matches_oracle_recursion(self, capacity, fano, k4,
+                                           monkeypatch):
+        monkeypatch.setitem(SIZE_LIMITS, "memo-bytes", capacity)
         k5 = Multigraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-        petersen = Multigraph(10, [(i, (i + 1) % 5) for i in range(5)]
-                              + [(i, i + 5) for i in range(5)]
-                              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
-        for m in [fano, k4, graphic(k5), graphic(petersen), minimal(5, 10),
-                  with_loop_and_coloop(minimal(4, 8)),
+        chorded = Multigraph(10, list(PETERSEN.edges) + [(0, 2)])
+        for m in [fano, k4, graphic(k5), graphic(PETERSEN), graphic(chorded),
+                  minimal(5, 10), with_loop_and_coloop(minimal(4, 8)),
                   rank2_from_partition([1, 2, 3, 2])]:
-            memo, oracle_memo = TutteMemo(capacity), TutteMemo(capacity)
+            memo, oracle_memo = TutteMemo(), TutteMemo()
             oracle = dc_oracle(m.n, tuple(sorted(m.bases)), oracle_memo)
             assert tutte_dc(m, memo=memo) == oracle
             assert list(memo._data.items()) == list(oracle_memo._data.items())
@@ -313,8 +321,9 @@ class TestIdentities:
 
 
 class TestMemo:
-    def test_tiny_capacity_still_correct(self):
-        memo = TutteMemo(capacity_bytes=1500)
+    def test_tiny_capacity_still_correct(self, monkeypatch):
+        monkeypatch.setitem(SIZE_LIMITS, "memo-bytes", 1500)
+        memo = TutteMemo()
         m = minimal(5, 10)
         assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
         assert len(memo) <= 8  # eviction kept the table tiny
@@ -327,11 +336,18 @@ class TestMemo:
         assert first == second
         assert len(memo) == size_after_first
 
-    def test_set_capacity_evicts(self):
+    @pytest.mark.parametrize("m", [graphic(PETERSEN), minimal(8, 16)],
+                             ids=["petersen", "minimal-8-16"])
+    def test_charge_covers_the_keys(self, m):
+        # the key objects themselves: the pair, its payload, and any int in
+        # the payload past the interpreter's shared small ints
         memo = TutteMemo()
-        tutte_dc(minimal(5, 10), memo=memo)
-        memo.set_capacity(1)
-        assert len(memo) <= 1
+        tutte_dc(m, memo=memo)
+        assert len(memo) > 0
+        assert memo._bytes >= sum(
+            sys.getsizeof(key) + sys.getsizeof(key[1])
+            + sum(sys.getsizeof(b) for b in key[1] if b > 256)
+            for key in memo._data)
 
 
 class TestPolynomialType:
