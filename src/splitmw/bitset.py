@@ -252,8 +252,8 @@ def lex_order(masks: Iterable[int], n: int) -> bytes:
     return _reversed_slots(to_slots(sorted(flipped), width))
 
 
-# the tables of a 64-bit slot's byte positions stay cached; wider ones are
-# rebuilt per record
+# one table per byte position of a slot of at most 64 bits; wider slots are
+# written through their numerals instead
 @lru_cache(maxsize=8)
 def _byte_elements(j: int) -> tuple[list[int], ...]:
     """For each byte value, the elements its set bits stand for when it is
@@ -271,10 +271,10 @@ def _byte_text(j: int) -> tuple[str, ...]:
 
 def _byte_pieces(raw: bytes, n: int, table):
     """(each slot's pieces joined, how many byte positions were joined) for
-    the slots of n-bit masks: each byte j looked up in table(j), the pieces
-    added by C-level maps.  Byte positions that are zero in every slot add
-    nothing and are skipped; slots that are all zero are found by one
-    C-level count, and each gets byte 0's piece."""
+    the slots of n-bit masks, n <= 64: each byte j looked up in table(j),
+    the pieces added by C-level maps.  Byte positions that are zero in every
+    slot add nothing and are skipped; slots that are all zero are found by
+    one C-level count, and each gets byte 0's piece."""
     width = slot_width(n)
     if raw.count(0) == len(raw):
         return [table(0)[0]] * (len(raw) // width), 1
@@ -290,9 +290,19 @@ def _byte_pieces(raw: bytes, n: int, table):
     return joined, count
 
 
+def _wide(n: int) -> bool:
+    """Whether n-bit slots are wider than a machine type.  Chaining one
+    map per byte position would then cost time and memory quadratic in the
+    elements of a wide full basis, so such slots are read one at a time."""
+    return slot_width(n) not in _ARRAY_CODES
+
+
 def element_lists(raw: bytes, n: int) -> list[list[int]]:
     """The ascending element list of each slot's mask (slots of n-bit masks,
-    see `to_slots`), as new lists, through per-byte tables of lists."""
+    see `to_slots`), as new lists, through per-byte tables of lists; past
+    64 bits, each mask through one scan of its numeral (`members`)."""
+    if _wide(n):
+        return [members(mask) for mask in from_slots(raw, slot_width(n))]
     lists, joined = _byte_pieces(raw, n, _byte_elements)
     if joined == 1:
         lists = map(list.copy, lists)   # not the table's own lists
@@ -302,7 +312,10 @@ def element_lists(raw: bytes, n: int) -> list[list[int]]:
 def element_text(raw: bytes, n: int) -> str:
     """`json.dumps(element_lists(raw, n), separators=(",", ":"))`, written
     through per-byte tables of text instead of lists: each slot's pieces
-    ",e1,e2,..." are joined by "],[" and the comma after each "[" dropped."""
+    ",e1,e2,..." are joined by "],[" and the comma after each "[" dropped.
+    Past 64 bits, the text of `element_lists` with its spaces dropped."""
+    if _wide(n):
+        return str(element_lists(raw, n)).replace(" ", "")
     texts, _ = _byte_pieces(raw, n, _byte_text)
     return ("[[" + "],[".join(texts) + "]]").replace("[,", "[")
 

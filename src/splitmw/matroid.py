@@ -16,7 +16,7 @@ Conventions used throughout the package:
     it skips the constructor's per-basis checks.  Loops and coloops are
     one C-level OR or AND over the family.  Records (`to_dict`, and their canonical JSON text
     `record_json`) sort the masks as ints once and write each through
-    per-byte tables.
+    per-byte tables, or past 64 bits through its binary numeral.
   * Whole-table queries (independence and rank tables, rank levels,
     circuits) hold one bit per subset in a 2^n-bit int and close it under
     inclusion with n shift/AND/OR passes (see `bitset`): about n*(r+2)
@@ -449,14 +449,15 @@ class Matroid:
     def to_dict(self) -> dict:
         """matroid-bases-v1 record, in canonical order (bases sorted
         ascending within, lexicographically across), each basis written
-        out through per-byte element tables."""
+        out by `bitset.element_lists`."""
         return {"format": "matroid-bases-v1", "n": self.n, "rank": self.rank,
                 "bases": element_lists(self._lex_slots(), self.n)}
 
     def record_json(self) -> str:
         """`json.dumps(self.to_dict(), separators=(",", ":"),
-        sort_keys=True)`, written from the same slots through per-byte
-        tables of text, with no record built and no JSON encoder run."""
+        sort_keys=True)`, written from the same slots by
+        `bitset.element_text`, with no record built and no JSON encoder
+        run."""
         return (f'{{"bases":{element_text(self._lex_slots(), self.n)},'
                 f'"format":"matroid-bases-v1","n":{self.n},"rank":{self.rank}}}')
 

@@ -5,11 +5,18 @@ split matroids.
 machine-checked tree: disconnected matroids split into their components,
 connected ones either hit a recognized base case (rank or corank at most 2,
 or a minimal matroid) or recurse through a deletion/contraction pivot whose
-two minors are both loopless and coloopless.  Each node runs `check_mw`,
-but through the process-wide deletion-contraction memo that earlier nodes
-and calls filled, and equal minors share one node (below), so a verified
-trace is not an independent check of the argument (ROADMAP.md, open item
-1: an independent trace checker).
+two minors are both loopless and coloopless.
+
+Only the base-case leaves run a Tutte engine: `check_mw` evaluates them by
+deletion-contraction, through the process-wide memo that earlier leaves and
+calls filled.  Every node above takes its evaluations at (2,0), (0,2) and
+(1,1) from its children by the induction's two recurrences: the sum
+T(M\\e) + T(M/e) for a clean pivot e, which is neither a loop nor a
+coloop, and the product T(M1) T(M2) ... over the components of a direct
+sum.  Each node still decides its own three inequalities from its own
+numbers.  The same process computes every number, and equal minors share
+one node (below), so a verified trace is not an independent check of the
+argument (ROADMAP.md, open item 1: an independent trace checker).
 
 Each distinct minor is checked once per trace: a matroid equal to one
 already built (same size, rank and bases, whatever its `element_map`)
@@ -25,6 +32,7 @@ concrete instance.
 
 from __future__ import annotations
 
+from math import prod
 from typing import NamedTuple
 
 from .errors import (
@@ -35,7 +43,7 @@ from .errors import (
 )
 from .flats import is_split
 from .matroid import Matroid, recognize_minimal
-from .merino_welsh import MWReport, check_mw
+from .merino_welsh import MWReport, check_mw, report_from_evaluations
 
 RULE_DIRECT_SUM = "direct-sum-split"
 RULE_DELETE_CONTRACT = "delete-contract"
@@ -188,35 +196,48 @@ def _build(m: Matroid, built: dict) -> ProofNode:
     return node
 
 
+def _from_children(m: Matroid, children: tuple, combine) -> MWReport:
+    """m's report from its children's evaluations at each of the three
+    points, combined by `sum` (deletion-contraction) or `prod` (direct
+    sum); the verdicts are decided from m's own numbers."""
+    return report_from_evaluations(
+        m.n, m.rank, *(combine(getattr(c.mw, point) for c in children)
+                       for point in ("t20", "t02", "t11")))
+
+
 def _new_node(m: Matroid, built: dict) -> ProofNode:
-    mw = check_mw(m)
     record = m.to_dict()
     digest = matroid_digest(m)
     comps = m.components()
     if len(comps) != 1:
         children = tuple(_build(m.restrict(c), built) for c in comps)
-        return ProofNode(m, record, digest, RULE_DIRECT_SUM, mw, children)
+        return ProofNode(m, record, digest, RULE_DIRECT_SUM,
+                         _from_children(m, children, prod), children)
     rank, corank = m.rank, m.n - m.rank
     rule = _base_rule(rank, corank)
     if rule is not None:
-        return ProofNode(m, record, digest, rule, mw)
+        return ProofNode(m, record, digest, rule, check_mw(m))
     kn = recognize_minimal(m)
     if kn is not None:
-        return ProofNode(m, record, digest, RULE_BASE_MINIMAL, mw, minimal_kn=kn)
+        return ProofNode(m, record, digest, RULE_BASE_MINIMAL, check_mw(m),
+                         minimal_kn=kn)
     e = _clean_pivot(m)
     if e is None:
         # would contradict the base-case classification; abort loudly
         raise ClassificationFailureError(m)
     children = (_build(m.delete(e), built), _build(m.contract(e), built))
-    return ProofNode(m, record, digest, RULE_DELETE_CONTRACT, mw, children,
-                     element=e)
+    return ProofNode(m, record, digest, RULE_DELETE_CONTRACT,
+                     _from_children(m, children, sum), children, element=e)
 
 
 def trace(m: Matroid) -> ProofTrace:
     """Build the certificate tree for a loopless, coloopless split matroid.
 
-    The trace is `verified` iff every node's multiplicative inequality
-    holds; structural rule checks are enforced during construction."""
+    Leaves are evaluated by the deletion-contraction engine, and each
+    internal node sums (pivot) or multiplies (direct sum) its children's
+    evaluations.  The trace is `verified` iff every node's multiplicative
+    inequality holds; structural rule checks are enforced during
+    construction."""
     check_size("trace", m.n)
     m.require_clean()
     if not is_split(m):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from itertools import combinations, permutations
 from math import comb
@@ -105,6 +106,23 @@ def derived_matroids(draw):
     for m in parts[1:]:
         out = out.direct_sum(m)
     return out
+
+
+def sparse_paving(k: int, n: int, hyperplanes: int, seed: int) -> Matroid:
+    """A sparse paving matroid of rank k on n elements: every k-set is a
+    basis but its circuit-hyperplanes, which are k-sets taken in a seeded
+    order, each kept if it shares at most k-2 elements with every one kept
+    before, until `hyperplanes` are kept or none is left."""
+    ksets = [mask_of(c) for c in combinations(range(n), k)]
+    order = ksets[:]
+    random.Random(seed).shuffle(order)
+    kept: set[int] = set()
+    for c in order:
+        if len(kept) == hyperplanes:
+            break
+        if all((c & h).bit_count() <= k - 2 for h in kept):
+            kept.add(c)
+    return Matroid(n, k, [b for b in ksets if b not in kept])
 
 
 def brute_isomorphic(m1, m2) -> bool:

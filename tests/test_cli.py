@@ -80,6 +80,32 @@ class TestConstruct:
         assert (proc.returncode, proc.stdout) == (
             0, f'{{"format":"matroid-bases-v1","n":{n},"rank":0,"bases":[[]]}}\n')
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+    def test_wide_full_basis(self, tmp_path):
+        # one basis of a million elements, in its own process with 1 GB of
+        # address space: a slot past 64 bits is written through its own
+        # numeral, in time and memory linear in its elements
+        import resource
+        n = 10 ** 6
+        src = str(Path(splitmw.__file__).resolve().parent.parent)
+        out = tmp_path / "record.json"
+        with out.open("wb") as stdout:
+            start = time.perf_counter()
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "splitmw.cli", "construct", "--uniform",
+                 f"{n},{n}"], stdout=stdout, env=dict(os.environ, PYTHONPATH=src),
+                preexec_fn=lambda: resource.setrlimit(
+                    resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+            _, status, usage = os.wait4(proc.pid, 0)
+            elapsed = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        assert elapsed < 2
+        assert usage.ru_maxrss < 300 * 1024
+        assert out.read_text() == json.dumps(
+            {"format": "matroid-bases-v1", "n": n, "rank": n,
+             "bases": [list(range(n))]}, separators=(",", ":")) + "\n"
+
     # C(40,14) = 23,206,929,840 bases, and counts too large to compute in full
     @pytest.mark.parametrize("argv", [
         ["--uniform", "14,40"], ["--uniform", "500000000,1000000000"],

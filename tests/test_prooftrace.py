@@ -1,5 +1,6 @@
 import hashlib
 import json
+from math import prod
 
 import pytest
 from hypothesis import assume, given
@@ -11,16 +12,19 @@ from splitmw import (
     Matroid,
     NotSplitError,
     classify_base_case,
+    graphic,
     is_split,
     minimal,
     no_clean_pivot,
     rank2_from_partition,
     to_dot,
     trace,
+    tutte_subset_sum,
     uniform,
 )
 from splitmw.corpus import (
     graphic_corpus,
+    k4_graph,
     minimal_matroids,
     rank2_matroids,
     split_trace_corpus,
@@ -42,6 +46,7 @@ from conftest import (
     digest_oracle,
     every_family,
     pairwise_exchange_violation,
+    sparse_paving,
     to_dict_oracle,
     trace_oracle,
 )
@@ -80,6 +85,29 @@ def check_tree_structure(node):
     for child in node.children:
         assert child.matroid.n < m.n
         check_tree_structure(child)
+
+
+POINTS = ("t20", "t02", "t11")
+
+
+def evaluations(report):
+    return tuple(getattr(report, point) for point in POINTS)
+
+
+def assert_evaluations_combine(t):
+    """Each pivot node carries the sums of its children's evaluations and
+    each direct-sum node their products, with its own verdicts."""
+    for node in t.walk():
+        if node.rule in BASE_RULES:
+            continue
+        combine = sum if node.rule == RULE_DELETE_CONTRACT else prod
+        children = [evaluations(c.mw) for c in node.children]
+        assert evaluations(node.mw) == tuple(
+            combine(point[i] for point in children) for i in range(3))
+        t20, t02, t11 = evaluations(node.mw)
+        assert (node.mw.max_ok, node.mw.add_ok, node.mw.mult_ok) == (
+            max(t20, t02) >= t11, t20 + t02 >= 2 * t11, t20 * t02 >= t11 * t11)
+        assert (node.mw.n, node.mw.rank) == (node.matroid.n, node.matroid.rank)
 
 
 class TestTrace:
@@ -166,7 +194,7 @@ class TestTrace:
         b = trace(minimal(3, 5)).root.digest
         assert a == b and len(a) == 16
 
-    def test_failed_inequality_yields_unverified_trace_not_error(self, monkeypatch):
+    def test_failed_inequality_yields_unverified_trace_not_error(self, k4, monkeypatch):
         # no real counterexample exists in the corpus, so fake the report:
         # a violation must surface as verified=False, never as an exception
         from splitmw.merino_welsh import report_from_evaluations
@@ -176,6 +204,31 @@ class TestTrace:
         t = trace(uniform(1, 3))
         assert not t.verified
         assert t.root.rule == "base-rank-1"
+        # only the leaves are faked; the root of M(K4) takes their sums
+        t = trace(k4)
+        assert not t.verified
+        assert t.root.rule == RULE_DELETE_CONTRACT
+        assert [c.rule for c in t.root.children] == [
+            "base-corank-2", "base-rank-2"]
+        assert evaluations(t.root.mw) == (2, 2, 20)
+        assert not t.root.mw.mult_ok
+        assert_evaluations_combine(t)
+
+    @pytest.mark.parametrize("m", [
+        graphic(k4_graph()), uniform(6, 10),
+        uniform(2, 4).direct_sum(minimal(3, 6)), uniform(0, 0),
+    ], ids=["K4", "U(6,10)", "U(2,4)+T(3,6)", "empty"])
+    def test_engine_runs_once_per_distinct_leaf(self, m, monkeypatch):
+        from splitmw import prooftrace
+        called = []
+        check_mw = prooftrace.check_mw
+        monkeypatch.setattr(prooftrace, "check_mw",
+                            lambda m: called.append(m) or check_mw(m))
+        t = trace(m)
+        leaves = {node.matroid for node in t.walk() if node.rule in BASE_RULES}
+        assert len(called) == len(set(called)) == len(leaves)
+        assert set(called) == leaves
+        assert_evaluations_combine(t)
 
 
 class TestNoCleanPivot:
@@ -376,6 +429,28 @@ class TestNodeSharing:
         assert first.record is second.record is third.record
 
 
+class TestSparsePavingTraces:
+    """Seeded sparse paving matroids, whose traces pivot many levels deep,
+    unlike those of `split_trace_corpus`: the oracle runs `check_mw` at
+    every node, and the subset-sum engine shares no memo with it."""
+
+    @pytest.mark.parametrize("k, n, hyperplanes, seed", [
+        (3, 7, 7, 1), (4, 9, 8, 4), (5, 10, 12, 6), (4, 11, 25, 10),
+        (5, 11, 40, 9), (6, 11, 30, 11)])
+    def test_every_node_matches_subset_sum(self, k, n, hyperplanes, seed):
+        m = sparse_paving(k, n, hyperplanes, seed)
+        m.check_exchange()
+        assert m.is_clean() and is_split(m)
+        assert_shares_like_oracle(m)
+        t = trace(m)
+        assert t.verified
+        for node in {node.matroid: node for node in t.walk()}.values():
+            tutte = tutte_subset_sum(node.matroid)
+            assert evaluations(node.mw) == (
+                tutte.evaluate(2, 0), tutte.evaluate(0, 2), tutte.evaluate(1, 1))
+        assert_evaluations_combine(t)
+
+
 def with_loop_and_coloop(m):
     """A loop below m's elements and a coloop above them."""
     return uniform(0, 1).direct_sum(m).direct_sum(uniform(1, 1))
@@ -403,7 +478,8 @@ class TestDigestText:
         assert_digest_matches_oracle(m)
 
     # n = 0, and 8, 9 and 16 on either side of a byte edge, with loops and
-    # coloops; then byte positions that no basis touches
+    # coloops; then byte positions that no basis touches; then slots past 64
+    # bits, written through their numerals
     @pytest.mark.parametrize("m", [
         uniform(0, 0), uniform(1, 1), minimal(4, 8),
         with_loop_and_coloop(minimal(3, 6)), uniform(0, 8), uniform(8, 8),
@@ -411,8 +487,11 @@ class TestDigestText:
         minimal(8, 16), with_loop_and_coloop(minimal(7, 14)), uniform(0, 16),
         with_loop_and_coloop(uniform(2, 4).direct_sum(minimal(5, 8))),
         Matroid(16, 1, [1, 1 << 15]), Matroid(70, 1, [1, 2, 4]), uniform(1, 65),
+        uniform(0, 65), uniform(70, 70), minimal(40, 81),
+        with_loop_and_coloop(uniform(2, 66)),
     ], ids=lambda m: f"n{m.n}-r{m.rank}-{len(m.bases)}")
     def test_byte_edges(self, m):
+        assert m.to_dict() == to_dict_oracle(m)
         assert_digest_matches_oracle(m)
         assert m.record_json() == json.dumps(
             to_dict_oracle(m), separators=(",", ":"), sort_keys=True)
