@@ -18,7 +18,6 @@ from .errors import (
     ColoopsPresentError,
     EmptyBasesError,
     ExchangeViolationError,
-    ExhaustivenessFailureError,
     InputError,
     LimitExceededError,
     LoopsPresentError,
@@ -52,10 +51,9 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines; the first three are bound above
 _EXPORTS = {
     "errors": ("ClassificationFailureError", "ColoopsPresentError",
-               "EmptyBasesError", "ExchangeViolationError",
-               "ExhaustivenessFailureError", "InputError", "LimitExceededError",
-               "LoopsPresentError", "NotCleanInputError", "NotSplitError",
-               "SplitMWError", "WrongBasisSizeError"),
+               "EmptyBasesError", "ExchangeViolationError", "InputError",
+               "LimitExceededError", "LoopsPresentError", "NotCleanInputError",
+               "NotSplitError", "SplitMWError", "WrongBasisSizeError"),
     "flats": ("CyclicFlatReport", "cyclic_flats", "flats", "is_connected_split",
               "is_copaving", "is_paving", "is_split"),
     "matroid": ("Matroid", "from_bases", "graphic", "matroid_from_dict",
@@ -64,12 +62,10 @@ _EXPORTS = {
     "graphs": ("Multigraph", "count_acyclic_orientations",
                "count_spanning_trees", "count_totally_cyclic_orientations",
                "multigraph_from_dict"),
-    "merino_welsh": ("MinimalFamilySummary", "MWReport", "Rank2Census",
-                     "check_mw", "minimal_family_suite",
+    "merino_welsh": ("MWReport", "Rank2Census", "check_mw",
                      "rank2_census_partitions", "rank2_threshold_check",
                      "verify_rank2_exhaustive"),
-    "prooftrace": ("BaseCaseClassification", "ProofNode", "ProofTrace",
-                   "classify_base_case", "no_clean_pivot", "to_dot", "trace"),
+    "prooftrace": ("ProofNode", "ProofTrace", "to_dot", "trace"),
     "tutte": ("TuttePolynomial", "TutteMemo", "tutte_dc", "tutte_from_dict",
               "tutte_subset_sum"),
 }

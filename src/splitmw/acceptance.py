@@ -140,7 +140,7 @@ def _criterion_8() -> tuple[bool, str]:
             if not t.verified:
                 return False, f"unverified trace for {m!r}"
             nodes += t.node_count()
-    except ClassificationFailureError as exc:  # includes exhaustiveness failures
+    except ClassificationFailureError as exc:  # a node broke the base-case lemma
         return False, f"classification failure: {exc}"
     return True, f"{len(members)} traces verified ({nodes} nodes)"
 

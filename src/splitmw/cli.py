@@ -244,8 +244,7 @@ def main(argv=None) -> int:
     except ClassificationFailureError as exc:
         print(f"classification failure: {exc}", file=sys.stderr)
         return 1
-    except (SplitMWError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (SplitMWError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,18 @@ def require_int(name: str, value) -> None:
         raise InputError(f"{name} must be an integer, got {value!r}")
 
 
+def require_record(d, fmt: str, keys: tuple[str, ...]) -> None:
+    """Raise InputError unless d is a JSON object with format tag `fmt`
+    that holds every one of `keys`."""
+    if not isinstance(d, dict):
+        raise InputError(f"expected a JSON object, got {type(d).__name__}")
+    if d.get("format") != fmt:
+        raise InputError(f"not a {fmt} record: {d.get('format')!r}")
+    for key in keys:
+        if key not in d:
+            raise InputError(f"{fmt} record has no {key!r}")
+
+
 class EmptyBasesError(SplitMWError):
     """A matroid was given an empty basis family."""
 
@@ -53,8 +65,9 @@ SIZE_LIMITS = {
     # subset-sum engine, flats, cyclic flats and is_split
     "tables": 20,
     "deletion-contraction": 24,
-    # every trace node keeps its matroid, record and columns alive, so a
-    # sparse paving (8,18) trace already peaks at 216 MB
+    # every trace node keeps its matroid and record alive, and each internal
+    # node its columns, so a sparse paving (8,18) trace already peaks at
+    # about 125 MB
     "trace": 16,
     # brute force over edge subsets: graphic() and count_spanning_trees
     "spanning-forests": 20,
@@ -66,8 +79,6 @@ SIZE_LIMITS = {
     # bases times n, the bits those builders fill: C(24,12) * 24, so a
     # count inside the "bases" limit cannot come on a huge ground set
     "basis-bits": 64_899_744,
-    # minimal_family_suite's n_max
-    "family-suite": 14,
     # the bytes `tutte.TutteMemo` holds, by its own count, before it evicts
     "memo-bytes": 64 << 20,
 }
@@ -107,11 +118,7 @@ class ClassificationFailureError(SplitMWError):
     so the offending matroid is attached in full.
     """
 
-    def __init__(self, matroid, message="no base case matched"):
+    def __init__(self, matroid):
         self.matroid = matroid
-        super().__init__(f"{message}: n={matroid.n} rank={matroid.rank} "
-                         f"bases={sorted(matroid.bases)}")
-
-
-class ExhaustivenessFailureError(ClassificationFailureError):
-    """classify_base_case found neither a small-rank case nor a minimal matroid."""
+        super().__init__(f"no base case matched: n={matroid.n} "
+                         f"rank={matroid.rank} bases={sorted(matroid.bases)}")

@@ -129,7 +129,13 @@ def is_paving(m: Matroid) -> bool:
 
 
 def is_copaving(m: Matroid) -> bool:
-    return is_paving(m.dual())
+    """The dual is paving: every hyperplane has at most `rank` elements.
+
+    A hyperplane with more holds a non-spanning (rank+1)-subset, so this
+    holds iff every (rank+1)-subset spans, read from the top rank level."""
+    if m.rank == m.n:
+        return True
+    return not popcount_classes(m.n)[m.rank + 1] & ~m.rank_levels()[m.rank]
 
 
 class CyclicFlatReport(NamedTuple):

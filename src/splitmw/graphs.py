@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .errors import InputError, check_size, require_int
+from .errors import InputError, check_size, require_int, require_record
 
 
 def _join(parent: dict[int, int], u: int, v: int) -> bool:
@@ -100,13 +100,7 @@ def multigraph_from_dict(d: dict) -> Multigraph:
     """Parse a multigraph-v1 record: an object whose `vertices` is an exact
     int >= 0 and whose `edges` is a list of [u, v] pairs of exact ints
     below `vertices`.  Any breach raises InputError."""
-    if not isinstance(d, dict):
-        raise InputError(f"expected a JSON object, got {type(d).__name__}")
-    if d.get("format") != "multigraph-v1":
-        raise InputError(f"not a multigraph-v1 record: {d.get('format')!r}")
-    for key in ("vertices", "edges"):
-        if key not in d:
-            raise InputError(f"multigraph-v1 record has no {key!r}")
+    require_record(d, "multigraph-v1", ("vertices", "edges"))
     vertices, edges = d["vertices"], d["edges"]
     require_int("vertices", vertices)
     if vertices < 0:

@@ -72,6 +72,7 @@ from .errors import (
     WrongBasisSizeError,
     check_size,
     require_int,
+    require_record,
 )
 
 
@@ -571,13 +572,7 @@ def _link_witness(z: int, vertices: int, ext: dict) -> tuple[int, int, int]:
 
 def matroid_from_dict(d: dict) -> Matroid:
     """Parse and fully validate a matroid-bases-v1 record."""
-    if not isinstance(d, dict):
-        raise InputError(f"expected a JSON object, got {type(d).__name__}")
-    if d.get("format") != "matroid-bases-v1":
-        raise InputError(f"not a matroid-bases-v1 record: {d.get('format')!r}")
-    for key in ("n", "rank", "bases"):
-        if key not in d:
-            raise InputError(f"matroid-bases-v1 record has no {key!r}")
+    require_record(d, "matroid-bases-v1", ("n", "rank", "bases"))
     bases = d["bases"]
     if not (isinstance(bases, list) and all(isinstance(b, list) for b in bases)):
         raise InputError("'bases' must be a list of lists of elements")

@@ -23,7 +23,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import check_size
-from .matroid import Matroid, minimal, rank2_from_partition, recognize_minimal
+from .matroid import Matroid, rank2_from_partition
 # perfbench/tracing.py wraps this module's `tutte_subset_sum` too, so the
 # name stays although nothing here calls it
 from .tutte import tutte_dc, tutte_subset_sum  # noqa: F401
@@ -136,51 +136,3 @@ def rank2_threshold_check(n: int) -> bool:
     if n < 2:
         raise ValueError("n must be at least 2")
     return comb(n, 2) ** 2 <= 2 ** n
-
-
-# -- closed-form family suite ----------------------------------------------
-
-class MinimalFamilyRow(NamedTuple):
-    """One T_{k,n} of the family suite; `dual_ok` is the exact recognition
-    of its dual as T_{n-k,n} by `recognize_minimal`."""
-
-    k: int
-    n: int
-    bases_ok: bool
-    dual_ok: bool
-    connected_ok: bool
-    split_ok: bool
-    mult_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.bases_ok and self.dual_ok and self.connected_ok
-                and self.split_ok and self.mult_ok)
-
-
-class MinimalFamilySummary(NamedTuple):
-    rows: tuple[MinimalFamilyRow, ...]
-    all_ok: bool
-
-
-def minimal_family_suite(k_max: int, n_max: int) -> MinimalFamilySummary:
-    """Check the minimal matroids T_{k,n} for 1 <= k <= min(k_max, n-1),
-    n <= n_max (the "family-suite" limit): basis count k(n-k)+1, dual
-    recognized exactly as T_{n-k,n}, connectivity, split classification,
-    and the multiplicative inequality."""
-    from .flats import is_split
-
-    check_size("family-suite", n_max)
-    rows = []
-    for n in range(2, n_max + 1):
-        for k in range(1, min(k_max, n - 1) + 1):
-            m = minimal(k, n)
-            rows.append(MinimalFamilyRow(
-                k=k, n=n,
-                bases_ok=len(m.bases) == k * (n - k) + 1,
-                dual_ok=recognize_minimal(m.dual()) == (n - k, n),
-                connected_ok=m.is_connected(),
-                split_ok=is_split(m),
-                mult_ok=check_mw(m).mult_ok,
-            ))
-    return MinimalFamilySummary(rows=tuple(rows), all_ok=all(r.ok for r in rows))

@@ -25,8 +25,9 @@ direct sum of equal components or a minor reached along two pivot orders
 costs one subtree.  The output is the same tree, node for node.
 
 A connected split matroid in which *no* element admits a clean pivot must
-be one of the base cases; `classify_base_case` checks exactly that and
-raising `ExhaustivenessFailureError` would refute the classification on a
+be one of the base cases.  The trace checks that lemma on every node it
+builds: a connected node with no base case and no clean pivot raises
+`ClassificationFailureError`, which would refute the classification on a
 concrete instance.
 """
 
@@ -35,12 +36,7 @@ from __future__ import annotations
 from math import prod
 from typing import NamedTuple
 
-from .errors import (
-    ClassificationFailureError,
-    ExhaustivenessFailureError,
-    NotSplitError,
-    check_size,
-)
+from .errors import ClassificationFailureError, NotSplitError, check_size
 from .flats import is_split
 from .matroid import Matroid, recognize_minimal
 from .merino_welsh import MWReport, check_mw, report_from_evaluations
@@ -133,42 +129,6 @@ def _clean_pivot(m: Matroid) -> int | None:
     return next((e for e, col in enumerate(cols)
                  if all(col & c and (ones ^ col) & (ones ^ c)
                         for f, c in enumerate(cols) if f != e)), None)
-
-
-def no_clean_pivot(m: Matroid) -> bool:
-    """True iff for every element, deleting or contracting it leaves a loop
-    or a coloop somewhere."""
-    return _clean_pivot(m) is None
-
-
-class BaseCaseClassification(NamedTuple):
-    kind: str  # "rank-or-corank-at-most-2" | "minimal" | "both"
-    minimal_kn: tuple[int, int] | None = None
-
-
-def classify_base_case(m: Matroid) -> BaseCaseClassification:
-    """Classify a connected split pivotless matroid as a small-rank case, a
-    minimal matroid, or both; anything else is an exhaustiveness failure."""
-    check_size("tables", m.n)
-    m.require_clean()
-    if not m.is_connected():
-        raise ValueError("classify_base_case requires a connected matroid")
-    if not is_split(m):
-        raise NotSplitError(f"matroid is not split: {m!r}")
-    pivot = _clean_pivot(m)
-    if pivot is not None:
-        raise ValueError(
-            f"matroid has a clean pivot at element {pivot}; not a base case")
-    small = m.rank <= 2 or m.n - m.rank <= 2
-    kn = recognize_minimal(m)
-    if small and kn:
-        return BaseCaseClassification("both", kn)
-    if small:
-        return BaseCaseClassification("rank-or-corank-at-most-2")
-    if kn:
-        return BaseCaseClassification("minimal", kn)
-    raise ExhaustivenessFailureError(
-        m, "connected split matroid with no clean pivot matches no base case")
 
 
 def _base_rule(rank: int, corank: int) -> str | None:

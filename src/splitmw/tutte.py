@@ -35,7 +35,8 @@ from operator import add
 
 from .bitset import (column_view, disjoint_columns, minor_families, place,
                      popcount_classes, slot_width, to_slots, unpack)
-from .errors import SIZE_LIMITS, InputError, check_size, require_int
+from .errors import (SIZE_LIMITS, InputError, check_size, require_int,
+                     require_record)
 from .matroid import Matroid
 
 
@@ -162,13 +163,7 @@ def tutte_from_dict(d: dict) -> TuttePolynomial:
     """Parse a tutte-v1 record as `to_dict` writes it: exact ints for rank
     and corank, and a rectangular matrix of ASCII decimal-digit strings of
     their shape.  Raises InputError on anything else."""
-    if not isinstance(d, dict):
-        raise InputError(f"expected a JSON object, got {type(d).__name__}")
-    if d.get("format") != "tutte-v1":
-        raise InputError(f"not a tutte-v1 record: {d.get('format')!r}")
-    for key in ("rank", "corank", "coeffs"):
-        if key not in d:
-            raise InputError(f"tutte-v1 record has no {key!r}")
+    require_record(d, "tutte-v1", ("rank", "corank", "coeffs"))
     require_int("rank", d["rank"])
     require_int("corank", d["corank"])
     rows = d["coeffs"]
@@ -309,17 +304,16 @@ def _key_and_pivot(cols: list[int], count: int, width: int):
     return key, size.index(max(size))
 
 
-def _dc(n: int, bases, memo: TutteMemo, view=None) -> TuttePolynomial:
+def _dc(n: int, bases, memo: TutteMemo) -> TuttePolynomial:
     """T of the matroid on n elements with these bases (a sized iterable of
-    masks, in any order); `view`, if given, returns their columns as
-    `bitset.column_view` would."""
+    masks, in any order)."""
     count = len(bases)
     k = next(iter(bases)).bit_count()
     if count == comb(n, k):
         # every k-subset, so no columns are needed: U(k,n) has no loop or
         # coloop unless k is 0 or n, where the closed form is y^n or x^n
         return _uniform_tutte(k, n)
-    cols, ones, width = view() if view else column_view(n, bases)
+    cols, ones, width = column_view(n, bases)
     cols, ncoloops, nloops = _strip(cols, ones)
     n, k = len(cols), k - ncoloops
     if count == comb(n, k):
@@ -338,10 +332,8 @@ def _dc(n: int, bases, memo: TutteMemo, view=None) -> TuttePolynomial:
 
 def tutte_dc(m: Matroid, memo: TutteMemo | None = None) -> TuttePolynomial:
     """T by deletion-contraction, up to the "deletion-contraction" size
-    limit.  Past the closed form for a uniform matroid, the root reads the
-    matroid's own columns (`Matroid.columns`), which its minors and the
-    trace's pivot search read too."""
+    limit."""
     check_size("deletion-contraction", m.n)
     if memo is None:
         memo = _global_memo
-    return _dc(m.n, m.bases, memo, m.columns)
+    return _dc(m.n, m.bases, memo)

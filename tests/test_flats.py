@@ -169,6 +169,17 @@ class TestPaving:
             if is_copaving(m):
                 assert is_split(m)
 
+    def test_copaving_is_dual_paving_over_corpora(self):
+        sample = (tutte_identity_corpus() + minimal_matroids(8)
+                  + uniform_matroids(7) + graphic_corpus(15, 8))
+        for m in sample:
+            for x in (m, m.dual()):
+                assert is_copaving(x) == is_paving(x.dual())
+
+    @given(derived_matroids())
+    def test_copaving_is_dual_paving_on_duals_minors_and_sums(self, m):
+        assert is_copaving(m) == is_paving(m.dual())
+
 
 def test_report_serialization(dd4):
     d = cyclic_flats(dd4).to_dict()

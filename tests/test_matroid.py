@@ -429,9 +429,9 @@ class TestTrustedMinors:
 
 class TestConnectivity:
     def test_minimal_is_connected_and_clean(self):
-        m = minimal(4, 7)
-        assert m.is_connected()
-        assert m.loops() == 0 and m.coloops() == 0
+        for m in minimal_matroids(8):
+            assert m.is_connected()
+            assert m.loops() == 0 and m.coloops() == 0
 
     def test_loops_are_singleton_components(self):
         s = uniform(0, 2).direct_sum(uniform(3, 4))
@@ -441,7 +441,7 @@ class TestConnectivity:
         assert bits(uniform(1, 1).coloops()) == [0]
 
     def test_connectivity_matches_partition_oracle(self):
-        sample = (minimal_matroids(7) + uniform_matroids(5)
+        sample = (minimal_matroids(8) + uniform_matroids(5)
                   + [rank2_from_partition(p) for p in ([2, 2], [1, 1, 1], [3, 2])]
                   + graphic_corpus(10, 7))
         for m in sample:

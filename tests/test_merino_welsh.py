@@ -7,7 +7,6 @@ from splitmw import (
     check_mw,
     graphic,
     minimal,
-    minimal_family_suite,
     rank2_census_partitions,
     rank2_from_partition,
     rank2_threshold_check,
@@ -154,24 +153,3 @@ class TestThreshold:
     def test_rejects_n_below_2(self):
         with pytest.raises(ValueError):
             rank2_threshold_check(1)
-
-
-class TestMinimalFamilySuite:
-    def test_all_rows_pass(self):
-        summary = minimal_family_suite(k_max=7, n_max=8)
-        assert summary.all_ok
-        assert all(r.ok for r in summary.rows)
-
-    def test_row_47_present(self):
-        summary = minimal_family_suite(k_max=6, n_max=7)
-        row = next(r for r in summary.rows if (r.k, r.n) == (4, 7))
-        assert row.bases_ok and row.dual_ok and row.split_ok and row.mult_ok
-
-    def test_k_max_limits_rows(self):
-        summary = minimal_family_suite(k_max=1, n_max=6)
-        assert {r.k for r in summary.rows} == {1}
-
-    def test_rejects_oversized_n(self):
-        n_max = SIZE_LIMITS["family-suite"] + 1
-        with pytest.raises(LimitExceededError, match="family-suite limit 14"):
-            minimal_family_suite(k_max=2, n_max=n_max)

@@ -11,12 +11,11 @@ from splitmw import (
     LoopsPresentError,
     Matroid,
     NotSplitError,
-    classify_base_case,
     graphic,
     is_split,
     minimal,
-    no_clean_pivot,
     rank2_from_partition,
+    recognize_minimal,
     to_dot,
     trace,
     tutte_subset_sum,
@@ -80,7 +79,6 @@ def check_tree_structure(node):
         elif node.rule == "base-corank-2":
             assert m.n - m.rank == 2
         else:
-            from splitmw import recognize_minimal
             assert recognize_minimal(m) == node.minimal_kn
     for child in node.children:
         assert child.matroid.n < m.n
@@ -233,19 +231,17 @@ class TestTrace:
 
 class TestNoCleanPivot:
     def test_minimal_47_has_no_clean_pivot(self):
-        assert no_clean_pivot(minimal(4, 7))
+        assert _clean_pivot(minimal(4, 7)) is None
 
     def test_k4_has_clean_pivots(self, k4):
-        assert not no_clean_pivot(k4)
+        assert _clean_pivot(k4) is not None
 
     def test_u12(self):
-        assert no_clean_pivot(uniform(1, 2))
+        assert _clean_pivot(uniform(1, 2)) is None
 
 
 def assert_pivot_matches_oracle(m):
-    expected = clean_pivot_oracle(m)
-    assert _clean_pivot(m) == expected
-    assert no_clean_pivot(m) == (expected is None)
+    assert _clean_pivot(m) == clean_pivot_oracle(m)
 
 
 class TestCleanPivotFromColumns:
@@ -273,42 +269,36 @@ class TestCleanPivotFromColumns:
 
 
 class TestClassifyBaseCase:
+    """The base-case lemma as the trace applies it: a connected node with
+    no clean pivot takes a base rule, small rank or corank first."""
+
     def test_minimal_case(self):
-        c = classify_base_case(minimal(3, 7))
-        assert c.kind == "minimal" and c.minimal_kn == (3, 7)
+        root = trace(minimal(3, 7)).root
+        assert root.rule == "base-minimal" and root.minimal_kn == (3, 7)
 
     def test_both_case(self):
-        c = classify_base_case(minimal(1, 2))
-        assert c.kind == "both" and c.minimal_kn == (1, 2)
+        m = minimal(1, 2)
+        assert recognize_minimal(m) == (1, 2)
+        root = trace(m).root
+        assert root.rule == "base-rank-1" and root.minimal_kn is None
 
     def test_small_rank_case(self):
-        c = classify_base_case(rank2_from_partition([2, 2, 2]))
-        assert c.kind in ("rank-or-corank-at-most-2", "both")
-
-    def test_rejects_input_with_clean_pivot(self):
-        with pytest.raises(ValueError, match="clean pivot"):
-            classify_base_case(uniform(2, 5))
-
-    def test_rejects_disconnected(self):
-        with pytest.raises(ValueError, match="connected"):
-            classify_base_case(uniform(1, 2).direct_sum(uniform(1, 2)))
-
-    def test_rejects_unclean(self):
-        with pytest.raises(LoopsPresentError):
-            classify_base_case(uniform(0, 1))
+        assert trace(rank2_from_partition([2, 2, 2])).root.rule == "base-rank-2"
 
     def test_exhaustiveness_over_connected_split_corpus(self):
-        """Every pivotless connected split matroid with n <= 9 classifies."""
+        """Every clean split matroid with n <= 9 traces, and every connected
+        pivotless node of its trace takes a base rule."""
         seen = 0
         pool = (minimal_matroids(9) + uniform_matroids(9, clean_only=True)
                 + rank2_matroids(9) + graphic_corpus(40, 9))
         for m in pool:
-            if not m.is_clean() or not m.is_connected() or not is_split(m):
+            if not m.is_clean() or not is_split(m):
                 continue
-            if no_clean_pivot(m):
-                classify_base_case(m)  # must not raise ExhaustivenessFailureError
-                seen += 1
-        assert seen >= 20
+            for node in trace(m).walk():  # raises ClassificationFailureError
+                if node.matroid.is_connected() and _clean_pivot(node.matroid) is None:
+                    assert node.rule in BASE_RULES
+                    seen += 1
+        assert seen >= 80
 
 
 class TestSerialization:
