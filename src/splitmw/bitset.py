@@ -168,6 +168,13 @@ def unpack(packed: int, count: int, width: int):
     return from_slots(packed.to_bytes(count * width, sys.byteorder), width)
 
 
+def low_slots(raw: bytes, width: int, narrow: int) -> bytes:
+    """The low 8*narrow bits of each `width`-byte slot, as `narrow`-byte
+    slots."""
+    return to_slots(map(((1 << 8 * narrow) - 1).__and__, from_slots(raw, width)),
+                    narrow)
+
+
 def slot_ones(count: int, width: int) -> int:
     """The packed int with bit 0 of each of `count` slots set."""
     return int.from_bytes(to_slots((1,), width) * count, sys.byteorder)

@@ -9,16 +9,20 @@ Two independent engines cross-check each other:
     Reference engine: about n*(r+2) passes over 2^n-bit ints to build the
     levels, then (r+1)*(n-r+1) bit counts.
   * `tutte_dc` -- deletion-contraction with eager loop/coloop stripping,
-    a closed form for uniform minors, pivoting inside a largest parallel
-    class, and an LRU memo, bounded by the "memo-bytes" size limit, keyed
-    on the packed slots of a relabeling-canonicalized basis family.  Each
-    recursion node packs its bases into one int, one array slot per basis,
-    and works on the n columns of that int (see `bitset`): degrees are bit
-    counts, loops and coloops are empty and full columns, parallel pairs
-    are disjoint columns, and the canonical relabeling and the minors'
-    families are n shifts and ORs followed by one C-level unpack.  Per node
-    that is O(n^2) whole-int operations plus a sort of the relabeled bases,
-    with no loop over the bits of each basis.
+    a closed form for uniform minors (checked at the root before a single
+    basis is packed), and an LRU memo, bounded by the "memo-bytes" size
+    limit, keyed on the sorted slots of a relabeling-canonicalized basis
+    family.  A node reads the n columns of its packed bases (see `bitset`):
+    degrees are bit counts, loops and coloops are empty and full columns,
+    parallel pairs are disjoint columns, and the canonical relabeling, by
+    (parallel-class size, degree, index), is a shift and an OR per column
+    and one C-level unpack and sort.  The pivot is the last element of that
+    order, so it lies in a largest parallel class and sits at bit n-1: the
+    sorted slots that are the node's key split at 2^(n-1) into the slots
+    of its deletion and of its contraction, which are passed on as they
+    are (a child never reads bit n-1), and repacked only where n-1 bits
+    fit in narrower slots.  Per node that is O(n^2) whole-int operations
+    and one sort, with no loop over the bits of each basis.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
 Coefficient matrices are indexed coeffs[i][j] = coefficient of x^i y^j and
@@ -27,14 +31,16 @@ always have shape (rank+1) x (corank+1) of the source matroid.
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left
 from collections import OrderedDict
 from functools import lru_cache
 from itertools import chain
 from math import comb
 from operator import add
 
-from .bitset import (column_view, disjoint_columns, minor_families, place,
-                     popcount_classes, slot_width, to_slots, unpack)
+from .bitset import (columns, disjoint_columns, low_slots, place,
+                     popcount_classes, slot_ones, slot_width, to_slots, unpack)
 from .errors import (SIZE_LIMITS, InputError, check_size, require_int,
                      require_record)
 from .matroid import Matroid
@@ -224,7 +230,12 @@ def tutte_subset_sum(m: Matroid) -> TuttePolynomial:
 
 class TutteMemo:
     """LRU memo shared across recursions, bounded by the "memo-bytes" size
-    limit.  Entries are immutable values, so a hit is returned as it is."""
+    limit.  Entries are immutable values, so a hit is returned as it is.
+
+    Each entry is charged an estimate (`_entry_cost`): its key's bytes, plus
+    96 per entry and 32 per coefficient.  The estimate overcounts, since
+    most coefficients are cached small ints and rows are shared tuples, so
+    the bound is reached before the memo holds that many bytes."""
 
     def __init__(self):
         self._data: OrderedDict = OrderedDict()
@@ -284,46 +295,62 @@ def _strip(cols: list[int], ones: int) -> tuple[list[int], int, int]:
     return kept, ncoloops, len(cols) - len(kept) - ncoloops
 
 
-def _key_and_pivot(cols: list[int], count: int, width: int):
-    """Memo key and pivot of the family of `count` bases with these columns.
+def _canonical(cols: list[int], count: int, width: int):
+    """(memo key, sorted masks) of the family of `count` bases with these
+    columns, packed in slots of `width` bytes, after relabeling the
+    elements in order of (parallel-class size, degree, index).
 
     e's parallel-class size is 1 + #{f : no basis holds both e and f} (see
     `bitset.disjoint_columns`; a loop counts itself) and its degree is the
-    number of bases holding it.  The key is (n, the sorted bases in slots
-    of n's width, so equal families key alike) after relabeling the
-    elements in order of (class size, degree, index); that preserves the
-    Tutte polynomial, so key collisions are sound and symmetric minors
-    coalesce.  The pivot is the lowest-index element of a largest class.
+    number of bases holding it.  The key is (n, the sorted relabeled masks
+    in slots of n's width), so equal families key alike; relabeling
+    preserves the Tutte polynomial, so key collisions are sound and
+    symmetric minors coalesce.  The last element of the order, now n-1, is
+    in a largest parallel class: it is the pivot.
     """
     n = len(cols)
     degree = [c.bit_count() for c in cols]
     size = [1 + p.bit_count() for p in disjoint_columns(cols)]
     order = sorted(range(n), key=lambda e: (size[e], degree[e]))
-    relabeled = unpack(place([cols[e] for e in order]), count, width)
-    key = n, to_slots(sorted(relabeled), slot_width(n))
-    return key, size.index(max(size))
+    masks = sorted(unpack(place([cols[e] for e in order]), count, width))
+    return (n, to_slots(masks, slot_width(n))), masks
 
 
-def _dc(n: int, bases, memo: TutteMemo) -> TuttePolynomial:
-    """T of the matroid on n elements with these bases (a sized iterable of
-    masks, in any order)."""
-    count = len(bases)
-    k = next(iter(bases)).bit_count()
+def _children(n: int, slots: bytes, masks: list[int]) -> tuple[bytes, bytes]:
+    """The slots of the deletion and the contraction of element n-1 from
+    the sorted family `masks` whose slots are `slots`: the slots below
+    2^(n-1) and the rest, in slots of (n-1)'s width.  The contraction's
+    slots keep bit n-1, which a family on n-1 elements never reads, except
+    where (n-1)'s slots are narrower and it is cut off."""
+    width, narrow = slot_width(n), slot_width(n - 1)
+    cut = bisect_left(masks, 1 << (n - 1)) * width
+    deleted, contracted = slots[:cut], slots[cut:]
+    if narrow < width:
+        return low_slots(deleted, width, narrow), low_slots(contracted, width, narrow)
+    return deleted, contracted
+
+
+def _dc(n: int, k: int, slots: bytes, memo: TutteMemo) -> TuttePolynomial:
+    """T of the rank-k matroid on n elements whose bases are the masks in
+    these slots of n's width, in any order; bits above n-1 are not read."""
+    width = slot_width(n)
+    count = len(slots) // width
     if count == comb(n, k):
         # every k-subset, so no columns are needed: U(k,n) has no loop or
         # coloop unless k is 0 or n, where the closed form is y^n or x^n
         return _uniform_tutte(k, n)
-    cols, ones, width = column_view(n, bases)
+    ones = slot_ones(count, width)
+    cols = columns(int.from_bytes(slots, sys.byteorder), ones, n)
     cols, ncoloops, nloops = _strip(cols, ones)
     n, k = len(cols), k - ncoloops
     if count == comb(n, k):
         core = _uniform_tutte(k, n)
     else:
-        key, e = _key_and_pivot(cols, count, width)
+        key, masks = _canonical(cols, count, width)
         core = memo.get(key)
         if core is None:
-            deleted, contracted = minor_families(cols, e, ones, count, width)
-            core = _dc(n - 1, deleted, memo) + _dc(n - 1, contracted, memo)
+            deleted, contracted = _children(n, key[1], masks)
+            core = _dc(n - 1, k, deleted, memo) + _dc(n - 1, k - 1, contracted, memo)
             memo.put(key, core)
     if ncoloops or nloops:
         return core.shift(ncoloops, nloops)
@@ -334,6 +361,9 @@ def tutte_dc(m: Matroid, memo: TutteMemo | None = None) -> TuttePolynomial:
     """T by deletion-contraction, up to the "deletion-contraction" size
     limit."""
     check_size("deletion-contraction", m.n)
+    n, k = m.n, m.rank
+    if len(m.bases) == comb(n, k):
+        return _uniform_tutte(k, n)     # before packing a single basis
     if memo is None:
         memo = _global_memo
-    return _dc(m.n, m.bases, memo)
+    return _dc(n, k, to_slots(m.bases, slot_width(n)), memo)

@@ -287,12 +287,10 @@ def dense_to_sparse(t) -> dict[tuple[int, int], int]:
 
 # -- deletion-contraction, one basis and one bit at a time -------------------
 
-def canonical_key_oracle(n: int, bases: tuple[int, ...]):
-    """Memo key: (n, the sorted bases) after relabeling the elements in order
-    of (parallel-class size, basis degree, index), where e's class size is
-    n + 1 minus the number of elements sharing a basis with e.  The bases
-    are written one after another in native byte order, each in the
-    narrowest of 1, 2, 4 or 8 bytes that holds n bits."""
+def canonical_order_oracle(n: int, bases: tuple[int, ...]) -> list[int]:
+    """The elements in order of (parallel-class size, basis degree, index),
+    where e's class size is n + 1 minus the number of elements sharing a
+    basis with e."""
     degree = [0] * n
     cooc = [0] * n
     for b in bases:
@@ -300,28 +298,28 @@ def canonical_key_oracle(n: int, bases: tuple[int, ...]):
             degree[e] += 1
             cooc[e] |= b
     class_size = [n - cooc[e].bit_count() + 1 for e in range(n)]
-    order = sorted(range(n), key=lambda e: (class_size[e], degree[e]))
-    pos = [0] * n
-    for new, old in enumerate(order):
-        pos[old] = new
-    remapped = [mask_of(pos[e] for e in bits(b)) for b in bases]
+    return sorted(range(n), key=lambda e: (class_size[e], degree[e], e))
+
+
+def relabel_oracle(bases, order: list[int]) -> tuple[int, ...]:
+    """The sorted bases with element order[i] renamed i."""
+    pos = {old: new for new, old in enumerate(order)}
+    return tuple(sorted(mask_of(pos[e] for e in bits(b)) for b in bases))
+
+
+def canonical_key_oracle(n: int, bases: tuple[int, ...]):
+    """Memo key: (n, the sorted bases relabeled in canonical order), the
+    bases written one after another in native byte order, each in the
+    narrowest of 1, 2, 4 or 8 bytes that holds n bits."""
+    remapped = relabel_oracle(bases, canonical_order_oracle(n, bases))
     width = next(w for w in (1, 2, 4, 8, (n + 7) // 8) if 8 * w >= n)
-    return (n, b"".join(b.to_bytes(width, sys.byteorder)
-                        for b in sorted(remapped)))
+    return (n, b"".join(b.to_bytes(width, sys.byteorder) for b in remapped))
 
 
 def pivot_oracle(n: int, bases: tuple[int, ...]) -> int:
-    """Lowest-index element of a largest parallel class."""
-    cooc = [0] * n
-    for b in bases:
-        for e in bits(b):
-            cooc[e] |= b
-    best_e, best_size = 0, -1
-    for e in range(n):
-        size = n - cooc[e].bit_count() + 1
-        if size > best_size:
-            best_e, best_size = e, size
-    return best_e
+    """The last element of the canonical order, so one of a largest
+    parallel class."""
+    return canonical_order_oracle(n, bases)[-1]
 
 
 def strip_oracle(n: int, bases: tuple[int, ...]):
@@ -340,17 +338,21 @@ def strip_oracle(n: int, bases: tuple[int, ...]):
             coloops.bit_count(), loops.bit_count())
 
 
-def children_oracle(bases: tuple[int, ...], e: int):
-    """Sorted basis families of the deletion and the contraction of e."""
+def children_oracle(n: int, bases: tuple[int, ...]):
+    """Sorted basis families of the deletion and the contraction of the
+    pivot, the other elements relabeled in canonical order: the children
+    of the relabeled family at position n-1."""
+    order = canonical_order_oracle(n, bases)
+    e = pivot_oracle(n, bases)
     bit = 1 << e
-    return (tuple(sorted(drop_bit(b, e) for b in bases if not b & bit)),
-            tuple(sorted(drop_bit(b, e) for b in bases if b & bit)))
+    return (relabel_oracle([b for b in bases if not b & bit], order[:-1]),
+            relabel_oracle([b ^ bit for b in bases if b & bit], order[:-1]))
 
 
 def dc_oracle(n: int, bases: tuple[int, ...], memo):
     """Deletion-contraction over sorted tuples with the oracles above:
     strip, closed form for uniform minors, memo on the canonical key, pivot
-    in a largest parallel class, deletion before contraction."""
+    last in canonical order, deletion before contraction."""
     n, bases, ncoloops, nloops = strip_oracle(n, bases)
     if n == 0:
         core = TuttePolynomial(((1,),))
@@ -362,7 +364,7 @@ def dc_oracle(n: int, bases: tuple[int, ...], memo):
             key = canonical_key_oracle(n, bases)
             core = memo.get(key)
             if core is None:
-                deleted, contracted = children_oracle(bases, pivot_oracle(n, bases))
+                deleted, contracted = children_oracle(n, bases)
                 core = dc_oracle(n - 1, deleted, memo) + dc_oracle(n - 1, contracted, memo)
                 memo.put(key, core)
     return core.shift(ncoloops, nloops)

@@ -24,16 +24,20 @@ from splitmw.corpus import (
     tutte_identity_corpus,
     uniform_matroids,
 )
-from splitmw.bitset import column_view, minor_families, place, unpack
+from splitmw import tutte
+from splitmw.bitset import column_view, from_slots, place, slot_width, unpack
 from splitmw.errors import SIZE_LIMITS
 from splitmw.tutte import (
-    _key_and_pivot,
+    _canonical,
+    _children,
     _strip,
+    _uniform_tutte,
     whitney_numbers,
 )
 
 from conftest import (
     canonical_key_oracle,
+    canonical_order_oracle,
     children_oracle,
     dc_oracle,
     dense_to_sparse,
@@ -41,7 +45,7 @@ from conftest import (
     every_family,
     oracle_tutte_coeffs,
     pairwise_exchange_violation,
-    pivot_oracle,
+    relabel_oracle,
     strip_oracle,
     whitney_numbers_oracle,
 )
@@ -173,32 +177,40 @@ class TestWhitneyNumbers:
         assert w[0][0] == len(m.bases)
 
 
+def check_canonical_step(cols, count, width, n, bases):
+    """The key, the sorted relabeled masks and the two children's slots of
+    one node against the oracles.  A child reads only its n-1 columns, so
+    the contraction's bit n-1 is masked off before comparing."""
+    key, masks = _canonical(cols, count, width)
+    assert key == canonical_key_oracle(n, bases)
+    assert tuple(masks) == relabel_oracle(bases, canonical_order_oracle(n, bases))
+    low = (1 << (n - 1)) - 1
+    children = tuple(tuple(b & low for b in from_slots(slots, slot_width(n - 1)))
+                     for slots in _children(n, key[1], masks))
+    assert children == children_oracle(n, bases)
+
+
 def check_column_pass(m):
-    """Keys, pivots, the stripped family and the children of the column
-    pass against the one-basis-at-a-time oracles, before and after
-    stripping loops and coloops."""
+    """Keys, children and the stripped family of the column pass against
+    the one-basis-at-a-time oracles, before and after stripping loops and
+    coloops."""
     n, bases = m.n, tuple(sorted(m.bases))
     count = len(bases)
     cols, ones, width = column_view(n, bases)
     if n:
-        assert _key_and_pivot(cols, count, width) == (
-            canonical_key_oracle(n, bases), pivot_oracle(n, bases))
+        check_canonical_step(cols, count, width, n, bases)
     kept, ncoloops, nloops = _strip(cols, ones)
     family = tuple(sorted(unpack(place(kept), count, width)))
     n, stripped, *dropped = strip_oracle(n, bases)
     assert (len(kept), family, ncoloops, nloops) == (n, stripped, *dropped)
     if n:
-        key, e = _key_and_pivot(kept, count, width)
-        assert (key, e) == (canonical_key_oracle(n, stripped),
-                            pivot_oracle(n, stripped))
-        deleted, contracted = minor_families(kept, e, ones, count, width)
-        assert (tuple(sorted(deleted)), tuple(sorted(contracted))) == \
-            children_oracle(stripped, e)
+        check_canonical_step(kept, count, width, n, stripped)
 
 
 PETERSEN = Multigraph(10, [(i, (i + 1) % 5) for i in range(5)]
                       + [(i, i + 5) for i in range(5)]
                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+K5 = Multigraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
 
 
 def with_loop_and_coloop(m):
@@ -208,8 +220,9 @@ def with_loop_and_coloop(m):
 
 class TestColumnPass:
     """The column-packed deletion-contraction step against the per-basis
-    oracles: equal keys, pivots, stripped families and children, and the
-    same memo, entry for entry, after a whole run."""
+    oracles: equal keys, stripped families and children of the pivot, the
+    last element of the canonical order, and the same memo, entry for
+    entry, after a whole run."""
 
     def test_corpus(self):
         for m in tutte_identity_corpus():
@@ -226,7 +239,8 @@ class TestColumnPass:
         check_column_pass(m)
 
     # n = 8 and 16, the widest ground sets of one- and two-byte slots, one
-    # past each, and the deletion-contraction limit, 24
+    # past each, where the children are repacked into narrower slots, and
+    # the deletion-contraction limit, 24
     @pytest.mark.parametrize("m", [
         minimal(4, 8), minimal(4, 9), minimal(8, 16), minimal(8, 17),
         minimal(12, 24), uniform(3, 7).direct_sum(uniform(1, 1)),
@@ -238,15 +252,25 @@ class TestColumnPass:
     def test_slot_width_edges(self, m):
         check_column_pass(m)
 
+    @given(derived_matroids())
+    def test_engines_agree_across_slot_width_edges(self, m):
+        # m without its loops and coloops, beside a parallel class that
+        # brings it to 9 or 17 elements (or past, for a large m), so that
+        # the recursion repacks children into narrower slots there
+        core = m.restrict(m.full_mask & ~(m.loops() | m.coloops()))
+        for size in (9, 17):
+            padded = with_loop_and_coloop(
+                core.direct_sum(uniform(1, max(size - core.n, 2))))
+            assert tutte_dc(padded, memo=TutteMemo()) == tutte_subset_sum(padded)
+
     # the default "memo-bytes" limit, and one under which Petersen with a
-    # chord ends with 55 of the 114 entries it makes with room for all
+    # chord ends with 64 of the 146 entries it makes with room for all
     @pytest.mark.parametrize("capacity", [64 << 20, 100000])
     def test_memo_matches_oracle_recursion(self, capacity, fano, k4,
                                            monkeypatch):
         monkeypatch.setitem(SIZE_LIMITS, "memo-bytes", capacity)
-        k5 = Multigraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
         chorded = Multigraph(10, list(PETERSEN.edges) + [(0, 2)])
-        for m in [fano, k4, graphic(k5), graphic(PETERSEN), graphic(chorded),
+        for m in [fano, k4, graphic(K5), graphic(PETERSEN), graphic(chorded),
                   minimal(5, 10), with_loop_and_coloop(minimal(4, 8)),
                   rank2_from_partition([1, 2, 3, 2])]:
             memo, oracle_memo = TutteMemo(), TutteMemo()
@@ -327,6 +351,25 @@ class TestMemo:
         m = minimal(5, 10)
         assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
         assert len(memo) <= 8  # eviction kept the table tiny
+
+    # a cold run makes the same entries every time, so a new pivot rule or
+    # key shows here
+    @pytest.mark.parametrize("m, entries", [
+        (graphic(PETERSEN), 123), (graphic(K5), 19), (minimal(8, 16), 7),
+    ], ids=["petersen", "k5", "minimal-8-16"])
+    def test_cold_entry_counts(self, m, entries):
+        memo = TutteMemo()
+        tutte_dc(m, memo=memo)
+        assert len(memo) == entries
+
+    # the closed form comes before a single basis is packed
+    @pytest.mark.parametrize("m", [uniform(9, 18), uniform(0, 5), uniform(4, 4)],
+                             ids=["U(9,18)", "U(0,5)", "U(4,4)"])
+    def test_uniform_root_packs_nothing(self, m, monkeypatch):
+        def no_packing(*args):
+            raise AssertionError("the bases of a uniform root were packed")
+        monkeypatch.setattr(tutte, "to_slots", no_packing)
+        assert tutte_dc(m, memo=TutteMemo()) == _uniform_tutte(m.rank, m.n)
 
     def test_shared_memo_reuse(self):
         memo = TutteMemo()
