@@ -9,8 +9,7 @@ Conventions used throughout the package:
     popcount loops over that family.  Components merge the overlapping
     fundamental circuits of one basis, found by r*(n-r) basis lookups.
   * Family-level queries read the packed columns (`Matroid.columns`, see
-    `bitset`), built once per matroid: parallel classes are disjoint
-    columns (`bitset.disjoint_columns`), and the families of minors
+    `bitset`), built once per matroid: the families of minors
     (`delete`/`contract`/`restrict`) are one relabeling of the kept
     columns, unpacked in C; a minor's family is valid by construction, so
     it skips the constructor's per-basis checks.  Loops and coloops are
@@ -44,7 +43,6 @@ from operator import and_, or_
 from .bitset import (
     bits,
     column_view,
-    disjoint_columns,
     down_closure,
     element_lists,
     element_masks,
@@ -307,27 +305,6 @@ class Matroid:
 
     def is_connected(self) -> bool:
         return self.n >= 1 and len(self.components()) == 1
-
-    def parallel_classes(self) -> list[int]:
-        """Parallel classes of the non-loop elements, as masks.
-
-        e and f are parallel iff rank({e,f}) = 1, i.e. no basis contains
-        both: e's class is e and its non-loop partners in
-        `bitset.disjoint_columns`.
-        """
-        cached = self._cache.get("parclasses")
-        if cached is not None:
-            return cached
-        loops = self.loops()
-        seen = loops
-        classes = []
-        for e, partners in enumerate(disjoint_columns(self.columns()[0])):
-            if not seen >> e & 1:
-                cls = (1 << e) | (partners & ~loops)
-                classes.append(cls)
-                seen |= cls
-        self._cache["parclasses"] = classes
-        return classes
 
     def is_uniform(self) -> bool:
         """True iff the bases are all rank-sized subsets of the ground set."""

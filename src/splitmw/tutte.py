@@ -14,15 +14,18 @@ Two independent engines cross-check each other:
     limit, keyed on the sorted slots of a relabeling-canonicalized basis
     family.  A node reads the n columns of its packed bases (see `bitset`):
     degrees are bit counts, loops and coloops are empty and full columns,
-    parallel pairs are disjoint columns, and the canonical relabeling, by
-    (parallel-class size, degree, index), is a shift and an OR per column
-    and one C-level unpack and sort.  The pivot is the last element of that
-    order, so it lies in a largest parallel class and sits at bit n-1: the
-    sorted slots that are the node's key split at 2^(n-1) into the slots
-    of its deletion and of its contraction, which are passed on as they
-    are (a child never reads bit n-1), and repacked only where n-1 bits
-    fit in narrower slots.  Per node that is O(n^2) whole-int operations
-    and one sort, with no loop over the bits of each basis.
+    and the canonical relabeling, by (degree, index), is one C-level sort
+    of the columns by bit count, a shift and an OR per column and one
+    C-level unpack and sort of the masks.  The pivot is the last element of
+    that order, a highest-degree one at bit n-1: the sorted slots that are
+    the node's key split at 2^(n-1) into the slots of its deletion and of
+    its contraction, which are passed on as they are (a child never reads
+    bit n-1), and repacked only where n-1 bits fit in narrower slots.  Per
+    node that is O(n) whole-int operations and two sorts, with no loop over
+    the bits of each basis.  Inside the recursion a polynomial is one int (Kronecker
+    substitution, see `_pack`), so the sum of a node's children is one
+    addition and a loop or coloop factor one shift; `tutte_dc` unpacks the
+    root's once.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
 Coefficient matrices are indexed coeffs[i][j] = coefficient of x^i y^j and
@@ -32,17 +35,15 @@ always have shape (rank+1) x (corank+1) of the source matroid.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from collections import OrderedDict
 from functools import lru_cache
 from itertools import chain
 from math import comb
-from operator import add
 
-from .bitset import (columns, disjoint_columns, low_slots, place,
-                     popcount_classes, slot_ones, slot_width, to_slots, unpack)
-from .errors import (SIZE_LIMITS, InputError, check_size, require_int,
-                     require_record)
+from .bitset import (columns, low_slots, place, popcount_classes, slot_ones,
+                     slot_width, to_slots, unpack)
+from .errors import (SIZE_LIMITS, InputError, LimitExceededError, check_size,
+                     require_int, require_record)
 from .matroid import Matroid
 
 
@@ -67,7 +68,7 @@ class TuttePolynomial:
     @classmethod
     def _of(cls, rows: tuple) -> TuttePolynomial:
         """Wrap a tuple of equal-length tuples of nonnegative ints without
-        checking it again: sums and shifts of valid matrices are valid."""
+        checking it again."""
         t = object.__new__(cls)
         object.__setattr__(t, "coeffs", rows)
         return t
@@ -115,29 +116,6 @@ class TuttePolynomial:
 
     def transpose(self) -> TuttePolynomial:
         return TuttePolynomial(tuple(zip(*self.coeffs)))
-
-    def shift(self, dx: int, dy: int) -> TuttePolynomial:
-        """Multiply by x^dx * y^dy."""
-        width = len(self.coeffs[0]) + dy
-        zero_row = (0,) * width
-        rows = [zero_row] * dx
-        for row in self.coeffs:
-            rows.append((0,) * dy + row)
-        return TuttePolynomial._of(tuple(rows))
-
-    def __add__(self, other):
-        if not isinstance(other, TuttePolynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        nr, nc = max(len(a), len(b)), max(len(a[0]), len(b[0]))
-
-        def padded(rows):
-            zeros = (0,) * nc
-            return ([row + zeros[len(row):] for row in rows]
-                    + [zeros] * (nr - len(rows)))
-
-        return TuttePolynomial._of(tuple(
-            tuple(map(add, x, y)) for x, y in zip(padded(a), padded(b))))
 
     def __mul__(self, other):
         if not isinstance(other, TuttePolynomial):
@@ -228,23 +206,51 @@ def tutte_subset_sum(m: Matroid) -> TuttePolynomial:
 
 # -- deletion-contraction engine -------------------------------------------
 
+# A polynomial inside `_dc` is one int, with the coefficient of x^i y^j in
+# the _FIELD-bit field at index i*_STRIDE + j.  No field carries: each
+# coefficient of T(M) is at most T(1,1), the number of bases, at most
+# C(L, L//2) for L the deletion-contraction limit, and a node's children
+# sum to it field by field; j is at most the corank, at most L.  Both are
+# fixed at import, so `tutte_dc` refuses ground sets past that L.
+_FIELD = comb(SIZE_LIMITS["deletion-contraction"],
+              SIZE_LIMITS["deletion-contraction"] // 2).bit_length()
+_STRIDE = SIZE_LIMITS["deletion-contraction"] + 1
+
+
+def _pack(t: TuttePolynomial) -> int:
+    """t as one int of _FIELD-bit fields, x^i y^j at field i*_STRIDE + j."""
+    packed = 0
+    for i, row in enumerate(t.coeffs):
+        for j, c in enumerate(row):
+            packed |= c << _FIELD * (i * _STRIDE + j)
+    return packed
+
+
+def _unpack(packed: int, rank: int, corank: int) -> TuttePolynomial:
+    """The (rank+1) x (corank+1) polynomial that `_pack` made `packed`."""
+    field, width = (1 << _FIELD) - 1, _FIELD * _STRIDE
+    row = (1 << width) - 1
+    rows = (packed >> i & row for i in range(0, width * (rank + 1), width))
+    cells = range(0, _FIELD * (corank + 1), _FIELD)
+    return TuttePolynomial._of(tuple(tuple(r >> j & field for j in cells) for r in rows))
+
+
 class TutteMemo:
     """LRU memo shared across recursions, bounded by the "memo-bytes" size
-    limit.  Entries are immutable values, so a hit is returned as it is.
+    limit.  Entries are packed polynomials (`_pack`), immutable ints, so a
+    hit is returned as it is.
 
-    Each entry is charged an estimate (`_entry_cost`): its key's bytes, plus
-    96 per entry and 32 per coefficient.  The estimate overcounts, since
-    most coefficients are cached small ints and rows are shared tuples, so
-    the bound is reached before the memo holds that many bytes."""
+    Each entry is charged what `sys.getsizeof` measures of its key pair,
+    the key's byte string and its packed polynomial (`_entry_cost`); the
+    memo's own hash table is not charged."""
 
     def __init__(self):
         self._data: OrderedDict = OrderedDict()
         self._bytes = 0
 
     @staticmethod
-    def _entry_cost(key, poly: TuttePolynomial) -> int:
-        cells = len(poly.coeffs) * len(poly.coeffs[0])
-        return 96 + len(key[1]) + 32 * cells
+    def _entry_cost(key, packed: int) -> int:
+        return sys.getsizeof(key) + sys.getsizeof(key[1]) + sys.getsizeof(packed)
 
     def get(self, key):
         val = self._data.get(key)
@@ -252,11 +258,11 @@ class TutteMemo:
             self._data.move_to_end(key)
         return val
 
-    def put(self, key, poly: TuttePolynomial):
+    def put(self, key, packed: int):
         if key in self._data:
             return
-        self._data[key] = poly
-        self._bytes += self._entry_cost(key, poly)
+        self._data[key] = packed
+        self._bytes += self._entry_cost(key, packed)
         limit = SIZE_LIMITS["memo-bytes"]
         # keep at least one entry so progress is visible
         while self._bytes > limit and len(self._data) > 1:
@@ -285,6 +291,12 @@ def _uniform_tutte(k: int, n: int) -> TuttePolynomial:
     return _from_whitney(whitney)
 
 
+@lru_cache(maxsize=None)
+def _uniform_packed(k: int, n: int) -> int:
+    """`_uniform_tutte`, packed; cached likewise."""
+    return _pack(_uniform_tutte(k, n))
+
+
 def _strip(cols: list[int], ones: int) -> tuple[list[int], int, int]:
     """Drop loops and coloops: (kept columns, n_coloops, n_loops).  The kept
     bases stay distinct, so the slots are unchanged."""
@@ -296,74 +308,77 @@ def _strip(cols: list[int], ones: int) -> tuple[list[int], int, int]:
 
 
 def _canonical(cols: list[int], count: int, width: int):
-    """(memo key, sorted masks) of the family of `count` bases with these
-    columns, packed in slots of `width` bytes, after relabeling the
-    elements in order of (parallel-class size, degree, index).
+    """(memo key, number of bases without the pivot) of the family of
+    `count` bases with these columns, packed in slots of `width` bytes,
+    after relabeling the elements in order of (degree, index), e's degree
+    being the number of bases holding it: a stable sort of the columns by
+    bit count.
 
-    e's parallel-class size is 1 + #{f : no basis holds both e and f} (see
-    `bitset.disjoint_columns`; a loop counts itself) and its degree is the
-    number of bases holding it.  The key is (n, the sorted relabeled masks
-    in slots of n's width), so equal families key alike; relabeling
-    preserves the Tutte polynomial, so key collisions are sound and
-    symmetric minors coalesce.  The last element of the order, now n-1, is
-    in a largest parallel class: it is the pivot.
+    The key is (n, the sorted relabeled masks in slots of n's width), so
+    equal families key alike; relabeling preserves the Tutte polynomial, so
+    key collisions are sound and symmetric minors coalesce.  The last
+    element of the order, now n-1, has the highest degree: it is the pivot,
+    and the masks without it are the first count - degree in sorted order.
     """
+    cols = sorted(cols, key=int.bit_count)
     n = len(cols)
-    degree = [c.bit_count() for c in cols]
-    size = [1 + p.bit_count() for p in disjoint_columns(cols)]
-    order = sorted(range(n), key=lambda e: (size[e], degree[e]))
-    masks = sorted(unpack(place([cols[e] for e in order]), count, width))
-    return (n, to_slots(masks, slot_width(n))), masks
+    masks = sorted(unpack(place(cols), count, width))
+    return (n, to_slots(masks, slot_width(n))), count - cols[-1].bit_count()
 
 
-def _children(n: int, slots: bytes, masks: list[int]) -> tuple[bytes, bytes]:
+def _children(n: int, slots: bytes, cut: int) -> tuple[bytes, bytes]:
     """The slots of the deletion and the contraction of element n-1 from
-    the sorted family `masks` whose slots are `slots`: the slots below
-    2^(n-1) and the rest, in slots of (n-1)'s width.  The contraction's
-    slots keep bit n-1, which a family on n-1 elements never reads, except
-    where (n-1)'s slots are narrower and it is cut off."""
+    the sorted family in these slots, whose first `cut` masks lack n-1:
+    the slots below 2^(n-1) and the rest, in slots of (n-1)'s width.  The
+    contraction's slots keep bit n-1, which a family on n-1 elements never
+    reads, except where (n-1)'s slots are narrower and it is cut off."""
     width, narrow = slot_width(n), slot_width(n - 1)
-    cut = bisect_left(masks, 1 << (n - 1)) * width
+    cut *= width
     deleted, contracted = slots[:cut], slots[cut:]
     if narrow < width:
         return low_slots(deleted, width, narrow), low_slots(contracted, width, narrow)
     return deleted, contracted
 
 
-def _dc(n: int, k: int, slots: bytes, memo: TutteMemo) -> TuttePolynomial:
-    """T of the rank-k matroid on n elements whose bases are the masks in
-    these slots of n's width, in any order; bits above n-1 are not read."""
+def _dc(n: int, k: int, slots: bytes, memo: TutteMemo) -> int:
+    """T, packed, of the rank-k matroid on n elements whose bases are the
+    masks in these slots of n's width, in any order; bits above n-1 are
+    not read."""
     width = slot_width(n)
     count = len(slots) // width
     if count == comb(n, k):
         # every k-subset, so no columns are needed: U(k,n) has no loop or
         # coloop unless k is 0 or n, where the closed form is y^n or x^n
-        return _uniform_tutte(k, n)
+        return _uniform_packed(k, n)
     ones = slot_ones(count, width)
     cols = columns(int.from_bytes(slots, sys.byteorder), ones, n)
     cols, ncoloops, nloops = _strip(cols, ones)
     n, k = len(cols), k - ncoloops
     if count == comb(n, k):
-        core = _uniform_tutte(k, n)
+        core = _uniform_packed(k, n)
     else:
-        key, masks = _canonical(cols, count, width)
+        key, cut = _canonical(cols, count, width)
+        del cols    # not held while the children recurse
         core = memo.get(key)
         if core is None:
-            deleted, contracted = _children(n, key[1], masks)
+            deleted, contracted = _children(n, key[1], cut)
             core = _dc(n - 1, k, deleted, memo) + _dc(n - 1, k - 1, contracted, memo)
             memo.put(key, core)
-    if ncoloops or nloops:
-        return core.shift(ncoloops, nloops)
-    return core
+    # times x^ncoloops * y^nloops
+    return core << _FIELD * (ncoloops * _STRIDE + nloops)
 
 
 def tutte_dc(m: Matroid, memo: TutteMemo | None = None) -> TuttePolynomial:
     """T by deletion-contraction, up to the "deletion-contraction" size
-    limit."""
+    limit.  The packed fields are sized for the limit as it stood when
+    this module was imported, so a ground set past that is refused too."""
     check_size("deletion-contraction", m.n)
+    if m.n >= _STRIDE:
+        raise LimitExceededError(
+            f"size {m.n} exceeds the {_STRIDE - 1} elements the packed polynomials fit")
     n, k = m.n, m.rank
     if len(m.bases) == comb(n, k):
         return _uniform_tutte(k, n)     # before packing a single basis
     if memo is None:
         memo = _global_memo
-    return _dc(n, k, to_slots(m.bases, slot_width(n)), memo)
+    return _unpack(_dc(n, k, to_slots(m.bases, slot_width(n)), memo), k, n - k)

@@ -26,6 +26,7 @@ from splitmw.corpus import (
     k4_graph,
     tutte_identity_corpus,
 )
+from splitmw.errors import SIZE_LIMITS
 from splitmw.matroid import recognize_minimal
 from splitmw.merino_welsh import check_mw
 from splitmw.prooftrace import (
@@ -37,7 +38,7 @@ from splitmw.prooftrace import (
     _base_rule,
     _clean_pivot,
 )
-from splitmw.tutte import TuttePolynomial, _uniform_tutte
+from splitmw.tutte import TuttePolynomial, TutteMemo, _uniform_tutte
 
 # Tier-1 runs the same generated examples every time (derandomize also
 # disables the example database), and a slow host fails no example.
@@ -288,17 +289,12 @@ def dense_to_sparse(t) -> dict[tuple[int, int], int]:
 # -- deletion-contraction, one basis and one bit at a time -------------------
 
 def canonical_order_oracle(n: int, bases: tuple[int, ...]) -> list[int]:
-    """The elements in order of (parallel-class size, basis degree, index),
-    where e's class size is n + 1 minus the number of elements sharing a
-    basis with e."""
+    """The elements in order of (basis degree, index)."""
     degree = [0] * n
-    cooc = [0] * n
     for b in bases:
         for e in bits(b):
             degree[e] += 1
-            cooc[e] |= b
-    class_size = [n - cooc[e].bit_count() + 1 for e in range(n)]
-    return sorted(range(n), key=lambda e: (class_size[e], degree[e], e))
+    return sorted(range(n), key=lambda e: (degree[e], e))
 
 
 def relabel_oracle(bases, order: list[int]) -> tuple[int, ...]:
@@ -317,8 +313,8 @@ def canonical_key_oracle(n: int, bases: tuple[int, ...]):
 
 
 def pivot_oracle(n: int, bases: tuple[int, ...]) -> int:
-    """The last element of the canonical order, so one of a largest
-    parallel class."""
+    """The last element of the canonical order, so one of highest
+    degree."""
     return canonical_order_oracle(n, bases)[-1]
 
 
@@ -349,10 +345,49 @@ def children_oracle(n: int, bases: tuple[int, ...]):
             relabel_oracle([b ^ bit for b in bases if b & bit], order[:-1]))
 
 
+def poly_add(a, b):
+    """a + b, the smaller coefficient matrix padded with zeros."""
+    rows = max(len(a.coeffs), len(b.coeffs))
+    width = max(len(a.coeffs[0]), len(b.coeffs[0]))
+
+    def cell(t, i, j):
+        return t.coeffs[i][j] if i < len(t.coeffs) and j < len(t.coeffs[0]) else 0
+
+    return TuttePolynomial([[cell(a, i, j) + cell(b, i, j) for j in range(width)]
+                            for i in range(rows)])
+
+
+def poly_shift(t, dx: int, dy: int):
+    """t * x^dx * y^dy."""
+    width = len(t.coeffs[0]) + dy
+    return TuttePolynomial([[0] * width] * dx
+                           + [[0] * dy + list(row) for row in t.coeffs])
+
+
+def pack_oracle(t) -> int:
+    """t as one int: the coefficient of x^i y^j in the F-bit field at index
+    i*(L+1) + j, for L the deletion-contraction limit and F the bit length
+    of C(L, L//2)."""
+    limit = SIZE_LIMITS["deletion-contraction"]
+    field = comb(limit, limit // 2).bit_length()
+    return sum(c << field * (i * (limit + 1) + j)
+               for i, row in enumerate(t.coeffs) for j, c in enumerate(row))
+
+
+class OracleMemo(TutteMemo):
+    """A `TutteMemo` of `dc_oracle`'s polynomials, each charged as its
+    packed int would be."""
+
+    @staticmethod
+    def _entry_cost(key, t):
+        return TutteMemo._entry_cost(key, pack_oracle(t))
+
+
 def dc_oracle(n: int, bases: tuple[int, ...], memo):
-    """Deletion-contraction over sorted tuples with the oracles above:
-    strip, closed form for uniform minors, memo on the canonical key, pivot
-    last in canonical order, deletion before contraction."""
+    """Deletion-contraction over sorted tuples and coefficient matrices with
+    the oracles above: strip, closed form for uniform minors, memo on the
+    canonical key, pivot last in canonical order, deletion before
+    contraction."""
     n, bases, ncoloops, nloops = strip_oracle(n, bases)
     if n == 0:
         core = TuttePolynomial(((1,),))
@@ -365,9 +400,10 @@ def dc_oracle(n: int, bases: tuple[int, ...], memo):
             core = memo.get(key)
             if core is None:
                 deleted, contracted = children_oracle(n, bases)
-                core = dc_oracle(n - 1, deleted, memo) + dc_oracle(n - 1, contracted, memo)
+                core = poly_add(dc_oracle(n - 1, deleted, memo),
+                                dc_oracle(n - 1, contracted, memo))
                 memo.put(key, core)
-    return core.shift(ncoloops, nloops)
+    return poly_shift(core, ncoloops, nloops)
 
 
 # -- matroid structure, one basis and one mask at a time --------------------
@@ -392,35 +428,6 @@ def coloops_oracle(m) -> int:
     for b in m.bases:
         inter &= b
     return inter
-
-
-def never_together_oracle(m) -> list[int]:
-    """out[e] = the f that no basis holds together with e, one basis and one
-    pair at a time; e itself is among them iff e is a loop."""
-    return [mask_of(f for f in range(m.n)
-                    if not any(b >> e & 1 and b >> f & 1 for b in m.bases))
-            for e in range(m.n)]
-
-
-def parallel_classes_oracle(m) -> list[int]:
-    """e's class is e and every non-loop element outside the union of the
-    bases holding e, for each e not yet in a class."""
-    loops = loops_oracle(m)
-    nonloops = m.full_mask & ~loops
-    seen = 0
-    classes = []
-    for e in range(m.n):
-        bit = 1 << e
-        if bit & (loops | seen):
-            continue
-        co = 0
-        for b in m.bases:
-            if b & bit:
-                co |= b
-        cls = bit | (nonloops & ~co)
-        classes.append(cls)
-        seen |= cls
-    return classes
 
 
 def delete_oracle(m, e: int):

@@ -23,7 +23,7 @@ from splitmw import (
     recognize_minimal,
     uniform,
 )
-from splitmw.bitset import bits, disjoint_columns, mask_of
+from splitmw.bitset import bits, mask_of
 from splitmw.corpus import (
     graphic_corpus,
     minimal_matroids,
@@ -47,9 +47,7 @@ from conftest import (
     is_exchange_witness,
     is_paving_oracle,
     loops_oracle,
-    never_together_oracle,
     pairwise_exchange_violation,
-    parallel_classes_oracle,
     rank_table_oracle,
     restrict_oracle,
     to_dict_oracle,
@@ -659,14 +657,11 @@ class TestSerialization:
 
 
 def assert_columns_match_oracles(m):
-    """Loops, coloops, the pairs never in a basis together, parallel
-    classes, every single-element minor, a spread of restrictions and the
-    record, read from the packed columns, equal what the
-    one-basis-at-a-time oracles give."""
-    assert disjoint_columns(list(m.columns()[0])) == never_together_oracle(m)
+    """Loops, coloops, every single-element minor, a spread of
+    restrictions and the record, read from the packed columns, equal what
+    the one-basis-at-a-time oracles give."""
     assert m.loops() == loops_oracle(m)
     assert m.coloops() == coloops_oracle(m)
-    assert m.parallel_classes() == parallel_classes_oracle(m)
     for e in range(m.n):
         emap = tuple(i for i in range(m.n) if i != e)
         for minor, oracle in ((m.delete(e), delete_oracle(m, e)),
@@ -715,7 +710,6 @@ class TestPackedColumns:
     def test_byte_table_edges(self, m):
         assert m.to_dict() == to_dict_oracle(m)
         assert m.loops() == loops_oracle(m) and m.coloops() == coloops_oracle(m)
-        assert m.parallel_classes() == parallel_classes_oracle(m)
         for e in (0, m.n // 2, m.n - 1)[:m.n]:
             assert (m.delete(e).n, m.delete(e).rank, m.delete(e).bases) == \
                 delete_oracle(m, e)
@@ -743,7 +737,6 @@ class TestPackedColumns:
     def test_wide_slots(self, m):
         assert m.to_dict() == to_dict_oracle(m)
         assert m.loops() == loops_oracle(m) and m.coloops() == coloops_oracle(m)
-        assert m.parallel_classes() == parallel_classes_oracle(m)
         for e in (0, m.n // 2, m.n - 1):
             assert (m.delete(e).n, m.delete(e).rank, m.delete(e).bases) == \
                 delete_oracle(m, e)

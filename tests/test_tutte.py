@@ -1,4 +1,5 @@
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from splitmw import (
     graphic,
     minimal,
     rank2_from_partition,
+    trace,
     tutte_dc,
     tutte_from_dict,
     tutte_subset_sum,
@@ -30,22 +32,27 @@ from splitmw.errors import SIZE_LIMITS
 from splitmw.tutte import (
     _canonical,
     _children,
+    _pack,
     _strip,
     _uniform_tutte,
+    _unpack,
     whitney_numbers,
 )
 
 from conftest import (
+    OracleMemo,
     canonical_key_oracle,
-    canonical_order_oracle,
     children_oracle,
     dc_oracle,
     dense_to_sparse,
     derived_matroids,
     every_family,
     oracle_tutte_coeffs,
+    pack_oracle,
     pairwise_exchange_violation,
-    relabel_oracle,
+    pivot_oracle,
+    poly_add,
+    sparse_paving,
     strip_oracle,
     whitney_numbers_oracle,
 )
@@ -178,16 +185,26 @@ class TestWhitneyNumbers:
 
 
 def check_canonical_step(cols, count, width, n, bases):
-    """The key, the sorted relabeled masks and the two children's slots of
-    one node against the oracles.  A child reads only its n-1 columns, so
-    the contraction's bit n-1 is masked off before comparing."""
-    key, masks = _canonical(cols, count, width)
+    """The key, the number of bases without the pivot and the two
+    children's slots of one node against the oracles.  A child reads only
+    its n-1 columns, so the contraction's bit n-1 is masked off before
+    comparing."""
+    key, cut = _canonical(cols, count, width)
     assert key == canonical_key_oracle(n, bases)
-    assert tuple(masks) == relabel_oracle(bases, canonical_order_oracle(n, bases))
+    pivot = pivot_oracle(n, bases)
+    assert cut == sum(1 for b in bases if not b >> pivot & 1)
     low = (1 << (n - 1)) - 1
     children = tuple(tuple(b & low for b in from_slots(slots, slot_width(n - 1)))
-                     for slots in _children(n, key[1], masks))
+                     for slots in _children(n, key[1], cut))
     assert children == children_oracle(n, bases)
+
+
+def unpack_entry(key, packed):
+    """The polynomial of a memo entry, its rank read off the key's first
+    basis."""
+    n, slots = key
+    rank = from_slots(slots, slot_width(n))[0].bit_count()
+    return _unpack(packed, rank, n - rank)
 
 
 def check_column_pass(m):
@@ -264,8 +281,8 @@ class TestColumnPass:
             assert tutte_dc(padded, memo=TutteMemo()) == tutte_subset_sum(padded)
 
     # the default "memo-bytes" limit, and one under which Petersen with a
-    # chord ends with 64 of the 146 entries it makes with room for all
-    @pytest.mark.parametrize("capacity", [64 << 20, 100000])
+    # chord ends with 24 of the 60 entries it makes with room for all
+    @pytest.mark.parametrize("capacity", [64 << 20, 10000])
     def test_memo_matches_oracle_recursion(self, capacity, fano, k4,
                                            monkeypatch):
         monkeypatch.setitem(SIZE_LIMITS, "memo-bytes", capacity)
@@ -273,10 +290,12 @@ class TestColumnPass:
         for m in [fano, k4, graphic(K5), graphic(PETERSEN), graphic(chorded),
                   minimal(5, 10), with_loop_and_coloop(minimal(4, 8)),
                   rank2_from_partition([1, 2, 3, 2])]:
-            memo, oracle_memo = TutteMemo(), TutteMemo()
+            memo, oracle_memo = TutteMemo(), OracleMemo()
             oracle = dc_oracle(m.n, tuple(sorted(m.bases)), oracle_memo)
             assert tutte_dc(m, memo=memo) == oracle
-            assert list(memo._data.items()) == list(oracle_memo._data.items())
+            assert list(memo._data) == list(oracle_memo._data)
+            assert ([unpack_entry(key, packed) for key, packed in memo._data.items()]
+                    == list(oracle_memo._data.values()))
             assert memo._bytes == oracle_memo._bytes
 
 
@@ -289,7 +308,8 @@ class TestIdentities:
         for e in range(m.n):
             if (m.loops() | m.coloops()) >> e & 1:
                 continue
-            assert t == tutte_subset_sum(m.delete(e)) + tutte_subset_sum(m.contract(e))
+            assert t == poly_add(tutte_subset_sum(m.delete(e)),
+                                 tutte_subset_sum(m.contract(e)))
 
     def test_duality_transposes_coefficients(self):
         for m in minimal_matroids(8) + uniform_matroids(6) + graphic_corpus(10, 8):
@@ -353,9 +373,9 @@ class TestMemo:
         assert len(memo) <= 8  # eviction kept the table tiny
 
     # a cold run makes the same entries every time, so a new pivot rule or
-    # key shows here
+    # key shows here; the counts are those of `dc_oracle`
     @pytest.mark.parametrize("m, entries", [
-        (graphic(PETERSEN), 123), (graphic(K5), 19), (minimal(8, 16), 7),
+        (graphic(PETERSEN), 135), (graphic(K5), 26), (minimal(8, 16), 7),
     ], ids=["petersen", "k5", "minimal-8-16"])
     def test_cold_entry_counts(self, m, entries):
         memo = TutteMemo()
@@ -382,15 +402,50 @@ class TestMemo:
     @pytest.mark.parametrize("m", [graphic(PETERSEN), minimal(8, 16)],
                              ids=["petersen", "minimal-8-16"])
     def test_charge_covers_the_keys(self, m):
-        # the key objects themselves: the pair, its payload, and any int in
-        # the payload past the interpreter's shared small ints
         memo = TutteMemo()
         tutte_dc(m, memo=memo)
         assert len(memo) > 0
-        assert memo._bytes >= sum(
-            sys.getsizeof(key) + sys.getsizeof(key[1])
-            + sum(sys.getsizeof(b) for b in key[1] if b > 256)
-            for key in memo._data)
+        assert memo._bytes == measured_bytes(memo)
+
+    def test_charge_is_measured_after_traces(self, monkeypatch):
+        # the process-wide memo that `trace` fills through `check_mw`
+        memo = TutteMemo()
+        monkeypatch.setattr(tutte, "_global_memo", memo)
+        for seed in range(3):
+            assert trace(sparse_paving(4, 9, 6, seed)).verified
+        assert len(memo) > 0
+        assert memo._bytes == measured_bytes(memo)
+
+
+def measured_bytes(memo):
+    """The objects a memo holds, sized one by one: each key pair, its byte
+    string and its packed polynomial (n, a small int, is shared)."""
+    return sum(sys.getsizeof(key) + sys.getsizeof(key[1]) + sys.getsizeof(packed)
+               for key, packed in memo._data.items())
+
+
+class TestPackedPolynomials:
+    """One int per polynomial inside deletion-contraction: fields wide
+    enough for the largest coefficient at the widest shapes the limit
+    allows, and a refusal past the limit the fields were sized for."""
+
+    def test_round_trip_at_the_limit(self):
+        limit = SIZE_LIMITS["deletion-contraction"]
+        largest = comb(limit, limit // 2)     # the most bases, so T(1,1)
+        widest = _uniform_tutte(limit // 2, limit)
+        assert widest.evaluate(1, 1) == largest
+        filled = [TuttePolynomial([[largest] * (limit - r + 1)] * (r + 1))
+                  for r in (0, limit // 2, limit)]
+        for t in [widest, *filled]:
+            assert _pack(t) == pack_oracle(t)
+            assert _unpack(_pack(t), t.x_degree_bound, t.y_degree_bound) == t
+
+    def test_ground_set_past_the_fields_is_refused(self, monkeypatch):
+        # C(25,12) needs 24 bits, two more than the fields sized at import
+        limit = SIZE_LIMITS["deletion-contraction"]
+        monkeypatch.setitem(SIZE_LIMITS, "deletion-contraction", limit + 1)
+        with pytest.raises(LimitExceededError, match="packed"):
+            tutte_dc(minimal(limit // 2, limit + 1), memo=TutteMemo())
 
 
 class TestPolynomialType:
