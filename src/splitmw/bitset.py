@@ -158,11 +158,6 @@ def from_slots(raw: bytes, width: int):
             for i in range(0, len(raw), width)]
 
 
-def pack(masks: Iterable[int], width: int) -> int:
-    """The masks in consecutive slots of one int."""
-    return int.from_bytes(to_slots(masks, width), sys.byteorder)
-
-
 def unpack(packed: int, count: int, width: int):
     """The `count` slots of a packed int, in slot order."""
     return from_slots(packed.to_bytes(count * width, sys.byteorder), width)
@@ -170,14 +165,17 @@ def unpack(packed: int, count: int, width: int):
 
 def low_slots(raw: bytes, width: int, narrow: int) -> bytes:
     """The low 8*narrow bits of each `width`-byte slot, as `narrow`-byte
-    slots."""
-    return to_slots(map(((1 << 8 * narrow) - 1).__and__, from_slots(raw, width)),
-                    narrow)
+    slots, both widths machine types: of the `narrow`-byte slots a slot
+    spans, its low one, so all of them are one strided slice."""
+    step = width // narrow
+    low = 0 if sys.byteorder == "little" else step - 1
+    return from_slots(raw, narrow)[low::step].tobytes()
 
 
 def slot_ones(count: int, width: int) -> int:
-    """The packed int with bit 0 of each of `count` slots set."""
-    return int.from_bytes(to_slots((1,), width) * count, sys.byteorder)
+    """The packed int with bit 0 of each of `count` slots set: one slot's
+    bytes, repeated."""
+    return int.from_bytes((1).to_bytes(width, sys.byteorder) * count, sys.byteorder)
 
 
 def columns(packed: int, ones: int, n: int) -> list[int]:
@@ -198,7 +196,8 @@ def column_view(n: int, masks) -> tuple[list[int], int, int]:
     """(columns, the full column, slot width) of a sized family of masks."""
     width = slot_width(n)
     ones = slot_ones(len(masks), width)
-    return columns(pack(masks, width), ones, n), ones, width
+    packed = int.from_bytes(to_slots(masks, width), sys.byteorder)
+    return columns(packed, ones, n), ones, width
 
 
 def minor_families(cols: list[int], e: int, ones: int, count: int,

@@ -11,21 +11,18 @@ Two independent engines cross-check each other:
   * `tutte_dc` -- deletion-contraction with eager loop/coloop stripping,
     a closed form for uniform minors (checked at the root before a single
     basis is packed), and an LRU memo, bounded by the "memo-bytes" size
-    limit, keyed on the sorted slots of a relabeling-canonicalized basis
-    family.  A node reads the n columns of its packed bases (see `bitset`):
-    degrees are bit counts, loops and coloops are empty and full columns,
-    and the canonical relabeling, by (degree, index), is one C-level sort
-    of the columns by bit count, a shift and an OR per column and one
-    C-level unpack and sort of the masks.  The pivot is the last element of
-    that order, a highest-degree one at bit n-1: the sorted slots that are
-    the node's key split at 2^(n-1) into the slots of its deletion and of
-    its contraction, which are passed on as they are (a child never reads
-    bit n-1), and repacked only where n-1 bits fit in narrower slots.  Per
-    node that is O(n) whole-int operations and two sorts, with no loop over
-    the bits of each basis.  Inside the recursion a polynomial is one int (Kronecker
-    substitution, see `_pack`), so the sum of a node's children is one
-    addition and a loop or coloop factor one shift; `tutte_dc` unpacks the
-    root's once.
+    limit, keyed on the sorted slots of a basis family (see `bitset`).
+    Each call relabels its root once, by (degree, index) (`_canonical`),
+    and every node below inherits that labeling, so equal minors coalesce
+    in the memo and no node sorts.  The pivot is always element n-1, at
+    the root one of highest degree: a node's sorted slots split at 2^(n-1)
+    into its two children, sorted families on n-1 elements (`_children`).
+    A node reads the n columns of its packed bases only for its loops and
+    coloops (empty and full columns) and its pivot's degree: O(n) whole-int
+    operations, with no loop over the bits of each basis.  Inside the
+    recursion a polynomial is one int (Kronecker substitution, see `_pack`):
+    the children's sum is one addition, a loop or coloop factor one shift,
+    and `tutte_dc` unpacks the root's once.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
 Coefficient matrices are indexed coeffs[i][j] = coefficient of x^i y^j and
@@ -40,8 +37,8 @@ from functools import lru_cache
 from itertools import chain
 from math import comb
 
-from .bitset import (columns, low_slots, place, popcount_classes, slot_ones,
-                     slot_width, to_slots, unpack)
+from .bitset import (column_view, columns, low_slots, place, popcount_classes,
+                     slot_ones, slot_width, to_slots, unpack)
 from .errors import (SIZE_LIMITS, InputError, LimitExceededError, check_size,
                      require_int, require_record)
 from .matroid import Matroid
@@ -237,8 +234,9 @@ def _unpack(packed: int, rank: int, corank: int) -> TuttePolynomial:
 
 class TutteMemo:
     """LRU memo shared across recursions, bounded by the "memo-bytes" size
-    limit.  Entries are packed polynomials (`_pack`), immutable ints, so a
-    hit is returned as it is.
+    limit.  A key is (n, the sorted slots of a family with no loop or
+    coloop), exact, so only equal families share an entry.  Entries are
+    packed polynomials (`_pack`), immutable ints, returned as they are.
 
     Each entry is charged what `sys.getsizeof` measures of its key pair,
     the key's byte string and its packed polynomial (`_entry_cost`); the
@@ -298,74 +296,71 @@ def _uniform_packed(k: int, n: int) -> int:
 
 
 def _strip(cols: list[int], ones: int) -> tuple[list[int], int, int]:
-    """Drop loops and coloops: (kept columns, n_coloops, n_loops).  The kept
-    bases stay distinct, so the slots are unchanged."""
-    kept = [c for c in cols if c and c != ones]
-    if len(kept) == len(cols):
+    """Drop loops and coloops: (kept columns, n_coloops, n_loops).  They
+    are constant columns, so `place` of the kept ones is the stripped family
+    with its masks distinct and in the same order."""
+    if 0 not in cols and ones not in cols:
         return cols, 0, 0
+    kept = [c for c in cols if c and c != ones]
     ncoloops = cols.count(ones)
     return kept, ncoloops, len(cols) - len(kept) - ncoloops
 
 
-def _canonical(cols: list[int], count: int, width: int):
-    """(memo key, number of bases without the pivot) of the family of
-    `count` bases with these columns, packed in slots of `width` bytes,
-    after relabeling the elements in order of (degree, index), e's degree
-    being the number of bases holding it: a stable sort of the columns by
-    bit count.
-
-    The key is (n, the sorted relabeled masks in slots of n's width), so
-    equal families key alike; relabeling preserves the Tutte polynomial, so
-    key collisions are sound and symmetric minors coalesce.  The last
-    element of the order, now n-1, has the highest degree: it is the pivot,
-    and the masks without it are the first count - degree in sorted order.
-    """
-    cols = sorted(cols, key=int.bit_count)
-    n = len(cols)
-    masks = sorted(unpack(place(cols), count, width))
-    return (n, to_slots(masks, slot_width(n))), count - cols[-1].bit_count()
+def _canonical(n: int, masks) -> bytes:
+    """The sorted slots of this family of masks on n elements relabeled by
+    (degree, index): a stable sort of the columns by bit count, one `place`
+    and one sort of the masks.  `tutte_dc` relabels each root so, and its
+    nodes inherit the labeling, n-1 of highest degree.  Relabeling keeps T,
+    so roots isomorphic by it share memo entries across calls."""
+    cols, _, width = column_view(n, masks)
+    cols.sort(key=int.bit_count)
+    return to_slots(sorted(unpack(place(cols), len(masks), width)), width)
 
 
-def _children(n: int, slots: bytes, cut: int) -> tuple[bytes, bytes]:
+def _children(n: int, packed: int, pivot: int, count: int) -> tuple[bytes, bytes]:
     """The slots of the deletion and the contraction of element n-1 from
-    the sorted family in these slots, whose first `cut` masks lack n-1:
-    the slots below 2^(n-1) and the rest, in slots of (n-1)'s width.  The
-    contraction's slots keep bit n-1, which a family on n-1 elements never
-    reads, except where (n-1)'s slots are narrower and it is cut off."""
+    the sorted family of `count` masks in `packed`, whose column of n-1 is
+    `pivot`: one XOR clears bit n-1, so the masks that lacked it and those
+    that held it are sorted families on n-1 elements, in (n-1)'s width."""
     width, narrow = slot_width(n), slot_width(n - 1)
-    cut *= width
-    deleted, contracted = slots[:cut], slots[cut:]
+    raw = (packed ^ pivot << (n - 1)).to_bytes(count * width, sys.byteorder)
     if narrow < width:
-        return low_slots(deleted, width, narrow), low_slots(contracted, width, narrow)
-    return deleted, contracted
+        raw = low_slots(raw, width, narrow)
+    cut = (count - pivot.bit_count()) * narrow
+    return raw[:cut], raw[cut:]
 
 
 def _dc(n: int, k: int, slots: bytes, memo: TutteMemo) -> int:
     """T, packed, of the rank-k matroid on n elements whose bases are the
-    masks in these slots of n's width, in any order; bits above n-1 are
-    not read."""
+    masks in these slots of n's width: distinct, ascending and below 2^n.
+    The memo key is (n, slots), and the pivot is element n-1."""
     width = slot_width(n)
     count = len(slots) // width
     if count == comb(n, k):
         # every k-subset, so no columns are needed: U(k,n) has no loop or
         # coloop unless k is 0 or n, where the closed form is y^n or x^n
         return _uniform_packed(k, n)
+    key = (n, slots)
+    core = memo.get(key)     # an entry's family has no loop or coloop
+    if core is not None:
+        return core
     ones = slot_ones(count, width)
-    cols = columns(int.from_bytes(slots, sys.byteorder), ones, n)
-    cols, ncoloops, nloops = _strip(cols, ones)
-    n, k = len(cols), k - ncoloops
-    if count == comb(n, k):
-        core = _uniform_packed(k, n)
-    else:
-        key, cut = _canonical(cols, count, width)
-        del cols    # not held while the children recurse
-        core = memo.get(key)
-        if core is None:
-            deleted, contracted = _children(n, key[1], cut)
-            core = _dc(n - 1, k, deleted, memo) + _dc(n - 1, k - 1, contracted, memo)
-            memo.put(key, core)
-    # times x^ncoloops * y^nloops
-    return core << _FIELD * (ncoloops * _STRIDE + nloops)
+    packed = int.from_bytes(slots, sys.byteorder)
+    cols, ncoloops, nloops = _strip(columns(packed, ones, n), ones)
+    if ncoloops or nloops:
+        # the stripped family, keyed in its own slot width, times
+        # x^ncoloops * y^nloops
+        n = len(cols)
+        slots = place(cols).to_bytes(len(slots), sys.byteorder)
+        if slot_width(n) < width:
+            slots = low_slots(slots, width, slot_width(n))
+        del ones, packed, cols  # not held while the minors recurse
+        return _dc(n, k - ncoloops, slots, memo) << _FIELD * (ncoloops * _STRIDE + nloops)
+    deleted, contracted = _children(n, packed, cols[-1], count)
+    del ones, packed, cols
+    core = _dc(n - 1, k, deleted, memo) + _dc(n - 1, k - 1, contracted, memo)
+    memo.put(key, core)
+    return core
 
 
 def tutte_dc(m: Matroid, memo: TutteMemo | None = None) -> TuttePolynomial:
@@ -381,4 +376,4 @@ def tutte_dc(m: Matroid, memo: TutteMemo | None = None) -> TuttePolynomial:
         return _uniform_tutte(k, n)     # before packing a single basis
     if memo is None:
         memo = _global_memo
-    return _unpack(_dc(n, k, to_slots(m.bases, slot_width(n)), memo), k, n - k)
+    return _unpack(_dc(n, k, _canonical(n, m.bases), memo), k, n - k)

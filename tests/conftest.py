@@ -289,7 +289,8 @@ def dense_to_sparse(t) -> dict[tuple[int, int], int]:
 # -- deletion-contraction, one basis and one bit at a time -------------------
 
 def canonical_order_oracle(n: int, bases: tuple[int, ...]) -> list[int]:
-    """The elements in order of (basis degree, index)."""
+    """The elements in order of (basis degree, index): the labeling a
+    deletion-contraction run gives its root, inherited by every node."""
     degree = [0] * n
     for b in bases:
         for e in bits(b):
@@ -303,19 +304,22 @@ def relabel_oracle(bases, order: list[int]) -> tuple[int, ...]:
     return tuple(sorted(mask_of(pos[e] for e in bits(b)) for b in bases))
 
 
-def canonical_key_oracle(n: int, bases: tuple[int, ...]):
-    """Memo key: (n, the sorted bases relabeled in canonical order), the
-    bases written one after another in native byte order, each in the
-    narrowest of 1, 2, 4 or 8 bytes that holds n bits."""
-    remapped = relabel_oracle(bases, canonical_order_oracle(n, bases))
+def canonical_oracle(n: int, bases: tuple[int, ...]) -> tuple[int, ...]:
+    """The root of a run: the sorted bases relabeled in canonical order."""
+    return relabel_oracle(bases, canonical_order_oracle(n, bases))
+
+
+def slots_oracle(n: int, bases) -> bytes:
+    """The sorted bases written one after another in native byte order,
+    each in the narrowest of 1, 2, 4 or 8 bytes that holds n bits."""
     width = next(w for w in (1, 2, 4, 8, (n + 7) // 8) if 8 * w >= n)
-    return (n, b"".join(b.to_bytes(width, sys.byteorder) for b in remapped))
+    return b"".join(b.to_bytes(width, sys.byteorder) for b in sorted(bases))
 
 
-def pivot_oracle(n: int, bases: tuple[int, ...]) -> int:
-    """The last element of the canonical order, so one of highest
-    degree."""
-    return canonical_order_oracle(n, bases)[-1]
+def pivot_oracle(n: int) -> int:
+    """Element n-1 of the inherited labeling, at the root the last of the
+    canonical order, so one of highest degree."""
+    return n - 1
 
 
 def strip_oracle(n: int, bases: tuple[int, ...]):
@@ -336,13 +340,10 @@ def strip_oracle(n: int, bases: tuple[int, ...]):
 
 def children_oracle(n: int, bases: tuple[int, ...]):
     """Sorted basis families of the deletion and the contraction of the
-    pivot, the other elements relabeled in canonical order: the children
-    of the relabeled family at position n-1."""
-    order = canonical_order_oracle(n, bases)
-    e = pivot_oracle(n, bases)
-    bit = 1 << e
-    return (relabel_oracle([b for b in bases if not b & bit], order[:-1]),
-            relabel_oracle([b ^ bit for b in bases if b & bit], order[:-1]))
+    pivot, on the other n-1 elements as they are labeled."""
+    bit = 1 << pivot_oracle(n)
+    return (tuple(sorted(b for b in bases if not b & bit)),
+            tuple(sorted(b ^ bit for b in bases if b & bit)))
 
 
 def poly_add(a, b):
@@ -385,9 +386,14 @@ class OracleMemo(TutteMemo):
 
 def dc_oracle(n: int, bases: tuple[int, ...], memo):
     """Deletion-contraction over sorted tuples and coefficient matrices with
-    the oracles above: strip, closed form for uniform minors, memo on the
-    canonical key, pivot last in canonical order, deletion before
-    contraction."""
+    the oracles above: the root relabeled in canonical order, and below it
+    no relabeling; strip, closed form for uniform minors, memo on (n, the
+    family's slots), pivot n-1, deletion before contraction."""
+    return dc_node_oracle(n, canonical_oracle(n, bases), memo)
+
+
+def dc_node_oracle(n: int, bases: tuple[int, ...], memo):
+    """One node of `dc_oracle`, on a sorted family in the root's labeling."""
     n, bases, ncoloops, nloops = strip_oracle(n, bases)
     if n == 0:
         core = TuttePolynomial(((1,),))
@@ -396,12 +402,12 @@ def dc_oracle(n: int, bases: tuple[int, ...], memo):
         if len(bases) == comb(n, k):
             core = _uniform_tutte(k, n)
         else:
-            key = canonical_key_oracle(n, bases)
+            key = (n, slots_oracle(n, bases))
             core = memo.get(key)
             if core is None:
                 deleted, contracted = children_oracle(n, bases)
-                core = poly_add(dc_oracle(n - 1, deleted, memo),
-                                dc_oracle(n - 1, contracted, memo))
+                core = poly_add(dc_node_oracle(n - 1, deleted, memo),
+                                dc_node_oracle(n - 1, contracted, memo))
                 memo.put(key, core)
     return poly_shift(core, ncoloops, nloops)
 

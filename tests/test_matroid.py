@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from itertools import combinations
 
@@ -23,7 +24,7 @@ from splitmw import (
     recognize_minimal,
     uniform,
 )
-from splitmw.bitset import bits, mask_of
+from splitmw.bitset import bits, low_slots, mask_of, slot_ones
 from splitmw.corpus import (
     graphic_corpus,
     minimal_matroids,
@@ -715,6 +716,21 @@ class TestPackedColumns:
                 delete_oracle(m, e)
             assert (m.contract(e).n, m.contract(e).rank, m.contract(e).bases) == \
                 contract_oracle(m, e)
+
+    # every pair of machine-type slot widths; masks with bits on both sides
+    # of the narrow width
+    @pytest.mark.parametrize("width, narrow", [
+        (2, 1), (4, 1), (4, 2), (8, 1), (8, 2), (8, 4),
+    ])
+    def test_low_slots_and_slot_ones(self, width, narrow):
+        rng = random.Random(16 * width + narrow)
+        masks = [rng.getrandbits(8 * width) for _ in range(37)] + [0, (1 << 8 * width) - 1]
+        raw = b"".join(m.to_bytes(width, sys.byteorder) for m in masks)
+        low = (1 << 8 * narrow) - 1
+        assert low_slots(raw, width, narrow) == b"".join(
+            (m & low).to_bytes(narrow, sys.byteorder) for m in masks)
+        assert slot_ones(len(masks), width) == sum(
+            1 << 8 * width * i for i in range(len(masks)))
 
     def test_records_do_not_share_lists(self):
         # the last: one byte position of a wide slot holds every element

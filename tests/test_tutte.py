@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from math import comb
 
 import pytest
@@ -27,7 +28,8 @@ from splitmw.corpus import (
     uniform_matroids,
 )
 from splitmw import tutte
-from splitmw.bitset import column_view, from_slots, place, slot_width, unpack
+from splitmw.bitset import (column_view, from_slots, low_slots, place, slot_ones,
+                            slot_width, unpack)
 from splitmw.errors import SIZE_LIMITS
 from splitmw.tutte import (
     _canonical,
@@ -41,7 +43,7 @@ from splitmw.tutte import (
 
 from conftest import (
     OracleMemo,
-    canonical_key_oracle,
+    canonical_oracle,
     children_oracle,
     dc_oracle,
     dense_to_sparse,
@@ -52,6 +54,7 @@ from conftest import (
     pairwise_exchange_violation,
     pivot_oracle,
     poly_add,
+    slots_oracle,
     sparse_paving,
     strip_oracle,
     whitney_numbers_oracle,
@@ -184,19 +187,15 @@ class TestWhitneyNumbers:
         assert w[0][0] == len(m.bases)
 
 
-def check_canonical_step(cols, count, width, n, bases):
-    """The key, the number of bases without the pivot and the two
-    children's slots of one node against the oracles.  A child reads only
-    its n-1 columns, so the contraction's bit n-1 is masked off before
-    comparing."""
-    key, cut = _canonical(cols, count, width)
-    assert key == canonical_key_oracle(n, bases)
-    pivot = pivot_oracle(n, bases)
-    assert cut == sum(1 for b in bases if not b >> pivot & 1)
-    low = (1 << (n - 1)) - 1
-    children = tuple(tuple(b & low for b in from_slots(slots, slot_width(n - 1)))
-                     for slots in _children(n, key[1], cut))
-    assert children == children_oracle(n, bases)
+def check_children(n, bases):
+    """The slots of the children of element n-1 from a sorted family on n
+    elements against the oracle's: the same families, sorted, with no bit
+    at n-1 or above, each in (n-1)'s slot width."""
+    count, width = len(bases), slot_width(n)
+    packed = int.from_bytes(slots_oracle(n, bases), sys.byteorder)
+    pivot = (packed >> pivot_oracle(n)) & slot_ones(count, width)
+    assert _children(n, packed, pivot, count) == tuple(
+        slots_oracle(n - 1, child) for child in children_oracle(n, bases))
 
 
 def unpack_entry(key, packed):
@@ -208,20 +207,27 @@ def unpack_entry(key, packed):
 
 
 def check_column_pass(m):
-    """Keys, children and the stripped family of the column pass against
-    the one-basis-at-a-time oracles, before and after stripping loops and
-    coloops."""
+    """The root's canonical slots, the stripped family and the children of
+    a node against the one-basis-at-a-time oracles.  Stripping the
+    canonical family keeps its masks in order, with no sort, and gives the
+    canonical family of the stripped matroid, so roots coalesce as they
+    would if they were stripped before they were relabeled."""
     n, bases = m.n, tuple(sorted(m.bases))
-    count = len(bases)
-    cols, ones, width = column_view(n, bases)
-    if n:
-        check_canonical_step(cols, count, width, n, bases)
+    canon = canonical_oracle(n, bases)
+    assert _canonical(n, bases) == slots_oracle(n, canon)
+    cols, ones, width = column_view(n, canon)
     kept, ncoloops, nloops = _strip(cols, ones)
-    family = tuple(sorted(unpack(place(kept), count, width)))
-    n, stripped, *dropped = strip_oracle(n, bases)
-    assert (len(kept), family, ncoloops, nloops) == (n, stripped, *dropped)
+    family = tuple(unpack(place(kept), len(bases), width))
+    stripped_n, stripped, *dropped = strip_oracle(n, canon)
+    assert (len(kept), family, ncoloops, nloops) == (stripped_n, stripped, *dropped)
+    stripped_first = strip_oracle(n, bases)[:2]
+    assert (slots_oracle(stripped_n, family)
+            == slots_oracle(stripped_n, canonical_oracle(*stripped_first))
+            == _canonical(*stripped_first))
     if n:
-        check_canonical_step(kept, count, width, n, stripped)
+        check_children(n, canon)
+    if stripped_n:
+        check_children(stripped_n, stripped)
 
 
 PETERSEN = Multigraph(10, [(i, (i + 1) % 5) for i in range(5)]
@@ -280,9 +286,28 @@ class TestColumnPass:
                 core.direct_sum(uniform(1, max(size - core.n, 2))))
             assert tutte_dc(padded, memo=TutteMemo()) == tutte_subset_sum(padded)
 
-    # the default "memo-bytes" limit, and one under which Petersen with a
-    # chord ends with 24 of the 60 entries it makes with room for all
-    @pytest.mark.parametrize("capacity", [64 << 20, 10000])
+    # a root whose loops and coloops take it from 17 elements to 16 or
+    # fewer, or from 9 to 8 or fewer: stripped, it is keyed in its own
+    # narrower slots, so the run writes the keys of its core's run, the
+    # root's last, of its core's bases in the core's slot width
+    @pytest.mark.parametrize("core, loops, coloops", [
+        (minimal(8, 16), 1, 0), (minimal(8, 16), 0, 1), (graphic(PETERSEN), 1, 1),
+        (minimal(4, 8), 1, 0), (minimal(4, 8), 0, 1), (minimal(3, 7), 1, 1),
+    ], ids=["17-16-loop", "17-16-coloop", "17-15", "9-8-loop", "9-8-coloop", "9-7"])
+    def test_strip_across_slot_width_edge(self, core, loops, coloops):
+        padded = uniform(0, loops).direct_sum(core).direct_sum(uniform(coloops, coloops))
+        assert slot_width(padded.n) > slot_width(core.n)
+        memo, core_memo = TutteMemo(), TutteMemo()
+        assert tutte_dc(padded, memo=memo) == tutte_subset_sum(padded)
+        tutte_dc(core, memo=core_memo)
+        assert list(memo._data) == list(core_memo._data)
+        n, slots = list(memo._data)[-1]
+        assert (n, len(slots)) == (core.n, len(core.bases) * slot_width(core.n))
+
+    # the default "memo-bytes" limit, one under which Petersen with a chord
+    # ends with 1 of the 161 entries it makes with room for all, its root's,
+    # and one under which it ends with 52
+    @pytest.mark.parametrize("capacity", [64 << 20, 10000, 40000])
     def test_memo_matches_oracle_recursion(self, capacity, fano, k4,
                                            monkeypatch):
         monkeypatch.setitem(SIZE_LIMITS, "memo-bytes", capacity)
@@ -375,7 +400,7 @@ class TestMemo:
     # a cold run makes the same entries every time, so a new pivot rule or
     # key shows here; the counts are those of `dc_oracle`
     @pytest.mark.parametrize("m, entries", [
-        (graphic(PETERSEN), 135), (graphic(K5), 26), (minimal(8, 16), 7),
+        (graphic(PETERSEN), 155), (graphic(K5), 29), (minimal(8, 16), 7),
     ], ids=["petersen", "k5", "minimal-8-16"])
     def test_cold_entry_counts(self, m, entries):
         memo = TutteMemo()
@@ -389,7 +414,54 @@ class TestMemo:
         def no_packing(*args):
             raise AssertionError("the bases of a uniform root were packed")
         monkeypatch.setattr(tutte, "to_slots", no_packing)
+        monkeypatch.setattr(tutte, "column_view", no_packing)
         assert tutte_dc(m, memo=TutteMemo()) == _uniform_tutte(m.rank, m.n)
+
+    # the root is relabeled and sorted once per call, warm or cold, and no
+    # node below it sorts
+    @pytest.mark.parametrize("m", [
+        graphic(PETERSEN), graphic(K5), minimal(8, 16),
+        with_loop_and_coloop(minimal(7, 15)),
+    ], ids=["petersen", "k5", "minimal-8-16", "minimal-7-15-padded"])
+    def test_root_is_relabeled_once(self, m, monkeypatch):
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        for name, f in [("_canonical", tutte._canonical), ("unpack", tutte.unpack),
+                        ("sorted", sorted)]:
+            monkeypatch.setattr(tutte, name, counted(name, f), raising=False)
+        memo = TutteMemo()
+        for _ in range(2):
+            assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
+        # each root sorts its masks once (and its columns in place)
+        assert calls == {"_canonical": 2, "unpack": 2, "sorted": 2}
+
+    @given(derived_matroids())
+    def test_keys_are_sorted_families(self, m):
+        """Each key a cold run writes holds strictly ascending masks below
+        2^n, all of one size k, with no loop or coloop and fewer than C(n,k)
+        of them, in slots of n's width."""
+        memo = TutteMemo()
+        tutte_dc(m, memo=memo)
+        for n, slots in memo._data:
+            width = slot_width(n)
+            assert len(slots) % width == 0
+            masks = list(from_slots(slots, width))
+            assert all(a < b for a, b in zip(masks, masks[1:]))
+            assert masks[-1] < 1 << n
+            k = masks[0].bit_count()
+            assert all(b.bit_count() == k for b in masks)
+            assert len(masks) < comb(n, k)
+            union, inter = 0, masks[0]
+            for b in masks:
+                union |= b
+                inter &= b
+            assert (union, inter) == ((1 << n) - 1, 0)
 
     def test_shared_memo_reuse(self):
         memo = TutteMemo()
