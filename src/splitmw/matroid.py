@@ -9,13 +9,14 @@ Conventions used throughout the package:
     popcount loops over that family.  Components merge the overlapping
     fundamental circuits of one basis, found by r*(n-r) basis lookups.
   * Family-level queries read the packed columns (`Matroid.columns`, see
-    `bitset`), built once per matroid: the families of minors
-    (`delete`/`contract`/`restrict`) are one relabeling of the kept
+    `bitset`), built once per matroid in record order: the families of
+    minors (`delete`/`contract`/`restrict`) are one relabeling of the kept
     columns, unpacked in C; a minor's family is valid by construction, so
     it skips the constructor's per-basis checks.  Loops and coloops are
-    one C-level OR or AND over the family.  Records (`to_dict`, and their canonical JSON text
-    `record_json`) sort the masks as ints once and write each through
-    per-byte tables, or past 64 bits through its binary numeral.
+    one C-level OR or AND over the family.  Records (`to_dict`, and their
+    canonical JSON text `record_json`) write each mask through per-byte
+    tables, or past 64 bits through its binary numeral, in lex order: sorted
+    as ints once, or, for a deletion or contraction, its parent's order.
   * Whole-table queries (independence and rank tables, rank levels,
     circuits) hold one bit per subset in a 2^n-bit int and close it under
     inclusion with n shift/AND/OR passes (see `bitset`): about n*(r+2)
@@ -47,6 +48,7 @@ from .bitset import (
     element_lists,
     element_masks,
     element_text,
+    from_slots,
     k_subsets,
     lex_order,
     mask_of,
@@ -54,8 +56,10 @@ from .bitset import (
     minor_families,
     place,
     popcount_classes,
+    slot_width,
     spread,
     table_of,
+    to_slots,
     unpack,
     up_closure,
 )
@@ -171,10 +175,12 @@ class Matroid:
         """(cols, ones, width): the bases packed into one int, one slot of
         `width` bytes each, and cols[e], the slots of the bases that hold e,
         at each slot's bit 0; `ones` is the full column (see `bitset`).
-        Built once, on first use."""
+        Built once, on first use, from `_lex_slots`: in record order, as are
+        the families that `_minor` splits off the columns."""
         cached = self._cache.get("columns")
         if cached is None:
-            cols, ones, width = column_view(self.n, self.bases)
+            lex = from_slots(self._lex_slots(), slot_width(self.n))
+            cols, ones, width = column_view(self.n, lex)
             cached = (tuple(cols), ones, width)
             self._cache["columns"] = cached
         return cached
@@ -316,7 +322,10 @@ class Matroid:
         """M\\e or M/e, from the bases without e and the bases with e
         (`bitset.minor_families`, split once per element and shared by
         both minors); if one side is empty, e is a loop or a coloop, and
-        both minors are the other side."""
+        both minors are the other side.  Dropping e from two bases that both
+        or neither hold keeps the least element of their symmetric
+        difference, which orders them (`bitset.lex_order`), so the split, in
+        the columns' record order, gives the minor its `_lex_slots` unsorted."""
         if not 0 <= e < self.n:
             raise IndexError(f"element {e} out of range for n={self.n}")
         split = self._cache.get(("split", e))
@@ -330,7 +339,9 @@ class Matroid:
         else:
             rank, family = self.rank, without
         emap = tuple(i for i in range(self.n) if i != e)
-        return Matroid._trusted(self.n - 1, rank, family, emap)
+        minor = Matroid._trusted(self.n - 1, rank, family, emap)
+        minor._cache["lex"] = to_slots(family, slot_width(self.n - 1))
+        return minor
 
     def delete(self, e: int) -> Matroid:
         """Delete element e; ground set reindexed, mapping in element_map."""
@@ -342,15 +353,19 @@ class Matroid:
 
     def restrict(self, a: int) -> Matroid:
         """Restriction to the subset `a`, reindexed; bases are the maximal
-        intersections of bases with `a`, read off the columns of `a`."""
+        intersections of bases with `a`, read off the columns of `a`.  Built
+        once per subset: `is_split` and a trace restrict to the same ones."""
         self._check_subset(a)
-        kept = tuple(bits(a))
-        cols, _, width = self.columns()
-        inter = unpack(place([cols[i] for i in kept]), len(self.bases), width)
-        sizes = list(map(int.bit_count, inter))
-        r = max(sizes)
-        new_bases = compress(inter, map(r.__eq__, sizes))
-        return Matroid._trusted(len(kept), r, new_bases, kept)
+        key = ("restrict", a)
+        if key not in self._cache:
+            kept = tuple(bits(a))
+            cols, _, width = self.columns()
+            inter = unpack(place([cols[i] for i in kept]), len(self.bases), width)
+            sizes = list(map(int.bit_count, inter))
+            r = max(sizes)
+            new_bases = compress(inter, map(r.__eq__, sizes))
+            self._cache[key] = Matroid._trusted(len(kept), r, new_bases, kept)
+        return self._cache[key]
 
     def dual(self) -> Matroid:
         """Matroid whose bases are the complements of this one's bases."""
@@ -414,7 +429,8 @@ class Matroid:
     # -- serialization ---------------------------------------------------
 
     def _lex_slots(self) -> bytes:
-        """The bases' slots in the record's order, sorted once.
+        """The bases' slots in the record's order: given by `_minor` to a
+        deletion or contraction, else sorted once.
 
         All bases have `rank` elements, and for lists of equal length
         lexicographic order is descending order of the bit-reversed masks
@@ -427,16 +443,23 @@ class Matroid:
     def to_dict(self) -> dict:
         """matroid-bases-v1 record, in canonical order (bases sorted
         ascending within, lexicographically across), each basis written
-        out by `bitset.element_lists`."""
-        return {"format": "matroid-bases-v1", "n": self.n, "rank": self.rank,
-                "bases": element_lists(self._lex_slots(), self.n)}
+        out by `bitset.element_lists` as a new list."""
+        return self._record(element_lists(self._lex_slots(), self.n))
 
     def record_json(self) -> str:
-        """`json.dumps(self.to_dict(), separators=(",", ":"),
-        sort_keys=True)`, written from the same slots by
-        `bitset.element_text`, with no record built and no JSON encoder
-        run."""
-        return (f'{{"bases":{element_text(self._lex_slots(), self.n)},'
+        """`json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=True)`,
+        written from the same slots by `bitset.element_text`, with no record
+        built and no JSON encoder run."""
+        return self._record_json(element_text(self._lex_slots(), self.n))
+
+    def _record(self, bases: list) -> dict:
+        """`to_dict`, with `bases` the element lists in record order."""
+        return {"format": "matroid-bases-v1", "n": self.n, "rank": self.rank,
+                "bases": bases}
+
+    def _record_json(self, bases: str) -> str:
+        """`record_json`, with `bases` the JSON text of the bases."""
+        return (f'{{"bases":{bases},'
                 f'"format":"matroid-bases-v1","n":{self.n},"rank":{self.rank}}}')
 
 

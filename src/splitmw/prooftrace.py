@@ -22,7 +22,8 @@ Each distinct minor is checked once per trace: a matroid equal to one
 already built (same size, rank and bases, whatever its `element_map`)
 shares that node, with its pivot, children, record and verdict, so a
 direct sum of equal components or a minor reached along two pivot orders
-costs one subtree.  The output is the same tree, node for node.
+costs one subtree.  The output is the same tree, node for node.  Each basis
+is written out once per trace too, so pivot minors share basis lists.
 
 A connected split matroid in which *no* element admits a clean pivot must
 be one of the base cases.  The trace checks that lemma on every node it
@@ -33,9 +34,11 @@ concrete instance.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from math import prod
 from typing import NamedTuple
 
+from .bitset import element_lists, element_text, from_slots, slot_width, to_slots
 from .errors import ClassificationFailureError, NotSplitError, check_size
 from .flats import is_split
 from .matroid import Matroid, recognize_minimal
@@ -53,20 +56,21 @@ BASE_RULES = frozenset({RULE_BASE_RANK1, RULE_BASE_CORANK1, RULE_BASE_RANK2,
                         RULE_BASE_CORANK2, RULE_BASE_MINIMAL})
 
 
-def matroid_digest(m: Matroid) -> str:
-    """Short hash of a matroid's matroid-bases-v1 record: the sha256 of its
-    compact, key-sorted JSON text, written by `Matroid.record_json`."""
+def matroid_digest(text: str) -> str:
+    """Short hash of a matroid's matroid-bases-v1 record from its compact,
+    key-sorted JSON text (`Matroid.record_json`, or `_Tables.record`): the
+    first 16 hex digits of its sha256; the text is written by the caller."""
     # imported here: only `trace` hashes, and the import costs every CLI
     # verb's start-up
     import hashlib
-    return hashlib.sha256(m.record_json().encode()).hexdigest()[:16]
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class ProofNode(NamedTuple):
     """One step of a certificate tree.  `record` is the matroid's
-    matroid-bases-v1 record, built once and shared by `to_dict` and by
-    every node of the trace with an equal matroid; it holds a dict, so
-    nodes compare but do not hash."""
+    matroid-bases-v1 record, shared by `to_dict` and every node of the trace
+    with an equal matroid, and its basis lists by other records: they are
+    read-only.  It holds a dict, so nodes compare but do not hash."""
 
     matroid: Matroid
     record: dict
@@ -143,16 +147,40 @@ def _base_rule(rank: int, corank: int) -> str | None:
     return None
 
 
-def _build(m: Matroid, built: dict) -> ProofNode:
-    """The node of m, built once per distinct matroid of the trace: `built`
-    maps each matroid built so far to its node.  A repeat shares that node,
-    relabeled by `_replace` when its `element_map` differs."""
-    node = built.get(m)
+class _Tables:
+    """Per-trace state: `nodes`, the node of each matroid built so far, and
+    the tables `lists` (mask -> element list) and `texts` (mask -> element
+    text "e1,e2,..."), which write each basis mask once per trace through
+    `bitset`'s per-byte tables; records of one trace share basis lists."""
+
+    def __init__(self):
+        self.nodes, self.lists, self.texts = {}, {}, {}
+
+    def record(self, m: Matroid) -> tuple[dict, str]:
+        """(m.to_dict(), m.record_json()) by C-level lookups of m's masks in
+        record order, once the new ones are written into the tables."""
+        width, lists, texts = slot_width(m.n), self.lists, self.texts
+        masks = from_slots(m._lex_slots(), width)
+        new = list(filterfalse(lists.__contains__, masks))
+        if new:
+            raw = to_slots(new, width)
+            lists.update(zip(new, element_lists(raw, m.n)))
+            texts.update(zip(new, element_text(raw, m.n)[2:-2].split("],[")))
+        return (m._record(list(map(lists.__getitem__, masks))),
+                m._record_json(f'[[{"],[".join(map(texts.__getitem__, masks))}]]'))
+
+
+def _build(m: Matroid, tables: _Tables, minor: bool = False) -> ProofNode:
+    """The node of m, built once per distinct matroid of the trace: a
+    repeat shares the node in `tables.nodes`, relabeled by `_replace` when
+    its `element_map` differs.  A pivot's `minor` takes its record from the
+    tables; others, whose masks are mostly new, from the cheaper `to_dict`."""
+    node = tables.nodes.get(m)
     if node is not None:
         if node.matroid.element_map != m.element_map:
             node = node._replace(matroid=m)
         return node
-    node = built[m] = _new_node(m, built)
+    node = tables.nodes[m] = _new_node(m, tables, minor)
     return node
 
 
@@ -165,16 +193,15 @@ def _from_children(m: Matroid, children: tuple, combine) -> MWReport:
                        for point in ("t20", "t02", "t11")))
 
 
-def _new_node(m: Matroid, built: dict) -> ProofNode:
-    record = m.to_dict()
-    digest = matroid_digest(m)
+def _new_node(m: Matroid, tables: _Tables, minor: bool) -> ProofNode:
+    record, text = tables.record(m) if minor else (m.to_dict(), m.record_json())
+    digest = matroid_digest(text)
     comps = m.components()
     if len(comps) != 1:
-        children = tuple(_build(m.restrict(c), built) for c in comps)
+        children = tuple(_build(m.restrict(c), tables) for c in comps)
         return ProofNode(m, record, digest, RULE_DIRECT_SUM,
                          _from_children(m, children, prod), children)
-    rank, corank = m.rank, m.n - m.rank
-    rule = _base_rule(rank, corank)
+    rule = _base_rule(m.rank, m.n - m.rank)
     if rule is not None:
         return ProofNode(m, record, digest, rule, check_mw(m))
     kn = recognize_minimal(m)
@@ -185,7 +212,7 @@ def _new_node(m: Matroid, built: dict) -> ProofNode:
     if e is None:
         # would contradict the base-case classification; abort loudly
         raise ClassificationFailureError(m)
-    children = (_build(m.delete(e), built), _build(m.contract(e), built))
+    children = (_build(m.delete(e), tables, True), _build(m.contract(e), tables, True))
     return ProofNode(m, record, digest, RULE_DELETE_CONTRACT,
                      _from_children(m, children, sum), children, element=e)
 
@@ -204,7 +231,7 @@ def trace(m: Matroid) -> ProofTrace:
         raise NotSplitError(
             f"trace requires a split matroid; {m!r} has nested or multiple "
             f"non-uniform structure")
-    root = _build(m, {})
+    root = _build(m, _Tables())
     verified = all(node.mw.mult_ok for node in root.walk())
     return ProofTrace(root=root, verified=verified)
 

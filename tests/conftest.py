@@ -514,10 +514,11 @@ def digest_oracle(record: dict) -> str:
 
 def build_oracle(m) -> ProofNode:
     """The certificate node of m with every minor built, checked and
-    recorded again wherever it occurs: no node is shared, and each digest
-    is a JSON dump of the record."""
+    recorded again wherever it occurs: no node is shared, each record sorts
+    the element lists of the bases afresh (`to_dict_oracle`), and each
+    digest is a JSON dump of the record."""
     mw = check_mw(m)
-    record = m.to_dict()
+    record = to_dict_oracle(m)
     digest = digest_oracle(record)
     comps = m.components()
     if len(comps) != 1:

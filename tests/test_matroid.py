@@ -22,9 +22,11 @@ from splitmw import (
     minimal,
     rank2_from_partition,
     recognize_minimal,
+    trace,
     uniform,
 )
-from splitmw.bitset import bits, low_slots, mask_of, slot_ones
+from splitmw.bitset import (bits, lex_order, low_slots, mask_of, place, slot_ones,
+                            to_slots, unpack)
 from splitmw.corpus import (
     graphic_corpus,
     minimal_matroids,
@@ -782,3 +784,81 @@ class TestPackedColumns:
         with pytest.raises(error) as exc:
             Matroid(n, rank, bases)
         assert str(exc.value) == message
+
+
+def assert_minors_inherit_lex_order(m, depth: int = 1):
+    """Each single-element minor's record slots, taken over from m's
+    columns, are the slots a fresh lex sort gives, and its own columns
+    unpack to them; to `depth` levels of minors."""
+    for e in range(m.n):
+        for minor in (m.delete(e), m.contract(e)):
+            assert "lex" in minor._cache
+            slots = minor._lex_slots()
+            assert slots == lex_order(minor.bases, minor.n)
+            cols, _, width = minor.columns()
+            assert to_slots(unpack(place(cols), len(minor.bases), width),
+                            width) == slots
+            if depth > 1:
+                assert_minors_inherit_lex_order(minor, depth - 1)
+
+
+class TestInheritedLexOrder:
+    """`_minor` stores its family's slots as the minor's record order
+    instead of sorting them again."""
+
+    def test_corpus(self):
+        for m in tutte_identity_corpus():
+            if m.n <= 9:
+                assert_minors_inherit_lex_order(m, depth=2)
+
+    @given(derived_matroids())
+    def test_duals_minors_and_sums(self, m):
+        assert_minors_inherit_lex_order(m, depth=2)
+
+    # a loop and a coloop as pivots; slot widths 2 -> 1 and 4 -> 2 bytes
+    # (9 -> 8 and 17 -> 16 elements); past 64 bits: 65 -> 64, 9 -> 8
+    # bytes, and wide on both sides
+    @pytest.mark.parametrize("m", [
+        with_loop_and_coloop(minimal(3, 6)), with_loop_and_coloop(uniform(2, 5)),
+        minimal(4, 9), uniform(3, 9), with_loop_and_coloop(minimal(3, 7)),
+        minimal(8, 17), uniform(2, 17), with_loop_and_coloop(minimal(7, 15)),
+        uniform(1, 65), minimal(2, 65), rank2_from_partition([30, 20, 20]),
+        Matroid(70, 1, [1, 2, 4]),
+    ], ids=lambda m: f"n{m.n}-r{m.rank}-{len(m.bases)}")
+    def test_slot_width_edges(self, m):
+        assert_minors_inherit_lex_order(m)
+        assert m.delete(m.n - 1).to_dict() == to_dict_oracle(m.delete(m.n - 1))
+        assert m.contract(0).to_dict() == to_dict_oracle(m.contract(0))
+
+
+class TestRestrictionCache:
+    def test_repeat_returns_the_same_minor(self):
+        for m in tutte_identity_corpus():
+            if m.n > 12:
+                continue
+            for a in [*m.components(), m.full_mask, m.full_mask >> 1]:
+                r = m.restrict(a)
+                assert m.restrict(a) is r
+                fresh = Matroid(m.n, m.rank, m.bases).restrict(a)
+                assert r == fresh and r.element_map == fresh.element_map
+                assert r.element_map == tuple(bits(a))
+                assert (r.n, r.rank, r.bases) == restrict_oracle(m, a)
+
+    def test_bad_subset_raises_before_the_cache_is_read(self):
+        m = minimal(2, 4)
+        for bad in (-1, 1 << 4, 0b10001):
+            m._cache[("restrict", bad)] = m
+            with pytest.raises(ValueError, match="not within ground set"):
+                m.restrict(bad)
+
+
+def test_changing_a_record_changes_no_later_record():
+    for m in (minimal(2, 4), uniform(3, 6), minimal(4, 9)):
+        expected = to_dict_oracle(m)
+        for basis in m.to_dict()["bases"]:
+            basis.append(99)
+        assert m.to_dict() == expected
+        root = trace(m).root
+        assert root.record == expected
+        assert all(node.record == to_dict_oracle(node.matroid)
+                   for node in root.walk())

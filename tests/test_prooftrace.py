@@ -36,6 +36,7 @@ from splitmw.prooftrace import (
     RULE_DELETE_CONTRACT,
     RULE_DIRECT_SUM,
     _clean_pivot,
+    _Tables,
     matroid_digest,
 )
 
@@ -315,17 +316,20 @@ class TestSerialization:
 
     def test_each_node_record_is_built_once(self, k4, monkeypatch):
         # once per distinct matroid: M(K4) has no repeated node, U(6,10)
-        # 29 nodes on 14 distinct matroids
+        # 29 nodes on 14 distinct matroids; the root's record is built by
+        # `to_dict`, each pivot minor's through the trace's tables
         built = []
-        to_dict = Matroid.to_dict
+        to_dict, record = Matroid.to_dict, _Tables.record
         monkeypatch.setattr(Matroid, "to_dict", lambda m: built.append(m) or to_dict(m))
+        monkeypatch.setattr(_Tables, "record",
+                            lambda tables, m: built.append(m) or record(tables, m))
         for m, nodes, distinct in ((k4, 3, 3), (uniform(6, 10), 29, 14)):
             built.clear()
             t = trace(m)
             assert t.node_count() == nodes
             assert len(built) == len(set(built)) == distinct
             for node in t.walk():
-                assert node.record == to_dict(node.matroid)
+                assert node.record == to_dict_oracle(node.matroid)
                 assert node.digest == digest_oracle(node.record)
         # the trace-v1 bytes and the digest payload are unchanged
         text = json.dumps(trace(k4).to_dict(), separators=(",", ":"))
@@ -360,6 +364,18 @@ class TestSerialization:
             assert built.count("restrict") == sum(
                 len(node.children) for node in distinct
                 if node.rule == RULE_DIRECT_SUM) + (comps if comps > 1 else 0)
+
+    def test_records_share_basis_lists_within_one_trace(self):
+        # the pivot minors of one trace take their lists from its tables;
+        # changing them changes neither a later trace nor a later record
+        m = uniform(4, 8)
+        t = trace(m)
+        lists = [b for node in t.walk() for b in node.record["bases"]]
+        assert len({id(b) for b in lists}) < len(lists)
+        for basis in lists:
+            basis.append(99)
+        assert json.dumps(trace(m).to_dict()) == json.dumps(trace_oracle(m).to_dict())
+        assert m.to_dict() == to_dict_oracle(m)
 
     def test_minimal_params(self):
         d = trace(minimal(4, 7)).to_dict()
@@ -447,7 +463,7 @@ def with_loop_and_coloop(m):
 
 
 def assert_digest_matches_oracle(m):
-    assert matroid_digest(m) == digest_oracle(to_dict_oracle(m))
+    assert matroid_digest(m.record_json()) == digest_oracle(to_dict_oracle(m))
 
 
 class TestDigestText:
