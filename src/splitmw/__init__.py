@@ -5,12 +5,9 @@ flats, recognizes split matroids, decides the three Merino-Welsh
 inequalities, and emits machine-checked certificate trees showing that
 concrete split matroids satisfy the multiplicative inequality.
 
-Importing the package loads only `errors`, `matroid` and `flats` (with
-`bitset`); every other public name is imported from its submodule on first
-use (PEP 562), so a CLI verb starts with only the code it runs.  `flats`
-stays eager because its function `flats` shares the submodule's name: the
-first import of `splitmw.flats` would otherwise rebind the package
-attribute to the module.
+Importing the package loads only `errors` and `matroid` (with `bitset`);
+every other public name is imported from its submodule on first use
+(PEP 562), so a CLI verb starts with only the code it runs.
 """
 
 from .errors import (
@@ -26,15 +23,6 @@ from .errors import (
     SplitMWError,
     WrongBasisSizeError,
 )
-from .flats import (
-    CyclicFlatReport,
-    cyclic_flats,
-    flats,
-    is_connected_split,
-    is_copaving,
-    is_paving,
-    is_split,
-)
 from .matroid import (
     Matroid,
     from_bases,
@@ -48,17 +36,17 @@ from .matroid import (
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines; the first three are bound above
+# submodule -> the public names it defines; the first two are bound above
 _EXPORTS = {
     "errors": ("ClassificationFailureError", "ColoopsPresentError",
                "EmptyBasesError", "ExchangeViolationError", "InputError",
                "LimitExceededError", "LoopsPresentError", "NotCleanInputError",
                "NotSplitError", "SplitMWError", "WrongBasisSizeError"),
-    "flats": ("CyclicFlatReport", "cyclic_flats", "flats", "is_connected_split",
-              "is_copaving", "is_paving", "is_split"),
     "matroid": ("Matroid", "from_bases", "graphic", "matroid_from_dict",
                 "minimal", "rank2_from_partition", "recognize_minimal",
                 "uniform"),
+    "flats": ("CyclicFlatReport", "cyclic_flats", "is_connected_split",
+              "is_copaving", "is_paving", "is_split"),
     "graphs": ("Multigraph", "count_acyclic_orientations",
                "count_spanning_trees", "count_totally_cyclic_orientations",
                "multigraph_from_dict"),

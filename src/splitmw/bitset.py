@@ -312,7 +312,8 @@ def element_text(raw: bytes, n: int) -> str:
 
 
 def spread(table: int, n: int) -> bytes:
-    """One byte per mask, 1 where the table's bit is set: out[m] = bit m."""
+    """One byte per mask, 1 where the table's bit is set: out[m] = bit m.
+    Only `Matroid.rank_table` reads it."""
     return f"{table:0{1 << n}b}"[::-1].encode("ascii").translate(_BIT_BYTES)
 
 

@@ -61,8 +61,8 @@ class LimitExceededError(SplitMWError):
 # their bits for the matroid builders), and the bytes the deletion-contraction
 # memo may hold before it evicts.
 SIZE_LIMITS = {
-    # 2^n-bit tables: independence and rank tables, circuits, the
-    # subset-sum engine, flats, cyclic flats and is_split
+    # 2^n-bit tables: the independent sets and rank levels, the subset-sum
+    # engine, cyclic flats and is_split
     "tables": 20,
     "deletion-contraction": 24,
     # every trace node keeps its matroid and record alive, and each internal

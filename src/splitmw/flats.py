@@ -47,11 +47,6 @@ def _flat_table(m: Matroid) -> int:
     return flat
 
 
-def flats(m: Matroid) -> list[int]:
-    """All flats as masks, sorted by (size, mask)."""
-    return _by_size(_flat_table(m), m.n)
-
-
 def _cyclic_flat_ranks(m: Matroid) -> tuple[tuple[int, int], ...]:
     """(mask, rank) of each cyclic flat, sorted by (size, mask): the flats
     whose restriction has no coloop, so no single removal lowers the rank.

@@ -5,9 +5,9 @@ Conventions used throughout the package:
   * The ground set is E = {0, ..., n-1}.  Subsets of E are int bitmasks
     (bit i set <=> element i in the subset), see `bitset`.
   * A matroid is stored as its full family of bases, each an n-bit mask of
-    popcount `rank`.  Single queries (rank, closure, duals) are short
-    popcount loops over that family.  Components merge the overlapping
-    fundamental circuits of one basis, found by r*(n-r) basis lookups.
+    popcount `rank`.  Duals are one complement per basis.  Components
+    merge the overlapping fundamental circuits of one basis, found by
+    r*(n-r) basis lookups.
   * Family-level queries read the packed columns (`Matroid.columns`, see
     `bitset`), built once per matroid in record order: the families of
     minors (`delete`/`contract`/`restrict`) are one relabeling of the kept
@@ -17,13 +17,11 @@ Conventions used throughout the package:
     canonical JSON text `record_json`) write each mask through per-byte
     tables, or past 64 bits through its binary numeral, in lex order: sorted
     as ints once, or, for a deletion or contraction, its parent's order.
-  * Whole-table queries (independence and rank tables, rank levels,
-    circuits) hold one bit per subset in a 2^n-bit int and close it under
-    inclusion with n shift/AND/OR passes (see `bitset`): about n*(r+2)
-    passes over 2^n bits in all, up to the "tables" entry of
-    `errors.SIZE_LIMITS`.
-  * rank(A) = max over bases B of |A & B|, which equals the matroid rank
-    of A because every independent set extends to a basis.
+  * Whole-table queries (the independent sets and the rank levels, which
+    the flats, the paving tests and the subset-sum engine read) hold one
+    bit per subset in a 2^n-bit int and close it under inclusion with n
+    shift/AND/OR passes (see `bitset`): about n*(r+2) passes over 2^n bits
+    in all, up to the "tables" entry of `errors.SIZE_LIMITS`.
 
 Minors (`delete`/`contract`/`restrict`) reindex the surviving elements to
 {0, ..., n'-1} order-preservingly and record the relabeling in
@@ -46,13 +44,11 @@ from .bitset import (
     column_view,
     down_closure,
     element_lists,
-    element_masks,
     element_text,
     from_slots,
     k_subsets,
     lex_order,
     mask_of,
-    members,
     minor_families,
     place,
     popcount_classes,
@@ -142,7 +138,7 @@ class Matroid:
     def __repr__(self):
         return f"Matroid(n={self.n}, rank={self.rank}, bases={len(self.bases)})"
 
-    # -- rank oracle ---------------------------------------------------
+    # -- ground set ----------------------------------------------------
 
     @property
     def full_mask(self) -> int:
@@ -151,23 +147,6 @@ class Matroid:
     def _check_subset(self, a: int):
         if a < 0 or a & ~self.full_mask:
             raise ValueError(f"subset mask {a:#x} not within ground set of size {self.n}")
-
-    def rank_of(self, a: int) -> int:
-        """Rank of the subset `a` (an n-bit mask)."""
-        self._check_subset(a)
-        if a == 0:
-            return 0
-        return max((b & a).bit_count() for b in self.bases)
-
-    def closure(self, a: int) -> int:
-        """Smallest flat containing `a`: all e with rank(a|{e}) = rank(a)."""
-        self._check_subset(a)
-        r = self.rank_of(a)
-        cl = a
-        for e in bits(self.full_mask & ~a):
-            if self.rank_of(a | 1 << e) == r:
-                cl |= 1 << e
-        return cl
 
     # -- packed columns, loops, coloops, connectivity -----------------------
 
@@ -236,19 +215,13 @@ class Matroid:
         self._cache["levels"] = levels
         return levels
 
-    def independence_table(self) -> bytearray:
-        """indep[mask] = 1 iff mask is independent, for every mask < 2^n."""
-        cached = self._cache.get("indep")
-        if cached is None:
-            cached = bytearray(spread(self.independent_sets(), self.n))
-            self._cache["indep"] = cached
-        return cached
-
     def rank_table(self) -> bytearray:
         """rank[mask] for every mask < 2^n: the number of rank levels that
         hold the mask.  Each level is spread to one byte per mask, and the
         spread levels are added as ints (a byte never exceeds the rank, so
-        no carry crosses a byte)."""
+        no carry crosses a byte).  Nothing in the package calls it:
+        perfbench/tracing.py wraps it by name, so it stays until that
+        harness drops its row."""
         cached = self._cache.get("ranktab")
         if cached is not None:
             return cached
@@ -258,23 +231,6 @@ class Matroid:
         table = bytearray(total.to_bytes(1 << n, "little"))
         self._cache["ranktab"] = table
         return table
-
-    def circuits(self) -> list[int]:
-        """All circuits (minimal dependent sets) as masks, ascending: the
-        dependent masks whose every single removal is independent."""
-        cached = self._cache.get("circuits")
-        if cached is not None:
-            return cached
-        n = self.n
-        indep = self.independent_sets()
-        full = (1 << (1 << n)) - 1
-        minimal = full ^ indep
-        for i, hi in enumerate(element_masks(n)):
-            # a mask holding i needs its removal of i to be independent
-            minimal &= (indep << (1 << i)) | (full ^ hi)
-        out = members(minimal)
-        self._cache["circuits"] = out
-        return out
 
     def components(self) -> list[int]:
         """Connected components as masks, ordered by smallest element.

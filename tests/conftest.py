@@ -170,6 +170,20 @@ def is_exchange_witness(m, basis1, basis2, e) -> bool:
     return not any((removed | (1 << f)) in m.bases for f in bits(b2 & ~b1))
 
 
+def rank_oracle(m, a: int) -> int:
+    """rank(A) = max over bases B of |A & B|, since every independent set
+    extends to a basis; one popcount per basis."""
+    return max((b & a).bit_count() for b in m.bases)
+
+
+def closure_oracle(m, a: int) -> int:
+    """`a` with every element whose addition keeps its rank, one
+    `rank_oracle` per element."""
+    r = rank_oracle(m, a)
+    return a | sum(1 << e for e in range(m.n)
+                   if rank_oracle(m, a | 1 << e) == r)
+
+
 def independence_table_oracle(m) -> bytearray:
     """indep[mask] = 1 iff mask is independent: every subset of a basis,
     found by a depth-first walk down from the bases, one mask at a time."""
@@ -256,7 +270,7 @@ def connected_by_partition_oracle(m) -> bool:
         return False
     full = m.full_mask
     for a in range(1, full):
-        if m.rank_of(a) + m.rank_of(full ^ a) == m.rank:
+        if rank_oracle(m, a) + rank_oracle(m, full ^ a) == m.rank:
             return False
     return True
 

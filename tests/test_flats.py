@@ -1,5 +1,3 @@
-import importlib
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +6,6 @@ from splitmw import (
     LimitExceededError,
     Matroid,
     cyclic_flats,
-    flats,
     is_connected_split,
     is_copaving,
     is_paving,
@@ -25,8 +22,10 @@ from splitmw.corpus import (
     uniform_matroids,
 )
 from splitmw.errors import SIZE_LIMITS
+from splitmw.flats import _by_size, _flat_table
 
 from conftest import (
+    closure_oracle,
     cyclic_flats_oracle,
     derived_matroids,
     every_family,
@@ -34,33 +33,36 @@ from conftest import (
     pairwise_exchange_violation,
 )
 
-# the package attribute `flats` is the function, not the module
-flats_module = importlib.import_module("splitmw.flats")
+
+def flats_of(m) -> list[int]:
+    """All flats from the table `_cyclic_flat_ranks` starts from, sorted by
+    (size, mask)."""
+    return _by_size(_flat_table(m), m.n)
 
 
 class TestFlats:
     def test_uniform_2_3_flats(self):
-        assert flats(uniform(2, 3)) == [0, 1, 2, 4, 7]
+        assert flats_of(uniform(2, 3)) == [0, 1, 2, 4, 7]
 
     def test_minimal_2_3_flats_match_uniform(self):
-        assert flats(minimal(2, 3)) == flats(uniform(2, 3))
+        assert flats_of(minimal(2, 3)) == flats_of(uniform(2, 3))
 
     def test_all_loops_single_flat(self):
-        assert flats(uniform(0, 2)) == [3]
+        assert flats_of(uniform(0, 2)) == [3]
 
     def test_flats_limit(self):
         limit = SIZE_LIMITS["tables"]
         assert is_split(minimal(limit // 2, limit))
         assert cyclic_flats(minimal(limit // 2, limit)).is_split
         with pytest.raises(LimitExceededError):
-            flats(uniform(1, limit + 1))
+            flats_of(uniform(1, limit + 1))
         with pytest.raises(LimitExceededError):
             is_split(uniform(1, limit + 1))
 
     def test_every_flat_is_closed(self):
         for m in (minimal(3, 6), rank2_from_partition([2, 2, 1])):
-            for f in flats(m):
-                assert m.closure(f) == f
+            for f in flats_of(m):
+                assert closure_oracle(m, f) == f
 
 
 class TestCyclicFlats:
@@ -193,7 +195,7 @@ def test_report_serialization(dd4):
 def assert_flats_match_oracles(m):
     """The table passes give the flats, and the cyclic flats with their
     ranks, in (size, mask) order, as one rank-table sweep does."""
-    assert flats(m) == flats_oracle(m)
+    assert flats_of(m) == flats_oracle(m)
     report = cyclic_flats(m)
     assert list(zip(report.flats, report.ranks)) == cyclic_flats_oracle(m)
 
@@ -216,9 +218,8 @@ class TestFlatTablePasses:
 
     def test_cyclic_flats_are_found_once(self, monkeypatch, dd4):
         calls = []
-        flat_table = flats_module._flat_table
-        monkeypatch.setattr(flats_module, "_flat_table",
-                            lambda m: calls.append(m) or flat_table(m))
+        monkeypatch.setattr("splitmw.flats._flat_table",
+                            lambda m: calls.append(m) or _flat_table(m))
         for m in (minimal(4, 7), dd4):
             calls.clear()
             cyclic_flats(m)

@@ -16,6 +16,7 @@ from splitmw import (
     Multigraph,
     SplitMWError,
     WrongBasisSizeError,
+    cyclic_flats,
     from_bases,
     graphic,
     matroid_from_dict,
@@ -23,6 +24,7 @@ from splitmw import (
     rank2_from_partition,
     recognize_minimal,
     trace,
+    tutte_subset_sum,
     uniform,
 )
 from splitmw.bitset import (bits, lex_order, low_slots, mask_of, place, slot_ones,
@@ -34,11 +36,11 @@ from splitmw.corpus import (
     uniform_matroids,
 )
 from splitmw.errors import SIZE_LIMITS, require_int
-from splitmw.flats import is_paving
+from splitmw.flats import _by_size, _flat_table, is_paving
 
 from conftest import (
     brute_isomorphic,
-    circuits_oracle,
+    closure_oracle,
     coloops_oracle,
     components_oracle,
     connected_by_partition_oracle,
@@ -51,6 +53,7 @@ from conftest import (
     is_paving_oracle,
     loops_oracle,
     pairwise_exchange_violation,
+    rank_oracle,
     rank_table_oracle,
     restrict_oracle,
     to_dict_oracle,
@@ -235,49 +238,80 @@ class TestRecognizeMinimal:
         assert recognize_minimal(s) is None
 
 
+def level_rank(m, a: int) -> int:
+    """The rank of `a` as the program reads it: the number of rank levels
+    past level 0 that hold it."""
+    return sum(level >> a & 1 for level in m.rank_levels()[1:])
+
+
+def smallest_flat_holding(m, a: int) -> int:
+    """The closure of `a` from the flat table: flats are closed under
+    intersection, so the first flat in (size, mask) order that holds `a`
+    lies in every other."""
+    return next(f for f in _by_size(_flat_table(m), m.n) if f & a == a)
+
+
+def table_oracle(masks) -> int:
+    """The table (see `bitset`) holding exactly the given masks."""
+    return sum(1 << a for a in masks)
+
+
 class TestRankAndClosure:
     def test_parallel_class_has_rank_one(self):
-        assert minimal(4, 7).rank_of(mask_of([4, 5, 6])) == 1
+        m = minimal(4, 7)
+        assert level_rank(m, mask_of([4, 5, 6])) == 1
+        assert rank_oracle(m, mask_of([4, 5, 6])) == 1
 
     def test_empty_set_rank_zero(self):
         for m in (minimal(4, 7), uniform(2, 4), uniform(0, 0)):
-            assert m.rank_of(0) == 0
+            assert level_rank(m, 0) == rank_oracle(m, 0) == 0
 
     def test_rank_capped_at_matroid_rank(self):
-        assert uniform(2, 4).rank_of(mask_of([0, 1, 2])) == 2
+        assert level_rank(uniform(2, 4), mask_of([0, 1, 2])) == 2
 
     def test_closure_of_parallel_element(self):
-        assert minimal(4, 7).closure(1 << 4) == mask_of([4, 5, 6])
+        m = minimal(4, 7)
+        assert smallest_flat_holding(m, 1 << 4) == mask_of([4, 5, 6])
+        assert closure_oracle(m, 1 << 4) == mask_of([4, 5, 6])
 
     def test_closure_trivial_cases(self):
-        assert uniform(2, 4).closure(1 << 0) == 1 << 0
+        assert smallest_flat_holding(uniform(2, 4), 1 << 0) == 1 << 0
         m = minimal(3, 6)
-        assert m.closure(m.full_mask) == m.full_mask
+        assert smallest_flat_holding(m, m.full_mask) == m.full_mask
 
     def test_rank_monotone_and_submodular(self):
         rng = random.Random(97)
         for m in (minimal(4, 7), uniform(3, 7), rank2_from_partition([3, 2, 2])):
+            oracle = rank_table_oracle(m)
             for _ in range(60):
                 a = rng.randrange(1 << m.n)
                 b = rng.randrange(1 << m.n)
-                ra, rb = m.rank_of(a), m.rank_of(b)
+                ra, rb = level_rank(m, a), level_rank(m, b)
+                assert (ra, rb) == (rank_oracle(m, a), rank_oracle(m, b))
+                assert (ra, rb) == (oracle[a], oracle[b])
                 if a & b == a:
                     assert ra <= rb
-                assert (m.rank_of(a | b) + m.rank_of(a & b)) <= ra + rb
+                assert level_rank(m, a | b) + level_rank(m, a & b) <= ra + rb
 
-    def test_rank_table_matches_rank_of(self):
+    def test_rank_table_matches_rank_oracle(self):
         for m in (minimal(3, 6), rank2_from_partition([2, 2, 1]), uniform(3, 5)):
             table = m.rank_table()
             for a in range(1 << m.n):
-                assert table[a] == m.rank_of(a)
+                assert table[a] == rank_oracle(m, a)
 
 
 def assert_tables_match_oracles(m):
-    """The bit-parallel tables, circuits, components and paving test give
-    what the one-mask-at-a-time oracles give."""
-    assert m.independence_table() == independence_table_oracle(m)
-    assert m.rank_table() == rank_table_oracle(m)
-    assert m.circuits() == circuits_oracle(m)
+    """The bit-parallel independent-set table and rank levels, the rank
+    table, components and paving test give what the one-mask-at-a-time
+    oracles give."""
+    indep = independence_table_oracle(m)
+    assert m.independent_sets() == table_oracle(
+        a for a in range(1 << m.n) if indep[a])
+    ranks = rank_table_oracle(m)
+    assert m.rank_levels() == tuple(
+        table_oracle(a for a in range(1 << m.n) if ranks[a] >= k)
+        for k in range(m.rank + 1))
+    assert m.rank_table() == ranks
     assert m.components() == components_oracle(m)
     assert is_paving(m) == is_paving_oracle(m)
 
@@ -300,9 +334,9 @@ class TestTableKernel:
 
     def test_empty_ground_set(self):
         m = uniform(0, 0)
-        assert m.independence_table() == bytearray([1])
+        assert (m.independent_sets(), m.rank_levels()) == (1, (1,))
         assert m.rank_table() == bytearray([0])
-        assert (m.circuits(), m.components(), is_paving(m)) == ([], [], True)
+        assert (m.components(), is_paving(m)) == ([], True)
         assert_tables_match_oracles(m)
 
     def test_loops_and_coloops(self):
@@ -310,7 +344,8 @@ class TestTableKernel:
         m = (uniform(0, 2).direct_sum(uniform(1, 1)).direct_sum(uniform(2, 4))
              .direct_sum(uniform(0, 1)))
         assert [bits(c) for c in m.components()] == [[0], [1], [2], [3, 4, 5, 6], [7]]
-        assert [bits(c) for c in m.circuits() if c.bit_count() == 1] == [[0], [1], [7]]
+        indep = m.independent_sets()
+        assert [e for e in range(m.n) if not indep >> (1 << e) & 1] == [0, 1, 7]
         assert_tables_match_oracles(m)
 
     def test_table_limit(self):
@@ -320,8 +355,9 @@ class TestTableKernel:
         assert len(table) == 1 << limit
         assert table[0] == 0 and sum(table) == (1 << limit) - 1
         big = uniform(1, limit + 1)
-        for query in (big.independent_sets, big.rank_levels, big.independence_table,
-                      big.rank_table, big.circuits, lambda: is_paving(big)):
+        for query in (big.independent_sets, big.rank_levels, big.rank_table,
+                      lambda: is_paving(big), lambda: cyclic_flats(big),
+                      lambda: tutte_subset_sum(big)):
             with pytest.raises(LimitExceededError):
                 query()
 
@@ -450,7 +486,7 @@ class TestConnectivity:
 
     def test_component_ranks_add_up(self):
         for m in graphic_corpus(15, 8):
-            assert sum(m.rank_of(c) for c in m.components()) == m.rank
+            assert sum(rank_oracle(m, c) for c in m.components()) == m.rank
 
     def test_empty_matroid_not_connected(self):
         assert not uniform(0, 0).is_connected()
