@@ -65,9 +65,9 @@ SIZE_LIMITS = {
     # engine, cyclic flats and is_split
     "tables": 20,
     "deletion-contraction": 24,
-    # every trace node keeps its matroid and record alive, and each internal
-    # node its columns, so a sparse paving (8,18) trace already peaks at
-    # about 125 MB
+    # every trace node keeps its record alive, and the dump writes each
+    # shared subtree in full: a sparse paving (8,18) trace and its dump peak
+    # at 82 MB (126 MB while each node also kept its matroid and columns)
     "trace": 16,
     # brute force over edge subsets: graphic() and count_spanning_trees
     "spanning-forests": 20,

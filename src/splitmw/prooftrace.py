@@ -19,11 +19,12 @@ one node (below), so a verified trace is not an independent check of the
 argument (ROADMAP.md, open item 1: an independent trace checker).
 
 Each distinct minor is checked once per trace: a matroid equal to one
-already built (same size, rank and bases, whatever its `element_map`)
-shares that node, with its pivot, children, record and verdict, so a
-direct sum of equal components or a minor reached along two pivot orders
-costs one subtree.  The output is the same tree, node for node.  Each basis
-is written out once per trace too, so pivot minors share basis lists.
+already built (same size, rank and bases) shares that node, with its
+pivot, children, record and verdict, so a direct sum of equal components
+or a minor reached along two pivot orders costs one subtree.  The output
+is the same tree, node for node.  A node keeps only what it writes, and
+`matroid_from_dict(node.record)` rebuilds its matroid.  Each basis is
+written out once per trace too, so pivot minors share basis lists.
 
 A connected split matroid in which *no* element admits a clean pivot must
 be one of the base cases.  The trace checks that lemma on every node it
@@ -67,12 +68,11 @@ def matroid_digest(text: str) -> str:
 
 
 class ProofNode(NamedTuple):
-    """One step of a certificate tree.  `record` is the matroid's
-    matroid-bases-v1 record, shared by `to_dict` and every node of the trace
-    with an equal matroid, and its basis lists by other records: they are
-    read-only.  It holds a dict, so nodes compare but do not hash."""
+    """One step of a certificate tree, holding only what `to_dict` writes:
+    `record`, the matroid-bases-v1 record, is shared by every node of the
+    trace with an equal matroid, and its basis lists by other records: they
+    are read-only.  It holds a dict, so nodes compare but do not hash."""
 
-    matroid: Matroid
     record: dict
     digest: str
     rule: str
@@ -171,16 +171,14 @@ class _Tables:
 
 
 def _build(m: Matroid, tables: _Tables, minor: bool = False) -> ProofNode:
-    """The node of m, built once per distinct matroid of the trace: a
-    repeat shares the node in `tables.nodes`, relabeled by `_replace` when
-    its `element_map` differs.  A pivot's `minor` takes its record from the
+    """The node of m, built once per distinct matroid of the trace and keyed
+    by (n, rank, `_lex_slots`), the bases m's record is written from, so the
+    nodes hold no `Matroid`.  A pivot's `minor` takes its record from the
     tables; others, whose masks are mostly new, from the cheaper `to_dict`."""
-    node = tables.nodes.get(m)
-    if node is not None:
-        if node.matroid.element_map != m.element_map:
-            node = node._replace(matroid=m)
-        return node
-    node = tables.nodes[m] = _new_node(m, tables, minor)
+    key = (m.n, m.rank, m._lex_slots())
+    node = tables.nodes.get(key)
+    if node is None:
+        node = tables.nodes[key] = _new_node(m, tables, minor)
     return node
 
 
@@ -199,21 +197,21 @@ def _new_node(m: Matroid, tables: _Tables, minor: bool) -> ProofNode:
     comps = m.components()
     if len(comps) != 1:
         children = tuple(_build(m.restrict(c), tables) for c in comps)
-        return ProofNode(m, record, digest, RULE_DIRECT_SUM,
+        return ProofNode(record, digest, RULE_DIRECT_SUM,
                          _from_children(m, children, prod), children)
     rule = _base_rule(m.rank, m.n - m.rank)
     if rule is not None:
-        return ProofNode(m, record, digest, rule, check_mw(m))
+        return ProofNode(record, digest, rule, check_mw(m))
     kn = recognize_minimal(m)
     if kn is not None:
-        return ProofNode(m, record, digest, RULE_BASE_MINIMAL, check_mw(m),
+        return ProofNode(record, digest, RULE_BASE_MINIMAL, check_mw(m),
                          minimal_kn=kn)
     e = _clean_pivot(m)
     if e is None:
         # would contradict the base-case classification; abort loudly
         raise ClassificationFailureError(m)
     children = (_build(m.delete(e), tables, True), _build(m.contract(e), tables, True))
-    return ProofNode(m, record, digest, RULE_DELETE_CONTRACT,
+    return ProofNode(record, digest, RULE_DELETE_CONTRACT,
                      _from_children(m, children, sum), children, element=e)
 
 
@@ -231,9 +229,9 @@ def trace(m: Matroid) -> ProofTrace:
         raise NotSplitError(
             f"trace requires a split matroid; {m!r} has nested or multiple "
             f"non-uniform structure")
-    root = _build(m, _Tables())
-    verified = all(node.mw.mult_ok for node in root.walk())
-    return ProofTrace(root=root, verified=verified)
+    tables = _Tables()
+    root = _build(m, tables)
+    return ProofTrace(root, all(node.mw.mult_ok for node in tables.nodes.values()))
 
 
 def to_dot(t: ProofTrace) -> str:
@@ -250,7 +248,7 @@ def to_dot(t: ProofTrace) -> str:
             label += f" e={node.element}"
         if node.minimal_kn is not None:
             label += " k={} n={}".format(*node.minimal_kn)
-        label += (f"\\nn={node.matroid.n} r={node.matroid.rank}"
+        label += (f"\\nn={node.mw.n} r={node.mw.rank}"
                   f"\\nT11={node.mw.t11} mult={'ok' if node.mw.mult_ok else 'FAIL'}")
         lines.append(f'  n{my_id} [label="{label}"];')
         for child in node.children:

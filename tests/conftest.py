@@ -27,7 +27,7 @@ from splitmw.corpus import (
     tutte_identity_corpus,
 )
 from splitmw.errors import SIZE_LIMITS
-from splitmw.matroid import recognize_minimal
+from splitmw.matroid import matroid_from_dict, recognize_minimal
 from splitmw.merino_welsh import check_mw
 from splitmw.prooftrace import (
     RULE_BASE_MINIMAL,
@@ -526,6 +526,12 @@ def digest_oracle(record: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def node_matroid(node) -> Matroid:
+    """The matroid a trace node writes: its record, parsed and validated
+    as any reader of the trace would."""
+    return matroid_from_dict(node.record)
+
+
 def build_oracle(m) -> ProofNode:
     """The certificate node of m with every minor built, checked and
     recorded again wherever it occurs: no node is shared, each record sorts
@@ -537,16 +543,16 @@ def build_oracle(m) -> ProofNode:
     comps = m.components()
     if len(comps) != 1:
         children = tuple(build_oracle(m.restrict(c)) for c in comps)
-        return ProofNode(m, record, digest, RULE_DIRECT_SUM, mw, children)
+        return ProofNode(record, digest, RULE_DIRECT_SUM, mw, children)
     rule = _base_rule(m.rank, m.n - m.rank)
     if rule is not None:
-        return ProofNode(m, record, digest, rule, mw)
+        return ProofNode(record, digest, rule, mw)
     kn = recognize_minimal(m)
     if kn is not None:
-        return ProofNode(m, record, digest, RULE_BASE_MINIMAL, mw, minimal_kn=kn)
+        return ProofNode(record, digest, RULE_BASE_MINIMAL, mw, minimal_kn=kn)
     e = _clean_pivot(m)
     children = (build_oracle(m.delete(e)), build_oracle(m.contract(e)))
-    return ProofNode(m, record, digest, RULE_DELETE_CONTRACT, mw, children,
+    return ProofNode(record, digest, RULE_DELETE_CONTRACT, mw, children,
                      element=e)
 
 

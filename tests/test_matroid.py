@@ -57,6 +57,7 @@ from conftest import (
     rank_table_oracle,
     restrict_oracle,
     to_dict_oracle,
+    trace_oracle,
 )
 
 
@@ -896,5 +897,5 @@ def test_changing_a_record_changes_no_later_record():
         assert m.to_dict() == expected
         root = trace(m).root
         assert root.record == expected
-        assert all(node.record == to_dict_oracle(node.matroid)
-                   for node in root.walk())
+        assert [node.record for node in root.walk()] == [
+            node.record for node in trace_oracle(m).walk()]

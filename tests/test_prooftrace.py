@@ -35,6 +35,7 @@ from splitmw.prooftrace import (
     BASE_RULES,
     RULE_DELETE_CONTRACT,
     RULE_DIRECT_SUM,
+    ProofNode,
     _clean_pivot,
     _Tables,
     matroid_digest,
@@ -45,6 +46,7 @@ from conftest import (
     derived_matroids,
     digest_oracle,
     every_family,
+    node_matroid,
     pairwise_exchange_violation,
     sparse_paving,
     to_dict_oracle,
@@ -53,8 +55,10 @@ from conftest import (
 
 
 def check_tree_structure(node):
-    """Independent re-verification of every rule in a trace tree."""
-    m = node.matroid
+    """Independent re-verification of every rule in a trace tree, from the
+    records it writes: each child's record is the restriction, deletion or
+    contraction of its parent's."""
+    m = node_matroid(node)
     assert m.loops() == 0 and m.coloops() == 0
     assert node.mw.mult_ok
     if node.rule == RULE_DIRECT_SUM:
@@ -62,12 +66,12 @@ def check_tree_structure(node):
         assert len(comps) != 1
         assert len(node.children) == len(comps)
         for child, comp in zip(node.children, comps):
-            assert child.matroid == m.restrict(comp)
+            assert node_matroid(child) == m.restrict(comp)
     elif node.rule == RULE_DELETE_CONTRACT:
         assert len(node.children) == 2
         d, c = node.children
-        assert d.matroid == m.delete(node.element)
-        assert c.matroid == m.contract(node.element)
+        assert node_matroid(d) == m.delete(node.element)
+        assert node_matroid(c) == m.contract(node.element)
     else:
         assert node.rule in BASE_RULES
         assert not node.children
@@ -82,7 +86,7 @@ def check_tree_structure(node):
         else:
             assert recognize_minimal(m) == node.minimal_kn
     for child in node.children:
-        assert child.matroid.n < m.n
+        assert child.record["n"] < m.n
         check_tree_structure(child)
 
 
@@ -106,7 +110,7 @@ def assert_evaluations_combine(t):
         t20, t02, t11 = evaluations(node.mw)
         assert (node.mw.max_ok, node.mw.add_ok, node.mw.mult_ok) == (
             max(t20, t02) >= t11, t20 + t02 >= 2 * t11, t20 * t02 >= t11 * t11)
-        assert (node.mw.n, node.mw.rank) == (node.matroid.n, node.matroid.rank)
+        assert (node.mw.n, node.mw.rank) == (node.record["n"], node.record["rank"])
 
 
 class TestTrace:
@@ -176,8 +180,8 @@ class TestTrace:
     def test_every_node_in_a_trace_is_split(self, k4):
         for m in (k4, uniform(4, 8), minimal(4, 7).direct_sum(minimal(1, 2))):
             for node in trace(m).walk():
-                assert is_split(node.matroid)
-                assert node.matroid.is_clean()
+                nm = node_matroid(node)
+                assert is_split(nm) and nm.is_clean()
 
     def test_structure_oracle_over_sample(self):
         sample = [uniform(3, 7), minimal(3, 6),
@@ -224,7 +228,8 @@ class TestTrace:
         monkeypatch.setattr(prooftrace, "check_mw",
                             lambda m: called.append(m) or check_mw(m))
         t = trace(m)
-        leaves = {node.matroid for node in t.walk() if node.rule in BASE_RULES}
+        leaves = {node.digest for node in t.walk() if node.rule in BASE_RULES}
+        called = [matroid_digest(leaf.record_json()) for leaf in called]
         assert len(called) == len(set(called)) == len(leaves)
         assert set(called) == leaves
         assert_evaluations_combine(t)
@@ -296,7 +301,8 @@ class TestClassifyBaseCase:
             if not m.is_clean() or not is_split(m):
                 continue
             for node in trace(m).walk():  # raises ClassificationFailureError
-                if node.matroid.is_connected() and _clean_pivot(node.matroid) is None:
+                nm = node_matroid(node)
+                if nm.is_connected() and _clean_pivot(nm) is None:
                     assert node.rule in BASE_RULES
                     seen += 1
         assert seen >= 80
@@ -329,7 +335,7 @@ class TestSerialization:
             assert t.node_count() == nodes
             assert len(built) == len(set(built)) == distinct
             for node in t.walk():
-                assert node.record == to_dict_oracle(node.matroid)
+                assert node.record == to_dict_oracle(node_matroid(node))
                 assert node.digest == digest_oracle(node.record)
         # the trace-v1 bytes and the digest payload are unchanged
         text = json.dumps(trace(k4).to_dict(), separators=(",", ":"))
@@ -355,7 +361,7 @@ class TestSerialization:
                   uniform(1, 3).direct_sum(uniform(1, 3)).direct_sum(uniform(1, 3))):
             built.clear()
             t = trace(m)
-            distinct = {node.matroid: node for node in t.walk()}.values()
+            distinct = {node.digest: node for node in t.walk()}.values()
             rules = [node.rule for node in distinct]
             pivots = rules.count(RULE_DELETE_CONTRACT)
             assert built.count("delete") == built.count("contract") == pivots
@@ -389,19 +395,15 @@ class TestSerialization:
 
 
 def assert_shares_like_oracle(m) -> bool:
-    """trace(m) writes the bytes of a trace built without sharing, each
-    occurrence keeps its own relabeling, and equal matroids share their
-    record and children.  True iff some matroid occurs twice."""
+    """trace(m) writes the bytes of a trace built without sharing, and equal
+    records are written by one node object.  True iff some matroid occurs
+    twice."""
     t, expected = trace(m), trace_oracle(m)
     assert json.dumps(t.to_dict()) == json.dumps(expected.to_dict())
     nodes = list(t.walk())
-    for node, oracle in zip(nodes, expected.walk(), strict=True):
-        assert node.matroid.element_map == oracle.matroid.element_map
     first = {}
     for node in nodes:
-        seen = first.setdefault(node.matroid, node)
-        assert node.record is seen.record
-        assert all(a is b for a, b in zip(node.children, seen.children, strict=True))
+        assert node is first.setdefault(node.digest, node)
     return len(first) < len(nodes)
 
 
@@ -425,14 +427,38 @@ class TestNodeSharing:
         assume(m.is_clean() and is_split(m))
         assert_shares_like_oracle(m)
 
-    def test_relabeled_repeat_keeps_its_element_map(self):
-        # the three summands are equal after relabeling, so the second and
-        # third children are the first one's node with their own matroid
+    def test_equal_summands_share_one_node(self):
+        # the three summands are equal after relabeling onto 0, 1, 2
         m = uniform(1, 3).direct_sum(uniform(1, 3)).direct_sum(uniform(1, 3))
         first, second, third = trace(m).root.children
-        assert [c.matroid.element_map for c in (first, second, third)] == [
-            (0, 1, 2), (3, 4, 5), (6, 7, 8)]
-        assert first.record is second.record is third.record
+        assert first is second is third
+
+    @pytest.mark.parametrize("m", [
+        graphic(k4_graph()), uniform(6, 10), sparse_paving(4, 9, 8, 4),
+        uniform(1, 3).direct_sum(uniform(1, 3)).direct_sum(uniform(1, 3)),
+    ], ids=["K4", "U(6,10)", "sparse-paving-4-9", "3U(1,3)"])
+    def test_nodes_hold_only_what_they_write(self, m):
+        # no Matroid is reachable from a trace, so each minor is freed once
+        # its node is built; records hold dicts, lists, ints and strs
+        assert "matroid" not in ProofNode._fields
+        seen = set()   # a shared subtree is walked once
+
+        def assert_plain(value):
+            if isinstance(value, ProofNode):
+                if id(value) in seen:
+                    return
+                seen.add(id(value))
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    assert_plain(key)
+                    assert_plain(item)
+            elif isinstance(value, (tuple, list)):   # nodes and reports too
+                for item in value:
+                    assert_plain(item)
+            else:
+                assert value is None or type(value) in (int, str, bool), value
+
+        assert_plain(trace(m).root)
 
 
 class TestSparsePavingTraces:
@@ -450,8 +476,8 @@ class TestSparsePavingTraces:
         assert_shares_like_oracle(m)
         t = trace(m)
         assert t.verified
-        for node in {node.matroid: node for node in t.walk()}.values():
-            tutte = tutte_subset_sum(node.matroid)
+        for node in {node.digest: node for node in t.walk()}.values():
+            tutte = tutte_subset_sum(node_matroid(node))
             assert evaluations(node.mw) == (
                 tutte.evaluate(2, 0), tutte.evaluate(0, 2), tutte.evaluate(1, 1))
         assert_evaluations_combine(t)
