@@ -151,18 +151,16 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .graphs import (
-        count_acyclic_orientations,
-        count_spanning_trees,
-        count_totally_cyclic_orientations,
-    )
+    from .graphs import _orientation_counts, count_spanning_trees
 
     g = _load_multigraph(args.input)
+    trees = count_spanning_trees(g)
+    acyclic, totally = _orientation_counts(g)
     record = {
         "format": "orientation-oracle-v1",
-        "spanning_trees": count_spanning_trees(g),
-        "acyclic_orientations": count_acyclic_orientations(g),
-        "totally_cyclic_orientations": count_totally_cyclic_orientations(g),
+        "spanning_trees": trees,
+        "acyclic_orientations": acyclic,
+        "totally_cyclic_orientations": totally,
     }
     print(_dumps(record))
     return 0

@@ -3,11 +3,15 @@
 The counting oracles here are deliberately exhaustive: they exist to
 cross-check Tutte polynomial evaluations (spanning trees at (1,1), acyclic
 orientations at (2,0), totally cyclic orientations at (0,2)), so they must
-not share any machinery with the polynomial engines.
+not share any machinery with the polynomial engines.  The orientation
+counts share nothing with `matroid` either.  The spanning-tree count does:
+it counts `max_spanning_forests`, the list `graphic` takes its bases from,
+so it is independent of the engines but not of the input builder.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 
 from .errors import InputError, check_size, require_int, require_record
@@ -124,75 +128,38 @@ def count_spanning_trees(g: Multigraph) -> int:
     return len(g.max_spanning_forests())
 
 
-def _scc_labels(nv: int, adj: list[list[int]], radj: list[list[int]]) -> list[int]:
-    # Kosaraju with explicit stacks.
-    seen = [False] * nv
-    order = []
-    for s in range(nv):
-        if seen[s]:
-            continue
-        seen[s] = True
-        stack = [(s, 0)]
-        while stack:
-            v, i = stack[-1]
-            if i < len(adj[v]):
-                stack[-1] = (v, i + 1)
-                w = adj[v][i]
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, 0))
-            else:
-                order.append(v)
-                stack.pop()
-    comp = [-1] * nv
-    label = 0
-    for v in reversed(order):
-        if comp[v] != -1:
-            continue
-        comp[v] = label
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for w in radj[x]:
-                if comp[w] == -1:
-                    comp[w] = label
-                    stack.append(w)
-        label += 1
-    return comp
-
-
 def _orientation_counts(g: Multigraph) -> tuple[int, int]:
     """(acyclic, totally cyclic) orientation counts by 2^m enumeration.
 
-    An orientation is acyclic iff it has no directed cycle, and totally
-    cyclic iff every edge lies on a directed cycle (equivalently both
-    endpoints of every edge share a strongly connected component).  A
-    self-loop is a directed cycle under either of its two (identical-looking
-    but separately counted) orientations.  Only the vertices that edges
-    touch are numbered, so isolated ones cost nothing.
+    An arc u->v lies on a directed cycle iff v reaches u, so an orientation
+    is acyclic iff no arc does and totally cyclic iff every arc does.  Reach
+    is closed as bitmasks over the vertices that edges touch (isolated ones
+    cost nothing), from reach[x] = {x}, with one Warshall pass per vertex of
+    degree >= 2: only those can be inside a path, so at most m passes.  A
+    self-loop's head is its tail, so it lies on a cycle under both of its
+    (separately counted) orientations.
     """
     edges = g.edges
     m = len(edges)
     check_size("orientations", m)
-    label = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(edges)))}
-    nv = len(label)
-    has_selfloop = any(u == v for u, v in edges)
-    real = [(i, label[u], label[v]) for i, (u, v) in enumerate(edges) if u != v]
+    degree = Counter(chain.from_iterable(edges))
+    label = {v: i for i, v in enumerate(degree)}
+    ends = [(label[u], label[v]) for u, v in edges]
+    start = [1 << x for x in range(len(label))]
+    passes = [(x, 1 << x) for x, d in enumerate(degree.values()) if d >= 2]
     acyclic = 0
     totally = 0
     for mask in range(1 << m):
-        adj = [[] for _ in range(nv)]
-        radj = [[] for _ in range(nv)]
-        for i, u, v in real:
-            if mask >> i & 1:
-                u, v = v, u
-            adj[u].append(v)
-            radj[v].append(u)
-        comp = _scc_labels(nv, adj, radj)
-        if all(comp[u] == comp[v] for _, u, v in real):
-            totally += 1
-        if not has_selfloop and all(comp[u] != comp[v] for _, u, v in real):
-            acyclic += 1
+        arcs = [(v, u) if mask >> i & 1 else (u, v) for i, (u, v) in enumerate(ends)]
+        reach = start[:]
+        for u, v in arcs:
+            reach[u] |= 1 << v
+        for x, bit in passes:
+            through = reach[x]
+            reach = [r | through if r & bit else r for r in reach]
+        on_cycles = sum(reach[v] >> u & 1 for u, v in arcs)
+        acyclic += on_cycles == 0
+        totally += on_cycles == m
     return acyclic, totally
 
 

@@ -23,11 +23,10 @@ Conventions used throughout the package:
     shift/AND/OR passes (see `bitset`): about n*(r+2) passes over 2^n bits
     in all, up to the "tables" entry of `errors.SIZE_LIMITS`.
 
-Minors (`delete`/`contract`/`restrict`) reindex the surviving elements to
-{0, ..., n'-1} order-preservingly and record the relabeling in
-`element_map` (new index -> old element).  `element_map` is ignored by
-equality and hashing: two matroids are equal iff they have the same ground
-set size, rank, and basis family.
+Minors reindex the surviving elements to {0, ..., n'-1} order-preservingly:
+index i of M\\e or M/e is old element i + (i >= e), and index i of M|a is
+`bits(a)[i]`.  Two matroids are equal iff they have the same ground set
+size, rank, and basis family.
 """
 
 from __future__ import annotations
@@ -87,10 +86,9 @@ class Matroid:
     operations, k = min(r, n-r).
     """
 
-    __slots__ = ("n", "rank", "bases", "element_map", "_cache")
+    __slots__ = ("n", "rank", "bases", "_cache")
 
-    def __init__(self, n: int, rank: int, bases: Iterable[int],
-                 element_map: tuple[int, ...] | None = None):
+    def __init__(self, n: int, rank: int, bases: Iterable[int]):
         bases = frozenset(bases)
         if not bases:
             raise EmptyBasesError("a matroid needs at least one basis")
@@ -104,23 +102,21 @@ class Matroid:
                 raise WrongBasisSizeError(
                     f"basis {tuple(bits(b))} has {b.bit_count()} elements, "
                     f"expected rank {rank}")
-        self._fill(n, rank, bases, element_map)
+        self._fill(n, rank, bases)
 
-    def _fill(self, n, rank, bases, element_map):
+    def _fill(self, n, rank, bases):
         set_slot = object.__setattr__
         set_slot(self, "n", n)
         set_slot(self, "rank", rank)
         set_slot(self, "bases", bases)
-        set_slot(self, "element_map", element_map)
         set_slot(self, "_cache", {})
 
     @classmethod
-    def _trusted(cls, n: int, rank: int, bases: Iterable[int],
-                 element_map: tuple[int, ...] | None = None) -> Matroid:
+    def _trusted(cls, n: int, rank: int, bases: Iterable[int]) -> Matroid:
         """A matroid whose family is valid by construction (a minor of a
         matroid), without the constructor's per-basis range and size loop."""
         m = object.__new__(cls)
-        m._fill(n, rank, frozenset(bases), element_map)
+        m._fill(n, rank, frozenset(bases))
         return m
 
     def __setattr__(self, name, value):
@@ -294,13 +290,12 @@ class Matroid:
             rank, family = self.rank - 1, with_e
         else:
             rank, family = self.rank, without
-        emap = tuple(i for i in range(self.n) if i != e)
-        minor = Matroid._trusted(self.n - 1, rank, family, emap)
+        minor = Matroid._trusted(self.n - 1, rank, family)
         minor._cache["lex"] = to_slots(family, slot_width(self.n - 1))
         return minor
 
     def delete(self, e: int) -> Matroid:
-        """Delete element e; ground set reindexed, mapping in element_map."""
+        """Delete element e; the elements above e move down one index."""
         return self._minor(e, contract=False)
 
     def contract(self, e: int) -> Matroid:
@@ -314,13 +309,12 @@ class Matroid:
         self._check_subset(a)
         key = ("restrict", a)
         if key not in self._cache:
-            kept = tuple(bits(a))
             cols, _, width = self.columns()
-            inter = unpack(place([cols[i] for i in kept]), len(self.bases), width)
+            inter = unpack(place([cols[i] for i in bits(a)]), len(self.bases), width)
             sizes = list(map(int.bit_count, inter))
             r = max(sizes)
             new_bases = compress(inter, map(r.__eq__, sizes))
-            self._cache[key] = Matroid._trusted(len(kept), r, new_bases, kept)
+            self._cache[key] = Matroid._trusted(a.bit_count(), r, new_bases)
         return self._cache[key]
 
     def dual(self) -> Matroid:

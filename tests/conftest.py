@@ -11,8 +11,9 @@ import hashlib
 import json
 import random
 import sys
+from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import settings
@@ -298,6 +299,62 @@ def dense_to_sparse(t) -> dict[tuple[int, int], int]:
     return {(i, j): c
             for i, row in enumerate(t.coeffs)
             for j, c in enumerate(row) if c}
+
+
+# -- multigraphs, by linear algebra ------------------------------------------
+
+def determinant_oracle(rows: list[list[int]]) -> int:
+    """Exact Gaussian elimination over the rationals; 1 for a 0x0 matrix."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def matrix_tree_oracle(g) -> int:
+    """Kirchhoff's matrix-tree theorem: the number of maximum spanning
+    forests is the product over connected components (found by a search
+    over adjacency sets) of a cofactor of the component's Laplacian.  A
+    self-loop adds as much to its vertex's degree as to its adjacency, so
+    it cancels out of the Laplacian and is skipped."""
+    adj = [set() for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen: set[int] = set()
+    counts = []
+    for s in range(g.vertex_count):
+        if s in seen:
+            continue
+        comp, stack = [], [s]
+        seen.add(s)
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            stack.extend(adj[x] - seen)
+            seen.update(adj[x])
+        index = {v: i for i, v in enumerate(comp)}
+        lap = [[0] * len(comp) for _ in comp]
+        for u, v in g.edges:
+            if u != v and u in index:
+                i, j = index[u], index[v]
+                lap[i][i] += 1
+                lap[j][j] += 1
+                lap[i][j] -= 1
+                lap[j][i] -= 1
+        counts.append(determinant_oracle([row[1:] for row in lap[1:]]))
+    return prod(counts)
 
 
 # -- deletion-contraction, one basis and one bit at a time -------------------

@@ -276,6 +276,28 @@ class TestOracle:
         assert record["acyclic_orientations"] == 6
         assert record["totally_cyclic_orientations"] == 2
 
+    def test_one_enumeration_per_graph(self, monkeypatch, capsys):
+        from splitmw import graphs
+        calls = []
+        enumerate_once = graphs._orientation_counts
+
+        def counted(g):
+            calls.append(g)
+            return enumerate_once(g)
+
+        monkeypatch.setattr(graphs, "_orientation_counts", counted)
+        # a self-loop at 0, a triangle 0-1-2, a bridge 2-3, vertex 4 isolated
+        gdoc = json.dumps({"format": "multigraph-v1", "vertices": 5,
+                           "edges": [[0, 0], [0, 1], [1, 2], [2, 0], [2, 3]]})
+        code, out, _ = run_cli(["oracle", "-"], gdoc, monkeypatch, capsys)
+        assert code == 0
+        assert len(calls) == 1
+        # the loop leaves no acyclic orientation, the bridge no totally
+        # cyclic one
+        assert out == ('{"format":"orientation-oracle-v1","spanning_trees":3,'
+                       '"acyclic_orientations":0,'
+                       '"totally_cyclic_orientations":0}\n')
+
 
 class TestSelftest:
     def test_selected_criteria(self, monkeypatch, capsys):

@@ -8,9 +8,13 @@ from splitmw import (
     count_totally_cyclic_orientations,
     graphic,
     multigraph_from_dict,
+    tutte_subset_sum,
 )
 from splitmw.corpus import bridgeless_graphs, random_multigraphs
 from splitmw.errors import SIZE_LIMITS
+from splitmw.graphs import _orientation_counts
+
+from conftest import matrix_tree_oracle
 
 
 def test_triangle_counts(triangle):
@@ -53,6 +57,29 @@ def test_k4_counts():
 def test_spanning_tree_count_matches_graphic_basis_count():
     for g in random_multigraphs(15, 8, seed=4242):
         assert count_spanning_trees(g) == len(graphic(g).bases)
+
+
+def test_spanning_tree_count_matches_matrix_tree_theorem():
+    # random multigraphs have self-loops, parallel edges and, often, more
+    # than one component
+    graphs = random_multigraphs(60, 12, seed=2718) + bridgeless_graphs()
+    assert any(not g.is_connected() for g in graphs)
+    assert any(u == v for g in graphs for u, v in g.edges)
+    for g in graphs:
+        assert count_spanning_trees(g) == matrix_tree_oracle(g)
+
+
+def test_orientation_counts_are_tutte_evaluations_on_any_multigraph():
+    # alpha = T(2,0) and alpha* = T(0,2) need no bridgelessness, no
+    # connectivity and no loop-freeness: a self-loop forces alpha = 0 and a
+    # bridge alpha* = 0, as the y and x factors of T do
+    graphs = random_multigraphs(60, 10, seed=1618) + [Multigraph(3, [])]
+    assert any(g.bridges() for g in graphs)
+    assert any(u == v for g in graphs for u, v in g.edges)
+    assert any(g.component_count() > 1 for g in graphs)
+    for g in graphs:
+        t = tutte_subset_sum(graphic(g))
+        assert _orientation_counts(g) == (t.evaluate(2, 0), t.evaluate(0, 2))
 
 
 def test_disconnected_graph_counts_max_forests():
