@@ -21,7 +21,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Iterable
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import compress
 from operator import add
 
@@ -66,12 +66,29 @@ _LOW_HI_BYTES = (0xAA, 0xCC, 0xF0)
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@lru_cache(maxsize=2)
-def element_masks(n: int) -> tuple[int, ...]:
-    """hi[i] = the table of all masks that contain element i.
+_HELD: dict[str, tuple[int, tuple[int, ...]]] = {}   # name -> (n, tables)
 
-    Built from repeated byte patterns: big-int division would be quadratic
-    in the table size."""
+
+def _held(build):
+    """Build tables only past the largest n built so far, and hold only
+    those: a smaller n's are the low 2^n bits of as many of them as it has."""
+    @wraps(build)
+    def tables(n: int) -> tuple[int, ...]:
+        top, held = _HELD.get(build.__name__, (-1, ()))
+        if n > top:
+            top, held = _HELD[build.__name__] = n, build(n)
+        if n == top:
+            return held
+        clip = (1 << (1 << n)) - 1
+        return tuple(t & clip for t in held[:len(held) - top + n])
+    return tables
+
+
+@_held
+def element_masks(n: int) -> tuple[int, ...]:
+    """hi[i] = the table of all masks that contain element i (held, see
+    `_held`).  Built from repeated byte patterns: big-int division would
+    be quadratic in the table size."""
     size = 1 << n
     nbytes = max(1, size >> 3)
     clip = (1 << size) - 1
@@ -86,10 +103,11 @@ def element_masks(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=2)
+@_held
 def popcount_classes(n: int) -> tuple[int, ...]:
-    """pop[k] = the table of all masks with k elements, k = 0..n, built by
-    doubling: adding element j shifts each class up by 2^j into the next."""
+    """pop[k] = the table of all masks with k elements, k = 0..n (held, see
+    `_held`), built by doubling: adding element j shifts each class up by
+    2^j into the next."""
     pop = [1]
     for j in range(n):
         width = 1 << j
@@ -100,11 +118,13 @@ def popcount_classes(n: int) -> tuple[int, ...]:
 
 
 def table_of(masks: Iterable[int], n: int) -> int:
-    """The table whose set bits are exactly `masks` (each below 2^n)."""
-    buf = bytearray(max(1, (1 << n) >> 3))
+    """The table whose set bits are exactly `masks` (each below 2^n): a
+    byte per mask, packed by eight strided slices (bit 8i+j is byte i of
+    slice j)."""
+    buf = bytearray(1 << n)
     for m in masks:
-        buf[m >> 3] |= 1 << (m & 7)
-    return int.from_bytes(buf, "little")
+        buf[m] = 1
+    return sum(int.from_bytes(buf[j::8], "little") << j for j in range(8))
 
 
 def down_closure(table: int, n: int) -> int:

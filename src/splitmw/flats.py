@@ -14,10 +14,10 @@ in ((L_k & hi_i) >> 2^i) & ~L_k for some level k, so the flats are the
 masks that pass this for every i they lack; removing i from a mask A with
 i lowers its rank iff A is in L_k & hi_i & ~(L_k << 2^i) for some k, and
 the cyclic flats are the flats for which no removal does.  That is about
-n*r passes over 2^n-bit ints on top of the levels (`Matroid.rank_levels`,
-about n*(r+2) more).  The cyclic flats, with their ranks, are found once
-per matroid and shared by `cyclic_flats`, `is_connected_split` and
-`is_split`.  `is_paving` is one AND on the independent-set table.
+n*r passes over 2^n-bit ints on top of the levels (`Matroid.rank_levels`:
+n, and n per level from the girth up).  The cyclic flats, with ranks, are
+found once per matroid and shared by `cyclic_flats`, `is_connected_split`
+and `is_split`.  `is_paving` is one AND on the independent-set table.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ Conventions used throughout the package:
   * Whole-table queries (the independent sets and the rank levels, which
     the flats, the paving tests and the subset-sum engine read) hold one
     bit per subset in a 2^n-bit int and close it under inclusion with n
-    shift/AND/OR passes (see `bitset`): about n*(r+2) passes over 2^n bits
-    in all, up to the "tables" entry of `errors.SIZE_LIMITS`.
+    shift/AND/OR passes (see `bitset`): n for the independent sets and n
+    per rank level from the girth up (the levels below it are size classes),
+    up to the "tables" entry of `errors.SIZE_LIMITS`.
 
 Minors reindex the surviving elements to {0, ..., n'-1} order-preservingly:
 index i of M\\e or M/e is old element i + (i >= e), and index i of M|a is
@@ -94,11 +95,11 @@ class Matroid:
             raise EmptyBasesError("a matroid needs at least one basis")
         if not 0 <= rank <= n:
             raise ValueError(f"rank {rank} out of range for n={n}")
-        full = (1 << n) - 1
+        outside = ~((1 << n) - 1)
         for b in bases:
-            if b & ~full:
-                raise ValueError(f"basis mask {b:#x} has elements >= n={n}")
-            if b.bit_count() != rank:
+            if b & outside or b.bit_count() != rank:
+                if b & outside:
+                    raise ValueError(f"basis mask {b:#x} has elements >= n={n}")
                 raise WrongBasisSizeError(
                     f"basis {tuple(bits(b))} has {b.bit_count()} elements, "
                     f"expected rank {rank}")
@@ -199,16 +200,20 @@ class Matroid:
 
     def rank_levels(self) -> tuple[int, ...]:
         """levels[k] = table of the subsets of rank >= k, for k = 0..rank:
-        the up-closure of the independent k-sets."""
+        the up-closure of the independent k-sets, or, below the girth, where
+        all k-sets are independent, level k-1 less its (k-1)-size class."""
         cached = self._cache.get("levels")
         if cached is not None:
             return cached
         n = self.n
         indep = self.independent_sets()
         pop = popcount_classes(n)
-        levels = ((1 << (1 << n)) - 1,) + tuple(
-            up_closure(indep & pop[k], n) for k in range(1, self.rank + 1))
-        self._cache["levels"] = levels
+        levels = [(1 << (1 << n)) - 1]
+        for k in range(1, self.rank + 1):
+            free = indep & pop[k]
+            levels.append(levels[-1] ^ pop[k - 1] if free == pop[k]
+                          else up_closure(free, n))
+        self._cache["levels"] = levels = tuple(levels)
         return levels
 
     def rank_table(self) -> bytearray:

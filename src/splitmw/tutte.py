@@ -6,8 +6,8 @@ Two independent engines cross-check each other:
         T(x,y) = sum over A of (x-1)^(r(E)-r(A)) * (y-1)^(|A|-r(A)),
     evaluated from the Whitney numbers, which are counted from the
     matroid's rank levels (tables of 2^n bits, see `Matroid.rank_levels`).
-    Reference engine: about n*(r+2) passes over 2^n-bit ints to build the
-    levels, then (r+1)*(n-r+1) bit counts.
+    Reference engine: one byte per basis, n passes over 2^n-bit ints, n
+    more per rank level from the girth up, then (r+1)*(n-r+1) bit counts.
   * `tutte_dc` -- deletion-contraction with eager loop/coloop stripping,
     a closed form for uniform minors (checked at the root before a single
     basis is packed), and an LRU memo, bounded by the "memo-bytes" size

@@ -127,6 +127,32 @@ def sparse_paving(k: int, n: int, hyperplanes: int, seed: int) -> Matroid:
     return Matroid(n, k, [b for b in ksets if b not in kept])
 
 
+def sparse_paving_tutte_oracle(m) -> dict[tuple[int, int], int]:
+    """T(M) = T(U(k,n)) - lam*(x + y - xy) for a sparse paving matroid of
+    rank k on n elements with lam = C(n,k) - |B| circuit-hyperplanes, as a
+    sparse {(i, j): coeff} dict.  T(U(k,n)) is its corank-nullity sum by
+    size: the C(n,s) s-sets have corank k - min(s,k) and nullity
+    s - min(s,k)."""
+    k, n = m.rank, m.n
+    poly: dict[tuple[int, int], int] = {}
+    for s in range(n + 1):
+        da, db = k - min(s, k), s - min(s, k)
+        for i in range(da + 1):
+            for j in range(db + 1):
+                poly[i, j] = poly.get((i, j), 0) + (
+                    comb(n, s) * comb(da, i) * comb(db, j)
+                    * (-1) ** (da - i + db - j))
+    lam = comb(n, k) - len(m.bases)
+    for key, sign in (((1, 0), -1), ((0, 1), -1), ((1, 1), 1)):
+        poly[key] = poly.get(key, 0) + sign * lam
+    return {key: c for key, c in poly.items() if c}
+
+
+PETERSEN = Multigraph(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
 def brute_isomorphic(m1, m2) -> bool:
     """Plain permutation sweep; only sensible for n <= 7."""
     if (m1.n, m1.rank, len(m1.bases)) != (m2.n, m2.rank, len(m2.bases)):

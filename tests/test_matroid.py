@@ -2,6 +2,7 @@ import random
 import sys
 import time
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -27,8 +28,10 @@ from splitmw import (
     tutte_subset_sum,
     uniform,
 )
-from splitmw.bitset import (bits, lex_order, low_slots, mask_of, place, slot_ones,
-                            to_slots, unpack)
+from splitmw import bitset, matroid as matroid_module
+from splitmw.bitset import (bits, element_masks, lex_order, low_slots, mask_of, place,
+                            popcount_classes, slot_ones, table_of, to_slots, unpack,
+                            up_closure)
 from splitmw.corpus import (
     graphic_corpus,
     minimal_matroids,
@@ -39,6 +42,7 @@ from splitmw.errors import SIZE_LIMITS, require_int
 from splitmw.flats import _by_size, _flat_table, is_paving
 
 from conftest import (
+    PETERSEN,
     brute_isomorphic,
     closure_oracle,
     coloops_oracle,
@@ -56,6 +60,7 @@ from conftest import (
     rank_oracle,
     rank_table_oracle,
     restrict_oracle,
+    sparse_paving,
     to_dict_oracle,
     trace_oracle,
 )
@@ -361,6 +366,86 @@ class TestTableKernel:
                       lambda: tutte_subset_sum(big)):
             with pytest.raises(LimitExceededError):
                 query()
+
+
+# the n of each `engines` benchmark pass, in job order
+ENGINES_ORDER = (15, 16, 17, 18, 14, 16, 16, 17, 18)
+
+
+class TestTableBuilders:
+    def test_table_of_matches_oracle(self):
+        rng = random.Random(2424)
+        for n in range(13):
+            # n < 3 leaves some of the eight strided slices empty
+            for count in (0, 1, (1 << n) // 3, 1 << n):
+                masks = rng.sample(range(1 << n), count)
+                assert table_of(masks, n) == table_oracle(masks)
+        limit = SIZE_LIMITS["tables"]
+        masks = [0, 1, 7, 8, (1 << limit) - 1, 1 << (limit - 1), 0x5A5A5]
+        assert table_of(masks, limit) == table_oracle(masks)
+
+    def test_small_tables_match_oracles(self, monkeypatch):
+        monkeypatch.setattr(bitset, "_HELD", {})
+        element_masks(9), popcount_classes(9)    # the rest are cut from these
+        for n in range(10):
+            every = range(1 << n)
+            assert element_masks(n) == tuple(
+                table_oracle(a for a in every if a >> i & 1) for i in range(n))
+            assert popcount_classes(n) == tuple(
+                table_oracle(a for a in every if a.bit_count() == k)
+                for k in range(n + 1))
+
+    def test_one_build_per_new_largest_n(self, monkeypatch):
+        monkeypatch.setattr(bitset, "_HELD", {})
+        held = bitset._HELD
+        builds = {"element_masks": [], "popcount_classes": []}
+        for n in ENGINES_ORDER + tuple(range(18, -1, -1)):
+            for tables in (element_masks, popcount_classes):
+                name = tables.__name__
+                before = held.get(name)
+                assert tables(n) == tables.__wrapped__(n)     # a fresh build
+                if held[name] is not before:
+                    builds[name].append(n)
+            assert len(held) == 2
+        assert builds == {"element_masks": [15, 16, 17, 18],
+                          "popcount_classes": [15, 16, 17, 18]}
+        # a smaller n's tables are cut from the held ones each time, not kept
+        for tables in (element_masks, popcount_classes):
+            assert tables(18) is held[tables.__name__][1] is tables(18)
+            assert tables(16) is not tables(16)
+
+
+def count_closures(monkeypatch, m) -> int:
+    """How many up-closures the rank levels of a fresh copy of m make."""
+    calls = []
+
+    def counted(table, n):
+        calls.append(n)
+        return up_closure(table, n)
+    monkeypatch.setattr(matroid_module, "up_closure", counted)
+    Matroid(m.n, m.rank, m.bases).rank_levels()
+    return len(calls)
+
+
+class TestRankLevelShortcut:
+    """Levels below the girth are size classes and take no closure."""
+
+    @pytest.mark.parametrize("m, closures", [
+        (uniform(9, 18), 0),
+        (sparse_paving(5, 11, 12, 7), 1),
+        (graphic(PETERSEN), 5),     # rank 9, girth 5: 9 - 5 + 1
+        (minimal(8, 17), 7),
+    ], ids=["uniform-9-18", "sparse-paving-5-11", "petersen", "minimal-8-17"])
+    def test_closure_count(self, monkeypatch, m, closures):
+        assert count_closures(monkeypatch, m) == closures
+
+    @pytest.mark.parametrize("n", range(10, 17))
+    def test_levels_equal_closures_of_independent_sets(self, n):
+        m = sparse_paving(n // 2, n, 3 * n, n)
+        assert len(m.bases) < comb(n, n // 2)
+        indep, pop = m.independent_sets(), popcount_classes(n)
+        assert m.rank_levels() == ((1 << (1 << n)) - 1,) + tuple(
+            up_closure(indep & pop[k], n) for k in range(1, m.rank + 1))
 
 
 class TestMinorsDualsSums:
@@ -845,6 +930,26 @@ class TestPackedColumns:
         with pytest.raises(error) as exc:
             Matroid(n, rank, bases)
         assert str(exc.value) == message
+
+    def test_first_offending_basis_in_iteration_order_decides(self):
+        kinds = set()
+        for n, rank, bases in [(2, 1, [0b11, 0b100]), (3, 1, [0b111, 0b1000]),
+                               (3, 2, [0b1, -2, 0b11]), (4, 2, [0b1, 0b10000])]:
+            full = (1 << n) - 1
+            first = next(b for b in frozenset(bases)
+                         if b & ~full or b.bit_count() != rank)
+            if first & ~full:
+                error = ValueError
+                message = f"basis mask {first:#x} has elements >= n={n}"
+            else:
+                error = WrongBasisSizeError
+                message = (f"basis {tuple(bits(first))} has "
+                           f"{first.bit_count()} elements, expected rank {rank}")
+            with pytest.raises(error) as exc:
+                Matroid(n, rank, bases)
+            assert str(exc.value) == message
+            kinds.add(error)
+        assert kinds == {ValueError, WrongBasisSizeError}
 
 
 def assert_minors_inherit_lex_order(m, depth: int = 1):

@@ -42,6 +42,7 @@ from splitmw.tutte import (
 )
 
 from conftest import (
+    PETERSEN,
     OracleMemo,
     canonical_oracle,
     children_oracle,
@@ -56,6 +57,7 @@ from conftest import (
     poly_add,
     slots_oracle,
     sparse_paving,
+    sparse_paving_tutte_oracle,
     strip_oracle,
     whitney_numbers_oracle,
 )
@@ -63,6 +65,22 @@ from conftest import (
 
 def both_engines(m):
     return tutte_dc(m), tutte_subset_sum(m)
+
+
+class TestSparsePaving:
+    """Both engines against T(M) = T(U(k,n)) - lam*(x + y - xy), on sparse
+    paving matroids: every rank level below the top one is a size class."""
+
+    @pytest.mark.parametrize("k, n, hyperplanes, seed", [
+        (5, 12, 20, 1), (6, 13, 30, 2), (6, 14, 40, 3), (7, 15, 50, 4),
+        (7, 16, 60, 5),
+    ])
+    def test_engines_match_closed_form(self, k, n, hyperplanes, seed):
+        m = sparse_paving(k, n, hyperplanes, seed)
+        assert comb(n, k) - len(m.bases) == hyperplanes
+        expected = sparse_paving_tutte_oracle(m)
+        assert dense_to_sparse(tutte_subset_sum(m)) == expected
+        assert dense_to_sparse(tutte_dc(m, memo=TutteMemo())) == expected
 
 
 class TestClosedForms:
@@ -230,9 +248,6 @@ def check_column_pass(m):
         check_children(stripped_n, stripped)
 
 
-PETERSEN = Multigraph(10, [(i, (i + 1) % 5) for i in range(5)]
-                      + [(i, i + 5) for i in range(5)]
-                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
 K5 = Multigraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
 
 
