@@ -5,38 +5,14 @@ flats, recognizes split matroids, decides the three Merino-Welsh
 inequalities, and emits machine-checked certificate trees showing that
 concrete split matroids satisfy the multiplicative inequality.
 
-Importing the package loads only `errors` and `matroid` (with `bitset`);
-every other public name is imported from its submodule on first use
-(PEP 562), so a CLI verb starts with only the code it runs.
+Importing the package loads no submodule: every public name is imported
+from its submodule on first use (PEP 562), so a CLI verb starts with only
+the code it runs.
 """
-
-from .errors import (
-    ClassificationFailureError,
-    ColoopsPresentError,
-    EmptyBasesError,
-    ExchangeViolationError,
-    InputError,
-    LimitExceededError,
-    LoopsPresentError,
-    NotCleanInputError,
-    NotSplitError,
-    SplitMWError,
-    WrongBasisSizeError,
-)
-from .matroid import (
-    Matroid,
-    from_bases,
-    graphic,
-    matroid_from_dict,
-    minimal,
-    rank2_from_partition,
-    recognize_minimal,
-    uniform,
-)
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines; the first two are bound above
+# submodule -> the public names it defines
 _EXPORTS = {
     "errors": ("ClassificationFailureError", "ColoopsPresentError",
                "EmptyBasesError", "ExchangeViolationError", "InputError",

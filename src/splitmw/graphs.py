@@ -43,8 +43,11 @@ class Multigraph:
     __slots__ = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges):
-        edges = tuple((int(u), int(v)) for u, v in edges)
+        require_int("vertex_count", vertex_count)
+        edges = tuple((u, v) for u, v in edges)
         for u, v in edges:
+            require_int("edge endpoint", u)
+            require_int("edge endpoint", v)
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u},{v}) has an endpoint >= {vertex_count}")
         object.__setattr__(self, "vertex_count", vertex_count)

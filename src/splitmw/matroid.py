@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable
 from functools import reduce
-from itertools import chain, compress
+from itertools import compress
 from math import comb
 from operator import and_, or_
 
@@ -77,19 +77,21 @@ from .errors import (
 class Matroid:
     """An immutable matroid given by its bases.
 
-    The constructor performs only cheap structural checks (sizes, ranges,
-    non-emptiness); it trusts the caller that the family satisfies basis
-    exchange.  Minors, valid by construction, skip even those (`_trusted`).
-    Use `from_bases` for untrusted input -- it additionally runs the
-    exchange check -- or call `check_exchange()` explicitly.  The check
-    is local (Maurer's criterion): the basis graph is connected and the
-    link of every (r-2)-set is complete multipartite, in O(|B|*k^2) dict
-    operations, k = min(r, n-r).
+    The constructor performs only cheap structural checks (exact-int n and
+    rank, sizes, ranges, non-emptiness); it trusts the caller that the
+    family satisfies basis exchange.  Minors, valid by construction, skip
+    even those (`_trusted`).  Use `from_bases` for untrusted input -- it
+    additionally runs the exchange check -- or call `check_exchange()`
+    explicitly.  The check is local (Maurer's criterion): the basis graph
+    is connected and the link of every (r-2)-set is complete multipartite,
+    in O(|B|*k^2) dict operations, k = min(r, n-r).
     """
 
     __slots__ = ("n", "rank", "bases", "_cache")
 
     def __init__(self, n: int, rank: int, bases: Iterable[int]):
+        require_int("n", n)
+        require_int("rank", rank)
         bases = frozenset(bases)
         if not bases:
             raise EmptyBasesError("a matroid needs at least one basis")
@@ -541,44 +543,17 @@ def from_bases(n: int, rank: int, bases: Iterable[Iterable[int]]) -> Matroid:
     ranges, distinctness, and the exchange axiom."""
     require_int("n", n)
     require_int("rank", rank)
-    rows = list(map(tuple, bases))
-    masks = _record_masks(n, rank, rows)
-    if masks is None:
-        masks = _checked_masks(n, rows)
-    m = Matroid(n, rank, masks)
+    m = Matroid(n, rank, _checked_masks(n, bases))
     m.check_exchange()
     return m
 
 
-def _record_masks(n: int, rank: int, rows: list[tuple]) -> set[int] | None:
-    """The masks of `rows` in whole-record passes, or None unless every row
-    holds `rank` distinct ints of range(n) and no two rows are equal.
-
-    The rows are read off the flat element list `rank` at a time, each as
-    a sum of powers of two looked up per element; the powers are distinct
-    iff the sum has one bit per element."""
-    elements = list(chain.from_iterable(rows))
-    if not (rank > 0 and {*map(len, rows)} == {rank}
-            and {*map(type, elements)} == {int}):
-        return None
-    values = set(elements)
-    if min(values) < 0 or max(values) >= n:
-        return None
-    power = {e: 1 << e for e in values}
-    masks = list(map(sum, zip(*[map(power.__getitem__, elements)] * rank)))
-    family = set(masks)
-    if len(family) != len(masks) or {*map(int.bit_count, family)} != {rank}:
-        return None
-    return family
-
-
-def _checked_masks(n: int, rows: list[tuple]) -> set[int]:
-    """The masks of `rows`, checked one element at a time; raises
+def _checked_masks(n: int, bases: Iterable[Iterable[int]]) -> set[int]:
+    """The masks of `bases`, checked one element at a time; raises
     InputError at the first bad element, repeated element or repeated
-    basis.  Run when `_record_masks` declines, so that every error names
-    the first offender."""
+    basis, so that every error names the first offender."""
     masks = set()
-    for subset in rows:
+    for subset in map(tuple, bases):
         for e in subset:
             require_int("element", e)
             if not 0 <= e < n:

@@ -50,7 +50,7 @@ class TuttePolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        rows = tuple(tuple(int(c) for c in row) for row in coeffs)
+        rows = tuple(map(tuple, coeffs))
         if not rows or not rows[0]:
             raise ValueError("coefficient matrix must be at least 1x1")
         width = len(rows[0])
@@ -58,6 +58,7 @@ class TuttePolynomial:
             if len(row) != width:
                 raise ValueError("coefficient matrix must be rectangular")
             for c in row:
+                require_int("coefficient", c)
                 if c < 0:
                     raise ValueError("Tutte coefficients are nonnegative")
         object.__setattr__(self, "coeffs", rows)

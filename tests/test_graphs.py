@@ -11,7 +11,7 @@ from splitmw import (
     tutte_subset_sum,
 )
 from splitmw.corpus import bridgeless_graphs, random_multigraphs
-from splitmw.errors import SIZE_LIMITS
+from splitmw.errors import SIZE_LIMITS, InputError
 from splitmw.graphs import _orientation_counts
 
 from conftest import matrix_tree_oracle
@@ -119,6 +119,15 @@ def test_spanning_tree_limit():
 def test_endpoint_validation():
     with pytest.raises(ValueError):
         Multigraph(2, [(0, 2)])
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    (3, [(0.9, 1)]), (3, [(0, 1.5)]), (3, [("2", 1)]), (3, [(2, True)]),
+    (3.0, [(0, 1)]), (True, [])])
+def test_rejects_endpoints_that_are_not_exact_ints(vertices, edges):
+    # bool is an int subclass, and nothing is coerced with int()
+    with pytest.raises(InputError, match="must be an integer"):
+        Multigraph(vertices, edges)
 
 
 def test_round_trip():

@@ -575,6 +575,13 @@ class TestTrustedMinors:
             Matroid(5, 3, family + [0b11])
 
 
+    @pytest.mark.parametrize("n, rank", [(4, 2.0), (4.0, 2), (4, True),
+                                         (True, 1)])
+    def test_checked_constructor_rejects_inexact_n_and_rank(self, n, rank):
+        with pytest.raises(InputError, match="must be an integer"):
+            Matroid(n, rank, [3, 5] if rank == 2 else [1])
+
+
 class TestConnectivity:
     def test_minimal_is_connected_and_clean(self):
         for m in minimal_matroids(8):

@@ -52,15 +52,24 @@ def test_every_export_is_its_modules_object():
     assert len(set(splitmw.__all__)) == len(splitmw.__all__)
 
 
-def test_flats_loads_on_first_use():
-    # a fresh interpreter, so that these imports are the first of each module
+def test_import_binds_every_name_on_first_use():
+    # a fresh interpreter: `import splitmw` loads no submodule, each public
+    # name, however it is reached, is its own module's object, and a
+    # submodule is an attribute once imported but not a public name
     src = str(Path(splitmw.__file__).resolve().parent.parent)
     check = ("import sys, splitmw\n"
+             "assert not [m for m in sys.modules if m.startswith('splitmw.')]\n"
+             "from splitmw import errors, matroid\n"
+             "assert splitmw.Matroid is matroid.Matroid\n"
+             "assert splitmw.InputError is errors.InputError\n"
              "assert 'splitmw.flats' not in sys.modules\n"
-             "report = splitmw.cyclic_flats\n"
-             "flats = sys.modules['splitmw.flats']\n"
-             "assert report is flats.cyclic_flats\n"
-             "assert splitmw.flats is flats")
+             "assert splitmw.cyclic_flats is sys.modules['splitmw.flats'].cyclic_flats\n"
+             "namespace = {}\n"
+             "exec('from splitmw import *', namespace)\n"
+             "for name, module in splitmw._MODULE_OF.items():\n"
+             "    own = getattr(sys.modules['splitmw.' + module], name)\n"
+             "    assert namespace[name] is own, name\n"
+             "assert splitmw.flats is sys.modules['splitmw.flats']")
     proc = subprocess.run([sys.executable, "-c", check], check=False,
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)
@@ -70,8 +79,8 @@ def test_flats_loads_on_first_use():
 
 def test_benchmark_tracer_rows_resolve():
     # perfbench/tracing.py wraps these names by lookup in each owner's
-    # __dict__; tier-1 does not run perfbench, so a rename or deletion
-    # that breaks `run.py --trace 1` shows here
+    # __dict__; a rename or deletion that breaks `run.py --trace 1` is
+    # named here, row by row
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)

@@ -30,7 +30,7 @@ from splitmw.corpus import (
 from splitmw import tutte
 from splitmw.bitset import (column_view, from_slots, low_slots, place, slot_ones,
                             slot_width, unpack)
-from splitmw.errors import SIZE_LIMITS
+from splitmw.errors import SIZE_LIMITS, InputError
 from splitmw.tutte import (
     _canonical,
     _children,
@@ -543,6 +543,13 @@ class TestPolynomialType:
     def test_rejects_ragged_matrix(self):
         with pytest.raises(ValueError):
             TuttePolynomial(((1, 0), (1,)))
+
+    @pytest.mark.parametrize("coeffs", [[[2.7, 3]], [[2, "3"]], [[True, 0]],
+                                        [[1, 0], [0, 1.0]]])
+    def test_rejects_coefficients_that_are_not_exact_ints(self, coeffs):
+        # bool is an int subclass, and nothing is coerced with int()
+        with pytest.raises(InputError, match="coefficient must be an integer"):
+            TuttePolynomial(coeffs)
 
     def test_round_trip_with_big_integers(self):
         t = tutte_dc(uniform(1, 20))
