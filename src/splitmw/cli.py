@@ -1,16 +1,17 @@
 """Command-line interface.
 
-Exit codes: 0 = success / all checks pass; 1 = a mathematically interesting
-failure (an inequality violation, an unverified trace, an engine mismatch,
-or a classification breach); 2 = input or usage error.  Every verb reads
-`-` as standard input, and all output records are single-line canonical
-JSON so pipelines compose.
+Exit codes: 0 = success / all checks pass, or stdout closed by its reader;
+1 = a mathematically interesting failure (an inequality violation, an
+unverified trace, an engine mismatch, or a classification breach); 2 =
+input or usage error.  Every verb reads `-` as standard input, and all
+output records are single-line canonical JSON so pipelines compose.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import tutte as tutte_mod
@@ -238,7 +239,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:     # the reader's choice; the last flush goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ClassificationFailureError as exc:
         print(f"classification failure: {exc}", file=sys.stderr)
         return 1

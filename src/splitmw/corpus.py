@@ -54,8 +54,7 @@ def figure_minimal_graph() -> Multigraph:
     return Multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 0), (4, 0)])
 
 
-def random_multigraphs(count: int, max_edges: int, seed: int,
-                       allow_selfloops: bool = True) -> list[Multigraph]:
+def random_multigraphs(count: int, max_edges: int, seed: int) -> list[Multigraph]:
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -65,9 +64,6 @@ def random_multigraphs(count: int, max_edges: int, seed: int,
         for _ in range(ne):
             u = rng.randrange(nv)
             v = rng.randrange(nv)
-            if not allow_selfloops:
-                while v == u:
-                    v = rng.randrange(nv)
             edges.append((u, v))
         out.append(Multigraph(nv, edges))
     return out

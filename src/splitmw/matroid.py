@@ -13,8 +13,8 @@ Conventions used throughout the package:
     minors (`delete`/`contract`/`restrict`) are one relabeling of the kept
     columns, unpacked in C; a minor's family is valid by construction, so
     it skips the constructor's per-basis checks.  Loops and coloops are
-    one C-level OR or AND over the family.  Records (`to_dict`, and their
-    canonical JSON text `record_json`) write each mask through per-byte
+    one C-level OR or AND over the family.  Records (`to_dict`, or a
+    `RecordWriter`'s record and JSON text) write each mask through per-byte
     tables, or past 64 bits through its binary numeral, in lex order: sorted
     as ints once, or, for a deletion or contraction, its parent's order.
   * Whole-table queries (the independent sets and the rank levels, which
@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable
 from functools import reduce
-from itertools import compress
+from itertools import compress, filterfalse
 from math import comb
 from operator import and_, or_
 
@@ -84,7 +84,8 @@ class Matroid:
     additionally runs the exchange check -- or call `check_exchange()`
     explicitly.  The check is local (Maurer's criterion): the basis graph
     is connected and the link of every (r-2)-set is complete multipartite,
-    in O(|B|*k^2) dict operations, k = min(r, n-r).
+    in O(|B|*k^2) dict operations, k = min(r, n-r).  A mask that is no int
+    raises InputError; a bool mask counts as the int it equals.
     """
 
     __slots__ = ("n", "rank", "bases", "_cache")
@@ -98,13 +99,16 @@ class Matroid:
         if not 0 <= rank <= n:
             raise ValueError(f"rank {rank} out of range for n={n}")
         outside = ~((1 << n) - 1)
-        for b in bases:
-            if b & outside or b.bit_count() != rank:
-                if b & outside:
-                    raise ValueError(f"basis mask {b:#x} has elements >= n={n}")
-                raise WrongBasisSizeError(
-                    f"basis {tuple(bits(b))} has {b.bit_count()} elements, "
-                    f"expected rank {rank}")
+        try:
+            for b in bases:
+                if b & outside or b.bit_count() != rank:
+                    if b & outside:
+                        raise ValueError(f"basis mask {b:#x} has elements >= n={n}")
+                    raise WrongBasisSizeError(
+                        f"basis {tuple(bits(b))} has {b.bit_count()} elements, "
+                        f"expected rank {rank}")
+        except TypeError:
+            raise InputError(f"basis mask {b!r} is not an int") from None
         self._fill(n, rank, bases)
 
     def _fill(self, n, rank, bases):
@@ -403,21 +407,35 @@ class Matroid:
         out by `bitset.element_lists` as a new list."""
         return self._record(element_lists(self._lex_slots(), self.n))
 
-    def record_json(self) -> str:
-        """`json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=True)`,
-        written from the same slots by `bitset.element_text`, with no record
-        built and no JSON encoder run."""
-        return self._record_json(element_text(self._lex_slots(), self.n))
-
     def _record(self, bases: list) -> dict:
         """`to_dict`, with `bases` the element lists in record order."""
         return {"format": "matroid-bases-v1", "n": self.n, "rank": self.rank,
                 "bases": bases}
 
-    def _record_json(self, bases: str) -> str:
-        """`record_json`, with `bases` the JSON text of the bases."""
-        return (f'{{"bases":{bases},'
-                f'"format":"matroid-bases-v1","n":{self.n},"rank":{self.rank}}}')
+
+class RecordWriter:
+    """Records (`Matroid.to_dict`) and their JSON text, `json.dumps(record,
+    separators=(",", ":"), sort_keys=True)`, written with no JSON encoder
+    from the tables `lists` (mask -> element list) and `texts` (mask ->
+    "e1,e2,..."), each mask once; the records share lists: read-only."""
+
+    def __init__(self):
+        self.lists, self.texts = {}, {}
+
+    def write(self, m: Matroid) -> tuple[dict, str]:
+        """(record, text) of m by C-level lookups of its masks in record
+        order, once its new masks are written in through `bitset`."""
+        width, lists, texts = slot_width(m.n), self.lists, self.texts
+        masks = from_slots(m._lex_slots(), width)
+        new = list(filterfalse(lists.__contains__, masks))
+        if new:
+            raw = to_slots(new, width)
+            lists.update(zip(new, element_lists(raw, m.n)))
+            texts.update(zip(new, element_text(raw, m.n)[2:-2].split("],[")))
+        bases = "],[".join(map(texts.__getitem__, masks))
+        return (m._record(list(map(lists.__getitem__, masks))),
+                f'{{"bases":[[{bases}]],'
+                f'"format":"matroid-bases-v1","n":{m.n},"rank":{m.rank}}}')
 
 
 def _exchange_witness(family) -> tuple[int, int, int] | None:

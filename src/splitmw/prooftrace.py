@@ -16,15 +16,16 @@ coloop, and the product T(M1) T(M2) ... over the components of a direct
 sum.  Each node still decides its own three inequalities from its own
 numbers.  The same process computes every number, and equal minors share
 one node (below), so a verified trace is not an independent check of the
-argument (ROADMAP.md, open item 1: an independent trace checker).
+argument (ROADMAP.md, open item 4: an independent trace checker).
 
 Each distinct minor is checked once per trace: a matroid equal to one
 already built (same size, rank and bases) shares that node, with its
 pivot, children, record and verdict, so a direct sum of equal components
 or a minor reached along two pivot orders costs one subtree.  The output
 is the same tree, node for node.  A node keeps only what it writes, and
-`matroid_from_dict(node.record)` rebuilds its matroid.  Each basis is
-written out once per trace too, so pivot minors share basis lists.
+`matroid_from_dict(node.record)` rebuilds its matroid.  Every node's
+record and digest text come from one `matroid.RecordWriter` per trace,
+which writes each basis once, so the records share basis lists.
 
 A connected split matroid in which *no* element admits a clean pivot must
 be one of the base cases.  The trace checks that lemma on every node it
@@ -35,14 +36,12 @@ concrete instance.
 
 from __future__ import annotations
 
-from itertools import filterfalse
 from math import prod
 from typing import NamedTuple
 
-from .bitset import element_lists, element_text, from_slots, slot_width, to_slots
 from .errors import ClassificationFailureError, NotSplitError, check_size
 from .flats import is_split
-from .matroid import Matroid, recognize_minimal
+from .matroid import Matroid, RecordWriter, recognize_minimal
 from .merino_welsh import MWReport, check_mw, report_from_evaluations
 
 RULE_DIRECT_SUM = "direct-sum-split"
@@ -59,8 +58,8 @@ BASE_RULES = frozenset({RULE_BASE_RANK1, RULE_BASE_CORANK1, RULE_BASE_RANK2,
 
 def matroid_digest(text: str) -> str:
     """Short hash of a matroid's matroid-bases-v1 record from its compact,
-    key-sorted JSON text (`Matroid.record_json`, or `_Tables.record`): the
-    first 16 hex digits of its sha256; the text is written by the caller."""
+    key-sorted JSON text (`RecordWriter.write`): the first 16 hex digits of
+    its sha256; the text is written by the caller."""
     # imported here: only `trace` hashes, and the import costs every CLI
     # verb's start-up
     import hashlib
@@ -69,9 +68,9 @@ def matroid_digest(text: str) -> str:
 
 class ProofNode(NamedTuple):
     """One step of a certificate tree, holding only what `to_dict` writes:
-    `record`, the matroid-bases-v1 record, is shared by every node of the
-    trace with an equal matroid, and its basis lists by other records: they
-    are read-only.  It holds a dict, so nodes compare but do not hash."""
+    `record` (from the trace's `RecordWriter`) is shared by every node with
+    an equal matroid, and its basis lists by other records: they are
+    read-only.  It holds a dict, so nodes compare but do not hash."""
 
     record: dict
     digest: str
@@ -147,38 +146,14 @@ def _base_rule(rank: int, corank: int) -> str | None:
     return None
 
 
-class _Tables:
-    """Per-trace state: `nodes`, the node of each matroid built so far, and
-    the tables `lists` (mask -> element list) and `texts` (mask -> element
-    text "e1,e2,..."), which write each basis mask once per trace through
-    `bitset`'s per-byte tables; records of one trace share basis lists."""
-
-    def __init__(self):
-        self.nodes, self.lists, self.texts = {}, {}, {}
-
-    def record(self, m: Matroid) -> tuple[dict, str]:
-        """(m.to_dict(), m.record_json()) by C-level lookups of m's masks in
-        record order, once the new ones are written into the tables."""
-        width, lists, texts = slot_width(m.n), self.lists, self.texts
-        masks = from_slots(m._lex_slots(), width)
-        new = list(filterfalse(lists.__contains__, masks))
-        if new:
-            raw = to_slots(new, width)
-            lists.update(zip(new, element_lists(raw, m.n)))
-            texts.update(zip(new, element_text(raw, m.n)[2:-2].split("],[")))
-        return (m._record(list(map(lists.__getitem__, masks))),
-                m._record_json(f'[[{"],[".join(map(texts.__getitem__, masks))}]]'))
-
-
-def _build(m: Matroid, tables: _Tables, minor: bool = False) -> ProofNode:
-    """The node of m, built once per distinct matroid of the trace and keyed
-    by (n, rank, `_lex_slots`), the bases m's record is written from, so the
-    nodes hold no `Matroid`.  A pivot's `minor` takes its record from the
-    tables; others, whose masks are mostly new, from the cheaper `to_dict`."""
+def _build(m: Matroid, nodes: dict, writer: RecordWriter) -> ProofNode:
+    """The node of m, built once per distinct matroid of the trace and kept
+    in `nodes` under (n, rank, `_lex_slots`), the bases m's record is
+    written from, so the nodes hold no `Matroid`."""
     key = (m.n, m.rank, m._lex_slots())
-    node = tables.nodes.get(key)
+    node = nodes.get(key)
     if node is None:
-        node = tables.nodes[key] = _new_node(m, tables, minor)
+        node = nodes[key] = _new_node(m, nodes, writer)
     return node
 
 
@@ -191,12 +166,12 @@ def _from_children(m: Matroid, children: tuple, combine) -> MWReport:
                        for point in ("t20", "t02", "t11")))
 
 
-def _new_node(m: Matroid, tables: _Tables, minor: bool) -> ProofNode:
-    record, text = tables.record(m) if minor else (m.to_dict(), m.record_json())
+def _new_node(m: Matroid, nodes: dict, writer: RecordWriter) -> ProofNode:
+    record, text = writer.write(m)
     digest = matroid_digest(text)
     comps = m.components()
     if len(comps) != 1:
-        children = tuple(_build(m.restrict(c), tables) for c in comps)
+        children = tuple(_build(m.restrict(c), nodes, writer) for c in comps)
         return ProofNode(record, digest, RULE_DIRECT_SUM,
                          _from_children(m, children, prod), children)
     rule = _base_rule(m.rank, m.n - m.rank)
@@ -210,7 +185,8 @@ def _new_node(m: Matroid, tables: _Tables, minor: bool) -> ProofNode:
     if e is None:
         # would contradict the base-case classification; abort loudly
         raise ClassificationFailureError(m)
-    children = (_build(m.delete(e), tables, True), _build(m.contract(e), tables, True))
+    children = (_build(m.delete(e), nodes, writer),
+                _build(m.contract(e), nodes, writer))
     return ProofNode(record, digest, RULE_DELETE_CONTRACT,
                      _from_children(m, children, sum), children, element=e)
 
@@ -229,9 +205,9 @@ def trace(m: Matroid) -> ProofTrace:
         raise NotSplitError(
             f"trace requires a split matroid; {m!r} has nested or multiple "
             f"non-uniform structure")
-    tables = _Tables()
-    root = _build(m, tables)
-    return ProofTrace(root, all(node.mw.mult_ok for node in tables.nodes.values()))
+    nodes = {}
+    root = _build(m, nodes, RecordWriter())
+    return ProofTrace(root, all(node.mw.mult_ok for node in nodes.values()))
 
 
 def to_dot(t: ProofTrace) -> str:

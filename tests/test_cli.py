@@ -493,6 +493,30 @@ def test_module_entry_point_runs_the_cli():
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["construct", "--uniform", "2,4"],
+                                  ["enumerate-rank2", "--max-n", "6"]],
+                         ids=["construct", "enumerate-rank2"])
+def test_closed_stdout_exits_0_and_says_nothing(argv, unbuffered):
+    # the reader closes the pipe before the verb writes: stopping is its
+    # choice, not bad input, whether the write fails inside the verb
+    # (unbuffered) or at the last flush (buffered)
+    src = str(Path(splitmw.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "splitmw.cli", *argv],
+                              check=False, stdout=write_end,
+                              stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_cli_import_leaves_unused_modules_out():
     assert modules_added("import splitmw.cli") & UNUSED_AT_START == set()
 

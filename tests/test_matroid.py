@@ -581,6 +581,20 @@ class TestTrustedMinors:
         with pytest.raises(InputError, match="must be an integer"):
             Matroid(n, rank, [3, 5] if rank == 2 else [1])
 
+    @pytest.mark.parametrize("mask", [1.5, 2.0, "1", None],
+                             ids=["float", "integral-float", "str", "None"])
+    def test_checked_constructor_rejects_a_mask_that_is_no_int(self, mask):
+        with pytest.raises(InputError) as exc:
+            Matroid(3, 1, [mask])
+        assert str(exc.value) == f"basis mask {mask!r} is not an int"
+        with pytest.raises(InputError):
+            Matroid(3, 1, [1, mask, 4])
+
+    def test_a_bool_mask_counts_as_the_int_it_equals(self):
+        m = Matroid(2, 1, [True, 2])
+        assert m == uniform(1, 2)
+        assert m.to_dict()["bases"] == [[0], [1]]
+
 
 class TestConnectivity:
     def test_minimal_is_connected_and_clean(self):

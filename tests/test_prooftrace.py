@@ -37,9 +37,9 @@ from splitmw.prooftrace import (
     RULE_DIRECT_SUM,
     ProofNode,
     _clean_pivot,
-    _Tables,
     matroid_digest,
 )
+from splitmw.matroid import RecordWriter
 
 from conftest import (
     clean_pivot_oracle,
@@ -229,7 +229,8 @@ class TestTrace:
                             lambda m: called.append(m) or check_mw(m))
         t = trace(m)
         leaves = {node.digest for node in t.walk() if node.rule in BASE_RULES}
-        called = [matroid_digest(leaf.record_json()) for leaf in called]
+        writer = RecordWriter()
+        called = [matroid_digest(writer.write(leaf)[1]) for leaf in called]
         assert len(called) == len(set(called)) == len(leaves)
         assert set(called) == leaves
         assert_evaluations_combine(t)
@@ -322,16 +323,19 @@ class TestSerialization:
 
     def test_each_node_record_is_built_once(self, k4, monkeypatch):
         # once per distinct matroid: M(K4) has no repeated node, U(6,10)
-        # 29 nodes on 14 distinct matroids; the root's record is built by
-        # `to_dict`, each pivot minor's through the trace's tables
-        built = []
-        to_dict, record = Matroid.to_dict, _Tables.record
-        monkeypatch.setattr(Matroid, "to_dict", lambda m: built.append(m) or to_dict(m))
-        monkeypatch.setattr(_Tables, "record",
-                            lambda tables, m: built.append(m) or record(tables, m))
-        for m, nodes, distinct in ((k4, 3, 3), (uniform(6, 10), 29, 14)):
+        # 29 nodes on 14 distinct matroids, U(2,4)+T(3,6) a root and two
+        # components; every record, the root's too, goes through the
+        # trace's writer, and none through `to_dict`
+        built, dicts = [], []
+        to_dict, write = Matroid.to_dict, RecordWriter.write
+        monkeypatch.setattr(Matroid, "to_dict", lambda m: dicts.append(m) or to_dict(m))
+        monkeypatch.setattr(RecordWriter, "write",
+                            lambda writer, m: built.append(m) or write(writer, m))
+        for m, nodes, distinct in ((k4, 3, 3), (uniform(6, 10), 29, 14),
+                                   (uniform(2, 4).direct_sum(minimal(3, 6)), 3, 3)):
             built.clear()
             t = trace(m)
+            assert dicts == []
             assert t.node_count() == nodes
             assert len(built) == len(set(built)) == distinct
             for node in t.walk():
@@ -372,7 +376,7 @@ class TestSerialization:
                 if node.rule == RULE_DIRECT_SUM) + (comps if comps > 1 else 0)
 
     def test_records_share_basis_lists_within_one_trace(self):
-        # the pivot minors of one trace take their lists from its tables;
+        # the nodes of one trace take their lists from its writer's tables;
         # changing them changes neither a later trace nor a later record
         m = uniform(4, 8)
         t = trace(m)
@@ -488,26 +492,36 @@ def with_loop_and_coloop(m):
     return uniform(0, 1).direct_sum(m).direct_sum(uniform(1, 1))
 
 
-def assert_digest_matches_oracle(m):
-    assert matroid_digest(m.record_json()) == digest_oracle(to_dict_oracle(m))
+def assert_writer_matches_oracle(m, writer=None):
+    """The writer's record and text, and the digest of the text, against a
+    JSON dump of the oracle's record; digests first, whose mismatch reports
+    at once where a diff of two long texts takes minutes."""
+    record, text = (writer or RecordWriter()).write(m)
+    expected = to_dict_oracle(m)
+    assert record == expected
+    assert matroid_digest(text) == digest_oracle(expected)
+    assert text == json.dumps(expected, separators=(",", ":"), sort_keys=True)
 
 
 class TestDigestText:
-    """`matroid_digest` hashes text written from the packed slots; the
-    oracle hashes a JSON dump of the record."""
+    """`matroid_digest` hashes text written from the packed slots by
+    `RecordWriter`; the oracle hashes a JSON dump of the record.  One writer
+    serves matroids of every size, as one trace's does."""
 
     def test_corpus(self):
+        writer = RecordWriter()
         for m in split_trace_corpus() + tutte_identity_corpus():
-            assert_digest_matches_oracle(m)
+            assert_writer_matches_oracle(m, writer)
 
     def test_every_family_up_to_five_elements(self):
+        writer = RecordWriter()
         for n in range(6):
             for m in every_family(n):
-                assert_digest_matches_oracle(m)
+                assert_writer_matches_oracle(m, writer)
 
     @given(derived_matroids())
     def test_duals_minors_and_sums(self, m):
-        assert_digest_matches_oracle(m)
+        assert_writer_matches_oracle(m)
 
     # n = 0, and 8, 9 and 16 on either side of a byte edge, with loops and
     # coloops; then byte positions that no basis touches; then slots past 64
@@ -524,6 +538,4 @@ class TestDigestText:
     ], ids=lambda m: f"n{m.n}-r{m.rank}-{len(m.bases)}")
     def test_byte_edges(self, m):
         assert m.to_dict() == to_dict_oracle(m)
-        assert_digest_matches_oracle(m)
-        assert m.record_json() == json.dumps(
-            to_dict_oracle(m), separators=(",", ":"), sort_keys=True)
+        assert_writer_matches_oracle(m)
