@@ -20,9 +20,11 @@ Conventions used throughout the package:
   * Whole-table queries (the independent sets and the rank levels, which
     the flats, the paving tests and the subset-sum engine read) hold one
     bit per subset in a 2^n-bit int and close it under inclusion with n
-    shift/AND/OR passes (see `bitset`): n for the independent sets and n
-    per rank level from the girth up (the levels below it are size classes),
-    up to the "tables" entry of `errors.SIZE_LIMITS`.
+    shift/AND/OR passes (see `bitset`): n for the independent sets, from
+    the bases' table (one byte write per basis, or none for a full size
+    class, which is its popcount class), and n per rank level from the
+    girth up (the levels below it are size classes), up to the "tables"
+    entry of `errors.SIZE_LIMITS`.
 
 Minors reindex the surviving elements to {0, ..., n'-1} order-preservingly:
 index i of M\\e or M/e is old element i + (i >= e), and index i of M|a is
@@ -200,8 +202,10 @@ class Matroid:
         check_size("tables", self.n)
         cached = self._cache.get("indepsets")
         if cached is None:
-            cached = down_closure(table_of(self.bases, self.n), self.n)
-            self._cache["indepsets"] = cached
+            n = self.n
+            bases = (popcount_classes(n)[self.rank] if self.is_uniform()
+                     else table_of(self.bases, n))
+            cached = self._cache["indepsets"] = down_closure(bases, n)
         return cached
 
     def rank_levels(self) -> tuple[int, ...]:

@@ -10,19 +10,21 @@ Two independent engines cross-check each other:
     more per rank level from the girth up, then (r+1)*(n-r+1) bit counts.
   * `tutte_dc` -- deletion-contraction with eager loop/coloop stripping,
     a closed form for uniform minors (checked at the root before a single
-    basis is packed), and an LRU memo, bounded by the "memo-bytes" size
-    limit, keyed on the sorted slots of a basis family (see `bitset`).
-    Each call relabels its root once, by (degree, index) (`_canonical`),
-    and every node below inherits that labeling, so equal minors coalesce
-    in the memo and no node sorts.  The pivot is always element n-1, at
-    the root one of highest degree: a node's sorted slots split at 2^(n-1)
-    into its two children, sorted families on n-1 elements (`_children`).
-    A node reads the n columns of its packed bases only for its loops and
-    coloops (empty and full columns) and its pivot's degree: O(n) whole-int
-    operations, with no loop over the bits of each basis.  Inside the
-    recursion a polynomial is one int (Kronecker substitution, see `_pack`):
-    the children's sum is one addition, a loop or coloop factor one shift,
-    and `tutte_dc` unpacks the root's once.
+    mask is packed), and an LRU memo, bounded by the "memo-bytes" size
+    limit, keyed on the sorted slots of a family (see `bitset`): the bases
+    B, or, if the root has fewer of them, the non-bases N (the k-sets that
+    are no bases).  Each call relabels its root once, by (degree, index)
+    (`_canonical`), and every node below inherits that labeling, so equal
+    minors coalesce in the memo and no node sorts.  The pivot is always
+    element n-1, at the root one of highest degree: a node's sorted slots
+    split at 2^(n-1) into its two children (`_children`).  A node with at
+    most max(C(n-1,k), C(n-1,k-1)) bases reads its n columns for its loops
+    and coloops: in B empty and full columns, in N columns of C(n-1,k-1)
+    and of all but C(n-1,k) k-sets.  So a node costs O(n) whole-int
+    operations on min(|B|, |N|) slots, with no loop over each mask's bits.
+    Inside the recursion a polynomial is one int (Kronecker substitution,
+    see `_pack`): the children's sum is one addition, a loop or coloop
+    factor one shift, and `tutte_dc` unpacks the root's once.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
 Coefficient matrices are indexed coeffs[i][j] = coefficient of x^i y^j and
@@ -34,11 +36,11 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from math import comb
 
-from .bitset import (column_view, columns, low_slots, place, popcount_classes,
-                     slot_ones, slot_width, to_slots, unpack)
+from .bitset import (column_view, columns, k_subsets, low_slots, place,
+                     popcount_classes, slot_ones, slot_width, to_slots, unpack)
 from .errors import (SIZE_LIMITS, InputError, LimitExceededError, check_size,
                      require_int, require_record)
 from .matroid import Matroid
@@ -235,9 +237,10 @@ def _unpack(packed: int, rank: int, corank: int) -> TuttePolynomial:
 
 class TutteMemo:
     """LRU memo shared across recursions, bounded by the "memo-bytes" size
-    limit.  A key is (n, the sorted slots of a family with no loop or
-    coloop), exact, so only equal families share an entry.  Entries are
-    packed polynomials (`_pack`), immutable ints, returned as they are.
+    limit.  A key is (n, the sorted slots of the bases), or (-n, those of
+    the non-bases), of a matroid with no loop or coloop, exact, so only
+    equal families on one side share an entry.  Entries are packed
+    polynomials (`_pack`), immutable ints, returned as they are.
 
     Each entry is charged what `sys.getsizeof` measures of its key pair,
     the key's byte string and its packed polynomial (`_entry_cost`); the
@@ -296,15 +299,38 @@ def _uniform_packed(k: int, n: int) -> int:
     return _pack(_uniform_tutte(k, n))
 
 
-def _strip(cols: list[int], ones: int) -> tuple[list[int], int, int]:
-    """Drop loops and coloops: (kept columns, n_coloops, n_loops).  They
-    are constant columns, so `place` of the kept ones is the stripped family
-    with its masks distinct and in the same order."""
-    if 0 not in cols and ones not in cols:
-        return cols, 0, 0
-    kept = [c for c in cols if c and c != ones]
-    ncoloops = cols.count(ones)
-    return kept, ncoloops, len(cols) - len(kept) - ncoloops
+@lru_cache(maxsize=None)
+def _k_sets(n: int, k: int) -> frozenset:
+    """The masks of every k-subset of n elements, held like the closed
+    forms: C(n,k) masks, under twice the bases of a root that reads them."""
+    return frozenset(k_subsets(k, n))
+
+
+def _strip(n: int, k: int, packed: int, ones: int, count: int,
+           dense: bool) -> tuple[int, int, bytes] | None:
+    """(n_coloops, n_loops, the slots, in their own width, of the family
+    less its loops and coloops: the masks that lack every loop and hold
+    every coloop, all bases, in order), or None if it has none."""
+    cols = columns(packed, ones, n)
+    marks, loop, coloop = ((list(map(int.bit_count, cols)), comb(n - 1, k - 1),
+                            count - comb(n - 1, k)) if dense else (cols, 0, ones))
+    if loop not in marks and coloop not in marks:
+        return None
+    kept = [col for col, mark in zip(cols, marks) if mark != loop and mark != coloop]
+    width, narrow = slot_width(n), slot_width(len(kept))
+    if dense:
+        # the masks that hold a loop or lack a coloop are dropped
+        keep = ones
+        for col, mark in zip(cols, marks):
+            keep &= ~col if mark == loop else col if mark == coloop else ones
+        slots = to_slots(compress(unpack(place(kept), count, width),
+                                  unpack(keep, count, width)), narrow)
+    else:
+        slots = place(kept).to_bytes(count * width, sys.byteorder)
+        if narrow < width:
+            slots = low_slots(slots, width, narrow)
+    ncoloops = marks.count(coloop)
+    return ncoloops, n - len(kept) - ncoloops, slots
 
 
 def _canonical(n: int, masks) -> bytes:
@@ -331,35 +357,39 @@ def _children(n: int, packed: int, pivot: int, count: int) -> tuple[bytes, bytes
     return raw[:cut], raw[cut:]
 
 
-def _dc(n: int, k: int, slots: bytes, memo: TutteMemo) -> int:
-    """T, packed, of the rank-k matroid on n elements whose bases are the
-    masks in these slots of n's width: distinct, ascending and below 2^n.
-    The memo key is (n, slots), and the pivot is element n-1."""
+def _dc(n: int, k: int, slots: bytes, memo: TutteMemo, dense: bool) -> int:
+    """T, packed, of the rank-k matroid on n elements whose bases (if
+    `dense`, non-bases) are the masks in these slots of n's width: distinct,
+    ascending and below 2^n.  The key is (n, slots), n negated if dense,
+    and the pivot is element n-1."""
     width = slot_width(n)
     count = len(slots) // width
-    if count == comb(n, k):
-        # every k-subset, so no columns are needed: U(k,n) has no loop or
-        # coloop unless k is 0 or n, where the closed form is y^n or x^n
+    total = comb(n, k)
+    if count == (0 if dense else total):
+        # every k-set a basis, so no columns are needed: U(k,n) has no loop
+        # or coloop unless k is 0 or n, where the closed form is y^n or x^n
         return _uniform_packed(k, n)
-    key = (n, slots)
-    core = memo.get(key)     # an entry's family has no loop or coloop
+    key = (-n if dense else n, slots)
+    core = memo.get(key)     # an entry's matroid has no loop or coloop
     if core is not None:
         return core
     ones = slot_ones(count, width)
     packed = int.from_bytes(slots, sys.byteorder)
-    cols, ncoloops, nloops = _strip(columns(packed, ones, n), ones)
-    if ncoloops or nloops:
-        # the stripped family, keyed in its own slot width, times
-        # x^ncoloops * y^nloops
-        n = len(cols)
-        slots = place(cols).to_bytes(len(slots), sys.byteorder)
-        if slot_width(n) < width:
-            slots = low_slots(slots, width, slot_width(n))
-        del ones, packed, cols  # not held while the minors recurse
-        return _dc(n, k - ncoloops, slots, memo) << _FIELD * (ncoloops * _STRIDE + nloops)
-    deleted, contracted = _children(n, packed, cols[-1], count)
-    del ones, packed, cols
-    core = _dc(n - 1, k, deleted, memo) + _dc(n - 1, k - 1, contracted, memo)
+    # every basis lacks a loop and holds a coloop, so either bounds the
+    # bases by max(C(n-1,k), C(n-1,k-1))
+    if (total - count if dense else count) * n <= total * max(k, n - k):
+        stripped = _strip(n, k, packed, ones, count, dense)
+        if stripped:
+            # the stripped family, keyed in its own slot width, times
+            # x^ncoloops * y^nloops
+            ncoloops, nloops, slots = stripped
+            del ones, packed, stripped  # not held while the minors recurse
+            return (_dc(n - ncoloops - nloops, k - ncoloops, slots, memo, dense)
+                    << _FIELD * (ncoloops * _STRIDE + nloops))
+    deleted, contracted = _children(n, packed, packed >> (n - 1) & ones, count)
+    del ones, packed
+    core = (_dc(n - 1, k, deleted, memo, dense)
+            + _dc(n - 1, k - 1, contracted, memo, dense))
     memo.put(key, core)
     return core
 
@@ -373,8 +403,10 @@ def tutte_dc(m: Matroid, memo: TutteMemo | None = None) -> TuttePolynomial:
         raise LimitExceededError(
             f"size {m.n} exceeds the {_STRIDE - 1} elements the packed polynomials fit")
     n, k = m.n, m.rank
-    if len(m.bases) == comb(n, k):
+    if m.is_uniform():
         return _uniform_tutte(k, n)     # before packing a single basis
     if memo is None:
         memo = _global_memo
-    return _unpack(_dc(n, k, _canonical(n, m.bases), memo), k, n - k)
+    dense = 2 * len(m.bases) > comb(n, k)     # a tie keeps the bases
+    family = _k_sets(n, k) - m.bases if dense else m.bases
+    return _unpack(_dc(n, k, _canonical(n, family), memo, dense), k, n - k)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from splitmw import Matroid, Multigraph, graphic
+from splitmw import Matroid, Multigraph, graphic, uniform
 from splitmw.bitset import bits, mask_of
 from splitmw.corpus import (
     doubled_doubled_4cycle,
@@ -108,6 +108,31 @@ def derived_matroids(draw):
     for m in parts[1:]:
         out = out.direct_sum(m)
     return out
+
+
+@st.composite
+def sparse_paving_matroids(draw):
+    """(m, clean): a sparse paving matroid of rank 2 <= k <= n-2 on at most
+    10 elements, whose circuit-hyperplanes are drawn k-sets kept if they
+    share at most k-2 elements with every one kept before, so every draw
+    is a matroid; summed, unless clean, with up to two loops and up to two
+    coloops."""
+    n = draw(st.integers(4, 10))
+    k = draw(st.integers(2, n - 2))
+    kept: list[int] = []
+    for c in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=k, max_size=k),
+                           max_size=12)):
+        mask = mask_of(c)
+        if all((mask & h).bit_count() <= k - 2 for h in kept):
+            kept.append(mask)
+    ksets = [mask_of(c) for c in combinations(range(n), k)]
+    m = Matroid(n, k, [b for b in ksets if b not in kept])
+    loops, coloops = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    if loops:
+        m = uniform(0, loops).direct_sum(m)
+    if coloops:
+        m = m.direct_sum(uniform(coloops, coloops))
+    return m, not (loops or coloops)
 
 
 def sparse_paving(k: int, n: int, hyperplanes: int, seed: int) -> Matroid:
@@ -485,8 +510,73 @@ def dc_oracle(n: int, bases: tuple[int, ...], memo):
     """Deletion-contraction over sorted tuples and coefficient matrices with
     the oracles above: the root relabeled in canonical order, and below it
     no relabeling; strip, closed form for uniform minors, memo on (n, the
-    family's slots), pivot n-1, deletion before contraction."""
+    family's slots), pivot n-1, deletion before contraction.  A root with
+    fewer non-bases than bases recurses on its non-bases instead
+    (`dense_node_oracle`), keyed on (-n, their slots)."""
+    k = bases[0].bit_count()
+    if comb(n, k) - len(bases) < len(bases):
+        canon = canonical_oracle(n, tuple(sorted(non_bases_oracle(n, k, bases))))
+        return dense_node_oracle(n, k, {elements_oracle(s) for s in canon}, memo)
     return dc_node_oracle(n, canonical_oracle(n, bases), memo)
+
+
+def k_sets_oracle(n: int, k: int) -> set[frozenset[int]]:
+    """Every k-subset of range(n), as a set of elements."""
+    return {frozenset(c) for c in combinations(range(n), k)}
+
+
+def elements_oracle(mask: int) -> frozenset[int]:
+    """The elements whose bits the mask sets."""
+    return frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
+
+
+def mask_oracle(elements) -> int:
+    """The mask that sets the bits of these elements."""
+    return sum(1 << e for e in elements)
+
+
+def non_bases_oracle(n: int, k: int, bases) -> set[int]:
+    """The masks of the k-subsets of range(n) that are not in `bases`."""
+    return set(map(mask_oracle, k_sets_oracle(n, k))) - set(bases)
+
+
+def dense_strip_oracle(n: int, k: int, nonbases: set[frozenset[int]]):
+    """Remove the loops and coloops of the rank-k matroid on range(n) whose
+    non-bases are these k-sets: (n', k', its non-bases', n_coloops, n_loops),
+    the kept elements renamed in order.  Its bases are the other k-sets; a
+    loop is in none of them and a coloop in all, and the minor's non-bases
+    are the non-bases with no loop and every coloop, less the coloops."""
+    bases = k_sets_oracle(n, k) - nonbases
+    loops = frozenset(range(n)).difference(*bases)
+    coloops = frozenset(range(n)).intersection(*bases)
+    kept = [e for e in range(n) if e not in loops | coloops]
+    rename = {e: i for i, e in enumerate(kept)}
+    stripped = {frozenset(rename[e] for e in s - coloops)
+                for s in nonbases if not s & loops and coloops <= s}
+    return len(kept), k - len(coloops), stripped, len(coloops), len(loops)
+
+
+def dense_node_oracle(n: int, k: int, nonbases: set[frozenset[int]], memo):
+    """One node of `dc_oracle` on the non-bases side, in sets of elements
+    and with no bitset: the rank-k matroid on range(n), in the root's
+    labeling, whose non-bases are these k-sets."""
+    if not nonbases:
+        return _uniform_tutte(k, n)
+    stripped_n, stripped_k, stripped, ncoloops, nloops = dense_strip_oracle(
+        n, k, nonbases)
+    if ncoloops or nloops:
+        core = dense_node_oracle(stripped_n, stripped_k, stripped, memo)
+        return poly_shift(core, ncoloops, nloops)
+    key = (-n, slots_oracle(n, map(mask_oracle, nonbases)))
+    core = memo.get(key)
+    if core is None:
+        top = n - 1
+        deleted = {s for s in nonbases if top not in s}
+        contracted = {s - {top} for s in nonbases if top in s}
+        core = poly_add(dense_node_oracle(n - 1, k, deleted, memo),
+                        dense_node_oracle(n - 1, k - 1, contracted, memo))
+        memo.put(key, core)
+    return core
 
 
 def dc_node_oracle(n: int, bases: tuple[int, ...], memo):

@@ -8,6 +8,7 @@ from hypothesis import given
 from splitmw import (
     InputError,
     LimitExceededError,
+    Matroid,
     Multigraph,
     TutteMemo,
     TuttePolynomial,
@@ -27,9 +28,8 @@ from splitmw.corpus import (
     tutte_identity_corpus,
     uniform_matroids,
 )
-from splitmw import tutte
-from splitmw.bitset import (column_view, from_slots, low_slots, place, slot_ones,
-                            slot_width, unpack)
+from splitmw import matroid, tutte
+from splitmw.bitset import from_slots, slot_ones, slot_width
 from splitmw.errors import SIZE_LIMITS, InputError
 from splitmw.tutte import (
     _canonical,
@@ -41,15 +41,20 @@ from splitmw.tutte import (
     whitney_numbers,
 )
 
+import conftest
 from conftest import (
     PETERSEN,
     OracleMemo,
     canonical_oracle,
     children_oracle,
     dc_oracle,
+    dense_strip_oracle,
     dense_to_sparse,
     derived_matroids,
+    elements_oracle,
     every_family,
+    mask_oracle,
+    non_bases_oracle,
     oracle_tutte_coeffs,
     pack_oracle,
     pairwise_exchange_violation,
@@ -57,6 +62,7 @@ from conftest import (
     poly_add,
     slots_oracle,
     sparse_paving,
+    sparse_paving_matroids,
     sparse_paving_tutte_oracle,
     strip_oracle,
     whitney_numbers_oracle,
@@ -69,18 +75,44 @@ def both_engines(m):
 
 class TestSparsePaving:
     """Both engines against T(M) = T(U(k,n)) - lam*(x + y - xy), on sparse
-    paving matroids: every rank level below the top one is a size class."""
+    paving matroids: every rank level below the top one is a size class,
+    and the non-bases, the lam circuit-hyperplanes, are the fewer, so
+    deletion-contraction recurses on them."""
 
+    # (7, 16, 150) is the size of the perfbench `engines` input
     @pytest.mark.parametrize("k, n, hyperplanes, seed", [
         (5, 12, 20, 1), (6, 13, 30, 2), (6, 14, 40, 3), (7, 15, 50, 4),
-        (7, 16, 60, 5),
+        (7, 16, 60, 5), (7, 16, 150, 6),
     ])
     def test_engines_match_closed_form(self, k, n, hyperplanes, seed):
         m = sparse_paving(k, n, hyperplanes, seed)
         assert comb(n, k) - len(m.bases) == hyperplanes
         expected = sparse_paving_tutte_oracle(m)
         assert dense_to_sparse(tutte_subset_sum(m)) == expected
-        assert dense_to_sparse(tutte_dc(m, memo=TutteMemo())) == expected
+        memo = TutteMemo()
+        assert dense_to_sparse(tutte_dc(m, memo=memo)) == expected
+        assert all(key_n < 0 for key_n, _ in memo._data)
+
+    # on their non-bases: children repacked from 17 elements to 16, a loop
+    # stripped from 17 to 16, and a coloop from 10 to 9, whose children
+    # go on to 8
+    @pytest.mark.parametrize("m", [
+        sparse_paving(8, 17, 40, 7),
+        uniform(0, 1).direct_sum(sparse_paving(7, 16, 60, 5)),
+        sparse_paving(5, 9, 10, 2).direct_sum(uniform(1, 1)),
+    ], ids=["17-children", "17-16-loop", "10-9-coloop"])
+    def test_non_bases_across_slot_width_edges(self, m):
+        memo = TutteMemo()
+        assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
+        assert all(key_n < 0 for key_n, _ in memo._data)
+
+    @given(sparse_paving_matroids())
+    def test_engines_agree_with_loops_and_coloops(self, drawn):
+        m, clean = drawn
+        t = tutte_dc(m, memo=TutteMemo())
+        assert t == tutte_subset_sum(m)
+        if clean:
+            assert dense_to_sparse(t) == sparse_paving_tutte_oracle(m)
 
 
 class TestClosedForms:
@@ -218,34 +250,55 @@ def check_children(n, bases):
 
 def unpack_entry(key, packed):
     """The polynomial of a memo entry, its rank read off the key's first
-    basis."""
-    n, slots = key
+    mask (a basis, or a non-basis if n is negated)."""
+    n, slots = abs(key[0]), key[1]
     rank = from_slots(slots, slot_width(n))[0].bit_count()
     return _unpack(packed, rank, n - rank)
 
 
 def check_column_pass(m):
     """The root's canonical slots, the stripped family and the children of
-    a node against the one-basis-at-a-time oracles.  Stripping the
-    canonical family keeps its masks in order, with no sort, and gives the
-    canonical family of the stripped matroid, so roots coalesce as they
-    would if they were stripped before they were relabeled."""
-    n, bases = m.n, tuple(sorted(m.bases))
-    canon = canonical_oracle(n, bases)
-    assert _canonical(n, bases) == slots_oracle(n, canon)
-    cols, ones, width = column_view(n, canon)
-    kept, ncoloops, nloops = _strip(cols, ones)
-    family = tuple(unpack(place(kept), len(bases), width))
-    stripped_n, stripped, *dropped = strip_oracle(n, canon)
-    assert (len(kept), family, ncoloops, nloops) == (stripped_n, stripped, *dropped)
+    a node against the one-basis-at-a-time oracles, on both sides: the
+    bases and, if there are any, the non-bases.
+    Stripping the canonical bases keeps its masks in order, with no sort,
+    and gives the canonical family of the stripped matroid, so roots
+    coalesce as they would if they were stripped before they were
+    relabeled; stripping non-bases also drops the masks that hold a loop
+    or lack a coloop, keeping the order."""
+    n, k, bases = m.n, m.rank, tuple(sorted(m.bases))
+    check_side(n, k, bases, False)
     stripped_first = strip_oracle(n, bases)[:2]
-    assert (slots_oracle(stripped_n, family)
-            == slots_oracle(stripped_n, canonical_oracle(*stripped_first))
+    canon_stripped = strip_oracle(n, canonical_oracle(n, bases))[:2]
+    assert (slots_oracle(*canon_stripped)
+            == slots_oracle(stripped_first[0], canonical_oracle(*stripped_first))
             == _canonical(*stripped_first))
+    nonbases = tuple(sorted(non_bases_oracle(n, k, bases)))
+    if nonbases:
+        check_side(n, k, nonbases, True)
+
+
+def check_side(n, k, family, dense):
+    """`check_column_pass` on one side: the bases, or if `dense` the
+    non-bases, of a rank-k matroid on n elements."""
+    canon = canonical_oracle(n, family)
+    assert _canonical(n, family) == slots_oracle(n, canon)
+    count, width = len(canon), slot_width(n)
+    packed = int.from_bytes(slots_oracle(n, canon), sys.byteorder)
+    stripped = _strip(n, k, packed, slot_ones(count, width), count, dense)
+    if dense:
+        stripped_n, _, family, *dropped = dense_strip_oracle(
+            n, k, set(map(elements_oracle, canon)))
+        family = tuple(sorted(map(mask_oracle, family)))
+    else:
+        stripped_n, family, *dropped = strip_oracle(n, canon)
+    if stripped_n == n:
+        assert stripped is None
+    else:
+        assert stripped == (*dropped, slots_oracle(stripped_n, family))
     if n:
         check_children(n, canon)
-    if stripped_n:
-        check_children(stripped_n, stripped)
+    if stripped_n and family:
+        check_children(stripped_n, family)
 
 
 K5 = Multigraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
@@ -321,15 +374,26 @@ class TestColumnPass:
 
     # the default "memo-bytes" limit, one under which Petersen with a chord
     # ends with 1 of the 161 entries it makes with room for all, its root's,
-    # and one under which it ends with 52
+    # and one under which it ends with 52.  The inputs take both sides:
+    # the Fano plane, M(K4), M(K5) (125 bases, 85 non-bases), the rank-2
+    # partition (1,2,3,2), the sparse paving (5,10), U(3,6) less a basis
+    # and the sums with one loop or one coloop recurse on their non-bases;
+    # the others, and the tie (18 of the 36 pairs), on their bases.  A root
+    # with a loop and a coloop is never dense: its bases hold the one and
+    # lack the other, at most k(n-k)/(n(n-1)) <= 1/4 of the k-sets.
     @pytest.mark.parametrize("capacity", [64 << 20, 10000, 40000])
     def test_memo_matches_oracle_recursion(self, capacity, fano, k4,
                                            monkeypatch):
         monkeypatch.setitem(SIZE_LIMITS, "memo-bytes", capacity)
         chorded = Multigraph(10, list(PETERSEN.edges) + [(0, 2)])
+        u36 = uniform(3, 6)
         for m in [fano, k4, graphic(K5), graphic(PETERSEN), graphic(chorded),
                   minimal(5, 10), with_loop_and_coloop(minimal(4, 8)),
-                  rank2_from_partition([1, 2, 3, 2])]:
+                  rank2_from_partition([1, 2, 3, 2]), sparse_paving(5, 10, 12, 1),
+                  Matroid(6, 3, u36.bases - {min(u36.bases)}),
+                  rank2_from_partition([6, 3]),
+                  uniform(0, 1).direct_sum(sparse_paving(3, 7, 3, 2)),
+                  sparse_paving(4, 7, 3, 3).direct_sum(uniform(1, 1))]:
             memo, oracle_memo = TutteMemo(), OracleMemo()
             oracle = dc_oracle(m.n, tuple(sorted(m.bases)), oracle_memo)
             assert tutte_dc(m, memo=memo) == oracle
@@ -413,7 +477,8 @@ class TestMemo:
         assert len(memo) <= 8  # eviction kept the table tiny
 
     # a cold run makes the same entries every time, so a new pivot rule or
-    # key shows here; the counts are those of `dc_oracle`
+    # key shows here; the counts are those of `dc_oracle`, M(K5)'s on its
+    # non-bases and the others' on their bases
     @pytest.mark.parametrize("m, entries", [
         (graphic(PETERSEN), 155), (graphic(K5), 29), (minimal(8, 16), 7),
     ], ids=["petersen", "k5", "minimal-8-16"])
@@ -431,6 +496,32 @@ class TestMemo:
         monkeypatch.setattr(tutte, "to_slots", no_packing)
         monkeypatch.setattr(tutte, "column_view", no_packing)
         assert tutte_dc(m, memo=TutteMemo()) == _uniform_tutte(m.rank, m.n)
+
+    # a full size class's table is its popcount class: no basis is
+    # scattered for the independent sets or the subset sum
+    def test_uniform_table_scatters_nothing(self, monkeypatch):
+        def no_scatter(*args):
+            raise AssertionError("the bases of a uniform matroid were scattered")
+        monkeypatch.setattr(matroid, "table_of", no_scatter)
+        m = uniform(9, 18)
+        table = f"{m.independent_sets():0{1 << 18}b}"[::-1]
+        assert table == "".join("01"[bin(a).count("1") <= 9]
+                                for a in range(1 << 18))
+        assert tutte_subset_sum(m) == _uniform_tutte(9, 18)
+
+    # the non-bases are the held k-sets less the bases: no 2^n-bit table,
+    # so a family with fewer non-bases than bases recurses on them past
+    # the "tables" limit too
+    def test_non_bases_need_no_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a table was built for the non-bases")
+        monkeypatch.setattr(matroid, "table_of", no_table)
+        monkeypatch.setattr(tutte, "popcount_classes", no_table)
+        monkeypatch.setitem(SIZE_LIMITS, "tables", 8)
+        m = sparse_paving(4, 9, 6, 1)
+        memo = TutteMemo()
+        assert dense_to_sparse(tutte_dc(m, memo=memo)) == sparse_paving_tutte_oracle(m)
+        assert memo and all(key_n < 0 for key_n, _ in memo._data)
 
     # the root is relabeled and sorted once per call, warm or cold, and no
     # node below it sorts
@@ -453,17 +544,33 @@ class TestMemo:
         memo = TutteMemo()
         for _ in range(2):
             assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
-        # each root sorts its masks once (and its columns in place)
-        assert calls == {"_canonical": 2, "unpack": 2, "sorted": 2}
+        # each root sorts its masks once (and its columns in place); a
+        # non-bases node that strips a loop or coloop also unpacks its masks
+        # and the flags of those it keeps (no sort), once per visit, since
+        # only its stripped core is an entry: the strips `dc_oracle` makes
+        # cold, none warm, where the root is an entry
+        strips = Counter()
+
+        def counted_strip(n, k, nonbases):
+            out = dense_strip_oracle(n, k, nonbases)
+            strips["dense"] += out[0] < n
+            return out
+        monkeypatch.setattr(conftest, "dense_strip_oracle", counted_strip)
+        dc_oracle(m.n, tuple(sorted(m.bases)), OracleMemo())
+        assert calls == {"_canonical": 2, "unpack": 2 + 2 * strips["dense"],
+                         "sorted": 2}
+        assert (strips["dense"] > 0) == (2 * len(m.bases) > comb(m.n, m.rank))
 
     @given(derived_matroids())
     def test_keys_are_sorted_families(self, m):
-        """Each key a cold run writes holds strictly ascending masks below
-        2^n, all of one size k, with no loop or coloop and fewer than C(n,k)
-        of them, in slots of n's width."""
+        """Each key a cold run writes is (n, slots of n's width) holding
+        strictly ascending masks below 2^n, all of one size k, of a matroid
+        with no loop or coloop: its bases, fewer than C(n,k), with n as it
+        is, or its non-bases, at least one, with n negated."""
         memo = TutteMemo()
         tutte_dc(m, memo=memo)
-        for n, slots in memo._data:
+        for key_n, slots in memo._data:
+            n = abs(key_n)
             width = slot_width(n)
             assert len(slots) % width == 0
             masks = list(from_slots(slots, width))
@@ -471,12 +578,14 @@ class TestMemo:
             assert masks[-1] < 1 << n
             k = masks[0].bit_count()
             assert all(b.bit_count() == k for b in masks)
-            assert len(masks) < comb(n, k)
-            union, inter = 0, masks[0]
-            for b in masks:
-                union |= b
-                inter &= b
-            assert (union, inter) == ((1 << n) - 1, 0)
+            degrees = [sum(b >> e & 1 for b in masks) for e in range(n)]
+            if key_n < 0:
+                # no k-set family of all that hold e, or of all that lack e
+                assert all(d < comb(n - 1, k - 1) for d in degrees)
+                assert all(len(masks) - d < comb(n - 1, k) for d in degrees)
+            else:
+                assert len(masks) < comb(n, k)
+                assert all(0 < d < len(masks) for d in degrees)
 
     def test_shared_memo_reuse(self):
         memo = TutteMemo()
