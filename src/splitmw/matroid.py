@@ -5,9 +5,9 @@ Conventions used throughout the package:
   * The ground set is E = {0, ..., n-1}.  Subsets of E are int bitmasks
     (bit i set <=> element i in the subset), see `bitset`.
   * A matroid is stored as its full family of bases, each an n-bit mask of
-    popcount `rank`.  Duals are one complement per basis.  Components
-    merge the overlapping fundamental circuits of one basis, found by
-    r*(n-r) basis lookups.
+    popcount `rank`.  Duals are one complement per basis.  The fundamental
+    circuits of one basis, found once by r*(n-r) basis lookups, give the
+    components and the simplification (its loops and parallel classes).
   * Family-level queries read the packed columns (`Matroid.columns`, see
     `bitset`), built once per matroid in record order: the families of
     minors (`delete`/`contract`/`restrict`) are one relabeling of the kept
@@ -39,7 +39,7 @@ from collections.abc import Iterable
 from functools import reduce
 from itertools import compress, filterfalse
 from math import comb
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 
 from .bitset import (
     bits,
@@ -243,27 +243,37 @@ class Matroid:
         self._cache["ranktab"] = table
         return table
 
+    def _circuits(self) -> tuple[int, dict[int, int]]:
+        """(B, X) for a basis B: X[f], for each f outside B, is the mask of
+        the e in B for which B - e + f is a basis, so X[f] + f is f's
+        fundamental circuit.  r*(n-r) basis lookups, made once."""
+        cached = self._cache.get("circuits")
+        if cached is None:
+            family = self.bases
+            b = next(iter(family))
+            inside = [1 << e for e in bits(b)]
+            cached = self._cache["circuits"] = b, {
+                f: sum(eb for eb in inside if (b ^ eb) | 1 << f in family)
+                for f in bits(self.full_mask & ~b)}
+        return cached
+
     def components(self) -> list[int]:
         """Connected components as masks, ordered by smallest element.
 
         Two elements are in one component iff some circuit contains both.
-        Fix a basis B: the fundamental circuit of each f outside B is f and
-        every e in B for which B - e + f is a basis.  Merging the circuits
-        that overlap gives classes that each lie in one component, and each
-        is a separator (its rank is its share of B), so the classes are the
-        components.  This takes r*(n-r) basis lookups; a loop is its own
-        circuit, and a coloop lies in none and ends up alone.
+        Merging the fundamental circuits of one basis B (`_circuits`) that
+        overlap gives classes that each lie in one component, and each is a
+        separator (its rank is its share of B), so the classes are the
+        components.  A loop is its own circuit, and a coloop lies in none
+        and ends up alone.
         """
         cached = self._cache.get("components")
         if cached is not None:
             return cached
-        family = self.bases
-        b = min(family)
-        inside = [1 << e for e in bits(b)]
+        b, circuits = self._circuits()
         comps = []
-        for f in bits(self.full_mask & ~b):
-            fb = 1 << f
-            circuit = fb | sum(eb for eb in inside if (b ^ eb) | fb in family)
+        for f, x in circuits.items():
+            circuit = 1 << f | x
             apart = []
             for c in comps:     # disjoint: merging one moves no other's overlap
                 if c & circuit:
@@ -275,6 +285,39 @@ class Matroid:
         comps.sort(key=lambda m: m & -m)
         self._cache["components"] = comps
         return comps
+
+    def simplification(self) -> tuple[Matroid, list[int]]:
+        """(si, classes): M restricted to one element of each parallel
+        class, classes[i] the class (a mask) of si's element i, those of two
+        or more elements last; M itself if it has no loop or parallel pair.
+        By `_circuits`: f is a loop if X[f] is empty, parallel to x in B if
+        X[f] = {x}, and to g outside B with X[g] = X[f] iff, for any one x in
+        X[f], no y in B makes B - x + g - y + f a basis (y = x: r+2 elements)."""
+        b, circuits = self._circuits()
+        family, inside = self.bases, [1 << e for e in bits(b)]
+        classes = dict(zip(inside, inside))     # one element -> its class
+        shared = {x: [x] for x in inside}   # X -> an element of each class
+        for f, x in filter(itemgetter(1), circuits.items()):    # no loops
+            fb, base = 1 << f, b ^ (x & -x)
+            rest = base & x     # first y in X - x: a basis for most g not parallel
+            probe = base ^ (rest & -rest) | fb
+            for g in shared.setdefault(x, []):
+                if not x & (x - 1) or probe | g not in family and not any(
+                        (base | g) ^ y | fb in family for y in inside):
+                    classes[g] |= fb
+                    break
+            else:
+                shared[x].append(fb)
+                classes[fb] = fb
+        if len(classes) == self.n:
+            return self, [1 << e for e in range(self.n)]
+        order = sorted(classes, key=lambda e: (classes[e] != e, e))
+        # si's bases are those within its elements, which span
+        drop = self.full_mask ^ sum(order)
+        within = [mask for mask in family if not mask & drop]
+        cols, _, width = column_view(self.n, within)
+        si = unpack(place([cols[e.bit_length() - 1] for e in order]), len(within), width)
+        return Matroid._trusted(len(order), self.rank, si), [classes[e] for e in order]
 
     def is_connected(self) -> bool:
         return self.n >= 1 and len(self.components()) == 1

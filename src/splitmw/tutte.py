@@ -4,10 +4,11 @@ Two independent engines cross-check each other:
 
   * `tutte_subset_sum` -- the corank-nullity expansion
         T(x,y) = sum over A of (x-1)^(r(E)-r(A)) * (y-1)^(|A|-r(A)),
-    evaluated from the Whitney numbers, which are counted from the
-    matroid's rank levels (tables of 2^n bits, see `Matroid.rank_levels`).
-    Reference engine: one byte per basis, n passes over 2^n-bit ints, n
-    more per rank level from the girth up, then (r+1)*(n-r+1) bit counts.
+    evaluated from the Whitney numbers, counted over the simplification's
+    n' elements (`Matroid.simplification`): one byte per basis, n' passes
+    over 2^n'-bit ints, n' more per rank level from the girth g up, then
+    n'-r+1 bit counts per rank from g-1 to r-1 over 2^q blocks, one per set
+    of the q classes of two or more; the other ranks are binomials.
   * `tutte_dc` -- deletion-contraction with eager loop/coloop stripping,
     a closed form for uniform minors (checked at the root before a single
     mask is packed), and an LRU memo, bounded by the "memo-bytes" size
@@ -170,33 +171,63 @@ def tutte_from_dict(d: dict) -> TuttePolynomial:
 def whitney_numbers(m: Matroid) -> list[list[int]]:
     """w[a][b] = number of subsets with corank deficit a and nullity b.
 
-    Read from the rank levels: the subsets of rank exactly k with s elements
-    are (rank >= k) & ~(rank >= k+1) & pop[s], counted with one bit_count."""
-    r, n = m.rank, m.n
-    c = n - r
-    levels = m.rank_levels() + (0,)
-    pop = popcount_classes(n)
-    whitney = [[0] * (c + 1) for _ in range(r + 1)]
-    for k in range(r + 1):
-        exact = levels[k] & ~levels[k + 1]
-        row = whitney[r - k]
-        for s in range(k, k + c + 1):
-            row[s - k] = (exact & pop[s]).bit_count()
-    return whitney
+    A subset of rank k is a rank-k set S of the simplification si, a
+    nonempty part of the class of each element of S, and any loops.  So
+    the rank-k subsets by size are, summed over the blocks of 2^(n'-q)
+    bits of si's rank-k level, one per set T of big classes (on top), the
+    block's counts by size times prod over T of ((1+z)^p - 1), times
+    (1+z)^loops.  Below si's girth g, rank k holds only the k-sets, so rows
+    k <= g-2 are binomials; the rank-r row is the rest of the C(n, s).
+    Polynomials in z are ints of (n+1)-bit fields: no count reaches 2^n."""
+    check_size("tables", m.n)
+    si, classes = m.simplification()
+    sizes = [c.bit_count() for c in classes]
+    r, n, low, field = m.rank, m.n, sizes.count(1), m.n + 1
+    one_z = 1 + (1 << field)
+    weights = [(0, one_z ** (n - sum(sizes)))]      # (|T|, weight) per T
+    for p in sizes[low:]:
+        weights += [(t + 1, w * (one_z ** p - 1)) for t, w in weights]
+    girth = r + 1
+    if not si.is_uniform():
+        indep, pop = si.independent_sets(), popcount_classes(si.n)
+        girth = next(k for k in range(r + 1) if indep & pop[k] != pop[k])
+        levels, block = si.rank_levels(), (1 << (1 << low)) - 1
+    rows, rest = [], one_z ** n
+    for k in range(r):
+        if k < girth - 1:
+            total = sum((comb(low, k - t) << field * (k - t)) * w
+                        for t, w in weights if t <= k)
+        else:
+            exact, total = levels[k] ^ levels[k + 1], 0
+            for t, w in weights:
+                part = exact & block
+                exact >>= 1 << low
+                total += sum((part & pop[s]).bit_count() << field * s
+                             for s in range(max(k - t, 0),
+                                            min(k - t + si.n - r, low) + 1)) * w
+        rows.append(total >> field * k)
+        rest -= total
+    rows.append(rest >> field * r)
+    mask = (1 << field) - 1
+    return [[row >> field * b & mask for b in range(n - r + 1)] for row in rows[::-1]]
 
 
 def _from_whitney(whitney: list[list[int]]) -> TuttePolynomial:
-    """T = sum of w[a][b] * (x-1)^a * (y-1)^b, expanded binomially."""
-    coeffs = [[0] * len(whitney[0]) for _ in whitney]
-    for a, wrow in enumerate(whitney):
-        for b, w in enumerate(wrow):
-            if not w:
-                continue
-            for i in range(a + 1):
-                xi = comb(a, i) * ((-1) ** (a - i))
-                for j in range(b + 1):
-                    coeffs[i][j] += w * xi * comb(b, j) * ((-1) ** (b - j))
-    return TuttePolynomial(coeffs)
+    """T = sum of w[a][b] * (x-1)^a * (y-1)^b, by Horner's rule one axis at
+    a time, on one int: T at y = 2^F and x = 2^(F*(c+1)), c the corank,
+    whose F-bit digits are T's coefficients, each at most T(1,1) = w[0][0]
+    < 2^F."""
+    field = whitney[0][0].bit_length()
+    row, mask = field * len(whitney[0]), (1 << field) - 1
+    total = 0
+    for ws in reversed(whitney):
+        across = 0
+        for w in reversed(ws):
+            across = (across << field) - across + w
+        total = (total << row) - total + across
+    return TuttePolynomial._of(tuple([
+        tuple([total >> i + j & mask for j in range(0, row, field)])
+        for i in range(0, row * len(whitney), row)]))
 
 
 def tutte_subset_sum(m: Matroid) -> TuttePolynomial:
@@ -229,10 +260,12 @@ def _pack(t: TuttePolynomial) -> int:
 def _unpack(packed: int, rank: int, corank: int) -> TuttePolynomial:
     """The (rank+1) x (corank+1) polynomial that `_pack` made `packed`."""
     field, width = (1 << _FIELD) - 1, _FIELD * _STRIDE
-    row = (1 << width) - 1
-    rows = (packed >> i & row for i in range(0, width * (rank + 1), width))
     cells = range(0, _FIELD * (corank + 1), _FIELD)
-    return TuttePolynomial._of(tuple(tuple(r >> j & field for j in cells) for r in rows))
+    rows = []
+    for _ in range(rank + 1):
+        rows.append(tuple([packed >> j & field for j in cells]))
+        packed >>= width
+    return TuttePolynomial._of(tuple(rows))
 
 
 class TutteMemo:
@@ -242,9 +275,9 @@ class TutteMemo:
     equal families on one side share an entry.  Entries are packed
     polynomials (`_pack`), immutable ints, returned as they are.
 
-    Each entry is charged what `sys.getsizeof` measures of its key pair,
-    the key's byte string and its packed polynomial (`_entry_cost`); the
-    memo's own hash table is not charged."""
+    Each entry is charged what `sys.getsizeof` measures on CPython 3.11 of
+    its key pair, the key's byte string and its packed polynomial, by
+    arithmetic (`_entry_cost`); the memo's own hash table is not charged."""
 
     def __init__(self):
         self._data: OrderedDict = OrderedDict()
@@ -252,7 +285,8 @@ class TutteMemo:
 
     @staticmethod
     def _entry_cost(key, packed: int) -> int:
-        return sys.getsizeof(key) + sys.getsizeof(key[1]) + sys.getsizeof(packed)
+        # a pair 56, a byte string 33 + its length, an int 24 + 4 per digit
+        return 113 + len(key[1]) + 4 * max(1, -(-packed.bit_length() // 30))
 
     def get(self, key):
         val = self._data.get(key)

@@ -10,10 +10,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import struct
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from math import comb, prod
+from operator import and_, or_
 
 import pytest
 from hypothesis import settings
@@ -108,6 +112,42 @@ def derived_matroids(draw):
     for m in parts[1:]:
         out = out.direct_sum(m)
     return out
+
+
+@st.composite
+def with_parallels_and_loops(draw, max_n: int):
+    """A `derived_matroids` draw with parallel copies and loops added, at
+    most `max_n` elements in all, its elements then shuffled.  A copy e' of
+    a non-loop e (a new top element) adds the bases B - e + e' for every
+    basis B that holds e, so copies of copies make classes of three or
+    more; a loop adds no basis."""
+    m = draw(derived_matroids().filter(lambda m: m.n < max_n))
+    for _ in range(draw(st.integers(0, min(3, max_n - m.n)))):
+        non_loops = [e for e in range(m.n) if not loops_oracle(m) >> e & 1]
+        if not non_loops:
+            break
+        e, copy = 1 << draw(st.sampled_from(non_loops)), 1 << m.n
+        m = Matroid(m.n + 1, m.rank, m.bases | {b ^ e | copy for b in m.bases if b & e})
+    m = m.direct_sum(uniform(0, draw(st.integers(0, min(2, max_n - m.n)))))
+    order = draw(st.permutations(range(m.n)))
+    return Matroid(m.n, m.rank, [mask_of(order[e] for e in bits(b)) for b in m.bases])
+
+
+def parallel_classes_oracle(m) -> tuple[list[int], int]:
+    """(the parallel classes as masks, ordered by smallest element, the
+    loops as a mask): two non-loops are parallel iff no basis holds both."""
+    loops = loops_oracle(m)
+    classes: list[int] = []
+    for e in bits(m.full_mask & ~loops):
+        pair = 1 << e
+        for i, c in enumerate(classes):
+            both = pair | (c & -c)
+            if not any(b & both == both for b in m.bases):
+                classes[i] |= pair
+                break
+        else:
+            classes.append(pair)
+    return classes, loops
 
 
 @st.composite
@@ -410,32 +450,44 @@ def matrix_tree_oracle(g) -> int:
 
 # -- deletion-contraction, one basis and one bit at a time -------------------
 
-def canonical_order_oracle(n: int, bases: tuple[int, ...]) -> list[int]:
-    """The elements in order of (basis degree, index): the labeling a
-    deletion-contraction run gives its root, inherited by every node."""
+def canonical_oracle(n: int, bases) -> tuple[int, ...]:
+    """The root of a run: the sorted bases relabeled in order of (basis
+    degree, index), the labeling a deletion-contraction run gives its root
+    and every node inherits.  The masks are read a byte at a time: the
+    degrees are summed from a count of each byte value, and each mask is
+    renamed through a table of the renamed bits of every byte value."""
+    raw, width = written_oracle(n, bases, "little")
+    columns = [raw[j::width] for j in range((n + 7) // 8)]
     degree = [0] * n
-    for b in bases:
-        for e in bits(b):
-            degree[e] += 1
-    return sorted(range(n), key=lambda e: (degree[e], e))
-
-
-def relabel_oracle(bases, order: list[int]) -> tuple[int, ...]:
-    """The sorted bases with element order[i] renamed i."""
+    for j, column in enumerate(columns):
+        for value, count in Counter(column).items():
+            for i in range(min(8, n - 8 * j)):
+                degree[8 * j + i] += count * (value >> i & 1)
+    order = sorted(range(n), key=lambda e: (degree[e], e))
     pos = {old: new for new, old in enumerate(order)}
-    return tuple(sorted(mask_of(pos[e] for e in bits(b)) for b in bases))
+    renamed = [0] * len(bases)
+    for j, column in enumerate(columns):
+        table = [sum(1 << pos[8 * j + i] for i in range(min(8, n - 8 * j))
+                     if value >> i & 1) for value in range(256)]
+        renamed = list(map(or_, renamed, map(table.__getitem__, column)))
+    return tuple(sorted(renamed))
 
 
-def canonical_oracle(n: int, bases: tuple[int, ...]) -> tuple[int, ...]:
-    """The root of a run: the sorted bases relabeled in canonical order."""
-    return relabel_oracle(bases, canonical_order_oracle(n, bases))
+def written_oracle(n: int, masks, byteorder: str) -> tuple[bytes, int]:
+    """(the masks written one after another in this byte order, each in the
+    narrowest of 1, 2, 4 or 8 bytes that holds n bits, that width)."""
+    width = next(w for w in (1, 2, 4, 8, (n + 7) // 8) if 8 * w >= n)
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)
+    if code:        # a struct format of standard size
+        order = "<" if byteorder == "little" else ">"
+        return struct.pack(f"{order}{len(masks)}{code}", *masks), width
+    return b"".join(b.to_bytes(width, byteorder) for b in masks), width
 
 
 def slots_oracle(n: int, bases) -> bytes:
     """The sorted bases written one after another in native byte order,
     each in the narrowest of 1, 2, 4 or 8 bytes that holds n bits."""
-    width = next(w for w in (1, 2, 4, 8, (n + 7) // 8) if 8 * w >= n)
-    return b"".join(b.to_bytes(width, sys.byteorder) for b in sorted(bases))
+    return written_oracle(n, sorted(bases), sys.byteorder)[0]
 
 
 def pivot_oracle(n: int) -> int:
@@ -464,8 +516,8 @@ def children_oracle(n: int, bases: tuple[int, ...]):
     """Sorted basis families of the deletion and the contraction of the
     pivot, on the other n-1 elements as they are labeled."""
     bit = 1 << pivot_oracle(n)
-    return (tuple(sorted(b for b in bases if not b & bit)),
-            tuple(sorted(b ^ bit for b in bases if b & bit)))
+    return (tuple(sorted([b for b in bases if not b & bit])),
+            tuple(sorted([b ^ bit for b in bases if b & bit])))
 
 
 def poly_add(a, b):
@@ -515,51 +567,52 @@ def dc_oracle(n: int, bases: tuple[int, ...], memo):
     (`dense_node_oracle`), keyed on (-n, their slots)."""
     k = bases[0].bit_count()
     if comb(n, k) - len(bases) < len(bases):
-        canon = canonical_oracle(n, tuple(sorted(non_bases_oracle(n, k, bases))))
-        return dense_node_oracle(n, k, {elements_oracle(s) for s in canon}, memo)
+        canon = canonical_oracle(n, tuple(non_bases_oracle(n, k, bases)))
+        return dense_node_oracle(n, k, set(canon), memo)
     return dc_node_oracle(n, canonical_oracle(n, bases), memo)
 
 
-def k_sets_oracle(n: int, k: int) -> set[frozenset[int]]:
-    """Every k-subset of range(n), as a set of elements."""
-    return {frozenset(c) for c in combinations(range(n), k)}
+def k_sets_oracle(n: int, k: int) -> list[int]:
+    """The masks of every k-subset of range(n): an i-subset of the lower
+    half of range(n) joined with a (k-i)-subset of the upper half, for each
+    i, each half's subsets from itertools.combinations."""
+    half = n // 2
+    low, high = ([[mask_of(c) for c in combinations(part, i)] for i in range(k + 1)]
+                 for part in (range(half), range(half, n)))
+    return [a | b for i in range(k + 1) for a in low[i] for b in high[k - i]]
 
 
-def elements_oracle(mask: int) -> frozenset[int]:
-    """The elements whose bits the mask sets."""
-    return frozenset(e for e in range(mask.bit_length()) if mask >> e & 1)
-
-
-def mask_oracle(elements) -> int:
-    """The mask that sets the bits of these elements."""
-    return sum(1 << e for e in elements)
-
-
-def non_bases_oracle(n: int, k: int, bases) -> set[int]:
+def non_bases_oracle(n: int, k: int, bases) -> list[int]:
     """The masks of the k-subsets of range(n) that are not in `bases`."""
-    return set(map(mask_oracle, k_sets_oracle(n, k))) - set(bases)
+    bases = set(bases)
+    return [s for s in k_sets_oracle(n, k) if s not in bases]
 
 
-def dense_strip_oracle(n: int, k: int, nonbases: set[frozenset[int]]):
+def dense_strip_oracle(n: int, k: int, nonbases: set[int]):
     """Remove the loops and coloops of the rank-k matroid on range(n) whose
     non-bases are these k-sets: (n', k', its non-bases', n_coloops, n_loops),
-    the kept elements renamed in order.  Its bases are the other k-sets; a
-    loop is in none of them and a coloop in all, and the minor's non-bases
-    are the non-bases with no loop and every coloop, less the coloops."""
-    bases = k_sets_oracle(n, k) - nonbases
-    loops = frozenset(range(n)).difference(*bases)
-    coloops = frozenset(range(n)).intersection(*bases)
-    kept = [e for e in range(n) if e not in loops | coloops]
-    rename = {e: i for i, e in enumerate(kept)}
-    stripped = {frozenset(rename[e] for e in s - coloops)
-                for s in nonbases if not s & loops and coloops <= s}
-    return len(kept), k - len(coloops), stripped, len(coloops), len(loops)
+    the kept elements renamed in order, or the same family if there are
+    none.  Its bases are the other k-sets; a loop is in none of them and a
+    coloop in all, and the minor's non-bases are the k'-sets of the kept
+    elements that are no basis less its coloops."""
+    bases = [s for s in k_sets_oracle(n, k) if s not in nonbases]
+    loops = ((1 << n) - 1) & ~reduce(or_, bases)
+    coloops = reduce(and_, bases)
+    if not loops | coloops:
+        return n, k, nonbases, 0, 0
+    kept = [e for e in range(n) if not (loops | coloops) >> e & 1]
+    stripped_k = k - coloops.bit_count()
+    stripped_bases = {mask_of(i for i, e in enumerate(kept) if b >> e & 1)
+                      for b in bases}
+    stripped = {s for s in k_sets_oracle(len(kept), stripped_k)
+                if s not in stripped_bases}
+    return len(kept), stripped_k, stripped, coloops.bit_count(), loops.bit_count()
 
 
-def dense_node_oracle(n: int, k: int, nonbases: set[frozenset[int]], memo):
-    """One node of `dc_oracle` on the non-bases side, in sets of elements
-    and with no bitset: the rank-k matroid on range(n), in the root's
-    labeling, whose non-bases are these k-sets."""
+def dense_node_oracle(n: int, k: int, nonbases: set[int], memo):
+    """One node of `dc_oracle` on the non-bases side, one mask at a time
+    and with no bitset packing: the rank-k matroid on range(n), in the
+    root's labeling, whose non-bases are these k-sets."""
     if not nonbases:
         return _uniform_tutte(k, n)
     stripped_n, stripped_k, stripped, ncoloops, nloops = dense_strip_oracle(
@@ -567,12 +620,12 @@ def dense_node_oracle(n: int, k: int, nonbases: set[frozenset[int]], memo):
     if ncoloops or nloops:
         core = dense_node_oracle(stripped_n, stripped_k, stripped, memo)
         return poly_shift(core, ncoloops, nloops)
-    key = (-n, slots_oracle(n, map(mask_oracle, nonbases)))
+    key = (-n, slots_oracle(n, nonbases))
     core = memo.get(key)
     if core is None:
-        top = n - 1
-        deleted = {s for s in nonbases if top not in s}
-        contracted = {s - {top} for s in nonbases if top in s}
+        top = 1 << (n - 1)
+        deleted = {s for s in nonbases if not s & top}
+        contracted = {s ^ top for s in nonbases if s & top}
         core = poly_add(dense_node_oracle(n - 1, k, deleted, memo),
                         dense_node_oracle(n - 1, k - 1, contracted, memo))
         memo.put(key, core)

@@ -57,12 +57,14 @@ from conftest import (
     is_paving_oracle,
     loops_oracle,
     pairwise_exchange_violation,
+    parallel_classes_oracle,
     rank_oracle,
     rank_table_oracle,
     restrict_oracle,
     sparse_paving,
     to_dict_oracle,
     trace_oracle,
+    with_parallels_and_loops,
 )
 
 
@@ -594,6 +596,49 @@ class TestTrustedMinors:
         m = Matroid(2, 1, [True, 2])
         assert m == uniform(1, 2)
         assert m.to_dict()["bases"] == [[0], [1]]
+
+
+class TestSimplification:
+    """`Matroid.simplification` against the parallel classes of "no basis
+    holds both": the same classes, those of two or more last, and the
+    restriction to one element of each, in that order.  Parallel elements
+    are interchangeable, so that restriction is the same whichever element
+    stands for each class."""
+
+    def check(self, m):
+        si, classes = m.simplification()
+        expected, loops = parallel_classes_oracle(m)
+        assert sorted(classes) == sorted(expected)
+        big = [c.bit_count() > 1 for c in classes]
+        assert big == sorted(big)
+        reps = [c & -c for c in classes]
+        assert (si.n, si.rank) == (len(classes), m.rank)
+        assert si.bases == {mask_of(i for i, e in enumerate(reps) if b & e)
+                            for b in m.bases if not b & ~sum(reps)}
+        if not loops and len(classes) == m.n:
+            assert si is m
+
+    def test_corpus(self):
+        for m in tutte_identity_corpus() + graphic_corpus(10, 8):
+            self.check(m)
+
+    def test_every_matroid_up_to_five_elements(self):
+        for n in range(6):
+            for m in every_family(n):
+                if pairwise_exchange_violation(m) is None:
+                    self.check(m)
+
+    @given(with_parallels_and_loops(12))
+    def test_parallel_copies_and_loops(self, m):
+        self.check(m)
+
+    # from a basis {e, f}, the other two elements and their copies share
+    # X = {e, f}: the lookups past X split them into two classes
+    def test_classes_that_share_their_circuit(self):
+        m = Matroid(8, 2, [1 << a | 1 << b for a, b in combinations(range(8), 2)
+                           if a % 4 != b % 4])
+        self.check(m)
+        assert sorted(m.simplification()[1]) == [0x11, 0x22, 0x44, 0x88]
 
 
 class TestConnectivity:

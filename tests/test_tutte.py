@@ -1,5 +1,7 @@
+import random
 import sys
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -51,9 +53,7 @@ from conftest import (
     dense_strip_oracle,
     dense_to_sparse,
     derived_matroids,
-    elements_oracle,
     every_family,
-    mask_oracle,
     non_bases_oracle,
     oracle_tutte_coeffs,
     pack_oracle,
@@ -66,6 +66,7 @@ from conftest import (
     sparse_paving_tutte_oracle,
     strip_oracle,
     whitney_numbers_oracle,
+    with_parallels_and_loops,
 )
 
 
@@ -236,6 +237,55 @@ class TestWhitneyNumbers:
         assert sum(map(sum, w)) == 1 << m.n
         assert w[0][0] == len(m.bases)
 
+    # counted over the simplification, each parallel class once
+    @given(with_parallels_and_loops(10))
+    def test_parallel_classes_and_loops(self, m):
+        assert whitney_numbers(m) == whitney_numbers_oracle(m)
+
+    @given(with_parallels_and_loops(14))
+    def test_engines_agree_with_parallel_classes(self, m):
+        assert tutte_subset_sum(m) == tutte_dc(m, memo=TutteMemo())
+
+    # U(2,4) with every element doubled (e and e + 4 parallel): from a
+    # basis {e, f}, the other two elements and their copies share
+    # X = {e, f}, and only the lookups past X split them into two classes;
+    # one class; all loops; all coloops; a multigraph with a self-loop and
+    # a triple edge
+    @pytest.mark.parametrize("m", [
+        Matroid(8, 2, [1 << a | 1 << b for a, b in combinations(range(8), 2)
+                       if a % 4 != b % 4]),
+        uniform(1, 7), uniform(0, 6), uniform(6, 6),
+        graphic(Multigraph(4, [(0, 0), (0, 1), (0, 1), (0, 1), (1, 2), (2, 3),
+                               (3, 0), (1, 3)])),
+    ], ids=["u24-doubled", "one-class", "loops", "coloops", "self-loop-triple-edge"])
+    def test_fixed_parallel_classes(self, m):
+        assert whitney_numbers(m) == whitney_numbers_oracle(m)
+        assert tutte_subset_sum(m) == tutte_dc(m, memo=TutteMemo())
+
+    # minimal(8,17) is a 9-cycle with one edge in a class of 9: its
+    # simplification, U(8,9), is uniform, so no level is counted and no
+    # table is built, on 9 elements or on 17; a doubled M(K4) counts on its
+    # 6 elements
+    @pytest.mark.parametrize("m, sizes", [
+        (minimal(8, 17), set()),
+        (graphic(Multigraph(4, list(combinations(range(4), 2)) * 2)), {6}),
+    ], ids=["minimal-8-17", "k4-doubled"])
+    def test_tables_on_the_simplification(self, m, sizes, monkeypatch):
+        built = set()
+
+        def recorded(f, at):
+            def wrapper(*args):
+                built.add(args[at])
+                return f(*args)
+            return wrapper
+        for module, name, at in [(matroid, "table_of", 1), (matroid, "down_closure", 1),
+                                 (matroid, "up_closure", 1),
+                                 (matroid, "popcount_classes", 0),
+                                 (tutte, "popcount_classes", 0)]:
+            monkeypatch.setattr(module, name, recorded(getattr(module, name), at))
+        assert whitney_numbers(m) == whitney_numbers_oracle(m)
+        assert built == sizes
+
 
 def check_children(n, bases):
     """The slots of the children of element n-1 from a sorted family on n
@@ -272,7 +322,7 @@ def check_column_pass(m):
     assert (slots_oracle(*canon_stripped)
             == slots_oracle(stripped_first[0], canonical_oracle(*stripped_first))
             == _canonical(*stripped_first))
-    nonbases = tuple(sorted(non_bases_oracle(n, k, bases)))
+    nonbases = tuple(non_bases_oracle(n, k, bases))
     if nonbases:
         check_side(n, k, nonbases, True)
 
@@ -281,24 +331,25 @@ def check_side(n, k, family, dense):
     """`check_column_pass` on one side: the bases, or if `dense` the
     non-bases, of a rank-k matroid on n elements."""
     canon = canonical_oracle(n, family)
-    assert _canonical(n, family) == slots_oracle(n, canon)
+    slots = slots_oracle(n, canon)
+    assert _canonical(n, family) == slots
     count, width = len(canon), slot_width(n)
-    packed = int.from_bytes(slots_oracle(n, canon), sys.byteorder)
+    packed = int.from_bytes(slots, sys.byteorder)
     stripped = _strip(n, k, packed, slot_ones(count, width), count, dense)
     if dense:
-        stripped_n, _, family, *dropped = dense_strip_oracle(
-            n, k, set(map(elements_oracle, canon)))
-        family = tuple(sorted(map(mask_oracle, family)))
+        stripped_n, _, family, *dropped = dense_strip_oracle(n, k, set(canon))
     else:
         stripped_n, family, *dropped = strip_oracle(n, canon)
+    if n:
+        check_children(n, canon)
+    # with nothing to strip, the stripped family is the canonical one
     if stripped_n == n:
         assert stripped is None
     else:
+        family = tuple(sorted(family))
         assert stripped == (*dropped, slots_oracle(stripped_n, family))
-    if n:
-        check_children(n, canon)
-    if stripped_n and family:
-        check_children(stripped_n, family)
+        if stripped_n and family:
+            check_children(stripped_n, family)
 
 
 K5 = Multigraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
@@ -611,6 +662,18 @@ class TestMemo:
             assert trace(sparse_paving(4, 9, 6, seed)).verified
         assert len(memo) > 0
         assert memo._bytes == measured_bytes(memo)
+
+    # the arithmetic charge is what sys.getsizeof measures: over random
+    # keys and packed polynomials, 0 and the digit edges included
+    def test_charge_is_what_getsizeof_measures(self):
+        rng = random.Random(4711)
+        packed = [0, 1, (1 << 30) - 1, 1 << 30, (1 << 60) - 1, 1 << 60]
+        packed += [rng.getrandbits(rng.randrange(1, 4000)) for _ in range(4000)]
+        for p in packed:
+            key = (rng.choice([-1, 1]) * rng.randint(1, 24),
+                   rng.randbytes(rng.randrange(400)))
+            assert TutteMemo._entry_cost(key, p) == (
+                sys.getsizeof(key) + sys.getsizeof(key[1]) + sys.getsizeof(p))
 
 
 def measured_bytes(memo):
