@@ -39,7 +39,7 @@ from collections.abc import Iterable
 from functools import reduce
 from itertools import compress, filterfalse
 from math import comb
-from operator import and_, itemgetter, or_
+from operator import and_, or_
 
 from .bitset import (
     bits,
@@ -245,12 +245,11 @@ class Matroid:
 
     def _circuits(self) -> tuple[int, dict[int, int]]:
         """(B, X) for a basis B: X[f], for each f outside B, is the mask of
-        the e in B for which B - e + f is a basis, so X[f] + f is f's
-        fundamental circuit.  r*(n-r) basis lookups, made once."""
+        the e in B for which B - e + f is a basis, f's fundamental circuit
+        less f.  r*(n-r) basis lookups, made once."""
         cached = self._cache.get("circuits")
         if cached is None:
-            family = self.bases
-            b = next(iter(family))
+            family, b = self.bases, next(iter(self.bases))
             inside = [1 << e for e in bits(b)]
             cached = self._cache["circuits"] = b, {
                 f: sum(eb for eb in inside if (b ^ eb) | 1 << f in family)
@@ -291,33 +290,34 @@ class Matroid:
         class, classes[i] the class (a mask) of si's element i, those of two
         or more elements last; M itself if it has no loop or parallel pair.
         By `_circuits`: f is a loop if X[f] is empty, parallel to x in B if
-        X[f] = {x}, and to g outside B with X[g] = X[f] iff, for any one x in
-        X[f], no y in B makes B - x + g - y + f a basis (y = x: r+2 elements)."""
+        X[f] = {x}, and to g outside B with X[g] = X[f] iff, for x the least
+        of X[f], B - x - y + f + g is a basis for no y in X[f] - x (g's
+        circuit in the basis B - x + f lies in X[f] - x + f + g)."""
         b, circuits = self._circuits()
-        family, inside = self.bases, [1 << e for e in bits(b)]
-        classes = dict(zip(inside, inside))     # one element -> its class
-        shared = {x: [x] for x in inside}   # X -> an element of each class
-        for f, x in filter(itemgetter(1), circuits.items()):    # no loops
-            fb, base = 1 << f, b ^ (x & -x)
-            rest = base & x     # first y in X - x: a basis for most g not parallel
-            probe = base ^ (rest & -rest) | fb
-            for g in shared.setdefault(x, []):
-                if not x & (x - 1) or probe | g not in family and not any(
-                        (base | g) ^ y | fb in family for y in inside):
-                    classes[g] |= fb
-                    break
+        family, merged, heads = self.bases, {}, {}  # head -> its class; X -> heads
+        for f, x in circuits.items():
+            fb, low, rest = 1 << f, x & -x, x & (x - 1)
+            # X[f] empty (a loop, merged under 0) or {x}: f joins x's class
+            same = heads.setdefault(x, []) if rest else [x]
+            while same and rest:    # keep the heads g that no y parts from f
+                y = rest & -rest
+                rest ^= y
+                same = [g for g in same if b ^ low ^ y | fb | g not in family]
+            if same:    # one head at most: f is parallel to it
+                merged[same[0]] = merged.get(same[0], same[0]) | fb
             else:
-                shared[x].append(fb)
-                classes[fb] = fb
-        if len(classes) == self.n:
+                heads[x].append(fb)
+        if not merged:
             return self, [1 << e for e in range(self.n)]
-        order = sorted(classes, key=lambda e: (classes[e] != e, e))
+        loops, big = merged.pop(0, 0), sorted(merged)
+        singles = [1 << e for e in bits(self.full_mask & ~loops & ~sum(merged.values()))]
+        order = singles + big
         # si's bases are those within its elements, which span
         drop = self.full_mask ^ sum(order)
         within = [mask for mask in family if not mask & drop]
         cols, _, width = column_view(self.n, within)
         si = unpack(place([cols[e.bit_length() - 1] for e in order]), len(within), width)
-        return Matroid._trusted(len(order), self.rank, si), [classes[e] for e in order]
+        return Matroid._trusted(len(order), self.rank, si), singles + [merged[g] for g in big]
 
     def is_connected(self) -> bool:
         return self.n >= 1 and len(self.components()) == 1

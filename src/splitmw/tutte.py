@@ -6,9 +6,10 @@ Two independent engines cross-check each other:
         T(x,y) = sum over A of (x-1)^(r(E)-r(A)) * (y-1)^(|A|-r(A)),
     evaluated from the Whitney numbers, counted over the simplification's
     n' elements (`Matroid.simplification`): one byte per basis, n' passes
-    over 2^n'-bit ints, n' more per rank level from the girth g up, then
-    n'-r+1 bit counts per rank from g-1 to r-1 over 2^q blocks, one per set
-    of the q classes of two or more; the other ranks are binomials.
+    over 2^n'-bit ints, n' more per rank level from the girth g up, then,
+    per rank from g-1 to r-1, one bit count per subset size it holds in each
+    of 2^q blocks, one per set of the q classes of two or more; the other
+    ranks are binomials.
   * `tutte_dc` -- deletion-contraction with eager loop/coloop stripping,
     a closed form for uniform minors (checked at the root before a single
     mask is packed), and an LRU memo, bounded by the "memo-bytes" size
@@ -173,42 +174,40 @@ def whitney_numbers(m: Matroid) -> list[list[int]]:
 
     A subset of rank k is a rank-k set S of the simplification si, a
     nonempty part of the class of each element of S, and any loops.  So
-    the rank-k subsets by size are, summed over the blocks of 2^(n'-q)
-    bits of si's rank-k level, one per set T of big classes (on top), the
-    block's counts by size times prod over T of ((1+z)^p - 1), times
-    (1+z)^loops.  Below si's girth g, rank k holds only the k-sets, so rows
-    k <= g-2 are binomials; the rank-r row is the rest of the C(n, s).
-    Polynomials in z are ints of (n+1)-bit fields: no count reaches 2^n."""
+    its rank-k subsets by size are, summed over the blocks of si's rank-k
+    level, one per set T of big classes (on top), the block's counts by
+    size times prod over T of ((1+z)^p - 1), times (1+z)^loops: ints of
+    (n+1)-bit fields in z, as no count reaches 2^n.  Rows whose rank-k sets
+    are si's k-sets (k <= girth-2) are binomials; rank r takes the rest."""
     check_size("tables", m.n)
     si, classes = m.simplification()
     sizes = [c.bit_count() for c in classes]
     r, n, low, field = m.rank, m.n, sizes.count(1), m.n + 1
-    one_z = 1 + (1 << field)
+    one_z, mask = 1 + (1 << field), (1 << field) - 1
     weights = [(0, one_z ** (n - sum(sizes)))]      # (|T|, weight) per T
     for p in sizes[low:]:
         weights += [(t + 1, w * (one_z ** p - 1)) for t, w in weights]
-    girth = r + 1
-    if not si.is_uniform():
-        indep, pop = si.independent_sets(), popcount_classes(si.n)
-        girth = next(k for k in range(r + 1) if indep & pop[k] != pop[k])
-        levels, block = si.rank_levels(), (1 << (1 << low)) - 1
+    uniform = si.is_uniform()
+    if not uniform:
+        levels, pop = si.rank_levels(), popcount_classes(si.n)
+        block = (1 << (1 << low)) - 1
     rows, rest = [], one_z ** n
     for k in range(r):
-        if k < girth - 1:
+        if uniform or (exact := levels[k] ^ levels[k + 1]) == pop[k]:
             total = sum((comb(low, k - t) << field * (k - t)) * w
                         for t, w in weights if t <= k)
         else:
-            exact, total = levels[k] ^ levels[k + 1], 0
+            total = 0
             for t, w in weights:
-                part = exact & block
-                exact >>= 1 << low
-                total += sum((part & pop[s]).bit_count() << field * s
-                             for s in range(max(k - t, 0),
-                                            min(k - t + si.n - r, low) + 1)) * w
+                part, exact = exact & block, exact >> (1 << low)
+                left, s, counts = part.bit_count(), max(k - t, 0), 0
+                while left:     # by size, up to the largest that part holds
+                    c = (part & pop[s]).bit_count()
+                    counts, left, s = counts + (c << field * s), left - c, s + 1
+                total += counts * w
         rows.append(total >> field * k)
         rest -= total
     rows.append(rest >> field * r)
-    mask = (1 << field) - 1
     return [[row >> field * b & mask for b in range(n - r + 1)] for row in rows[::-1]]
 
 
@@ -217,9 +216,8 @@ def _from_whitney(whitney: list[list[int]]) -> TuttePolynomial:
     a time, on one int: T at y = 2^F and x = 2^(F*(c+1)), c the corank,
     whose F-bit digits are T's coefficients, each at most T(1,1) = w[0][0]
     < 2^F."""
-    field = whitney[0][0].bit_length()
+    field, total = whitney[0][0].bit_length(), 0
     row, mask = field * len(whitney[0]), (1 << field) - 1
-    total = 0
     for ws in reversed(whitney):
         across = 0
         for w in reversed(ws):
@@ -268,6 +266,13 @@ def _unpack(packed: int, rank: int, corank: int) -> TuttePolynomial:
     return TuttePolynomial._of(tuple(rows))
 
 
+# What sys.getsizeof measures of a memo entry's parts (`TutteMemo`): a pair
+# and an empty byte string; an int's header and each digit, and 0
+_KEY_BYTES = sys.getsizeof((0, b"")) + sys.getsizeof(b"")
+_DIGIT_BITS, _DIGIT_BYTES = sys.int_info.bits_per_digit, sys.int_info.sizeof_digit
+_INT_HEAD, _ZERO_BYTES = sys.getsizeof(1) - _DIGIT_BYTES, sys.getsizeof(0)
+
+
 class TutteMemo:
     """LRU memo shared across recursions, bounded by the "memo-bytes" size
     limit.  A key is (n, the sorted slots of the bases), or (-n, those of
@@ -275,9 +280,9 @@ class TutteMemo:
     equal families on one side share an entry.  Entries are packed
     polynomials (`_pack`), immutable ints, returned as they are.
 
-    Each entry is charged what `sys.getsizeof` measures on CPython 3.11 of
-    its key pair, the key's byte string and its packed polynomial, by
-    arithmetic (`_entry_cost`); the memo's own hash table is not charged."""
+    Each entry is charged what `sys.getsizeof` measures of its key pair,
+    the key's byte string and its packed polynomial, by arithmetic on sizes
+    read once (`_entry_cost`); the memo's own hash table is not charged."""
 
     def __init__(self):
         self._data: OrderedDict = OrderedDict()
@@ -285,8 +290,8 @@ class TutteMemo:
 
     @staticmethod
     def _entry_cost(key, packed: int) -> int:
-        # a pair 56, a byte string 33 + its length, an int 24 + 4 per digit
-        return 113 + len(key[1]) + 4 * max(1, -(-packed.bit_length() // 30))
+        digits = -(-packed.bit_length() // _DIGIT_BITS)
+        return _KEY_BYTES + len(key[1]) + max(_ZERO_BYTES, _INT_HEAD + _DIGIT_BYTES * digits)
 
     def get(self, key):
         val = self._data.get(key)
