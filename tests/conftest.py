@@ -14,10 +14,9 @@ import struct
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, permutations
 from math import comb, prod
-from operator import and_, or_
+from operator import or_
 
 import pytest
 from hypothesis import settings
@@ -151,12 +150,13 @@ def parallel_classes_oracle(m) -> tuple[list[int], int]:
 
 
 @st.composite
-def sparse_paving_matroids(draw):
+def sparse_paving_matroids(draw, grow: bool = False):
     """(m, clean): a sparse paving matroid of rank 2 <= k <= n-2 on at most
     10 elements, whose circuit-hyperplanes are drawn k-sets kept if they
     share at most k-2 elements with every one kept before, so every draw
     is a matroid; summed, unless clean, with up to two loops and up to two
-    coloops."""
+    coloops.  With `grow`, a drawn circuit-hyperplane is grown by a drawn
+    element instead (`grown_hyperplane`), and clean says it was not."""
     n = draw(st.integers(4, 10))
     k = draw(st.integers(2, n - 2))
     kept: list[int] = []
@@ -167,12 +167,32 @@ def sparse_paving_matroids(draw):
             kept.append(mask)
     ksets = [mask_of(c) for c in combinations(range(n), k)]
     m = Matroid(n, k, [b for b in ksets if b not in kept])
+    if grow:
+        if kept:
+            h = draw(st.sampled_from(kept))
+            f = draw(st.sampled_from([f for f in range(n) if not h >> f & 1]))
+            grown = grown_hyperplane(m, kept, h, f)
+            if grown:
+                return grown, False
+        return m, True
     loops, coloops = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     if loops:
         m = uniform(0, loops).direct_sum(m)
     if coloops:
         m = m.direct_sum(uniform(coloops, coloops))
     return m, not (loops or coloops)
+
+
+def grown_hyperplane(m, kept, h: int, f: int):
+    """Sparse paving m, whose circuit-hyperplanes are `kept`, with h grown
+    into the hyperplane h + f of k+1 elements, or None if h + f shares more
+    than k-2 elements with another of them.  The k bases h - e + f, each
+    next to h, are dropped; one cannot go alone, since two non-bases of a
+    paving matroid that share k-1 elements lie in one hyperplane."""
+    grown = h | 1 << f
+    if any((grown & c).bit_count() > m.rank - 2 for c in kept if c != h):
+        return None
+    return Matroid(m.n, m.rank, [b for b in m.bases if b & grown != b])
 
 
 def sparse_paving(k: int, n: int, hyperplanes: int, seed: int) -> Matroid:
@@ -190,6 +210,15 @@ def sparse_paving(k: int, n: int, hyperplanes: int, seed: int) -> Matroid:
         if all((c & h).bit_count() <= k - 2 for h in kept):
             kept.add(c)
     return Matroid(n, k, [b for b in ksets if b not in kept])
+
+
+def grown_sparse_paving(k: int, n: int, hyperplanes: int, seed: int) -> Matroid:
+    """`sparse_paving` with its least circuit-hyperplane that some element
+    can grow grown by the least such element (`grown_hyperplane`)."""
+    m = sparse_paving(k, n, hyperplanes, seed)
+    kept = [c for c in map(mask_of, combinations(range(n), k)) if c not in m.bases]
+    return next(grown for h in kept for f in range(n) if not h >> f & 1
+                and (grown := grown_hyperplane(m, kept, h, f)))
 
 
 def sparse_paving_tutte_oracle(m) -> dict[tuple[int, int], int]:
@@ -560,76 +589,22 @@ class OracleMemo(TutteMemo):
 
 def dc_oracle(n: int, bases: tuple[int, ...], memo):
     """Deletion-contraction over sorted tuples and coefficient matrices with
-    the oracles above: the root relabeled in canonical order, and below it
+    the oracles above.  A root with more bases than non-bases whose
+    non-bases, as element sets, pairwise share at most k-2 elements is
+    sparse paving and takes `sparse_paving_tutte_oracle`, with no memo
+    entry.  Any other root is relabeled in canonical order, and below it
     no relabeling; strip, closed form for uniform minors, memo on (n, the
-    family's slots), pivot n-1, deletion before contraction.  A root with
-    fewer non-bases than bases recurses on its non-bases instead
-    (`dense_node_oracle`), keyed on (-n, their slots)."""
+    family's slots), pivot n-1, deletion before contraction."""
     k = bases[0].bit_count()
-    if comb(n, k) - len(bases) < len(bases):
-        canon = canonical_oracle(n, tuple(non_bases_oracle(n, k, bases)))
-        return dense_node_oracle(n, k, set(canon), memo)
+    if 2 * len(bases) > comb(n, k):
+        held = set(bases)
+        non_bases = [set(c) for c in combinations(range(n), k)
+                     if mask_of(c) not in held]
+        if all(len(a & b) <= k - 2 for a, b in combinations(non_bases, 2)):
+            coeffs = sparse_paving_tutte_oracle(Matroid(n, k, bases))
+            return TuttePolynomial([[coeffs.get((i, j), 0) for j in range(n - k + 1)]
+                                    for i in range(k + 1)])
     return dc_node_oracle(n, canonical_oracle(n, bases), memo)
-
-
-def k_sets_oracle(n: int, k: int) -> list[int]:
-    """The masks of every k-subset of range(n): an i-subset of the lower
-    half of range(n) joined with a (k-i)-subset of the upper half, for each
-    i, each half's subsets from itertools.combinations."""
-    half = n // 2
-    low, high = ([[mask_of(c) for c in combinations(part, i)] for i in range(k + 1)]
-                 for part in (range(half), range(half, n)))
-    return [a | b for i in range(k + 1) for a in low[i] for b in high[k - i]]
-
-
-def non_bases_oracle(n: int, k: int, bases) -> list[int]:
-    """The masks of the k-subsets of range(n) that are not in `bases`."""
-    bases = set(bases)
-    return [s for s in k_sets_oracle(n, k) if s not in bases]
-
-
-def dense_strip_oracle(n: int, k: int, nonbases: set[int]):
-    """Remove the loops and coloops of the rank-k matroid on range(n) whose
-    non-bases are these k-sets: (n', k', its non-bases', n_coloops, n_loops),
-    the kept elements renamed in order, or the same family if there are
-    none.  Its bases are the other k-sets; a loop is in none of them and a
-    coloop in all, and the minor's non-bases are the k'-sets of the kept
-    elements that are no basis less its coloops."""
-    bases = [s for s in k_sets_oracle(n, k) if s not in nonbases]
-    loops = ((1 << n) - 1) & ~reduce(or_, bases)
-    coloops = reduce(and_, bases)
-    if not loops | coloops:
-        return n, k, nonbases, 0, 0
-    kept = [e for e in range(n) if not (loops | coloops) >> e & 1]
-    stripped_k = k - coloops.bit_count()
-    stripped_bases = {mask_of(i for i, e in enumerate(kept) if b >> e & 1)
-                      for b in bases}
-    stripped = {s for s in k_sets_oracle(len(kept), stripped_k)
-                if s not in stripped_bases}
-    return len(kept), stripped_k, stripped, coloops.bit_count(), loops.bit_count()
-
-
-def dense_node_oracle(n: int, k: int, nonbases: set[int], memo):
-    """One node of `dc_oracle` on the non-bases side, one mask at a time
-    and with no bitset packing: the rank-k matroid on range(n), in the
-    root's labeling, whose non-bases are these k-sets."""
-    if not nonbases:
-        return _uniform_tutte(k, n)
-    stripped_n, stripped_k, stripped, ncoloops, nloops = dense_strip_oracle(
-        n, k, nonbases)
-    if ncoloops or nloops:
-        core = dense_node_oracle(stripped_n, stripped_k, stripped, memo)
-        return poly_shift(core, ncoloops, nloops)
-    key = (-n, slots_oracle(n, nonbases))
-    core = memo.get(key)
-    if core is None:
-        top = 1 << (n - 1)
-        deleted = {s for s in nonbases if not s & top}
-        contracted = {s ^ top for s in nonbases if s & top}
-        core = poly_add(dense_node_oracle(n - 1, k, deleted, memo),
-                        dense_node_oracle(n - 1, k - 1, contracted, memo))
-        memo.put(key, core)
-    return core
 
 
 def dc_node_oracle(n: int, bases: tuple[int, ...], memo):

@@ -43,18 +43,16 @@ from splitmw.tutte import (
     whitney_numbers,
 )
 
-import conftest
 from conftest import (
     PETERSEN,
     OracleMemo,
     canonical_oracle,
     children_oracle,
     dc_oracle,
-    dense_strip_oracle,
     dense_to_sparse,
     derived_matroids,
     every_family,
-    non_bases_oracle,
+    grown_sparse_paving,
     oracle_tutte_coeffs,
     pack_oracle,
     pairwise_exchange_violation,
@@ -74,11 +72,15 @@ def both_engines(m):
     return tutte_dc(m), tutte_subset_sum(m)
 
 
+K5 = Multigraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+
+
 class TestSparsePaving:
     """Both engines against T(M) = T(U(k,n)) - lam*(x + y - xy), on sparse
     paving matroids: every rank level below the top one is a size class,
-    and the non-bases, the lam circuit-hyperplanes, are the fewer, so
-    deletion-contraction recurses on them."""
+    and the non-bases, the lam circuit-hyperplanes, share at most k-2
+    elements pairwise, so deletion-contraction takes the closed form at the
+    root, and makes no memo entry."""
 
     # (7, 16, 150) is the size of the perfbench `engines` input
     @pytest.mark.parametrize("k, n, hyperplanes, seed", [
@@ -92,28 +94,90 @@ class TestSparsePaving:
         assert dense_to_sparse(tutte_subset_sum(m)) == expected
         memo = TutteMemo()
         assert dense_to_sparse(tutte_dc(m, memo=memo)) == expected
-        assert all(key_n < 0 for key_n, _ in memo._data)
+        assert not memo
 
-    # on their non-bases: children repacked from 17 elements to 16, a loop
-    # stripped from 17 to 16, and a coloop from 10 to 9, whose children
-    # go on to 8
+    # the closed form comes before a single basis is packed, and reads
+    # the non-bases off the held k-sets, with no 2^n-bit table, so it is
+    # taken past the "tables" limit too
+    @pytest.mark.parametrize("m", [
+        sparse_paving(7, 16, 150, 6), sparse_paving(2, 6, 3, 1),
+        Matroid(6, 3, uniform(3, 6).bases - {0b111}),
+    ], ids=["7-16-150", "2-6-3", "u36-less-one"])
+    def test_clean_root_packs_nothing(self, m, monkeypatch):
+        def no_packing(*args):
+            raise AssertionError("a sparse paving root packed its bases or built a table")
+        for module, name in [(tutte, "to_slots"), (tutte, "column_view"),
+                             (tutte, "popcount_classes"), (matroid, "table_of")]:
+            monkeypatch.setattr(module, name, no_packing)
+        monkeypatch.setitem(SIZE_LIMITS, "tables", 4)
+        memo = TutteMemo()
+        assert dense_to_sparse(tutte_dc(m, memo=memo)) == sparse_paving_tutte_oracle(m)
+        assert not memo
+
+    # U(1,5) plus a loop, k = 1: the loop's singleton is the one non-basis,
+    # so it is isolated; the others' non-bases are not.  The sparse paving
+    # (7,16) with one circuit-hyperplane grown into an 8-element
+    # hyperplane has 7 more non-bases, each next to it; M(K5)'s triangles
+    # with an edge share 3 edges; rank 2 with classes of 3 has non-bases
+    # {a,b} and {a,c} in each class.  Those recurse on their bases.
+    @pytest.mark.parametrize("m, closed", [
+        (uniform(1, 5).direct_sum(uniform(0, 1)), True),
+        (grown_sparse_paving(7, 16, 150, 6), False),
+        (graphic(K5), False),
+        (rank2_from_partition([3, 3, 3]), False),
+    ], ids=["u15-loop", "7-16-150-grown", "k5", "rank2-333"])
+    def test_root_rule_against_subset_sum(self, m, closed):
+        memo = TutteMemo()
+        assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
+        assert (not memo) == closed
+
+    # only a root with more bases than non-bases reads its non-bases, so
+    # the held k-sets of `_k_sets` are never built for the others: the tie
+    # (18 of the 36 pairs), Petersen and minimal(8,16)
+    @pytest.mark.parametrize("m", [
+        rank2_from_partition([6, 3]), graphic(PETERSEN), minimal(8, 16),
+    ], ids=["rank2-63-tie", "petersen", "minimal-8-16"])
+    def test_other_roots_read_no_non_bases(self, m, monkeypatch):
+        def no_k_sets(*args):
+            raise AssertionError("the k-sets of a root with few bases were read")
+        monkeypatch.setattr(tutte, "_k_sets", no_k_sets)
+        memo = TutteMemo()
+        assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
+        assert memo
+
+    # dense roots at the slot-width edges: the sparse paving (8,17) takes
+    # the closed form; the loop beside a sparse paving (7,16) is stripped
+    # from 17 elements to 16, and the coloop beside a sparse paving (5,9)
+    # from 10 to 9, whose children go on to 8, on their bases
     @pytest.mark.parametrize("m", [
         sparse_paving(8, 17, 40, 7),
         uniform(0, 1).direct_sum(sparse_paving(7, 16, 60, 5)),
         sparse_paving(5, 9, 10, 2).direct_sum(uniform(1, 1)),
     ], ids=["17-children", "17-16-loop", "10-9-coloop"])
     def test_non_bases_across_slot_width_edges(self, m):
-        memo = TutteMemo()
-        assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
-        assert all(key_n < 0 for key_n, _ in memo._data)
+        assert tutte_dc(m, memo=TutteMemo()) == tutte_subset_sum(m)
 
     @given(sparse_paving_matroids())
     def test_engines_agree_with_loops_and_coloops(self, drawn):
         m, clean = drawn
-        t = tutte_dc(m, memo=TutteMemo())
+        memo = TutteMemo()
+        t = tutte_dc(m, memo=memo)
         assert t == tutte_subset_sum(m)
         if clean:
             assert dense_to_sparse(t) == sparse_paving_tutte_oracle(m)
+            assert not memo
+
+    # one circuit-hyperplane grown into a hyperplane of k+1 elements: the
+    # root is paving but not sparse paving, so it recurses on its bases
+    @given(sparse_paving_matroids(grow=True))
+    def test_engines_agree_with_a_grown_hyperplane(self, drawn):
+        m, clean = drawn
+        memo = TutteMemo()
+        t = tutte_dc(m, memo=memo)
+        assert t == tutte_subset_sum(m)
+        assert (dense_to_sparse(t) == sparse_paving_tutte_oracle(m)) == clean
+        if clean:
+            assert not memo
 
 
 class TestClosedForms:
@@ -300,59 +364,39 @@ def check_children(n, bases):
 
 def unpack_entry(key, packed):
     """The polynomial of a memo entry, its rank read off the key's first
-    mask (a basis, or a non-basis if n is negated)."""
-    n, slots = abs(key[0]), key[1]
+    basis."""
+    n, slots = key
     rank = from_slots(slots, slot_width(n))[0].bit_count()
     return _unpack(packed, rank, n - rank)
 
 
 def check_column_pass(m):
     """The root's canonical slots, the stripped family and the children of
-    a node against the one-basis-at-a-time oracles, on both sides: the
-    bases and, if there are any, the non-bases.
-    Stripping the canonical bases keeps its masks in order, with no sort,
-    and gives the canonical family of the stripped matroid, so roots
-    coalesce as they would if they were stripped before they were
-    relabeled; stripping non-bases also drops the masks that hold a loop
-    or lack a coloop, keeping the order."""
-    n, k, bases = m.n, m.rank, tuple(sorted(m.bases))
-    check_side(n, k, bases, False)
-    stripped_first = strip_oracle(n, bases)[:2]
-    canon_stripped = strip_oracle(n, canonical_oracle(n, bases))[:2]
-    assert (slots_oracle(*canon_stripped)
-            == slots_oracle(stripped_first[0], canonical_oracle(*stripped_first))
-            == _canonical(*stripped_first))
-    nonbases = tuple(non_bases_oracle(n, k, bases))
-    if nonbases:
-        check_side(n, k, nonbases, True)
-
-
-def check_side(n, k, family, dense):
-    """`check_column_pass` on one side: the bases, or if `dense` the
-    non-bases, of a rank-k matroid on n elements."""
-    canon = canonical_oracle(n, family)
+    a node against the one-basis-at-a-time oracles.  Stripping the
+    canonical bases keeps its masks in order, with no sort, and gives the
+    canonical family of the stripped matroid, so roots coalesce as they
+    would if they were stripped before they were relabeled."""
+    n, bases = m.n, tuple(sorted(m.bases))
+    canon = canonical_oracle(n, bases)
     slots = slots_oracle(n, canon)
-    assert _canonical(n, family) == slots
+    assert _canonical(n, bases) == slots
     count, width = len(canon), slot_width(n)
     packed = int.from_bytes(slots, sys.byteorder)
-    stripped = _strip(n, k, packed, slot_ones(count, width), count, dense)
-    if dense:
-        stripped_n, _, family, *dropped = dense_strip_oracle(n, k, set(canon))
-    else:
-        stripped_n, family, *dropped = strip_oracle(n, canon)
+    stripped = _strip(n, packed, slot_ones(count, width), count)
+    stripped_n, family, *dropped = strip_oracle(n, canon)
     if n:
         check_children(n, canon)
     # with nothing to strip, the stripped family is the canonical one
     if stripped_n == n:
         assert stripped is None
     else:
-        family = tuple(sorted(family))
         assert stripped == (*dropped, slots_oracle(stripped_n, family))
         if stripped_n and family:
             check_children(stripped_n, family)
-
-
-K5 = Multigraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    stripped_first = strip_oracle(n, bases)[:2]
+    assert (slots_oracle(*strip_oracle(n, canon)[:2])
+            == slots_oracle(stripped_first[0], canonical_oracle(*stripped_first))
+            == _canonical(*stripped_first))
 
 
 def with_loop_and_coloop(m):
@@ -425,13 +469,12 @@ class TestColumnPass:
 
     # the default "memo-bytes" limit, one under which Petersen with a chord
     # ends with 1 of the 161 entries it makes with room for all, its root's,
-    # and one under which it ends with 52.  The inputs take both sides:
-    # the Fano plane, M(K4), M(K5) (125 bases, 85 non-bases), the rank-2
-    # partition (1,2,3,2), the sparse paving (5,10), U(3,6) less a basis
-    # and the sums with one loop or one coloop recurse on their non-bases;
-    # the others, and the tie (18 of the 36 pairs), on their bases.  A root
-    # with a loop and a coloop is never dense: its bases hold the one and
-    # lack the other, at most k(n-k)/(n(n-1)) <= 1/4 of the k-sets.
+    # and one under which it ends with 52.  The Fano plane, M(K4), the
+    # sparse paving (5,10) and U(3,6) less a basis are sparse paving, so
+    # both take the closed form and make no entry; M(K5), the rank-2
+    # partition (1,2,3,2) and the sums with one loop or one coloop have
+    # more bases than non-bases but are not sparse paving, and the tie (18
+    # of the 36 pairs) has as many: they and the rest recurse on their bases.
     @pytest.mark.parametrize("capacity", [64 << 20, 10000, 40000])
     def test_memo_matches_oracle_recursion(self, capacity, fano, k4,
                                            monkeypatch):
@@ -528,8 +571,7 @@ class TestMemo:
         assert len(memo) <= 8  # eviction kept the table tiny
 
     # a cold run makes the same entries every time, so a new pivot rule or
-    # key shows here; the counts are those of `dc_oracle`, M(K5)'s on its
-    # non-bases and the others' on their bases
+    # key shows here; the counts are those of `dc_oracle`, all on the bases
     @pytest.mark.parametrize("m, entries", [
         (graphic(PETERSEN), 155), (graphic(K5), 29), (minimal(8, 16), 7),
     ], ids=["petersen", "k5", "minimal-8-16"])
@@ -560,20 +602,6 @@ class TestMemo:
                                 for a in range(1 << 18))
         assert tutte_subset_sum(m) == _uniform_tutte(9, 18)
 
-    # the non-bases are the held k-sets less the bases: no 2^n-bit table,
-    # so a family with fewer non-bases than bases recurses on them past
-    # the "tables" limit too
-    def test_non_bases_need_no_table(self, monkeypatch):
-        def no_table(*args):
-            raise AssertionError("a table was built for the non-bases")
-        monkeypatch.setattr(matroid, "table_of", no_table)
-        monkeypatch.setattr(tutte, "popcount_classes", no_table)
-        monkeypatch.setitem(SIZE_LIMITS, "tables", 8)
-        m = sparse_paving(4, 9, 6, 1)
-        memo = TutteMemo()
-        assert dense_to_sparse(tutte_dc(m, memo=memo)) == sparse_paving_tutte_oracle(m)
-        assert memo and all(key_n < 0 for key_n, _ in memo._data)
-
     # the root is relabeled and sorted once per call, warm or cold, and no
     # node below it sorts
     @pytest.mark.parametrize("m", [
@@ -595,33 +623,17 @@ class TestMemo:
         memo = TutteMemo()
         for _ in range(2):
             assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
-        # each root sorts its masks once (and its columns in place); a
-        # non-bases node that strips a loop or coloop also unpacks its masks
-        # and the flags of those it keeps (no sort), once per visit, since
-        # only its stripped core is an entry: the strips `dc_oracle` makes
-        # cold, none warm, where the root is an entry
-        strips = Counter()
-
-        def counted_strip(n, k, nonbases):
-            out = dense_strip_oracle(n, k, nonbases)
-            strips["dense"] += out[0] < n
-            return out
-        monkeypatch.setattr(conftest, "dense_strip_oracle", counted_strip)
-        dc_oracle(m.n, tuple(sorted(m.bases)), OracleMemo())
-        assert calls == {"_canonical": 2, "unpack": 2 + 2 * strips["dense"],
-                         "sorted": 2}
-        assert (strips["dense"] > 0) == (2 * len(m.bases) > comb(m.n, m.rank))
+        # each root sorts its masks once (and its columns in place)
+        assert calls == {"_canonical": 2, "unpack": 2, "sorted": 2}
 
     @given(derived_matroids())
     def test_keys_are_sorted_families(self, m):
         """Each key a cold run writes is (n, slots of n's width) holding
-        strictly ascending masks below 2^n, all of one size k, of a matroid
-        with no loop or coloop: its bases, fewer than C(n,k), with n as it
-        is, or its non-bases, at least one, with n negated."""
+        strictly ascending masks below 2^n, all of one size k, fewer than
+        C(n,k): the bases of a matroid with no loop or coloop."""
         memo = TutteMemo()
         tutte_dc(m, memo=memo)
-        for key_n, slots in memo._data:
-            n = abs(key_n)
+        for n, slots in memo._data:
             width = slot_width(n)
             assert len(slots) % width == 0
             masks = list(from_slots(slots, width))
@@ -629,14 +641,9 @@ class TestMemo:
             assert masks[-1] < 1 << n
             k = masks[0].bit_count()
             assert all(b.bit_count() == k for b in masks)
+            assert len(masks) < comb(n, k)
             degrees = [sum(b >> e & 1 for b in masks) for e in range(n)]
-            if key_n < 0:
-                # no k-set family of all that hold e, or of all that lack e
-                assert all(d < comb(n - 1, k - 1) for d in degrees)
-                assert all(len(masks) - d < comb(n - 1, k) for d in degrees)
-            else:
-                assert len(masks) < comb(n, k)
-                assert all(0 < d < len(masks) for d in degrees)
+            assert all(0 < d < len(masks) for d in degrees)
 
     def test_shared_memo_reuse(self):
         memo = TutteMemo()
@@ -655,11 +662,14 @@ class TestMemo:
         assert memo._bytes == measured_bytes(memo)
 
     def test_charge_is_measured_after_traces(self, monkeypatch):
-        # the process-wide memo that `trace` fills through `check_mw`
+        # the process-wide memo that `trace` fills through `check_mw`: the
+        # sparse paving leaves take the closed form, and the grown ones'
+        # leaves make entries
         memo = TutteMemo()
         monkeypatch.setattr(tutte, "_global_memo", memo)
         for seed in range(3):
             assert trace(sparse_paving(4, 9, 6, seed)).verified
+            assert trace(grown_sparse_paving(4, 9, 6, seed)).verified
         assert len(memo) > 0
         assert memo._bytes == measured_bytes(memo)
 
@@ -670,8 +680,7 @@ class TestMemo:
         packed = [0, 1, (1 << 30) - 1, 1 << 30, (1 << 60) - 1, 1 << 60]
         packed += [rng.getrandbits(rng.randrange(1, 4000)) for _ in range(4000)]
         for p in packed:
-            key = (rng.choice([-1, 1]) * rng.randint(1, 24),
-                   rng.randbytes(rng.randrange(400)))
+            key = (rng.randint(1, 24), rng.randbytes(rng.randrange(400)))
             assert TutteMemo._entry_cost(key, p) == (
                 sys.getsizeof(key) + sys.getsizeof(key[1]) + sys.getsizeof(p))
 
@@ -703,7 +712,8 @@ class TestPackedPolynomials:
         # C(25,12) needs 24 bits, two more than the fields sized at import
         limit = SIZE_LIMITS["deletion-contraction"]
         monkeypatch.setitem(SIZE_LIMITS, "deletion-contraction", limit + 1)
-        with pytest.raises(LimitExceededError, match="packed"):
+        with pytest.raises(LimitExceededError,
+                           match=f"size {limit + 1} exceeds the {limit} elements"):
             tutte_dc(minimal(limit // 2, limit + 1), memo=TutteMemo())
 
 
