@@ -21,7 +21,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Iterable
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import compress
 from operator import add
 
@@ -66,29 +66,11 @@ _LOW_HI_BYTES = (0xAA, 0xCC, 0xF0)
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-_HELD: dict[str, tuple[int, tuple[int, ...]]] = {}   # name -> (n, tables)
-
-
-def _held(build):
-    """Build tables only past the largest n built so far, and hold only
-    those: a smaller n's are the low 2^n bits of as many of them as it has."""
-    @wraps(build)
-    def tables(n: int) -> tuple[int, ...]:
-        top, held = _HELD.get(build.__name__, (-1, ()))
-        if n > top:
-            top, held = _HELD[build.__name__] = n, build(n)
-        if n == top:
-            return held
-        clip = (1 << (1 << n)) - 1
-        return tuple(t & clip for t in held[:len(held) - top + n])
-    return tables
-
-
-@_held
+@lru_cache(maxsize=None)
 def element_masks(n: int) -> tuple[int, ...]:
-    """hi[i] = the table of all masks that contain element i (held, see
-    `_held`).  Built from repeated byte patterns: big-int division would
-    be quadratic in the table size."""
+    """hi[i] = the table of all masks that contain element i, cached per n
+    (n is bounded by the "tables" limit).  Built from repeated byte
+    patterns: big-int division would be quadratic in the table size."""
     size = 1 << n
     nbytes = max(1, size >> 3)
     clip = (1 << size) - 1
@@ -103,11 +85,11 @@ def element_masks(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@_held
+@lru_cache(maxsize=None)
 def popcount_classes(n: int) -> tuple[int, ...]:
-    """pop[k] = the table of all masks with k elements, k = 0..n (held, see
-    `_held`), built by doubling: adding element j shifts each class up by
-    2^j into the next."""
+    """pop[k] = the table of all masks with k elements, k = 0..n, cached
+    like `element_masks`, built by doubling: adding element j shifts each
+    class up by 2^j into the next."""
     pop = [1]
     for j in range(n):
         width = 1 << j

@@ -113,22 +113,19 @@ class ProofTrace(NamedTuple):
 
 
 def _clean_pivot(m: Matroid) -> int | None:
-    """The lowest element whose deletion and contraction both have no loop
-    and no coloop, or None.  Decided from the columns, building no minor.
+    """The lowest element of m, which has no loop or coloop, whose deletion
+    and contraction both have none either, or None.  Decided from the
+    columns, building no minor.  Every trace node is clean: `trace`
+    requires it of the root, components of a clean matroid are clean, and
+    so are both minors of a clean pivot.
 
-    A loop or coloop f of M stays one in both minors of any other element,
-    and removing a loop or coloop e leaves the others as they were; so with
-    any loop or coloop, only a sole one can be a clean pivot.  Otherwise,
-    for e and f != e: M\\e (the bases outside column e) has the coloop f
+    For e and f != e: M\\e (the bases outside column e) has the coloop f
     iff ~cols[e] & ~cols[f] is empty, a series pair, and M/e (the bases in
     column e) has the loop f iff cols[e] & cols[f] is empty, a parallel
     pair.  M/e has no coloop: a basis holding e and f exchanges f against
     a basis without f (f is no coloop of M) into one that holds e but not
     f.  Dually, M\\e has no loop."""
     cols, ones, _ = m.columns()
-    flawed = [e for e, col in enumerate(cols) if not col or col == ones]
-    if flawed:
-        return flawed[0] if len(flawed) == 1 else None
     return next((e for e, col in enumerate(cols)
                  if all(col & c and (ones ^ col) & (ones ^ c)
                         for f, c in enumerate(cols) if f != e)), None)

@@ -9,25 +9,26 @@ Two independent engines cross-check each other:
     over 2^n'-bit ints, n' more per rank level from the girth g up, then,
     per rank from g-1 to r-1, one bit count per subset size it holds in each
     of 2^q blocks, one per set of the q classes of two or more; the other
-    ranks are binomials.
+    ranks are binomials.  The Whitney numbers are expanded into the one
+    packed int `tutte_dc` uses (see `_from_whitney`), and `_unpack` reads it.
   * `tutte_dc` -- deletion-contraction with eager loop/coloop stripping,
     a closed form for uniform minors and one for sparse paving roots (both
-    checked at the root before a single mask is packed), and an LRU memo,
-    bounded by the "memo-bytes" size limit, keyed on the sorted slots of
-    the bases (see `bitset`).  A root with more bases than non-bases (the
-    k-sets that are no bases) reads its non-bases N; if no two of them
-    share k-1 elements, it is sparse paving, N its circuit-hyperplanes, and
-    relaxing each one adds x + y - xy (Brylawski), so T is
-    T(U(k,n)) + |N|*(xy - x - y).  Each call relabels any other root once,
-    by (degree, index) (`_canonical`), and every node below inherits that
-    labeling, so equal minors coalesce in the memo and no node sorts.  The
-    pivot is always element n-1, at the root one of highest degree: a
-    node's sorted slots split at 2^(n-1) into its two children
-    (`_children`).  A node with at most max(C(n-1,k), C(n-1,k-1)) bases
+    checked at the root before a single mask is packed), and a memo,
+    bounded by the "memo-bytes" size limit by evicting its oldest entries,
+    keyed on the sorted slots of the bases (see `bitset`).  A root with
+    more bases than non-bases (the k-sets that are no bases) reads its
+    non-bases N; if no two of them share k-1 elements, it is sparse
+    paving, N its circuit-hyperplanes, and relaxing each one adds
+    x + y - xy (Brylawski), so T is T(U(k,n)) + |N|*(xy - x - y).  Each
+    call relabels any other root once, by (degree, index) (`_canonical`),
+    and every node below inherits that labeling, so equal minors coalesce
+    in the memo and no node sorts.  The pivot is always element n-1, at
+    the root one of highest degree: a node's sorted slots split at 2^(n-1)
+    into its two children (`_children`).  A node with at most max(C(n-1,k), C(n-1,k-1)) bases
     reads its n columns for its loops and coloops, empty and full columns.
     So a node costs O(n) whole-int operations on its |B| slots, with no
     loop over each mask's bits.  Inside the recursion a polynomial is one
-    int (Kronecker substitution, see `_pack`): the children's sum is one
+    int (Kronecker substitution, see `_FIELD`): the children's sum is one
     addition, a loop or coloop factor one shift, and `tutte_dc` unpacks
     the root's once.
 
@@ -39,7 +40,6 @@ always have shape (rank+1) x (corank+1) of the source matroid.
 from __future__ import annotations
 
 import sys
-from collections import OrderedDict
 from functools import lru_cache
 from itertools import chain
 from math import comb
@@ -214,62 +214,65 @@ def whitney_numbers(m: Matroid) -> list[list[int]]:
     return [[row >> field * b & mask for b in range(n - r + 1)] for row in rows[::-1]]
 
 
-def _from_whitney(whitney: list[list[int]]) -> TuttePolynomial:
-    """T = sum of w[a][b] * (x-1)^a * (y-1)^b, by Horner's rule one axis at
-    a time, on one int: T at y = 2^F and x = 2^(F*(c+1)), c the corank,
-    whose F-bit digits are T's coefficients, each at most T(1,1) = w[0][0]
-    < 2^F."""
-    field, total = whitney[0][0].bit_length(), 0
-    row, mask = field * len(whitney[0]), (1 << field) - 1
-    for ws in reversed(whitney):
-        across = 0
-        for w in reversed(ws):
-            across = (across << field) - across + w
-        total = (total << row) - total + across
-    return TuttePolynomial._of(tuple([
-        tuple([total >> i + j & mask for j in range(0, row, field)])
-        for i in range(0, row * len(whitney), row)]))
+# -- packed polynomials, written by both engines ---------------------------
 
-
-def tutte_subset_sum(m: Matroid) -> TuttePolynomial:
-    """T by the corank-nullity sum, up to the "tables" size limit."""
-    return _from_whitney(whitney_numbers(m))
-
-
-# -- deletion-contraction engine -------------------------------------------
-
-# A polynomial inside `_dc` is one int, with the coefficient of x^i y^j in
+# A polynomial is packed into one int, with the coefficient of x^i y^j in
 # the _FIELD-bit field at index i*_STRIDE + j.  No field carries: each
 # coefficient of T(M) is at most T(1,1), the number of bases, at most
-# C(L, L//2) for L the deletion-contraction limit, and a node's children
-# sum to it field by field; j is at most the corank, at most L.  Both are
-# fixed at import, so `tutte_dc` refuses ground sets past that L.
-_FIELD = comb(SIZE_LIMITS["deletion-contraction"],
-              SIZE_LIMITS["deletion-contraction"] // 2).bit_length()
-_STRIDE = SIZE_LIMITS["deletion-contraction"] + 1
+# C(L, L//2) for L the larger of the two engines' limits, and a node's
+# children sum to it field by field; j is at most the corank, at most L.
+# Both are fixed at import, so `_check_fields` refuses ground sets past
+# that L.
+_LIMIT = max(SIZE_LIMITS["deletion-contraction"], SIZE_LIMITS["tables"])
+_FIELD = comb(_LIMIT, _LIMIT // 2).bit_length()
+_STRIDE = _LIMIT + 1
 # xy - x - y, packed: T(M) less T(M with one circuit-hyperplane relaxed)
 _RELAXED = (1 << _FIELD * (_STRIDE + 1)) - (1 << _FIELD * _STRIDE) - (1 << _FIELD)
 
 
-def _pack(t: TuttePolynomial) -> int:
-    """t as one int of _FIELD-bit fields, x^i y^j at field i*_STRIDE + j."""
-    packed = 0
-    for i, row in enumerate(t.coeffs):
-        for j, c in enumerate(row):
-            packed |= c << _FIELD * (i * _STRIDE + j)
-    return packed
+def _check_fields(work: str, n: int) -> None:
+    """Refuse n past the `work` size limit, or past the packed fields,
+    which are sized for the limits as they stood at import."""
+    check_size(work, n)
+    if n >= _STRIDE:
+        raise LimitExceededError(
+            f"size {n} exceeds the {_STRIDE - 1} elements the packed polynomials fit")
+
+
+def _from_whitney(whitney: list[list[int]]) -> int:
+    """T, packed, = sum of w[a][b] * (x-1)^a * (y-1)^b, by Horner's rule one
+    axis at a time, on one int: T at y = 2^_FIELD and x = 2^(_FIELD*_STRIDE),
+    whose fields are T's coefficients, each at most T(1,1) < 2^_FIELD."""
+    total, row = 0, _FIELD * _STRIDE
+    for ws in reversed(whitney):
+        across = 0
+        for w in reversed(ws):
+            across = (across << _FIELD) - across + w
+        total = (total << row) - total + across
+    return total
 
 
 def _unpack(packed: int, rank: int, corank: int) -> TuttePolynomial:
-    """The (rank+1) x (corank+1) polynomial that `_pack` made `packed`."""
+    """The (rank+1) x (corank+1) polynomial packed in `packed`: each row's
+    fields are masked off before its cells are shifted out."""
     field, width = (1 << _FIELD) - 1, _FIELD * _STRIDE
+    row_mask = (1 << _FIELD * (corank + 1)) - 1
     cells = range(0, _FIELD * (corank + 1), _FIELD)
     rows = []
     for _ in range(rank + 1):
-        rows.append(tuple([packed >> j & field for j in cells]))
+        row = packed & row_mask
+        rows.append(tuple([row >> j & field for j in cells]))
         packed >>= width
     return TuttePolynomial._of(tuple(rows))
 
+
+def tutte_subset_sum(m: Matroid) -> TuttePolynomial:
+    """T by the corank-nullity sum, up to the "tables" size limit."""
+    _check_fields("tables", m.n)
+    return _unpack(_from_whitney(whitney_numbers(m)), m.rank, m.n - m.rank)
+
+
+# -- deletion-contraction engine -------------------------------------------
 
 # What sys.getsizeof measures of a memo entry's parts (`TutteMemo`): a pair
 # and an empty byte string; an int's header and each digit, and 0
@@ -279,18 +282,18 @@ _INT_HEAD, _ZERO_BYTES = sys.getsizeof(1) - _DIGIT_BYTES, sys.getsizeof(0)
 
 
 class TutteMemo:
-    """LRU memo shared across recursions, bounded by the "memo-bytes" size
-    limit.  A key is (n, the sorted slots of the bases) of a matroid with
-    no loop or coloop, exact, so only equal families share an entry.
-    Entries are packed polynomials (`_pack`), immutable ints, returned as
-    they are.
+    """Memo shared across recursions, bounded by the "memo-bytes" size
+    limit: past it, the oldest entries go first.  A key is (n, the sorted
+    slots of the bases) of a matroid with no loop or coloop, exact, so only
+    equal families share an entry.  Entries are packed polynomials (see
+    `_FIELD`), immutable ints, returned as they are.
 
     Each entry is charged what `sys.getsizeof` measures of its key pair,
     the key's byte string and its packed polynomial, by arithmetic on sizes
     read once (`_entry_cost`); the memo's own hash table is not charged."""
 
     def __init__(self):
-        self._data: OrderedDict = OrderedDict()
+        self._data: dict = {}
         self._bytes = 0
 
     @staticmethod
@@ -299,10 +302,7 @@ class TutteMemo:
         return _KEY_BYTES + len(key[1]) + max(_ZERO_BYTES, _INT_HEAD + _DIGIT_BYTES * digits)
 
     def get(self, key):
-        val = self._data.get(key)
-        if val is not None:
-            self._data.move_to_end(key)
-        return val
+        return self._data.get(key)
 
     def put(self, key, packed: int):
         if key in self._data:
@@ -312,8 +312,8 @@ class TutteMemo:
         limit = SIZE_LIMITS["memo-bytes"]
         # keep at least one entry so progress is visible
         while self._bytes > limit and len(self._data) > 1:
-            old_key, old_val = self._data.popitem(last=False)
-            self._bytes -= self._entry_cost(old_key, old_val)
+            old_key = next(iter(self._data))
+            self._bytes -= self._entry_cost(old_key, self._data.pop(old_key))
 
     def clear(self):
         self._data.clear()
@@ -327,10 +327,10 @@ _global_memo = TutteMemo()
 
 
 @lru_cache(maxsize=None)
-def _uniform_tutte(k: int, n: int) -> TuttePolynomial:
-    """Closed form for U_{k,n} from the corank-nullity sum: the C(n,s)
-    subsets of size s have rank min(s,k), so corank deficit max(k-s,0) and
-    nullity max(s-k,0).  Cached, since polynomials are immutable."""
+def _uniform_packed(k: int, n: int) -> int:
+    """Closed form for U_{k,n}, packed, from the corank-nullity sum: the
+    C(n,s) subsets of size s have rank min(s,k), so corank deficit
+    max(k-s,0) and nullity max(s-k,0).  Cached, since ints are immutable."""
     whitney = [[0] * (n - k + 1) for _ in range(k + 1)]
     for s in range(n + 1):
         whitney[max(k - s, 0)][max(s - k, 0)] = comb(n, s)
@@ -338,9 +338,10 @@ def _uniform_tutte(k: int, n: int) -> TuttePolynomial:
 
 
 @lru_cache(maxsize=None)
-def _uniform_packed(k: int, n: int) -> int:
-    """`_uniform_tutte`, packed; cached likewise."""
-    return _pack(_uniform_tutte(k, n))
+def _uniform_tutte(k: int, n: int) -> TuttePolynomial:
+    """`_uniform_packed`, unpacked; cached likewise, polynomials being
+    immutable too."""
+    return _unpack(_uniform_packed(k, n), k, n - k)
 
 
 @lru_cache(maxsize=None)
@@ -429,12 +430,8 @@ def _dc(n: int, k: int, slots: bytes, memo: TutteMemo) -> int:
 
 def tutte_dc(m: Matroid, memo: TutteMemo | None = None) -> TuttePolynomial:
     """T by deletion-contraction, up to the "deletion-contraction" size
-    limit.  The packed fields are sized for the limit as it stood when
-    this module was imported, so a ground set past that is refused too."""
-    check_size("deletion-contraction", m.n)
-    if m.n >= _STRIDE:
-        raise LimitExceededError(
-            f"size {m.n} exceeds the {_STRIDE - 1} elements the packed polynomials fit")
+    limit."""
+    _check_fields("deletion-contraction", m.n)
     n, k = m.n, m.rank
     if m.is_uniform():
         return _uniform_tutte(k, n)     # before packing a single basis

@@ -221,13 +221,10 @@ def grown_sparse_paving(k: int, n: int, hyperplanes: int, seed: int) -> Matroid:
                 and (grown := grown_hyperplane(m, kept, h, f)))
 
 
-def sparse_paving_tutte_oracle(m) -> dict[tuple[int, int], int]:
-    """T(M) = T(U(k,n)) - lam*(x + y - xy) for a sparse paving matroid of
-    rank k on n elements with lam = C(n,k) - |B| circuit-hyperplanes, as a
-    sparse {(i, j): coeff} dict.  T(U(k,n)) is its corank-nullity sum by
-    size: the C(n,s) s-sets have corank k - min(s,k) and nullity
-    s - min(s,k)."""
-    k, n = m.rank, m.n
+def uniform_tutte_oracle(k: int, n: int) -> dict[tuple[int, int], int]:
+    """T(U(k,n)) as a sparse {(i, j): coeff} dict, with zeros, by its
+    corank-nullity sum by size: the C(n,s) s-sets have corank
+    k - min(s,k) and nullity s - min(s,k)."""
     poly: dict[tuple[int, int], int] = {}
     for s in range(n + 1):
         da, db = k - min(s, k), s - min(s, k)
@@ -236,6 +233,15 @@ def sparse_paving_tutte_oracle(m) -> dict[tuple[int, int], int]:
                 poly[i, j] = poly.get((i, j), 0) + (
                     comb(n, s) * comb(da, i) * comb(db, j)
                     * (-1) ** (da - i + db - j))
+    return poly
+
+
+def sparse_paving_tutte_oracle(m) -> dict[tuple[int, int], int]:
+    """T(M) = T(U(k,n)) - lam*(x + y - xy) for a sparse paving matroid of
+    rank k on n elements with lam = C(n,k) - |B| circuit-hyperplanes, as a
+    sparse {(i, j): coeff} dict."""
+    k, n = m.rank, m.n
+    poly = uniform_tutte_oracle(k, n)
     lam = comb(n, k) - len(m.bases)
     for key, sign in (((1, 0), -1), ((0, 1), -1), ((1, 1), 1)):
         poly[key] = poly.get(key, 0) + sign * lam
@@ -570,9 +576,9 @@ def poly_shift(t, dx: int, dy: int):
 
 def pack_oracle(t) -> int:
     """t as one int: the coefficient of x^i y^j in the F-bit field at index
-    i*(L+1) + j, for L the deletion-contraction limit and F the bit length
-    of C(L, L//2)."""
-    limit = SIZE_LIMITS["deletion-contraction"]
+    i*(L+1) + j, for L the larger of the deletion-contraction and tables
+    limits and F the bit length of C(L, L//2)."""
+    limit = max(SIZE_LIMITS["deletion-contraction"], SIZE_LIMITS["tables"])
     field = comb(limit, limit // 2).bit_length()
     return sum(c << field * (i * (limit + 1) + j)
                for i, row in enumerate(t.coeffs) for j, c in enumerate(row))

@@ -28,7 +28,7 @@ from splitmw import (
     tutte_subset_sum,
     uniform,
 )
-from splitmw import bitset, matroid as matroid_module
+from splitmw import matroid as matroid_module
 from splitmw.bitset import (bits, element_masks, lex_order, low_slots, mask_of, place,
                             popcount_classes, slot_ones, table_of, to_slots, unpack,
                             up_closure)
@@ -386,9 +386,9 @@ class TestTableBuilders:
         masks = [0, 1, 7, 8, (1 << limit) - 1, 1 << (limit - 1), 0x5A5A5]
         assert table_of(masks, limit) == table_oracle(masks)
 
-    def test_small_tables_match_oracles(self, monkeypatch):
-        monkeypatch.setattr(bitset, "_HELD", {})
-        element_masks(9), popcount_classes(9)    # the rest are cut from these
+    def test_small_tables_match_oracles(self):
+        for tables in (element_masks, popcount_classes):
+            tables.cache_clear()
         for n in range(10):
             every = range(1 << n)
             assert element_masks(n) == tuple(
@@ -397,24 +397,14 @@ class TestTableBuilders:
                 table_oracle(a for a in every if a.bit_count() == k)
                 for k in range(n + 1))
 
-    def test_one_build_per_new_largest_n(self, monkeypatch):
-        monkeypatch.setattr(bitset, "_HELD", {})
-        held = bitset._HELD
-        builds = {"element_masks": [], "popcount_classes": []}
-        for n in ENGINES_ORDER + tuple(range(18, -1, -1)):
-            for tables in (element_masks, popcount_classes):
-                name = tables.__name__
-                before = held.get(name)
-                assert tables(n) == tables.__wrapped__(n)     # a fresh build
-                if held[name] is not before:
-                    builds[name].append(n)
-            assert len(held) == 2
-        assert builds == {"element_masks": [15, 16, 17, 18],
-                          "popcount_classes": [15, 16, 17, 18]}
-        # a smaller n's tables are cut from the held ones each time, not kept
+    def test_engines_cycle_builds_each_n_once(self):
         for tables in (element_masks, popcount_classes):
-            assert tables(18) is held[tables.__name__][1] is tables(18)
-            assert tables(16) is not tables(16)
+            tables.cache_clear()
+            for _ in range(2):      # two passes
+                for n in ENGINES_ORDER:
+                    assert tables(n) == tables.__wrapped__(n)     # a fresh build
+            info = tables.cache_info()
+            assert (info.misses, info.currsize) == (len(set(ENGINES_ORDER)),) * 2
 
 
 def count_closures(monkeypatch, m) -> int:

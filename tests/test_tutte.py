@@ -36,8 +36,8 @@ from splitmw.errors import SIZE_LIMITS, InputError
 from splitmw.tutte import (
     _canonical,
     _children,
-    _pack,
     _strip,
+    _uniform_packed,
     _uniform_tutte,
     _unpack,
     whitney_numbers,
@@ -63,6 +63,7 @@ from conftest import (
     sparse_paving_matroids,
     sparse_paving_tutte_oracle,
     strip_oracle,
+    uniform_tutte_oracle,
     whitney_numbers_oracle,
     with_parallels_and_loops,
 )
@@ -570,6 +571,18 @@ class TestMemo:
         assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
         assert len(memo) <= 8  # eviction kept the table tiny
 
+    def test_oldest_entry_goes_first(self, monkeypatch):
+        keys = [(3, bytes([i])) for i in range(3)]
+        cost = TutteMemo._entry_cost(keys[0], 1)
+        monkeypatch.setitem(SIZE_LIMITS, "memo-bytes", 2 * cost)
+        memo = TutteMemo()
+        memo.put(keys[0], 1)
+        memo.put(keys[1], 1)
+        assert memo.get(keys[0]) == 1     # a hit does not renew an entry
+        memo.put(keys[2], 1)
+        assert list(memo._data) == keys[1:]
+        assert memo._bytes == 2 * cost
+
     # a cold run makes the same entries every time, so a new pivot rule or
     # key shows here; the counts are those of `dc_oracle`, all on the bases
     @pytest.mark.parametrize("m, entries", [
@@ -693,9 +706,9 @@ def measured_bytes(memo):
 
 
 class TestPackedPolynomials:
-    """One int per polynomial inside deletion-contraction: fields wide
-    enough for the largest coefficient at the widest shapes the limit
-    allows, and a refusal past the limit the fields were sized for."""
+    """One int per polynomial in both engines: fields wide enough for the
+    largest coefficient at the widest shapes the limits allow, and a
+    refusal past the limits the fields were sized for."""
 
     def test_round_trip_at_the_limit(self):
         limit = SIZE_LIMITS["deletion-contraction"]
@@ -705,16 +718,38 @@ class TestPackedPolynomials:
         filled = [TuttePolynomial([[largest] * (limit - r + 1)] * (r + 1))
                   for r in (0, limit // 2, limit)]
         for t in [widest, *filled]:
-            assert _pack(t) == pack_oracle(t)
-            assert _unpack(_pack(t), t.x_degree_bound, t.y_degree_bound) == t
+            assert _unpack(pack_oracle(t), t.x_degree_bound, t.y_degree_bound) == t
+
+    # the Horner expansion, coefficient by coefficient, at the widest shape,
+    # against the corank-nullity sum by size: no C(24,12) bases are built
+    def test_widest_closed_form_is_packed_exactly(self):
+        limit = SIZE_LIMITS["deletion-contraction"]
+        k, n = limit // 2, limit
+        coeffs = uniform_tutte_oracle(k, n)
+        t = TuttePolynomial([[coeffs.get((i, j), 0) for j in range(n - k + 1)]
+                             for i in range(k + 1)])
+        assert _uniform_packed(k, n) == pack_oracle(t)
 
     def test_ground_set_past_the_fields_is_refused(self, monkeypatch):
-        # C(25,12) needs 24 bits, two more than the fields sized at import
+        # C(25,12) needs 23 bits, one more than the fields sized at import
         limit = SIZE_LIMITS["deletion-contraction"]
         monkeypatch.setitem(SIZE_LIMITS, "deletion-contraction", limit + 1)
         with pytest.raises(LimitExceededError,
                            match=f"size {limit + 1} exceeds the {limit} elements"):
             tutte_dc(minimal(limit // 2, limit + 1), memo=TutteMemo())
+
+    def test_subset_sum_past_the_fields_is_refused(self, monkeypatch):
+        # subset-sum writes the same fields, so a "tables" limit raised past
+        # them is refused too, before any table is built
+        fitted = max(SIZE_LIMITS["deletion-contraction"], SIZE_LIMITS["tables"])
+        monkeypatch.setitem(SIZE_LIMITS, "tables", fitted + 1)
+
+        def no_tables(m):
+            raise AssertionError("tables were built past the fields")
+        monkeypatch.setattr(tutte, "whitney_numbers", no_tables)
+        with pytest.raises(LimitExceededError,
+                           match=f"size {fitted + 1} exceeds the {fitted} elements"):
+            tutte_subset_sum(uniform(1, fitted + 1))
 
 
 class TestPolynomialType:
