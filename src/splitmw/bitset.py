@@ -13,7 +13,8 @@ machine type that fits n bits, read as one int; past 64 bits, slots of
 `ones` the bit 0 of every slot, has a bit in exactly the slots of the
 masks that hold e; so element degrees, loops and coloops are bit counts
 and ANDs of whole columns, and relabeling the ground set is one shift and
-OR per element.
+OR per element.  Dropping columns or taking a run of slots keeps the slot
+width, so a family may sit in slots wider than its own n needs.
 """
 
 from __future__ import annotations
@@ -163,15 +164,6 @@ def from_slots(raw: bytes, width: int):
 def unpack(packed: int, count: int, width: int):
     """The `count` slots of a packed int, in slot order."""
     return from_slots(packed.to_bytes(count * width, sys.byteorder), width)
-
-
-def low_slots(raw: bytes, width: int, narrow: int) -> bytes:
-    """The low 8*narrow bits of each `width`-byte slot, as `narrow`-byte
-    slots, both widths machine types: of the `narrow`-byte slots a slot
-    spans, its low one, so all of them are one strided slice."""
-    step = width // narrow
-    low = 0 if sys.byteorder == "little" else step - 1
-    return from_slots(raw, narrow)[low::step].tobytes()
 
 
 def slot_ones(count: int, width: int) -> int:

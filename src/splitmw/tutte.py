@@ -15,22 +15,21 @@ Two independent engines cross-check each other:
     a closed form for uniform minors and one for sparse paving roots (both
     checked at the root before a single mask is packed), and a memo,
     bounded by the "memo-bytes" size limit by evicting its oldest entries,
-    keyed on the sorted slots of the bases (see `bitset`).  A root with
-    more bases than non-bases (the k-sets that are no bases) reads its
-    non-bases N; if no two of them share k-1 elements, it is sparse
-    paving, N its circuit-hyperplanes, and relaxing each one adds
-    x + y - xy (Brylawski), so T is T(U(k,n)) + |N|*(xy - x - y).  Each
-    call relabels any other root once, by (degree, index) (`_canonical`),
-    and every node below inherits that labeling, so equal minors coalesce
-    in the memo and no node sorts.  The pivot is always element n-1, at
-    the root one of highest degree: a node's sorted slots split at 2^(n-1)
-    into its two children (`_children`).  A node with at most max(C(n-1,k), C(n-1,k-1)) bases
-    reads its n columns for its loops and coloops, empty and full columns.
-    So a node costs O(n) whole-int operations on its |B| slots, with no
-    loop over each mask's bits.  Inside the recursion a polynomial is one
-    int (Kronecker substitution, see `_FIELD`): the children's sum is one
-    addition, a loop or coloop factor one shift, and `tutte_dc` unpacks
-    the root's once.
+    keyed on n and the packed bases (see `bitset`).  A root with more bases
+    than non-bases (the k-sets that are no bases) reads its non-bases N; if
+    no two of them share k-1 elements, it is sparse paving, and relaxing
+    each of N, its circuit-hyperplanes, adds x + y - xy (Brylawski), so T
+    is T(U(k,n)) + |N|*(xy - x - y); else its core less any loops and
+    coloops takes the same rules.  Each call relabels and packs any other
+    root once, by (degree, index) (`_canonical`); every node below keeps
+    that labeling and those slots, so equal minors coalesce in the memo
+    and no node sorts or repacks.  A node, one int, reads its n columns
+    once: it drops the empty and full ones, loops and coloops, or splits
+    at the pivot n-1, at the root one of highest degree, whose holders are
+    the last slots.  So a node costs O(n) whole-int operations on its |B|
+    slots.  Inside the recursion a polynomial is one int (Kronecker
+    substitution, see `_FIELD`): the children's sum is one addition, a
+    loop or coloop factor one shift, and `tutte_dc` unpacks the root's once.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
 Coefficient matrices are indexed coeffs[i][j] = coefficient of x^i y^j and
@@ -44,8 +43,8 @@ from functools import lru_cache
 from itertools import chain
 from math import comb
 
-from .bitset import (bits, column_view, columns, k_subsets, low_slots, place,
-                     popcount_classes, slot_ones, slot_width, to_slots, unpack)
+from .bitset import (bits, column_view, columns, k_subsets, place, popcount_classes,
+                     to_slots, unpack)
 from .errors import (SIZE_LIMITS, InputError, LimitExceededError, check_size,
                      require_int, require_record)
 from .matroid import Matroid
@@ -274,23 +273,29 @@ def tutte_subset_sum(m: Matroid) -> TuttePolynomial:
 
 # -- deletion-contraction engine -------------------------------------------
 
-# What sys.getsizeof measures of a memo entry's parts (`TutteMemo`): a pair
-# and an empty byte string; an int's header and each digit, and 0
-_KEY_BYTES = sys.getsizeof((0, b"")) + sys.getsizeof(b"")
+# What sys.getsizeof measures of a memo entry's parts (`TutteMemo`): a pair;
+# an int's header and each digit, and 0
+_PAIR_BYTES = sys.getsizeof((0, 0))
 _DIGIT_BITS, _DIGIT_BYTES = sys.int_info.bits_per_digit, sys.int_info.sizeof_digit
 _INT_HEAD, _ZERO_BYTES = sys.getsizeof(1) - _DIGIT_BYTES, sys.getsizeof(0)
 
 
+def _int_bytes(i: int) -> int:
+    """What sys.getsizeof measures of the nonnegative int i."""
+    return max(_ZERO_BYTES, _INT_HEAD + _DIGIT_BYTES * -(-i.bit_length() // _DIGIT_BITS))
+
+
 class TutteMemo:
     """Memo shared across recursions, bounded by the "memo-bytes" size
-    limit: past it, the oldest entries go first.  A key is (n, the sorted
-    slots of the bases) of a matroid with no loop or coloop, exact, so only
-    equal families share an entry.  Entries are packed polynomials (see
-    `_FIELD`), immutable ints, returned as they are.
+    limit: past it, the oldest entries go first.  A key is (n, the packed
+    bases, in the slot width of the root they came from) of a matroid with
+    no loop or coloop, exact, so only equal families in equal slots share
+    an entry.  Entries are packed polynomials (see `_FIELD`), immutable
+    ints, returned as they are.
 
     Each entry is charged what `sys.getsizeof` measures of its key pair,
-    the key's byte string and its packed polynomial, by arithmetic on sizes
-    read once (`_entry_cost`); the memo's own hash table is not charged."""
+    the key's packed int and its packed polynomial, by arithmetic on sizes
+    read once (`_int_bytes`); the memo's own hash table is not charged."""
 
     def __init__(self):
         self._data: dict = {}
@@ -298,8 +303,7 @@ class TutteMemo:
 
     @staticmethod
     def _entry_cost(key, packed: int) -> int:
-        digits = -(-packed.bit_length() // _DIGIT_BITS)
-        return _KEY_BYTES + len(key[1]) + max(_ZERO_BYTES, _INT_HEAD + _DIGIT_BYTES * digits)
+        return _PAIR_BYTES + _int_bytes(key[1]) + _int_bytes(packed)
 
     def get(self, key):
         return self._data.get(key)
@@ -352,78 +356,75 @@ def _k_sets(n: int, k: int) -> frozenset:
     return frozenset(k_subsets(k, n))
 
 
-def _strip(n: int, packed: int, ones: int, count: int) -> tuple[int, int, bytes] | None:
-    """(n_coloops, n_loops, the slots, in their own width, of the bases
-    less their loops and coloops), or None if they have none.  Loops and
-    coloops are empty and full columns, so dropping them keeps the masks
-    distinct and in order."""
-    cols = columns(packed, ones, n)
-    if 0 not in cols and ones not in cols:
+def _sparse_paving(n: int, k: int, bases) -> int | None:
+    """T, packed, of the rank-k matroid on n elements with these bases, more
+    than its non-bases N, if it is sparse paving (uniform included), else
+    None.  Two non-bases share k-1 elements iff they share a (k-1)-subset;
+    if none do, N are its circuit-hyperplanes, and relaxing each one adds
+    x + y - xy to T (Brylawski).  So the non-bases' (k-1)-subsets are
+    distinct, and k|N| > C(n,k-1) refutes it before N is read."""
+    if k * (comb(n, k) - len(bases)) > comb(n, k - 1):
         return None
+    non_bases = _k_sets(n, k) - bases
+    if len({h ^ 1 << e for h in non_bases for e in bits(h)}) == k * len(non_bases):
+        return _uniform_packed(k, n) + len(non_bases) * _RELAXED
+    return None
+
+
+def _core(n: int, k: int, cols: list[int], ones: int) -> tuple[int, int, int, int]:
+    """(n', k', packed bases, shift) of the matroid whose columns these are,
+    less its loops and coloops, the empty and full columns: dropping them
+    keeps the masks distinct and in order, in the same slots, and the shift
+    multiplies the core's packed polynomial by x^coloops * y^loops."""
     kept = [col for col in cols if col and col != ones]
-    width, narrow = slot_width(n), slot_width(len(kept))
-    slots = place(kept).to_bytes(count * width, sys.byteorder)
-    if narrow < width:
-        slots = low_slots(slots, width, narrow)
-    ncoloops = cols.count(ones)
-    return ncoloops, n - len(kept) - ncoloops, slots
+    coloops = cols.count(ones)
+    return (len(kept), k - coloops, place(kept),
+            _FIELD * (coloops * _STRIDE + n - len(kept) - coloops))
 
 
-def _canonical(n: int, masks) -> bytes:
-    """The sorted slots of this family of masks on n elements relabeled by
-    (degree, index): a stable sort of the columns by bit count, one `place`
-    and one sort of the masks.  `tutte_dc` relabels each root so, and its
-    nodes inherit the labeling, n-1 of highest degree.  Relabeling keeps T,
-    so roots isomorphic by it share memo entries across calls."""
-    cols, _, width = column_view(n, masks)
+def _canonical(n: int, masks) -> tuple[int, int]:
+    """(the packed family, its full column) of these masks on n elements
+    relabeled by (degree, index), sorted: a stable sort of the columns by
+    bit count, one `place` and one sort of the masks.  `tutte_dc` packs each
+    root so, and its nodes inherit the labeling, n-1 of highest degree, and
+    the slot width.  Relabeling keeps T, so roots isomorphic by it share
+    memo entries across calls."""
+    cols, ones, width = column_view(n, masks)
     cols.sort(key=int.bit_count)
-    return to_slots(sorted(unpack(place(cols), len(masks), width)), width)
+    # ascending from the int's lowest slot up, in either byte order
+    relabeled = sorted(unpack(place(cols), len(masks), width),
+                       reverse=sys.byteorder == "big")
+    return int.from_bytes(to_slots(relabeled, width), sys.byteorder), ones
 
 
-def _children(n: int, packed: int, pivot: int, count: int) -> tuple[bytes, bytes]:
-    """The slots of the deletion and the contraction of element n-1 from
-    the sorted family of `count` masks in `packed`, whose column of n-1 is
-    `pivot`: one XOR clears bit n-1, so the masks that lacked it and those
-    that held it are sorted families on n-1 elements, in (n-1)'s width."""
-    width, narrow = slot_width(n), slot_width(n - 1)
-    raw = (packed ^ pivot << (n - 1)).to_bytes(count * width, sys.byteorder)
-    if narrow < width:
-        raw = low_slots(raw, width, narrow)
-    cut = (count - pivot.bit_count()) * narrow
-    return raw[:cut], raw[cut:]
-
-
-def _dc(n: int, k: int, slots: bytes, memo: TutteMemo) -> int:
+def _dc(n: int, k: int, packed: int, ones: int, memo: TutteMemo) -> int:
     """T, packed, of the rank-k matroid on n elements whose bases are the
-    masks in these slots of n's width: distinct, ascending and below 2^n.
-    The key is (n, slots), and the pivot is element n-1."""
-    width = slot_width(n)
-    count = len(slots) // width
-    total = comb(n, k)
-    if count == total:
+    masks in the slots of `packed` that `ones`, the bit 0 of each, marks:
+    distinct, ascending and below 2^n.  The key is (n, packed), and the
+    pivot is element n-1."""
+    if ones.bit_count() == comb(n, k):
         # every k-set a basis, so no columns are needed: U(k,n) has no loop
         # or coloop unless k is 0 or n, where the closed form is y^n or x^n
         return _uniform_packed(k, n)
-    key = (n, slots)
+    key = (n, packed)
     core = memo.get(key)     # an entry's matroid has no loop or coloop
     if core is not None:
         return core
-    ones = slot_ones(count, width)
-    packed = int.from_bytes(slots, sys.byteorder)
-    # every basis lacks a loop and holds a coloop, so either bounds the
-    # bases by max(C(n-1,k), C(n-1,k-1))
-    if count * n <= total * max(k, n - k):
-        stripped = _strip(n, packed, ones, count)
-        if stripped:
-            # the stripped family, keyed in its own slot width, times
-            # x^ncoloops * y^nloops
-            ncoloops, nloops, slots = stripped
-            del ones, packed, stripped  # not held while the minors recurse
-            return (_dc(n - ncoloops - nloops, k - ncoloops, slots, memo)
-                    << _FIELD * (ncoloops * _STRIDE + nloops))
-    deleted, contracted = _children(n, packed, packed >> (n - 1) & ones, count)
-    del ones, packed
-    core = _dc(n - 1, k, deleted, memo) + _dc(n - 1, k - 1, contracted, memo)
+    cols = columns(packed, ones, n)
+    if 0 in cols or ones in cols:
+        n, k, packed, shift = _core(n, k, cols, ones)
+        del cols    # not held while the core recurses
+        return _dc(n, k, packed, ones, memo) << shift
+    # the masks that hold n-1 come last, from the pivot column's lowest
+    # slot on: one XOR clears bit n-1, and the slots split there into the
+    # deletion's and the contraction's sorted families on n-1 elements
+    pivot = cols[-1]
+    del cols
+    low = (pivot & -pivot) - 1
+    cut = low.bit_length()
+    packed ^= pivot << (n - 1)
+    core = (_dc(n - 1, k, packed & low, ones & low, memo)
+            + _dc(n - 1, k - 1, packed >> cut, ones >> cut, memo))
     memo.put(key, core)
     return core
 
@@ -432,16 +433,19 @@ def tutte_dc(m: Matroid, memo: TutteMemo | None = None) -> TuttePolynomial:
     """T by deletion-contraction, up to the "deletion-contraction" size
     limit."""
     _check_fields("deletion-contraction", m.n)
-    n, k = m.n, m.rank
+    n, k, bases, shift = m.n, m.rank, m.bases, 0
     if m.is_uniform():
         return _uniform_tutte(k, n)     # before packing a single basis
-    if 2 * len(m.bases) > comb(n, k):     # a tie keeps the bases
-        # two non-bases share k-1 elements iff they share a (k-1)-subset;
-        # if none do, M is sparse paving, and relaxing each non-basis, a
-        # circuit-hyperplane, adds x + y - xy to T(M)
-        non_bases = _k_sets(n, k) - m.bases
-        if len({h ^ 1 << e for h in non_bases for e in bits(h)}) == k * len(non_bases):
-            return _unpack(_uniform_packed(k, n) + len(non_bases) * _RELAXED, k, n - k)
+    if 2 * len(bases) > comb(n, k):     # a tie keeps the bases
+        packed = _sparse_paving(n, k, bases)
+        if packed is None and (m.loops() or m.coloops()):
+            # its core has the same bases, so more than its non-bases too
+            cols, ones, width = column_view(n, bases)
+            n, k, packed, shift = _core(n, k, cols, ones)
+            bases = frozenset(unpack(packed, len(bases), width))
+            packed = _sparse_paving(n, k, bases)
+        if packed is not None:
+            return _unpack(packed << shift, m.rank, m.n - m.rank)
     if memo is None:
         memo = _global_memo
-    return _unpack(_dc(n, k, _canonical(n, m.bases), memo), k, n - k)
+    return _unpack(_dc(n, k, *_canonical(n, bases), memo) << shift, m.rank, m.n - m.rank)

@@ -11,7 +11,6 @@ import hashlib
 import json
 import random
 import struct
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -508,10 +507,16 @@ def canonical_oracle(n: int, bases) -> tuple[int, ...]:
     return tuple(sorted(renamed))
 
 
+def width_oracle(n: int) -> int:
+    """Bytes per slot of n-bit masks: the narrowest of 1, 2, 4 or 8 that
+    holds n bits, else (n+7)//8."""
+    return next(w for w in (1, 2, 4, 8, (n + 7) // 8) if 8 * w >= n)
+
+
 def written_oracle(n: int, masks, byteorder: str) -> tuple[bytes, int]:
-    """(the masks written one after another in this byte order, each in the
-    narrowest of 1, 2, 4 or 8 bytes that holds n bits, that width)."""
-    width = next(w for w in (1, 2, 4, 8, (n + 7) // 8) if 8 * w >= n)
+    """(the masks written one after another in this byte order, each in
+    `width_oracle(n)` bytes, that width)."""
+    width = width_oracle(n)
     code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)
     if code:        # a struct format of standard size
         order = "<" if byteorder == "little" else ">"
@@ -519,10 +524,10 @@ def written_oracle(n: int, masks, byteorder: str) -> tuple[bytes, int]:
     return b"".join(b.to_bytes(width, byteorder) for b in masks), width
 
 
-def slots_oracle(n: int, bases) -> bytes:
-    """The sorted bases written one after another in native byte order,
-    each in the narrowest of 1, 2, 4 or 8 bytes that holds n bits."""
-    return written_oracle(n, sorted(bases), sys.byteorder)[0]
+def packed_oracle(masks, width: int) -> int:
+    """The masks, in order, in `width`-byte slots read as one int, the
+    first slot lowest."""
+    return int.from_bytes(b"".join(b.to_bytes(width, "little") for b in masks), "little")
 
 
 def pivot_oracle(n: int) -> int:
@@ -598,9 +603,10 @@ def dc_oracle(n: int, bases: tuple[int, ...], memo):
     the oracles above.  A root with more bases than non-bases whose
     non-bases, as element sets, pairwise share at most k-2 elements is
     sparse paving and takes `sparse_paving_tutte_oracle`, with no memo
-    entry.  Any other root is relabeled in canonical order, and below it
-    no relabeling; strip, closed form for uniform minors, memo on (n, the
-    family's slots), pivot n-1, deletion before contraction."""
+    entry; if they do not, but it has loops or coloops, its core, less
+    them, is a root of its own, times x^coloops * y^loops.  Any other root
+    is relabeled in canonical order, and below it no relabeling (see
+    `dc_node_oracle`)."""
     k = bases[0].bit_count()
     if 2 * len(bases) > comb(n, k):
         held = set(bases)
@@ -610,27 +616,38 @@ def dc_oracle(n: int, bases: tuple[int, ...], memo):
             coeffs = sparse_paving_tutte_oracle(Matroid(n, k, bases))
             return TuttePolynomial([[coeffs.get((i, j), 0) for j in range(n - k + 1)]
                                     for i in range(k + 1)])
-    return dc_node_oracle(n, canonical_oracle(n, bases), memo)
+        core_n, core, ncoloops, nloops = strip_oracle(n, bases)
+        if core_n < n:
+            return poly_shift(dc_oracle(core_n, core, memo), ncoloops, nloops)
+    return dc_node_oracle(n, canonical_oracle(n, bases), width_oracle(n), memo)
 
 
-def dc_node_oracle(n: int, bases: tuple[int, ...], memo):
-    """One node of `dc_oracle`, on a sorted family in the root's labeling."""
-    n, bases, ncoloops, nloops = strip_oracle(n, bases)
-    if n == 0:
-        core = TuttePolynomial(((1,),))
-    else:
-        k = bases[0].bit_count()
-        if len(bases) == comb(n, k):
-            core = _uniform_tutte(k, n)
-        else:
-            key = (n, slots_oracle(n, bases))
-            core = memo.get(key)
-            if core is None:
-                deleted, contracted = children_oracle(n, bases)
-                core = poly_add(dc_node_oracle(n - 1, deleted, memo),
-                                dc_node_oracle(n - 1, contracted, memo))
-                memo.put(key, core)
-    return poly_shift(core, ncoloops, nloops)
+def dc_node_oracle(n: int, bases: tuple[int, ...], width: int, memo, calls=None):
+    """One node of `dc_oracle`, on a sorted family in the root's labeling
+    and its slot width, one call of `tutte._dc`: the closed form if uniform;
+    else the memo, keyed on (n, the family in `width`-byte slots as one
+    int); else, with loops or coloops, the stripped family, times
+    x^coloops * y^loops; else the deletion and then the contraction of the
+    pivot, n-1.  Each call appends (n, k, packed family, full column) to
+    `calls`, if given."""
+    k, packed = bases[0].bit_count(), packed_oracle(bases, width)
+    if calls is not None:
+        calls.append((n, k, packed, packed_oracle([1] * len(bases), width)))
+    if len(bases) == comb(n, k):
+        return _uniform_tutte(k, n)
+    key = (n, packed)
+    core = memo.get(key)
+    if core is not None:
+        return core
+    core_n, core, ncoloops, nloops = strip_oracle(n, bases)
+    if core_n < n:
+        return poly_shift(dc_node_oracle(core_n, core, width, memo, calls),
+                          ncoloops, nloops)
+    deleted, contracted = children_oracle(n, bases)
+    core = poly_add(dc_node_oracle(n - 1, deleted, width, memo, calls),
+                    dc_node_oracle(n - 1, contracted, width, memo, calls))
+    memo.put(key, core)
+    return core
 
 
 # -- matroid structure, one basis and one mask at a time --------------------

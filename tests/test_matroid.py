@@ -29,7 +29,7 @@ from splitmw import (
     uniform,
 )
 from splitmw import matroid as matroid_module
-from splitmw.bitset import (bits, element_masks, lex_order, low_slots, mask_of, place,
+from splitmw.bitset import (bits, columns, element_masks, lex_order, mask_of, place,
                             popcount_classes, slot_ones, table_of, to_slots, unpack,
                             up_closure)
 from splitmw.corpus import (
@@ -921,20 +921,22 @@ class TestPackedColumns:
             assert (m.contract(e).n, m.contract(e).rank, m.contract(e).bases) == \
                 contract_oracle(m, e)
 
-    # every pair of machine-type slot widths; masks with bits on both sides
-    # of the narrow width
+    # every pair of machine-type slot widths: masks that fit the narrow
+    # width held in the low slots of the wide one, as a deletion-contraction
+    # family keeps its root's slots below it, are read whole from their
+    # columns over the narrow bits, and each slot's bit 0 is set in the full
+    # column
     @pytest.mark.parametrize("width, narrow", [
         (2, 1), (4, 1), (4, 2), (8, 1), (8, 2), (8, 4),
     ])
     def test_low_slots_and_slot_ones(self, width, narrow):
         rng = random.Random(16 * width + narrow)
-        masks = [rng.getrandbits(8 * width) for _ in range(37)] + [0, (1 << 8 * width) - 1]
-        raw = b"".join(m.to_bytes(width, sys.byteorder) for m in masks)
-        low = (1 << 8 * narrow) - 1
-        assert low_slots(raw, width, narrow) == b"".join(
-            (m & low).to_bytes(narrow, sys.byteorder) for m in masks)
-        assert slot_ones(len(masks), width) == sum(
-            1 << 8 * width * i for i in range(len(masks)))
+        masks = [rng.getrandbits(8 * narrow) for _ in range(37)] + [0, (1 << 8 * narrow) - 1]
+        packed = int.from_bytes(to_slots(masks, width), sys.byteorder)
+        ones = slot_ones(len(masks), width)
+        assert ones == sum(1 << 8 * width * i for i in range(len(masks)))
+        assert place(columns(packed, ones, 8 * narrow)) == packed
+        assert list(unpack(packed, len(masks), width)) == masks
 
     def test_records_do_not_share_lists(self):
         # the last: one byte position of a wide slot holds every element

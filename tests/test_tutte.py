@@ -31,12 +31,10 @@ from splitmw.corpus import (
     uniform_matroids,
 )
 from splitmw import matroid, tutte
-from splitmw.bitset import from_slots, slot_ones, slot_width
+from splitmw.bitset import slot_width
 from splitmw.errors import SIZE_LIMITS, InputError
 from splitmw.tutte import (
     _canonical,
-    _children,
-    _strip,
     _uniform_packed,
     _uniform_tutte,
     _unpack,
@@ -47,7 +45,7 @@ from conftest import (
     PETERSEN,
     OracleMemo,
     canonical_oracle,
-    children_oracle,
+    dc_node_oracle,
     dc_oracle,
     dense_to_sparse,
     derived_matroids,
@@ -55,16 +53,16 @@ from conftest import (
     grown_sparse_paving,
     oracle_tutte_coeffs,
     pack_oracle,
+    packed_oracle,
     pairwise_exchange_violation,
-    pivot_oracle,
     poly_add,
-    slots_oracle,
     sparse_paving,
     sparse_paving_matroids,
     sparse_paving_tutte_oracle,
     strip_oracle,
     uniform_tutte_oracle,
     whitney_numbers_oracle,
+    width_oracle,
     with_parallels_and_loops,
 )
 
@@ -74,6 +72,15 @@ def both_engines(m):
 
 
 K5 = Multigraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+
+# the Petersen graph as perfbench's `engines` workload lists its edges, and
+# that workload's seed-4711 G(9,18), written out
+PETERSEN_ENGINES = Multigraph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6),
+                                   (2, 7), (3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8),
+                                   (8, 5)])
+G918 = Multigraph(9, [(1, 4), (4, 3), (3, 5), (5, 2), (2, 0), (0, 8), (8, 6), (6, 7),
+                      (7, 1), (8, 1), (2, 6), (5, 3), (7, 4), (7, 6), (7, 0), (0, 6),
+                      (4, 7), (2, 8)])
 
 
 class TestSparsePaving:
@@ -147,16 +154,45 @@ class TestSparsePaving:
         assert memo
 
     # dense roots at the slot-width edges: the sparse paving (8,17) takes
-    # the closed form; the loop beside a sparse paving (7,16) is stripped
-    # from 17 elements to 16, and the coloop beside a sparse paving (5,9)
-    # from 10 to 9, whose children go on to 8, on their bases
+    # the closed form, and so do the loop beside a sparse paving (7,16) and
+    # the coloop beside a sparse paving (5,9), on their cores of 16 and 9
+    # elements
     @pytest.mark.parametrize("m", [
         sparse_paving(8, 17, 40, 7),
         uniform(0, 1).direct_sum(sparse_paving(7, 16, 60, 5)),
         sparse_paving(5, 9, 10, 2).direct_sum(uniform(1, 1)),
     ], ids=["17-children", "17-16-loop", "10-9-coloop"])
     def test_non_bases_across_slot_width_edges(self, m):
-        assert tutte_dc(m, memo=TutteMemo()) == tutte_subset_sum(m)
+        memo = TutteMemo()
+        assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
+        assert not memo
+
+    # a dense root that is not sparse paving for its loops or coloops alone:
+    # its core, relabeled onto the other elements, takes the root rules,
+    # here the closed form, so no node recurses.  The root's non-bases
+    # are too many to be circuit-hyperplanes, k|N| > C(n,k-1), so only the
+    # core's k-sets are read
+    @pytest.mark.parametrize("m, core", [
+        (uniform(0, 1).direct_sum(sparse_paving(7, 16, 150, 6)), (16, 7)),
+        (sparse_paving(4, 7, 3, 3).direct_sum(uniform(1, 1)), (7, 4)),
+        (uniform(0, 2).direct_sum(sparse_paving(2, 8, 3, 1)), (8, 2)),
+    ], ids=["loop-7-16-150", "4-7-coloop", "loops-2-8"])
+    def test_dense_core_takes_the_closed_form(self, m, core, monkeypatch):
+        def no_recursion(*args):
+            raise AssertionError("a dense root with a sparse paving core recursed")
+        read, k_sets_of = [], tutte._k_sets
+
+        def k_sets(n, k):
+            read.append((n, k))
+            return k_sets_of(n, k)
+        monkeypatch.setattr(tutte, "_dc", no_recursion)
+        monkeypatch.setattr(tutte, "_k_sets", k_sets)
+        assert 2 * len(m.bases) > comb(m.n, m.rank)
+        assert m.loops() or m.coloops()
+        memo = TutteMemo()
+        assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
+        assert not memo
+        assert read == [core]
 
     @given(sparse_paving_matroids())
     def test_engines_agree_with_loops_and_coloops(self, drawn):
@@ -352,52 +388,54 @@ class TestWhitneyNumbers:
         assert built == sizes
 
 
-def check_children(n, bases):
-    """The slots of the children of element n-1 from a sorted family on n
-    elements against the oracle's: the same families, sorted, with no bit
-    at n-1 or above, each in (n-1)'s slot width."""
-    count, width = len(bases), slot_width(n)
-    packed = int.from_bytes(slots_oracle(n, bases), sys.byteorder)
-    pivot = (packed >> pivot_oracle(n)) & slot_ones(count, width)
-    assert _children(n, packed, pivot, count) == tuple(
-        slots_oracle(n - 1, child) for child in children_oracle(n, bases))
+def key_masks(key, width: int) -> list[int]:
+    """The masks of a memo key's packed int, read in `width`-byte slots from
+    the lowest up, to the highest nonzero one."""
+    packed, slot, out = key[1], (1 << 8 * width) - 1, []
+    while packed:
+        out.append(packed & slot)
+        packed >>= 8 * width
+    return out
 
 
 def unpack_entry(key, packed):
     """The polynomial of a memo entry, its rank read off the key's first
-    basis."""
-    n, slots = key
-    rank = from_slots(slots, slot_width(n))[0].bit_count()
+    basis, in its lowest slot."""
+    n, family = key
+    rank = (family & ((1 << n) - 1)).bit_count()
     return _unpack(packed, rank, n - rank)
 
 
 def check_column_pass(m):
-    """The root's canonical slots, the stripped family and the children of
-    a node against the one-basis-at-a-time oracles.  Stripping the
-    canonical bases keeps its masks in order, with no sort, and gives the
-    canonical family of the stripped matroid, so roots coalesce as they
-    would if they were stripped before they were relabeled."""
+    """The root's canonical packing and every node of the recursion below
+    it against the one-basis-at-a-time oracles: each `_dc` call, its
+    stripped family or its children of the pivot, n-1, in the root's slot
+    width, equal to `dc_node_oracle`'s, call by call, and the same
+    polynomial.  Stripping the canonical bases keeps its masks in order,
+    with no sort, and gives the canonical family of the stripped matroid,
+    so the core of a dense root recurses as its stripped root would, in
+    its own slot width."""
     n, bases = m.n, tuple(sorted(m.bases))
     canon = canonical_oracle(n, bases)
-    slots = slots_oracle(n, canon)
-    assert _canonical(n, bases) == slots
-    count, width = len(canon), slot_width(n)
-    packed = int.from_bytes(slots, sys.byteorder)
-    stripped = _strip(n, packed, slot_ones(count, width), count)
-    stripped_n, family, *dropped = strip_oracle(n, canon)
-    if n:
-        check_children(n, canon)
-    # with nothing to strip, the stripped family is the canonical one
-    if stripped_n == n:
-        assert stripped is None
-    else:
-        assert stripped == (*dropped, slots_oracle(stripped_n, family))
-        if stripped_n and family:
-            check_children(stripped_n, family)
+    width = width_oracle(n)
+    root = (packed_oracle(canon, width), packed_oracle([1] * len(canon), width))
+    assert _canonical(n, bases) == root
+    calls, oracle_calls = [], []
+    dc = tutte._dc
+
+    def recorded(*args):
+        calls.append(args[:4])
+        return dc(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tutte, "_dc", recorded)
+        packed = tutte._dc(n, m.rank, *root, TutteMemo())
+    expected = dc_node_oracle(n, canon, width, OracleMemo(), oracle_calls)
+    assert calls == oracle_calls
+    assert _unpack(packed, m.rank, n - m.rank) == expected
     stripped_first = strip_oracle(n, bases)[:2]
-    assert (slots_oracle(*strip_oracle(n, canon)[:2])
-            == slots_oracle(stripped_first[0], canonical_oracle(*stripped_first))
-            == _canonical(*stripped_first))
+    family = canonical_oracle(*stripped_first)
+    assert strip_oracle(n, canon)[:2] == (stripped_first[0], family)
+    assert _canonical(*stripped_first)[0] == packed_oracle(family, width_oracle(stripped_first[0]))
 
 
 def with_loop_and_coloop(m):
@@ -406,10 +444,10 @@ def with_loop_and_coloop(m):
 
 
 class TestColumnPass:
-    """The column-packed deletion-contraction step against the per-basis
-    oracles: equal keys, stripped families and children of the pivot, the
-    last element of the canonical order, and the same memo, entry for
-    entry, after a whole run."""
+    """The packed deletion-contraction step against the per-basis oracles:
+    equal root packings, then equal calls, node by node (stripped families
+    and children of the pivot, the last element of the canonical order),
+    and the same memo, entry for entry, after a whole run."""
 
     def test_corpus(self):
         for m in tutte_identity_corpus():
@@ -426,8 +464,8 @@ class TestColumnPass:
         check_column_pass(m)
 
     # n = 8 and 16, the widest ground sets of one- and two-byte slots, one
-    # past each, where the children are repacked into narrower slots, and
-    # the deletion-contraction limit, 24
+    # past each, whose nodes go on in the root's wider slots below them,
+    # and the deletion-contraction limit, 24
     @pytest.mark.parametrize("m", [
         minimal(4, 8), minimal(4, 9), minimal(8, 16), minimal(8, 17),
         minimal(12, 24), uniform(3, 7).direct_sum(uniform(1, 1)),
@@ -443,7 +481,7 @@ class TestColumnPass:
     def test_engines_agree_across_slot_width_edges(self, m):
         # m without its loops and coloops, beside a parallel class that
         # brings it to 9 or 17 elements (or past, for a large m), so that
-        # the recursion repacks children into narrower slots there
+        # the recursion goes on in slots wider than its nodes need
         core = m.restrict(m.full_mask & ~(m.loops() | m.coloops()))
         for size in (9, 17):
             padded = with_loop_and_coloop(
@@ -451,31 +489,48 @@ class TestColumnPass:
             assert tutte_dc(padded, memo=TutteMemo()) == tutte_subset_sum(padded)
 
     # a root whose loops and coloops take it from 17 elements to 16 or
-    # fewer, or from 9 to 8 or fewer: stripped, it is keyed in its own
-    # narrower slots, so the run writes the keys of its core's run, the
-    # root's last, of its core's bases in the core's slot width
+    # fewer, or from 9 to 8 or fewer: stripped, it stays in its root's
+    # wider slots, so the run makes the entries of its core's run, with the
+    # same n and polynomials in the same order, keyed on the same masks in
+    # wider slots
     @pytest.mark.parametrize("core, loops, coloops", [
         (minimal(8, 16), 1, 0), (minimal(8, 16), 0, 1), (graphic(PETERSEN), 1, 1),
         (minimal(4, 8), 1, 0), (minimal(4, 8), 0, 1), (minimal(3, 7), 1, 1),
     ], ids=["17-16-loop", "17-16-coloop", "17-15", "9-8-loop", "9-8-coloop", "9-7"])
     def test_strip_across_slot_width_edge(self, core, loops, coloops):
         padded = uniform(0, loops).direct_sum(core).direct_sum(uniform(coloops, coloops))
-        assert slot_width(padded.n) > slot_width(core.n)
+        wide, narrow = slot_width(padded.n), slot_width(core.n)
+        assert wide > narrow
         memo, core_memo = TutteMemo(), TutteMemo()
         assert tutte_dc(padded, memo=memo) == tutte_subset_sum(padded)
         tutte_dc(core, memo=core_memo)
-        assert list(memo._data) == list(core_memo._data)
-        n, slots = list(memo._data)[-1]
-        assert (n, len(slots)) == (core.n, len(core.bases) * slot_width(core.n))
+        assert memo
+        assert ([(key[0], key_masks(key, wide), p) for key, p in memo._data.items()]
+                == [(key[0], key_masks(key, narrow), p) for key, p in core_memo._data.items()])
+        assert not memo._data.keys() & core_memo._data.keys()
+
+    # one memo across slot widths: minimal(8,16) in 2-byte slots and its
+    # 17-element padding in 4-byte slots make 7 entries each, none shared,
+    # and each run is what a fresh memo gives
+    def test_one_memo_across_slot_widths(self):
+        core = minimal(8, 16)
+        padded = uniform(0, 1).direct_sum(core)
+        memo = TutteMemo()
+        for m in (core, padded):
+            t = tutte_dc(m, memo=memo)
+            assert t == tutte_subset_sum(m) == tutte_dc(m, memo=TutteMemo())
+        assert len(memo) == 14
 
     # the default "memo-bytes" limit, one under which Petersen with a chord
     # ends with 1 of the 161 entries it makes with room for all, its root's,
     # and one under which it ends with 52.  The Fano plane, M(K4), the
     # sparse paving (5,10) and U(3,6) less a basis are sparse paving, so
-    # both take the closed form and make no entry; M(K5), the rank-2
-    # partition (1,2,3,2) and the sums with one loop or one coloop have
-    # more bases than non-bases but are not sparse paving, and the tie (18
-    # of the 36 pairs) has as many: they and the rest recurse on their bases.
+    # both take the closed form and make no entry; so do the sums of a
+    # sparse paving (3,7) with a loop and of a (4,7) with a coloop, which
+    # have more bases than non-bases, on their cores.  M(K5) and the rank-2
+    # partition (1,2,3,2) have more but are not sparse paving, and the tie
+    # (18 of the 36 pairs) has as many: they and the rest recurse on their
+    # bases.
     @pytest.mark.parametrize("capacity", [64 << 20, 10000, 40000])
     def test_memo_matches_oracle_recursion(self, capacity, fano, k4,
                                            monkeypatch):
@@ -572,7 +627,7 @@ class TestMemo:
         assert len(memo) <= 8  # eviction kept the table tiny
 
     def test_oldest_entry_goes_first(self, monkeypatch):
-        keys = [(3, bytes([i])) for i in range(3)]
+        keys = [(3, i) for i in range(1, 4)]
         cost = TutteMemo._entry_cost(keys[0], 1)
         monkeypatch.setitem(SIZE_LIMITS, "memo-bytes", 2 * cost)
         memo = TutteMemo()
@@ -592,6 +647,28 @@ class TestMemo:
         memo = TutteMemo()
         tutte_dc(m, memo=memo)
         assert len(memo) == entries
+
+    # the recursion itself, node by node: the `_dc` calls and memo entries
+    # of one cold run, on Petersen in two edge orders (the labels break
+    # degree ties, so the orders give different recursions) and on the
+    # seed-4711 perfbench G(9,18)
+    @pytest.mark.parametrize("m, bases, calls, entries", [
+        (graphic(PETERSEN), 2000, 411, 155),
+        (graphic(PETERSEN_ENGINES), 2000, 410, 155),
+        (graphic(G918), 5084, 454, 155),
+    ], ids=["petersen", "petersen-engines", "g-9-18"])
+    def test_cold_recursion_is_pinned(self, m, bases, calls, entries, monkeypatch):
+        count = Counter()
+        dc = tutte._dc
+
+        def counted(*args):
+            count["_dc"] += 1
+            return dc(*args)
+        monkeypatch.setattr(tutte, "_dc", counted)
+        memo = TutteMemo()
+        assert len(m.bases) == bases
+        assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
+        assert (count["_dc"], len(memo)) == (calls, entries)
 
     # the closed form comes before a single basis is packed
     @pytest.mark.parametrize("m", [uniform(9, 18), uniform(0, 5), uniform(4, 4)],
@@ -641,15 +718,16 @@ class TestMemo:
 
     @given(derived_matroids())
     def test_keys_are_sorted_families(self, m):
-        """Each key a cold run writes is (n, slots of n's width) holding
-        strictly ascending masks below 2^n, all of one size k, fewer than
-        C(n,k): the bases of a matroid with no loop or coloop."""
+        """Each key a cold recursion writes, read at its root's slot width,
+        is (n, one int) holding strictly ascending nonzero masks below 2^n,
+        all of one size k, fewer than C(n,k), with no empty or full column:
+        the bases of a matroid with no loop or coloop."""
         memo = TutteMemo()
-        tutte_dc(m, memo=memo)
-        for n, slots in memo._data:
-            width = slot_width(n)
-            assert len(slots) % width == 0
-            masks = list(from_slots(slots, width))
+        tutte._dc(m.n, m.rank, *_canonical(m.n, m.bases), memo)
+        width = slot_width(m.n)
+        for key in memo._data:
+            n, masks = key[0], key_masks(key, width)
+            assert all(masks)
             assert all(a < b for a, b in zip(masks, masks[1:]))
             assert masks[-1] < 1 << n
             k = masks[0].bit_count()
@@ -693,14 +771,14 @@ class TestMemo:
         packed = [0, 1, (1 << 30) - 1, 1 << 30, (1 << 60) - 1, 1 << 60]
         packed += [rng.getrandbits(rng.randrange(1, 4000)) for _ in range(4000)]
         for p in packed:
-            key = (rng.randint(1, 24), rng.randbytes(rng.randrange(400)))
+            key = (rng.randint(1, 24), rng.getrandbits(rng.randrange(3200)))
             assert TutteMemo._entry_cost(key, p) == (
                 sys.getsizeof(key) + sys.getsizeof(key[1]) + sys.getsizeof(p))
 
 
 def measured_bytes(memo):
-    """The objects a memo holds, sized one by one: each key pair, its byte
-    string and its packed polynomial (n, a small int, is shared)."""
+    """The objects a memo holds, sized one by one: each key pair, its packed
+    int and its packed polynomial (n, a small int, is shared)."""
     return sum(sys.getsizeof(key) + sys.getsizeof(key[1]) + sys.getsizeof(packed)
                for key, packed in memo._data.items())
 
