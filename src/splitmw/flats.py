@@ -7,6 +7,12 @@ an antichain under inclusion; a general matroid is split when at most one
 of its connected components is non-uniform and that component is connected
 split.
 
+A connected matroid that is minimal, paving or copaving is split, and
+`is_connected_split` answers for it before any cyclic flat is found: the
+split matroids strictly contain the paving and copaving ones (Joswig and
+Schröter, "Matroids from hypersimplex splits", JCTA 2017), and T_{k,n} has
+one proper cyclic flat.
+
 Flats come from the matroid's rank levels L_k, the tables (see `bitset`) of
 the subsets of rank >= k, in whole-int passes with hi_i, the table of the
 masks holding i.  Adding i to a mask A without i raises its rank iff A is
@@ -17,7 +23,8 @@ the cyclic flats are the flats for which no removal does.  That is about
 n*r passes over 2^n-bit ints on top of the levels (`Matroid.rank_levels`:
 n, and n per level from the girth up).  The cyclic flats, with ranks, are
 found once per matroid and shared by `cyclic_flats`, `is_connected_split`
-and `is_split`.  `is_paving` is one AND on the independent-set table.
+and `is_split`.  `is_paving` is one AND on the independent-set table, and
+`is_copaving` one on the top rank level.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import NamedTuple
 
 from .bitset import bits, element_masks, members, popcount_classes
 from .errors import check_size
-from .matroid import Matroid
+from .matroid import Matroid, recognize_minimal
 
 
 def _by_size(table: int, n: int) -> list[int]:
@@ -85,9 +92,19 @@ def _is_antichain(masks: list[int]) -> bool:
 
 
 def is_connected_split(m: Matroid) -> bool:
-    """Connected with proper cyclic flats forming an inclusion antichain."""
+    """Connected with proper cyclic flats forming an inclusion antichain.
+
+    A connected minimal, paving or copaving matroid is split, and is
+    answered before any cyclic flat is found: T_{k,n}'s only proper cyclic
+    flat is its parallel class; a paving matroid's proper cyclic flats are
+    all hyperplanes, since a circuit has at least `rank` elements; and a
+    copaving matroid's are the complements of its dual's.  Copaving is
+    tested last, as it reads the rank levels, which the antichain test
+    reads next."""
     if not m.is_connected():
         return False
+    if recognize_minimal(m) is not None or is_paving(m) or is_copaving(m):
+        return True
     return _is_antichain(_proper(m))
 
 

@@ -471,18 +471,28 @@ class RecordWriter:
 
     def write(self, m: Matroid) -> tuple[dict, str]:
         """(record, text) of m by C-level lookups of its masks in record
-        order, once its new masks are written in through `bitset`."""
-        width, lists, texts = slot_width(m.n), self.lists, self.texts
-        masks = from_slots(m._lex_slots(), width)
+        order, once its new masks are written in through `bitset`.  A record
+        whose masks are all new (a trace root, or a direct-sum component)
+        takes its lists and text whole from its slots instead, and seeds
+        both tables from them."""
+        n, lists, texts = m.n, self.lists, self.texts
+        raw = m._lex_slots()
+        masks = from_slots(raw, slot_width(n))
         new = list(filterfalse(lists.__contains__, masks))
-        if new:
-            raw = to_slots(new, width)
-            lists.update(zip(new, element_lists(raw, m.n)))
-            texts.update(zip(new, element_text(raw, m.n)[2:-2].split("],[")))
-        bases = "],[".join(map(texts.__getitem__, masks))
-        return (m._record(list(map(lists.__getitem__, masks))),
-                f'{{"bases":[[{bases}]],'
-                f'"format":"matroid-bases-v1","n":{m.n},"rank":{m.rank}}}')
+        if len(new) == len(masks):
+            bases, inner = element_lists(raw, n), element_text(raw, n)[2:-2]
+            lists.update(zip(masks, bases))
+            texts.update(zip(masks, inner.split("],[")))
+        else:
+            if new:
+                raw = to_slots(new, slot_width(n))
+                lists.update(zip(new, element_lists(raw, n)))
+                texts.update(zip(new, element_text(raw, n)[2:-2].split("],[")))
+            bases = list(map(lists.__getitem__, masks))
+            inner = "],[".join(map(texts.__getitem__, masks))
+        return (m._record(bases),
+                f'{{"bases":[[{inner}]],'
+                f'"format":"matroid-bases-v1","n":{n},"rank":{m.rank}}}')
 
 
 def _exchange_witness(family) -> tuple[int, int, int] | None:
@@ -677,16 +687,16 @@ def recognize_minimal(m: Matroid) -> tuple[int, int] | None:
     is a single swap (B* \\ {i}) | {p} with p outside B*; since the basis
     count k(n-k)+1 forces all k(n-k) swaps to occur, finding any such hub
     certifies the isomorphism exactly.  No permutation search needed.
+    Decided once per matroid: the split test and the trace both ask.
     """
-    k, n = m.rank, m.n
-    if not 1 <= k <= n - 1:
-        return None
-    if len(m.bases) != k * (n - k) + 1:
-        return None
-    for hub in m.bases:
-        if all(b == hub or (b ^ hub).bit_count() == 2 for b in m.bases):
-            return (k, n)
-    return None
+    cache = m._cache
+    if "minimal" not in cache:
+        k, n, family = m.rank, m.n, m.bases
+        cache["minimal"] = (k, n) if (
+            1 <= k <= n - 1 and len(family) == k * (n - k) + 1
+            and any(all(b == hub or (b ^ hub).bit_count() == 2 for b in family)
+                    for hub in family)) else None
+    return cache["minimal"]
 
 
 def rank2_from_partition(class_sizes: Iterable[int]) -> Matroid:

@@ -7,16 +7,16 @@ connected ones either hit a recognized base case (rank or corank at most 2,
 or a minimal matroid) or recurse through a deletion/contraction pivot whose
 two minors are both loopless and coloopless.
 
-Only the base-case leaves run a Tutte engine: `check_mw` evaluates them by
-deletion-contraction, through the process-wide memo that earlier leaves and
-calls filled.  Every node above takes its evaluations at (2,0), (0,2) and
-(1,1) from its children by the induction's two recurrences: the sum
-T(M\\e) + T(M/e) for a clean pivot e, which is neither a loop nor a
-coloop, and the product T(M1) T(M2) ... over the components of a direct
-sum.  Each node still decides its own three inequalities from its own
-numbers.  The same process computes every number, and equal minors share
-one node (below), so a verified trace is not an independent check of the
-argument (ROADMAP.md, open item 4: an independent trace checker).
+No node runs a Tutte engine.  A base-case leaf takes its evaluations at
+(2,0), (0,2) and (1,1) from the closed form of its class, in O(n)
+(`_leaf_report`).  Every node above takes its evaluations from its
+children by the induction's two recurrences: the sum T(M\\e) + T(M/e) for
+a clean pivot e, which is neither a loop nor a coloop, and the product
+T(M1) T(M2) ... over the components of a direct sum.  Each node still
+decides its own three inequalities from its own numbers.  The same process
+computes every number, and equal minors share one node (below), so a
+verified trace is not an independent check of the argument (ROADMAP.md,
+open item 7: an independent trace checker).
 
 Each distinct minor is checked once per trace: a matroid equal to one
 already built (same size, rank and bases) shares that node, with its
@@ -36,13 +36,16 @@ concrete instance.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import prod
 from typing import NamedTuple
 
 from .errors import ClassificationFailureError, NotSplitError, check_size
 from .flats import is_split
 from .matroid import Matroid, RecordWriter, recognize_minimal
-from .merino_welsh import MWReport, check_mw, report_from_evaluations
+# perfbench/tracing.py wraps this module's `check_mw` too, so the name
+# stays although nothing here calls it
+from .merino_welsh import MWReport, check_mw, report_from_evaluations  # noqa: F401
 
 RULE_DIRECT_SUM = "direct-sum-split"
 RULE_DELETE_CONTRACT = "delete-contract"
@@ -163,6 +166,36 @@ def _from_children(m: Matroid, children: tuple, combine) -> MWReport:
                        for point in ("t20", "t02", "t11")))
 
 
+def _leaf_report(m: Matroid, rule: str) -> MWReport:
+    """The report of a base-case leaf from the closed form of its class, in
+    O(n) (the leaf has no loop or coloop, and is connected):
+
+      * rank 1, U(1,n): T = x + y + ... + y^(n-1), so (2, 2^n - 2, n);
+      * rank 2, with m parallel classes of sizes p_i:
+        (2m, 2^n - 2 * sum(2^p_i - 1), |B|).  An element of a class of p
+        elements lies in the n - p bases that pair it outside its class, so
+        each element's class size is n less its column degree;
+      * T_{k,n}: T = x^k + (1 + y + ... + y^(n-k-1))(x^(k-1) + ... + x + y),
+        so (2^(k+1) - 2, 2(2^(n-k) - 1), k(n-k) + 1);
+      * corank 1 and 2 by duality: the dual's bases are the complements, so
+        an element's dual degree is |B| less its degree, and T(2,0) and
+        T(0,2) trade places."""
+    n, k, count = m.n, m.rank, len(m.bases)
+    dual = rule in (RULE_BASE_CORANK1, RULE_BASE_CORANK2)
+    if rule == RULE_BASE_MINIMAL:
+        t20, t02 = 2 ** (k + 1) - 2, 2 * (2 ** (n - k) - 1)
+    elif rule in (RULE_BASE_RANK1, RULE_BASE_CORANK1):
+        t20, t02 = 2, 2 ** n - 2
+    else:
+        degrees = (col.bit_count() for col in m.columns()[0])
+        sizes = Counter(n - (count - d if dual else d) for d in degrees)
+        t20 = 2 * sum(c // p for p, c in sizes.items())
+        t02 = 2 ** n - 2 * sum(c // p * (2 ** p - 1) for p, c in sizes.items())
+    if dual:
+        t20, t02 = t02, t20
+    return report_from_evaluations(n, k, t20, t02, count)
+
+
 def _new_node(m: Matroid, nodes: dict, writer: RecordWriter) -> ProofNode:
     record, text = writer.write(m)
     digest = matroid_digest(text)
@@ -173,11 +206,11 @@ def _new_node(m: Matroid, nodes: dict, writer: RecordWriter) -> ProofNode:
                          _from_children(m, children, prod), children)
     rule = _base_rule(m.rank, m.n - m.rank)
     if rule is not None:
-        return ProofNode(record, digest, rule, check_mw(m))
+        return ProofNode(record, digest, rule, _leaf_report(m, rule))
     kn = recognize_minimal(m)
     if kn is not None:
-        return ProofNode(record, digest, RULE_BASE_MINIMAL, check_mw(m),
-                         minimal_kn=kn)
+        return ProofNode(record, digest, RULE_BASE_MINIMAL,
+                         _leaf_report(m, RULE_BASE_MINIMAL), minimal_kn=kn)
     e = _clean_pivot(m)
     if e is None:
         # would contradict the base-case classification; abort loudly
@@ -191,7 +224,7 @@ def _new_node(m: Matroid, nodes: dict, writer: RecordWriter) -> ProofNode:
 def trace(m: Matroid) -> ProofTrace:
     """Build the certificate tree for a loopless, coloopless split matroid.
 
-    Leaves are evaluated by the deletion-contraction engine, and each
+    Leaves are evaluated by their closed forms (`_leaf_report`), and each
     internal node sums (pivot) or multiplies (direct sum) its children's
     evaluations.  The trace is `verified` iff every node's multiplicative
     inequality holds; structural rule checks are enforced during

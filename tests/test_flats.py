@@ -12,17 +12,20 @@ from splitmw import (
     is_split,
     minimal,
     rank2_from_partition,
+    recognize_minimal,
     uniform,
 )
+from splitmw import flats
 from splitmw.bitset import bits, mask_of
 from splitmw.corpus import (
     graphic_corpus,
     minimal_matroids,
+    split_trace_corpus,
     tutte_identity_corpus,
     uniform_matroids,
 )
 from splitmw.errors import SIZE_LIMITS
-from splitmw.flats import _by_size, _flat_table
+from splitmw.flats import _by_size, _flat_table, _is_antichain, _proper
 
 from conftest import (
     closure_oracle,
@@ -31,6 +34,8 @@ from conftest import (
     every_family,
     flats_oracle,
     pairwise_exchange_violation,
+    sparse_paving,
+    sparse_paving_matroids,
 )
 
 
@@ -244,3 +249,99 @@ class TestSplitProperties:
         if is_split(m):
             for e in range(m.n):
                 assert is_split(m.delete(e)) and is_split(m.contract(e))
+
+
+def connected_split_by_antichain(m) -> bool:
+    """The definition, with no class shortcut: connected, with proper
+    cyclic flats that form an antichain."""
+    return m.is_connected() and _is_antichain(_proper(m))
+
+
+def split_by_antichain(m) -> bool:
+    """At most one non-uniform component, and that one connected split by
+    `connected_split_by_antichain`."""
+    non_uniform = [r for r in map(m.restrict, m.components()) if not r.is_uniform()]
+    return len(non_uniform) <= 1 and all(map(connected_split_by_antichain, non_uniform))
+
+
+def assert_split_by_antichain(m):
+    assert is_connected_split(m) == connected_split_by_antichain(m)
+    assert is_split(m) == split_by_antichain(m)
+
+
+@st.composite
+def split_candidates(draw):
+    """A minimal, sparse paving or rank-2 matroid, or a `derived_matroids`
+    draw, maybe dualized, maybe summed with a second such draw when the sum
+    has at most 12 elements.  The dual of a connected rank-2 matroid with a
+    parallel class of three or more is copaving but not paving."""
+    def one():
+        kind = draw(st.sampled_from(("minimal", "sparse paving", "rank 2", "derived")))
+        if kind == "minimal":
+            n = draw(st.integers(2, 9))
+            m = minimal(draw(st.integers(min(3, n - 1), n - 1)), n)
+        elif kind == "sparse paving":
+            clean = draw(st.booleans())
+            m, _ = draw(sparse_paving_matroids().filter(lambda mc: mc[1] or not clean))
+        elif kind == "rank 2":
+            m = rank2_from_partition(draw(st.lists(st.integers(1, 4), min_size=2,
+                                                   max_size=4)))
+        else:
+            m = draw(derived_matroids())
+        return m.dual() if draw(st.booleans()) else m
+
+    m = one()
+    if draw(st.booleans()):
+        other = one()
+        if m.n + other.n <= 12:
+            m = m.direct_sum(other)
+    return m
+
+
+def refuse(m):
+    raise AssertionError("the cyclic flats were found")
+
+
+class TestSplitByClass:
+    """A connected minimal, paving or copaving matroid is split before any
+    cyclic flat is found; the answers are the antichain test's."""
+
+    def test_corpus(self):
+        for m in tutte_identity_corpus() + split_trace_corpus():
+            assert_split_by_antichain(m)
+
+    @given(split_candidates())
+    def test_minimal_sparse_paving_duals_and_sums(self, m):
+        assert_split_by_antichain(m)
+
+    def test_disconnected_paving_is_not_connected_split(self):
+        for m in (uniform(1, 2).direct_sum(uniform(1, 2)), uniform(0, 2),
+                  minimal(3, 5).direct_sum(uniform(1, 1))):
+            assert not m.is_connected()
+            assert not is_connected_split(m)
+
+    def test_copaving_not_paving(self, monkeypatch):
+        m = rank2_from_partition([3, 1, 1]).dual()
+        assert m.is_connected() and is_copaving(m) and not is_paving(m)
+        monkeypatch.setattr(flats, "_cyclic_flat_ranks", refuse)
+        assert is_connected_split(m) and is_split(m)
+
+    def test_paving_and_minimal_components_find_no_cyclic_flat(self, monkeypatch, k4, fano, dd4):
+        sample = [minimal(4, 7), sparse_paving(4, 9, 8, 4), k4, fano,
+                  minimal(5, 9).direct_sum(uniform(1, 3)).direct_sum(uniform(2, 3)),
+                  minimal(4, 7).direct_sum(uniform(1, 3))]
+        monkeypatch.setattr(flats, "_cyclic_flat_ranks", refuse)
+        for m in sample:
+            assert is_split(m)
+        # neither minimal, paving nor copaving: the antichain test runs
+        with pytest.raises(AssertionError, match="cyclic flats"):
+            is_split(dd4)
+
+    def test_hub_test_runs_once_per_matroid(self):
+        # the split test asks first; a later question, the trace's, takes
+        # the kept answer, which no longer reads the bases
+        m = minimal(5, 9).direct_sum(uniform(1, 3)).direct_sum(uniform(2, 3))
+        assert is_split(m)
+        component = m.restrict(m.components()[0])
+        object.__setattr__(component, "bases", frozenset())
+        assert recognize_minimal(component) == (5, 9)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from functools import reduce
 from math import prod
 
 import pytest
@@ -31,12 +32,19 @@ from splitmw.corpus import (
     uniform_matroids,
 )
 from splitmw.errors import SIZE_LIMITS
+from splitmw.merino_welsh import check_mw, rank2_census_partitions
 from splitmw.prooftrace import (
     BASE_RULES,
+    RULE_BASE_CORANK1,
+    RULE_BASE_CORANK2,
+    RULE_BASE_MINIMAL,
+    RULE_BASE_RANK1,
+    RULE_BASE_RANK2,
     RULE_DELETE_CONTRACT,
     RULE_DIRECT_SUM,
     ProofNode,
     _clean_pivot,
+    _leaf_report,
     matroid_digest,
 )
 from splitmw.matroid import RecordWriter
@@ -201,8 +209,8 @@ class TestTrace:
         # no real counterexample exists in the corpus, so fake the report:
         # a violation must surface as verified=False, never as an exception
         from splitmw.merino_welsh import report_from_evaluations
-        monkeypatch.setattr("splitmw.prooftrace.check_mw",
-                            lambda m: report_from_evaluations(
+        monkeypatch.setattr("splitmw.prooftrace._leaf_report",
+                            lambda m, rule: report_from_evaluations(
                                 m.n, m.rank, 1, 1, 10))
         t = trace(uniform(1, 3))
         assert not t.verified
@@ -217,6 +225,7 @@ class TestTrace:
         assert not t.root.mw.mult_ok
         assert_evaluations_combine(t)
 
+    # each distinct leaf is evaluated once, by its closed form
     @pytest.mark.parametrize("m", [
         graphic(k4_graph()), uniform(6, 10),
         uniform(2, 4).direct_sum(minimal(3, 6)), uniform(0, 0),
@@ -224,15 +233,17 @@ class TestTrace:
     def test_engine_runs_once_per_distinct_leaf(self, m, monkeypatch):
         from splitmw import prooftrace
         called = []
-        check_mw = prooftrace.check_mw
-        monkeypatch.setattr(prooftrace, "check_mw",
-                            lambda m: called.append(m) or check_mw(m))
+        leaf_report = prooftrace._leaf_report
+        monkeypatch.setattr(prooftrace, "_leaf_report", lambda m, rule:
+                            called.append((m, rule)) or leaf_report(m, rule))
         t = trace(m)
-        leaves = {node.digest for node in t.walk() if node.rule in BASE_RULES}
+        leaves = {node.digest: node.rule for node in t.walk()
+                  if node.rule in BASE_RULES}
         writer = RecordWriter()
-        called = [matroid_digest(writer.write(leaf)[1]) for leaf in called]
-        assert len(called) == len(set(called)) == len(leaves)
-        assert set(called) == leaves
+        called = [(matroid_digest(writer.write(leaf)[1]), rule)
+                  for leaf, rule in called]
+        assert len(called) == len(dict(called)) == len(leaves)
+        assert dict(called) == leaves
         assert_evaluations_combine(t)
 
 
@@ -484,6 +495,91 @@ class TestSparsePavingTraces:
         assert_evaluations_combine(t)
 
 
+def assert_leaf_form(m, rule):
+    """The closed form of a base-case leaf against both engines."""
+    report = _leaf_report(m, rule)
+    assert report == check_mw(m)
+    tutte = tutte_subset_sum(m)
+    assert evaluations(report) == (
+        tutte.evaluate(2, 0), tutte.evaluate(0, 2), tutte.evaluate(1, 1))
+
+
+class TestLeafForms:
+    """`_leaf_report` against `check_mw` (deletion-contraction) and
+    `tutte_subset_sum`, over every class of leaf."""
+
+    def test_rank2_census_and_duals(self):
+        seen = 0
+        for n in range(2, 13):
+            for parts in rank2_census_partitions(n):
+                m = rank2_from_partition(parts)
+                assert_leaf_form(m, RULE_BASE_RANK2)
+                assert_leaf_form(m.dual(), RULE_BASE_CORANK2)
+                seen += 1
+        assert seen == 248
+
+    def test_rank_and_corank_one(self):
+        for n in range(2, 13):
+            assert_leaf_form(uniform(1, n), RULE_BASE_RANK1)
+            assert_leaf_form(uniform(n - 1, n), RULE_BASE_CORANK1)
+
+    def test_minimal(self):
+        for n in range(6, 13):
+            for k in range(3, n - 2):
+                assert_leaf_form(minimal(k, n), RULE_BASE_MINIMAL)
+
+    def test_every_leaf_of_the_split_trace_corpus(self):
+        rules = set()
+        for m in split_trace_corpus(10):
+            for node in trace(m).walk():
+                if node.rule in BASE_RULES:
+                    assert_leaf_form(node_matroid(node), node.rule)
+                    rules.add(node.rule)
+        assert rules == BASE_RULES
+
+
+def certify_sums():
+    """The clean split direct sums of minimal matroids that the `certify`
+    benchmark traces."""
+    return [reduce(Matroid.direct_sum, parts) for parts in (
+        (minimal(3, 7), minimal(1, 4)), (minimal(4, 8), minimal(2, 3)),
+        (minimal(2, 5), minimal(1, 2), minimal(3, 4)),
+        (minimal(4, 9), minimal(1, 3)), (minimal(6, 10), minimal(2, 3)),
+        (minimal(5, 9), minimal(1, 3), minimal(2, 3)))]
+
+
+@pytest.fixture
+def no_engine(monkeypatch):
+    """Every Tutte engine, and `check_mw` where the trace and the
+    `merino_welsh` module look it up, raises."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Tutte engine ran")
+    for target in ("splitmw.tutte.tutte_dc", "splitmw.tutte.tutte_subset_sum",
+                   "splitmw.tutte._dc", "splitmw.merino_welsh.tutte_dc",
+                   "splitmw.merino_welsh.tutte_subset_sum",
+                   "splitmw.merino_welsh.check_mw", "splitmw.prooftrace.check_mw"):
+        monkeypatch.setattr(target, refuse)
+
+
+class TestNoEngine:
+    """No trace runs a Tutte engine: the leaves take their closed forms,
+    and every other node its children's sums or products."""
+
+    def test_split_trace_corpus(self, no_engine):
+        for m in split_trace_corpus():
+            assert trace(m).verified
+
+    def test_certify_sums(self, no_engine):
+        for m in certify_sums():
+            assert trace(m).verified
+
+    @pytest.mark.parametrize("k, n, hyperplanes, seed", [
+        (3, 7, 7, 1), (4, 9, 8, 4), (5, 10, 12, 6), (4, 11, 25, 10),
+        (5, 11, 40, 9), (6, 11, 30, 11)])
+    def test_sparse_paving(self, no_engine, k, n, hyperplanes, seed):
+        assert trace(sparse_paving(k, n, hyperplanes, seed)).verified
+
+
 def with_loop_and_coloop(m):
     """A loop below m's elements and a coloop above them."""
     return uniform(0, 1).direct_sum(m).direct_sum(uniform(1, 1))
@@ -519,6 +615,29 @@ class TestDigestText:
     @given(derived_matroids())
     def test_duals_minors_and_sums(self, m):
         assert_writer_matches_oracle(m)
+
+    def test_fresh_and_known_masks(self, monkeypatch):
+        # a record with no mask in the tables is written whole from its own
+        # slots, with no repacking; one with some known masks repacks only
+        # its new ones, and takes the known ones' lists from the tables
+        from splitmw import matroid
+        packed = []
+        to_slots = matroid.to_slots
+        monkeypatch.setattr(matroid, "to_slots",
+                            lambda masks, width: packed.append(list(masks))
+                            or to_slots(masks, width))
+        writer = RecordWriter()
+        fewer = Matroid(4, 2, [0b11, 0b101, 0b110, 0b1001, 0b1010])
+        first, _ = writer.write(fewer)
+        assert packed == []
+        second, _ = writer.write(uniform(2, 5))
+        assert [sorted(masks) for masks in packed] == [
+            [0b1100, 0b10001, 0b10010, 0b10100, 0b11000]]
+        known = {tuple(b): b for b in first["bases"]}
+        shared = [b for b in second["bases"] if known.get(tuple(b)) is b]
+        assert len(shared) == len(known) == 5
+        for m in (fewer, uniform(2, 5)):
+            assert_writer_matches_oracle(m, writer)
 
     # n = 0, and 8, 9 and 16 on either side of a byte edge, with loops and
     # coloops; then byte positions that no basis touches; then slots past 64

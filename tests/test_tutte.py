@@ -14,6 +14,7 @@ from splitmw import (
     Multigraph,
     TutteMemo,
     TuttePolynomial,
+    check_mw,
     graphic,
     minimal,
     rank2_from_partition,
@@ -51,6 +52,7 @@ from conftest import (
     derived_matroids,
     every_family,
     grown_sparse_paving,
+    node_matroid,
     oracle_tutte_coeffs,
     pack_oracle,
     packed_oracle,
@@ -753,14 +755,19 @@ class TestMemo:
         assert memo._bytes == measured_bytes(memo)
 
     def test_charge_is_measured_after_traces(self, monkeypatch):
-        # the process-wide memo that `trace` fills through `check_mw`: the
-        # sparse paving leaves take the closed form, and the grown ones'
-        # leaves make entries
+        # the process-wide memo that `check_mw` fills on the matroids that
+        # `trace` certifies and on their leaves (the trace itself runs no
+        # engine): the sparse paving roots take the closed form, and the
+        # grown ones make entries
         memo = TutteMemo()
         monkeypatch.setattr(tutte, "_global_memo", memo)
         for seed in range(3):
-            assert trace(sparse_paving(4, 9, 6, seed)).verified
-            assert trace(grown_sparse_paving(4, 9, 6, seed)).verified
+            for m in (sparse_paving(4, 9, 6, seed), grown_sparse_paving(4, 9, 6, seed)):
+                t = trace(m)
+                assert t.verified and check_mw(m) == t.root.mw
+                for node in t.walk():
+                    if not node.children:
+                        assert check_mw(node_matroid(node)) == node.mw
         assert len(memo) > 0
         assert memo._bytes == measured_bytes(memo)
 
