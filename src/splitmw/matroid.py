@@ -76,6 +76,18 @@ from .errors import (
 )
 
 
+def _fits(masks, outside: int, rank: int) -> bool:
+    """Whether every mask is an int with `rank` elements and none in
+    `outside`; False, not an error, on any mask that is not."""
+    try:
+        for b in masks:
+            if b & outside or b.bit_count() != rank:
+                return False
+    except (TypeError, AttributeError):     # the constructor's scan names it
+        return False
+    return True
+
+
 class Matroid:
     """An immutable matroid given by its bases.
 
@@ -95,22 +107,25 @@ class Matroid:
     def __init__(self, n: int, rank: int, bases: Iterable[int]):
         require_int("n", n)
         require_int("rank", rank)
-        bases = frozenset(bases)
+        given, bases = bases, frozenset(bases)
         if not bases:
             raise EmptyBasesError("a matroid needs at least one basis")
         if not 0 <= rank <= n:
             raise ValueError(f"rank {rank} out of range for n={n}")
         outside = ~((1 << n) - 1)
-        try:
-            for b in bases:
-                if b & outside or b.bit_count() != rank:
-                    if b & outside:
-                        raise ValueError(f"basis mask {b:#x} has elements >= n={n}")
-                    raise WrongBasisSizeError(
-                        f"basis {tuple(bits(b))} has {b.bit_count()} elements, "
-                        f"expected rank {rank}")
-        except TypeError:
-            raise InputError(f"basis mask {b!r} is not an int") from None
+        # a list or tuple is checked as given, faster to iterate than the
+        # set; on a fault, the set's order picks the basis the error names
+        if not (isinstance(given, (list, tuple)) and _fits(given, outside, rank)):
+            try:
+                for b in bases:
+                    if b & outside or b.bit_count() != rank:
+                        if b & outside:
+                            raise ValueError(f"basis mask {b:#x} has elements >= n={n}")
+                        raise WrongBasisSizeError(
+                            f"basis {tuple(bits(b))} has {b.bit_count()} elements, "
+                            f"expected rank {rank}")
+            except TypeError:
+                raise InputError(f"basis mask {b!r} is not an int") from None
         self._fill(n, rank, bases)
 
     def _fill(self, n, rank, bases):

@@ -13,7 +13,7 @@ Rank-2 matroids without loops are exactly "parallel classes + all cross
 pairs as bases", so their isomorphism classes are integer partitions of n
 into at least two parts; a coloop occurs precisely when there are exactly
 two classes and one is a singleton.  Enumerating partitions instead of
-labeled matroids keeps the n <= 12 sweep at 77 partitions rather than
+labeled matroids keeps the n <= 12 sweep at 248 partitions rather than
 astronomically many labeled families, without changing any verdict.
 """
 

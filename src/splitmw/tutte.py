@@ -12,24 +12,36 @@ Two independent engines cross-check each other:
     ranks are binomials.  The Whitney numbers are expanded into the one
     packed int `tutte_dc` uses (see `_from_whitney`), and `_unpack` reads it.
   * `tutte_dc` -- deletion-contraction with eager loop/coloop stripping,
-    a closed form for uniform minors and one for sparse paving roots (both
-    checked at the root before a single mask is packed), and a memo,
-    bounded by the "memo-bytes" size limit by evicting its oldest entries,
-    keyed on n and the packed bases (see `bitset`).  A root with more bases
-    than non-bases (the k-sets that are no bases) reads its non-bases N; if
-    no two of them share k-1 elements, it is sparse paving, and relaxing
-    each of N, its circuit-hyperplanes, adds x + y - xy (Brylawski), so T
-    is T(U(k,n)) + |N|*(xy - x - y); else its core less any loops and
-    coloops takes the same rules.  Each call relabels and packs any other
-    root once, by (degree, index) (`_canonical`); every node below keeps
-    that labeling and those slots, so equal minors coalesce in the memo
-    and no node sorts or repacks.  A node, one int, reads its n columns
-    once: it drops the empty and full ones, loops and coloops, or splits
-    at the pivot n-1, at the root one of highest degree, whose holders are
-    the last slots.  So a node costs O(n) whole-int operations on its |B|
-    slots.  Inside the recursion a polynomial is one int (Kronecker
-    substitution, see `_FIELD`): the children's sum is one addition, a
-    loop or coloop factor one shift, and `tutte_dc` unpacks the root's once.
+    a closed form for uniform minors and one for sparse paving roots, one
+    weighted step per parallel class of the root, and a memo, bounded by
+    the "memo-bytes" size limit by evicting its oldest entries, keyed on n
+    and the packed bases (see `bitset`).  A uniform root, and a sparse
+    paving one, closes before a single mask is packed: a root with more
+    bases than non-bases (the k-sets that are no bases) reads its
+    non-bases N; if no two of them share k-1 elements, it is sparse
+    paving, and relaxing each of N, its circuit-hyperplanes, adds
+    x + y - xy (Brylawski), so T is T(U(k,n)) + |N|*(xy - x - y).  Any
+    other root is read once, column by column (`_root`): its loops and
+    coloops, the empty and full columns, are stripped, and a core with
+    more bases than non-bases takes the same rule.  Two columns of the
+    core are disjoint iff their elements are parallel, so the same pass
+    finds its parallel classes, and the root is relabeled and packed once,
+    as its simplification (`_canonical`): one element per class, by (class
+    of two or more, degree, index), the simplification's bases in the slot
+    width of its own elements.  Every node below keeps that labeling and
+    those slots, so equal minors coalesce in the memo and no node sorts or
+    repacks.  The elements of classes of p >= 2 are pivoted first, with no
+    memo (`_classes`): T(N) = T(N\\e) + (1 + y + ... + y^(p-1))*T(N/e),
+    y^p*T(N\\e) if e is a loop of the node, (x + y + ... + y^(p-1))*T(N\\e)
+    if it is a coloop (Haggard, Pearce and Royle, "Computing Tutte
+    polynomials", ACM TOMS 2010).  Below them a node, one int, reads its n
+    columns once: it drops the empty and full ones, loops and coloops, or
+    splits at the pivot n-1, at the root one of highest degree, whose
+    holders are the last slots.  So a node costs O(n) whole-int operations
+    on its |B| slots.  Inside the recursion a polynomial is one int
+    (Kronecker substitution, see `_FIELD`): the children's sum is one
+    addition, a loop or coloop factor one shift, a class's weight one
+    product, and `tutte_dc` unpacks the root's once.
 
 All coefficients are Python ints, so arithmetic is exact at any size.
 Coefficient matrices are indexed coeffs[i][j] = coefficient of x^i y^j and
@@ -44,7 +56,7 @@ from itertools import chain
 from math import comb
 
 from .bitset import (bits, column_view, columns, k_subsets, place, popcount_classes,
-                     to_slots, unpack)
+                     slot_ones, slot_width, to_slots, unpack)
 from .errors import (SIZE_LIMITS, InputError, LimitExceededError, check_size,
                      require_int, require_record)
 from .matroid import Matroid
@@ -288,9 +300,9 @@ def _int_bytes(i: int) -> int:
 class TutteMemo:
     """Memo shared across recursions, bounded by the "memo-bytes" size
     limit: past it, the oldest entries go first.  A key is (n, the packed
-    bases, in the slot width of the root they came from) of a matroid with
-    no loop or coloop, exact, so only equal families in equal slots share
-    an entry.  Entries are packed polynomials (see `_FIELD`), immutable
+    bases, in the slot width of the root's simplification they came from)
+    of a matroid with no loop or coloop, exact, so only equal families in
+    equal slots share an entry.  Entries are packed polynomials (see `_FIELD`), immutable
     ints, returned as they are.
 
     Each entry is charged what `sys.getsizeof` measures of its key pair,
@@ -371,30 +383,85 @@ def _sparse_paving(n: int, k: int, bases) -> int | None:
     return None
 
 
-def _core(n: int, k: int, cols: list[int], ones: int) -> tuple[int, int, int, int]:
-    """(n', k', packed bases, shift) of the matroid whose columns these are,
+def _core(k: int, cols: list[int], ones: int) -> tuple[list[int], int, int]:
+    """(the columns kept, k', shift) of the matroid whose columns these are,
     less its loops and coloops, the empty and full columns: dropping them
     keeps the masks distinct and in order, in the same slots, and the shift
     multiplies the core's packed polynomial by x^coloops * y^loops."""
     kept = [col for col in cols if col and col != ones]
     coloops = cols.count(ones)
-    return (len(kept), k - coloops, place(kept),
-            _FIELD * (coloops * _STRIDE + n - len(kept) - coloops))
+    return kept, k - coloops, _FIELD * (coloops * _STRIDE + len(cols) - len(kept) - coloops)
 
 
-def _canonical(n: int, masks) -> tuple[int, int]:
-    """(the packed family, its full column) of these masks on n elements
-    relabeled by (degree, index), sorted: a stable sort of the columns by
-    bit count, one `place` and one sort of the masks.  `tutte_dc` packs each
-    root so, and its nodes inherit the labeling, n-1 of highest degree, and
-    the slot width.  Relabeling keeps T, so roots isomorphic by it share
-    memo entries across calls."""
-    cols, ones, width = column_view(n, masks)
-    cols.sort(key=int.bit_count)
+def _y_run(p: int) -> int:
+    """1 + y + ... + y^(p-1), packed."""
+    return ((1 << _FIELD * p) - 1) // ((1 << _FIELD) - 1)
+
+
+def _canonical(k: int, cols: list[int], count: int,
+               width: int) -> tuple[int, int, int, list[int]]:
+    """(n', packed, its full column, class sizes) of the simplification of
+    the loopless rank-k matroid whose `count` bases these columns, in
+    `width`-byte slots, hold.  Two elements are parallel iff no basis holds
+    both, iff their columns are disjoint, and parallel elements have equal
+    degree d, so only columns of one degree d with 2d <= count are
+    compared.  One element per class is kept, relabeled by (class of two or
+    more, degree, index): the classes of p >= 2 take the top labels, and
+    the sizes list their p from the lowest of those labels up.  The
+    relabeled masks that still have k elements, those of bases within the
+    kept elements, are the simplification's bases; they are sorted and
+    packed in the slot width of its n' elements.  `tutte_dc` packs each
+    root so, and its nodes inherit the labeling, the top one of highest
+    degree, and the slot width.  Relabeling keeps T, so roots isomorphic by
+    it share memo entries across calls."""
+    classes, by_degree = [], {}     # [column, size, degree] per class
+    for col in cols:
+        degree = col.bit_count()
+        same = by_degree.setdefault(degree, []) if 2 * degree <= count else []
+        for cls in same:
+            if not col & cls[0]:
+                cls[1] += 1
+                break
+        else:
+            same.append([col, 1, degree])
+            classes.append(same[-1])
+    classes.sort(key=lambda cls: (cls[1] > 1, cls[2]))
+    masks = unpack(place([cls[0] for cls in classes]), count, width)
+    sizes = [cls[1] for cls in classes if cls[1] > 1]
+    if sizes:
+        masks = [b for b in masks if b.bit_count() == k]
+    n, count = len(classes), len(masks)
+    width = slot_width(n)
     # ascending from the int's lowest slot up, in either byte order
-    relabeled = sorted(unpack(place(cols), len(masks), width),
-                       reverse=sys.byteorder == "big")
-    return int.from_bytes(to_slots(relabeled, width), sys.byteorder), ones
+    relabeled = sorted(masks, reverse=sys.byteorder == "big")
+    return (n, int.from_bytes(to_slots(relabeled, width), sys.byteorder),
+            slot_ones(count, width), sizes)
+
+
+def _classes(n: int, k: int, packed: int, ones: int, sizes: list[int],
+             memo: TutteMemo) -> int:
+    """T, packed, of the matroid whose top len(sizes) elements stand for
+    parallel classes of these sizes, the top one for the last: the family
+    as `_dc` takes it, whose nodes start once every class is pivoted.  With
+    [p]_y = 1 + y + ... + y^(p-1), a class of p with element e contributes
+    T(N\\e) + [p]_y*T(N/e), or y^p*T(N\\e) if e is a loop of the node N, or
+    (x + [p]_y - 1)*T(N\\e) if it is a coloop (Haggard, Pearce and Royle).
+    These nodes are at most 2^len(sizes), and take no memo entry."""
+    if not sizes:
+        return _dc(n, k, packed, ones, memo)
+    p, sizes, n = sizes[-1], sizes[:-1], n - 1
+    pivot = packed >> n & ones
+    if not pivot:
+        return _classes(n, k, packed, ones, sizes, memo) << _FIELD * p
+    packed ^= pivot << n
+    if pivot == ones:
+        return (_classes(n, k - 1, packed, ones, sizes, memo)
+                * ((1 << _FIELD * _STRIDE) + _y_run(p) - 1))
+    # split at the pivot column's lowest slot, as `_dc` does
+    low = (pivot & -pivot) - 1
+    cut = low.bit_length()
+    return (_classes(n, k, packed & low, ones & low, sizes, memo)
+            + _classes(n, k - 1, packed >> cut, ones >> cut, sizes, memo) * _y_run(p))
 
 
 def _dc(n: int, k: int, packed: int, ones: int, memo: TutteMemo) -> int:
@@ -412,9 +479,9 @@ def _dc(n: int, k: int, packed: int, ones: int, memo: TutteMemo) -> int:
         return core
     cols = columns(packed, ones, n)
     if 0 in cols or ones in cols:
-        n, k, packed, shift = _core(n, k, cols, ones)
+        kept, k, shift = _core(k, cols, ones)
         del cols    # not held while the core recurses
-        return _dc(n, k, packed, ones, memo) << shift
+        return _dc(len(kept), k, place(kept), ones, memo) << shift
     # the masks that hold n-1 come last, from the pivot column's lowest
     # slot on: one XOR clears bit n-1, and the slots split there into the
     # deletion's and the contraction's sorted families on n-1 elements
@@ -429,23 +496,34 @@ def _dc(n: int, k: int, packed: int, ones: int, memo: TutteMemo) -> int:
     return core
 
 
+def _root(n: int, k: int, bases, memo: TutteMemo) -> int:
+    """T, packed, of a root that is not closed before its columns are read:
+    one pass over its columns finds its loops and coloops, and its core,
+    less them, takes the sparse paving rule if it has more bases than
+    non-bases, else recurses on its simplification (`_canonical`), its
+    parallel classes first (`_classes`)."""
+    cols, ones, width = column_view(n, bases)
+    kept, k, shift = _core(k, cols, ones)
+    if 0 < len(kept) < n and 2 * len(bases) > comb(len(kept), k):
+        packed = _sparse_paving(len(kept), k,
+                                frozenset(unpack(place(kept), len(bases), width)))
+        if packed is not None:
+            return packed << shift
+    n, packed, ones, sizes = _canonical(k, kept, len(bases), width)
+    del cols, kept      # not held while the simplification recurses
+    return _classes(n, k, packed, ones, sizes, memo) << shift
+
+
 def tutte_dc(m: Matroid, memo: TutteMemo | None = None) -> TuttePolynomial:
     """T by deletion-contraction, up to the "deletion-contraction" size
     limit."""
     _check_fields("deletion-contraction", m.n)
-    n, k, bases, shift = m.n, m.rank, m.bases, 0
+    n, k, bases = m.n, m.rank, m.bases
     if m.is_uniform():
         return _uniform_tutte(k, n)     # before packing a single basis
+    packed = None
     if 2 * len(bases) > comb(n, k):     # a tie keeps the bases
         packed = _sparse_paving(n, k, bases)
-        if packed is None and (m.loops() or m.coloops()):
-            # its core has the same bases, so more than its non-bases too
-            cols, ones, width = column_view(n, bases)
-            n, k, packed, shift = _core(n, k, cols, ones)
-            bases = frozenset(unpack(packed, len(bases), width))
-            packed = _sparse_paving(n, k, bases)
-        if packed is not None:
-            return _unpack(packed << shift, m.rank, m.n - m.rank)
-    if memo is None:
-        memo = _global_memo
-    return _unpack(_dc(n, k, *_canonical(n, bases), memo) << shift, m.rank, m.n - m.rank)
+    if packed is None:
+        packed = _root(n, k, bases, _global_memo if memo is None else memo)
+    return _unpack(packed, k, n - k)

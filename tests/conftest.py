@@ -10,12 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import struct
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, prod
-from operator import or_
 
 import pytest
 from hypothesis import settings
@@ -124,10 +121,41 @@ def with_parallels_and_loops(draw, max_n: int):
         non_loops = [e for e in range(m.n) if not loops_oracle(m) >> e & 1]
         if not non_loops:
             break
-        e, copy = 1 << draw(st.sampled_from(non_loops)), 1 << m.n
-        m = Matroid(m.n + 1, m.rank, m.bases | {b ^ e | copy for b in m.bases if b & e})
+        m = parallel_copies(m, draw(st.sampled_from(non_loops)), 1)
     m = m.direct_sum(uniform(0, draw(st.integers(0, min(2, max_n - m.n)))))
-    order = draw(st.permutations(range(m.n)))
+    return shuffled(m, draw(st.permutations(range(m.n))))
+
+
+@st.composite
+def with_parallel_classes(draw, max_n: int):
+    """A `derived_matroids` draw, loops and coloops included, in which
+    drawn non-loops each get p-1 parallel copies, p <= 4, then up to two
+    loops and up to two coloops beside it: at most `max_n` elements in all,
+    shuffled.  A coloop with copies is a class whose element is a coloop
+    of the simplification."""
+    m = draw(derived_matroids().filter(lambda m: m.n < max_n))
+    non_loops = [e for e in range(m.n) if not loops_oracle(m) >> e & 1]
+    for e in draw(st.lists(st.sampled_from(non_loops), max_size=3, unique=True)
+                  if non_loops else st.just([])):
+        m = parallel_copies(m, e, min(draw(st.integers(1, 3)), max_n - m.n))
+    loops = draw(st.integers(0, min(2, max_n - m.n)))
+    coloops = draw(st.integers(0, min(2, max_n - m.n - loops)))
+    m = uniform(0, loops).direct_sum(m).direct_sum(uniform(coloops, coloops))
+    return shuffled(m, draw(st.permutations(range(m.n))))
+
+
+def parallel_copies(m, e: int, count: int):
+    """m with `count` parallel copies of its non-loop e, new top elements:
+    each copy e' adds the bases B - e + e' for every basis B that holds e."""
+    for _ in range(count):
+        copy = 1 << m.n
+        m = Matroid(m.n + 1, m.rank,
+                    m.bases | {b ^ 1 << e | copy for b in m.bases if b >> e & 1})
+    return m
+
+
+def shuffled(m, order):
+    """m with element e renamed order[e]."""
     return Matroid(m.n, m.rank, [mask_of(order[e] for e in bits(b)) for b in m.bases])
 
 
@@ -484,44 +512,35 @@ def matrix_tree_oracle(g) -> int:
 
 # -- deletion-contraction, one basis and one bit at a time -------------------
 
-def canonical_oracle(n: int, bases) -> tuple[int, ...]:
-    """The root of a run: the sorted bases relabeled in order of (basis
-    degree, index), the labeling a deletion-contraction run gives its root
-    and every node inherits.  The masks are read a byte at a time: the
-    degrees are summed from a count of each byte value, and each mask is
-    renamed through a table of the renamed bits of every byte value."""
-    raw, width = written_oracle(n, bases, "little")
-    columns = [raw[j::width] for j in range((n + 7) // 8)]
-    degree = [0] * n
-    for j, column in enumerate(columns):
-        for value, count in Counter(column).items():
-            for i in range(min(8, n - 8 * j)):
-                degree[8 * j + i] += count * (value >> i & 1)
-    order = sorted(range(n), key=lambda e: (degree[e], e))
-    pos = {old: new for new, old in enumerate(order)}
-    renamed = [0] * len(bases)
-    for j, column in enumerate(columns):
-        table = [sum(1 << pos[8 * j + i] for i in range(min(8, n - 8 * j))
-                     if value >> i & 1) for value in range(256)]
-        renamed = list(map(or_, renamed, map(table.__getitem__, column)))
-    return tuple(sorted(renamed))
+def simplification_oracle(n: int, bases) -> tuple[int, tuple[int, ...], list[int]]:
+    """(n', sorted bases', class sizes) of the root a run recurses on, for a
+    matroid with no loop or coloop: its simplification, one element, the
+    least, kept per parallel class (`parallel_classes_oracle`), relabeled
+    in order of (class of two or more, basis degree, index), so the classes
+    of two or more take the top labels, and the sizes list theirs from the
+    lowest of those labels up.  Its bases are the bases within the kept
+    elements.  With no class of two or more, it is the matroid relabeled
+    by (degree, index), the labeling every node inherits."""
+    classes, loops = parallel_classes_oracle(Matroid(n, bases[0].bit_count(), bases))
+    assert not loops
+
+    def key(c):
+        least = (c & -c).bit_length() - 1
+        return c.bit_count() > 1, sum(b >> least & 1 for b in bases), least
+
+    classes.sort(key=key)
+    kept = [c & -c for c in classes]
+    within = sum(kept)
+    relabeled = sorted(mask_of(new for new, e in enumerate(kept) if b & e)
+                       for b in bases if b & within == b)
+    return (len(kept), tuple(relabeled),
+            [c.bit_count() for c in classes if c.bit_count() > 1])
 
 
 def width_oracle(n: int) -> int:
     """Bytes per slot of n-bit masks: the narrowest of 1, 2, 4 or 8 that
     holds n bits, else (n+7)//8."""
     return next(w for w in (1, 2, 4, 8, (n + 7) // 8) if 8 * w >= n)
-
-
-def written_oracle(n: int, masks, byteorder: str) -> tuple[bytes, int]:
-    """(the masks written one after another in this byte order, each in
-    `width_oracle(n)` bytes, that width)."""
-    width = width_oracle(n)
-    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)
-    if code:        # a struct format of standard size
-        order = "<" if byteorder == "little" else ">"
-        return struct.pack(f"{order}{len(masks)}{code}", *masks), width
-    return b"".join(b.to_bytes(width, byteorder) for b in masks), width
 
 
 def packed_oracle(masks, width: int) -> int:
@@ -572,6 +591,16 @@ def poly_add(a, b):
                             for i in range(rows)])
 
 
+def poly_mul(a, b):
+    """a * b, by the product of every pair of terms."""
+    out = [[0] * (len(a.coeffs[0]) + len(b.coeffs[0]) - 1)
+           for _ in range(len(a.coeffs) + len(b.coeffs) - 1)]
+    for (i, j), c in dense_to_sparse(a).items():
+        for (k, m), d in dense_to_sparse(b).items():
+            out[i + k][j + m] += c * d
+    return TuttePolynomial(out)
+
+
 def poly_shift(t, dx: int, dy: int):
     """t * x^dx * y^dy."""
     width = len(t.coeffs[0]) + dy
@@ -598,15 +627,16 @@ class OracleMemo(TutteMemo):
         return TutteMemo._entry_cost(key, pack_oracle(t))
 
 
-def dc_oracle(n: int, bases: tuple[int, ...], memo):
+def dc_oracle(n: int, bases: tuple[int, ...], memo, calls=None):
     """Deletion-contraction over sorted tuples and coefficient matrices with
     the oracles above.  A root with more bases than non-bases whose
     non-bases, as element sets, pairwise share at most k-2 elements is
     sparse paving and takes `sparse_paving_tutte_oracle`, with no memo
-    entry; if they do not, but it has loops or coloops, its core, less
-    them, is a root of its own, times x^coloops * y^loops.  Any other root
-    is relabeled in canonical order, and below it no relabeling (see
-    `dc_node_oracle`)."""
+    entry; if it is not, but has loops or coloops, its core, less them, is
+    a root of its own, times x^coloops * y^loops.  Any other root recurses
+    on its simplification (`simplification_oracle`), in the slot width of
+    its elements: first over its classes (`classes_oracle`), then with no
+    relabeling (see `dc_node_oracle`)."""
     k = bases[0].bit_count()
     if 2 * len(bases) > comb(n, k):
         held = set(bases)
@@ -616,10 +646,39 @@ def dc_oracle(n: int, bases: tuple[int, ...], memo):
             coeffs = sparse_paving_tutte_oracle(Matroid(n, k, bases))
             return TuttePolynomial([[coeffs.get((i, j), 0) for j in range(n - k + 1)]
                                     for i in range(k + 1)])
-        core_n, core, ncoloops, nloops = strip_oracle(n, bases)
-        if core_n < n:
-            return poly_shift(dc_oracle(core_n, core, memo), ncoloops, nloops)
-    return dc_node_oracle(n, canonical_oracle(n, bases), width_oracle(n), memo)
+    core_n, core, ncoloops, nloops = strip_oracle(n, bases)
+    if core_n < n:
+        return poly_shift(dc_oracle(core_n, core, memo, calls), ncoloops, nloops)
+    n, bases, sizes = simplification_oracle(n, bases)
+    return classes_oracle(n, bases, sizes, width_oracle(n), memo, calls)
+
+
+def y_run_oracle(p: int):
+    """1 + y + ... + y^(p-1)."""
+    return TuttePolynomial([[1] * p])
+
+
+def classes_oracle(n: int, bases: tuple[int, ...], sizes: list[int], width: int,
+                   memo, calls=None):
+    """T of the matroid whose bases these are, with its top len(sizes)
+    elements standing for parallel classes of these sizes, the top one for
+    the last: with the pivot e = n-1 of a class of p, y^p * T(N\\e) if e is
+    a loop, (x + y + ... + y^(p-1)) * T(N\\e) if it is a coloop, else
+    T(N\\e) + (1 + y + ... + y^(p-1)) * T(N/e), each minor on the other
+    elements as they are labeled; once every class is pivoted, the node of
+    `dc_node_oracle`."""
+    if not sizes:
+        return dc_node_oracle(n, bases, width, memo, calls)
+    p, sizes = sizes[-1], sizes[:-1]
+    deleted, contracted = children_oracle(n, bases)
+    if not contracted:
+        return poly_shift(classes_oracle(n - 1, deleted, sizes, width, memo, calls), 0, p)
+    if not deleted:
+        coloop = poly_add(TuttePolynomial([[0], [1]]), poly_shift(y_run_oracle(p - 1), 0, 1))
+        return poly_mul(coloop, classes_oracle(n - 1, contracted, sizes, width, memo, calls))
+    return poly_add(classes_oracle(n - 1, deleted, sizes, width, memo, calls),
+                    poly_mul(y_run_oracle(p),
+                             classes_oracle(n - 1, contracted, sizes, width, memo, calls)))
 
 
 def dc_node_oracle(n: int, bases: tuple[int, ...], width: int, memo, calls=None):

@@ -1009,6 +1009,25 @@ class TestPackedColumns:
             kinds.add(error)
         assert kinds == {ValueError, WrongBasisSizeError}
 
+    # a list or tuple is checked as the caller gave it, and a generator
+    # through the set; either way the family is the set, and the one bad
+    # mask is named as the set's scan names it
+    @pytest.mark.parametrize("make", [
+        tuple, lambda masks: masks + masks[:2], lambda masks: (b for b in masks),
+    ], ids=["tuple", "list-with-duplicates", "generator"])
+    @pytest.mark.parametrize("bad, error, message", [
+        (0b10001, ValueError, "basis mask 0x11 has elements >= n=4"),
+        (0b111, WrongBasisSizeError, "basis (0, 1, 2) has 3 elements, expected rank 2"),
+        (0b1000, WrongBasisSizeError, "basis (3,) has 1 elements, expected rank 2"),
+        ("0b11", InputError, "basis mask '0b11' is not an int"),
+    ], ids=["outside", "too-many", "too-few", "not-an-int"])
+    def test_sequence_or_generator_names_the_bad_mask(self, make, bad, error, message):
+        masks = [0b0011, 0b0101, 0b0110, 0b1001, 0b1010]
+        with pytest.raises(error) as exc:
+            Matroid(4, 2, make(masks[:2] + [bad] + masks[2:]))
+        assert str(exc.value) == message
+        assert Matroid(4, 2, make(masks)).bases == frozenset(masks)
+
 
 def assert_minors_inherit_lex_order(m, depth: int = 1):
     """Each single-element minor's record slots, taken over from m's

@@ -45,8 +45,7 @@ from splitmw.tutte import (
 from conftest import (
     PETERSEN,
     OracleMemo,
-    canonical_oracle,
-    dc_node_oracle,
+    classes_oracle,
     dc_oracle,
     dense_to_sparse,
     derived_matroids,
@@ -61,10 +60,13 @@ from conftest import (
     sparse_paving,
     sparse_paving_matroids,
     sparse_paving_tutte_oracle,
+    simplification_oracle,
     strip_oracle,
     uniform_tutte_oracle,
     whitney_numbers_oracle,
     width_oracle,
+    parallel_copies,
+    with_parallel_classes,
     with_parallels_and_loops,
 )
 
@@ -83,6 +85,22 @@ PETERSEN_ENGINES = Multigraph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5
 G918 = Multigraph(9, [(1, 4), (4, 3), (3, 5), (5, 2), (2, 0), (0, 8), (8, 6), (6, 7),
                       (7, 1), (8, 1), (2, 6), (5, 3), (7, 4), (7, 6), (7, 0), (0, 6),
                       (4, 7), (2, 8)])
+
+
+def theta(*lengths):
+    """The cycle matroid of the theta graph: paths of these lengths, each
+    of two or more edges but at most one, between two vertices, so it has
+    series classes and no parallel pair.  Its elements are the paths' edges
+    path by path, and its spanning trees leave out one edge of each of two
+    paths."""
+    paths, start = [], 0
+    for length in lengths:
+        paths.append(range(start, start + length))
+        start += length
+    full = (1 << start) - 1
+    return Matroid(start, start - len(lengths) + 1,
+                   [full ^ 1 << e ^ 1 << f for p, q in combinations(paths, 2)
+                    for e in p for f in q])
 
 
 class TestSparsePaving:
@@ -128,13 +146,15 @@ class TestSparsePaving:
     # so it is isolated; the others' non-bases are not.  The sparse paving
     # (7,16) with one circuit-hyperplane grown into an 8-element
     # hyperplane has 7 more non-bases, each next to it; M(K5)'s triangles
-    # with an edge share 3 edges; rank 2 with classes of 3 has non-bases
-    # {a,b} and {a,c} in each class.  Those recurse on their bases.
+    # with an edge share 3 edges.  Those recurse on their bases.  Rank 2
+    # with classes of 3 has non-bases {a,b} and {a,c} in each class, and
+    # recurses on its simplification, U(2,3), whose closed form makes no
+    # entry either.
     @pytest.mark.parametrize("m, closed", [
         (uniform(1, 5).direct_sum(uniform(0, 1)), True),
         (grown_sparse_paving(7, 16, 150, 6), False),
         (graphic(K5), False),
-        (rank2_from_partition([3, 3, 3]), False),
+        (rank2_from_partition([3, 3, 3]), True),
     ], ids=["u15-loop", "7-16-150-grown", "k5", "rank2-333"])
     def test_root_rule_against_subset_sum(self, m, closed):
         memo = TutteMemo()
@@ -143,7 +163,9 @@ class TestSparsePaving:
 
     # only a root with more bases than non-bases reads its non-bases, so
     # the held k-sets of `_k_sets` are never built for the others: the tie
-    # (18 of the 36 pairs), Petersen and minimal(8,16)
+    # (18 of the 36 pairs), Petersen and minimal(8,16).  Their
+    # simplifications are not read for non-bases either, though those of
+    # the tie and of minimal(8,16), U(2,2) and U(8,9), have more bases.
     @pytest.mark.parametrize("m", [
         rank2_from_partition([6, 3]), graphic(PETERSEN), minimal(8, 16),
     ], ids=["rank2-63-tie", "petersen", "minimal-8-16"])
@@ -151,9 +173,7 @@ class TestSparsePaving:
         def no_k_sets(*args):
             raise AssertionError("the k-sets of a root with few bases were read")
         monkeypatch.setattr(tutte, "_k_sets", no_k_sets)
-        memo = TutteMemo()
-        assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
-        assert memo
+        assert tutte_dc(m, memo=TutteMemo()) == tutte_subset_sum(m)
 
     # dense roots at the slot-width edges: the sparse paving (8,17) takes
     # the closed form, and so do the loop beside a sparse paving (7,16) and
@@ -195,6 +215,31 @@ class TestSparsePaving:
         assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
         assert not memo
         assert read == [core]
+
+    # a root that is not dense, but whose core, less its loops and coloops,
+    # is: the sparse paving (7,16) has 11,290 of C(16,7) = 11,440 7-sets, so
+    # beside a coloop 11,290 of C(17,8) = 24,310 8-sets.  One column pass
+    # strips them, and the core takes the closed form on its own bases and
+    # k-sets, with no node
+    @pytest.mark.parametrize("m", [
+        sparse_paving(7, 16, 150, 6).direct_sum(uniform(1, 1)),
+        uniform(0, 1).direct_sum(sparse_paving(7, 16, 150, 6)).direct_sum(uniform(1, 1)),
+    ], ids=["7-16-150-coloop", "loop-7-16-150-coloop"])
+    def test_dense_core_of_a_sparse_root_takes_the_closed_form(self, m, monkeypatch):
+        def no_recursion(*args):
+            raise AssertionError("a root with a sparse paving core recursed")
+        read, rule = [], tutte._sparse_paving
+
+        def recorded(n, k, bases):
+            read.append((n, k, bases))
+            return rule(n, k, bases)
+        monkeypatch.setattr(tutte, "_dc", no_recursion)
+        monkeypatch.setattr(tutte, "_sparse_paving", recorded)
+        assert 2 * len(m.bases) <= comb(m.n, m.rank)
+        memo = TutteMemo()
+        assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
+        assert not memo
+        assert read == [(16, 7, sparse_paving(7, 16, 150, 6).bases)]
 
     @given(sparse_paving_matroids())
     def test_engines_agree_with_loops_and_coloops(self, drawn):
@@ -409,19 +454,22 @@ def unpack_entry(key, packed):
 
 
 def check_column_pass(m):
-    """The root's canonical packing and every node of the recursion below
-    it against the one-basis-at-a-time oracles: each `_dc` call, its
-    stripped family or its children of the pivot, n-1, in the root's slot
-    width, equal to `dc_node_oracle`'s, call by call, and the same
-    polynomial.  Stripping the canonical bases keeps its masks in order,
-    with no sort, and gives the canonical family of the stripped matroid,
-    so the core of a dense root recurses as its stripped root would, in
-    its own slot width."""
-    n, bases = m.n, tuple(sorted(m.bases))
-    canon = canonical_oracle(n, bases)
+    """The root's packing and every node of the recursion below it against
+    the one-basis-at-a-time oracles: `_canonical` on the columns of m's
+    core, less its loops and coloops, gives the simplification of
+    `simplification_oracle` in the slot width of its own elements, with
+    its class sizes; then each `_dc` call below the class layer, its
+    stripped family or its children of the pivot, n-1, equal to
+    `dc_node_oracle`'s under `classes_oracle`, call by call, and the same
+    polynomial."""
+    core_n, core, ncoloops, _ = strip_oracle(m.n, tuple(sorted(m.bases)))
+    k = m.rank - ncoloops
+    n, simple, sizes = simplification_oracle(core_n, core)
     width = width_oracle(n)
-    root = (packed_oracle(canon, width), packed_oracle([1] * len(canon), width))
-    assert _canonical(n, bases) == root
+    root = (n, packed_oracle(simple, width), packed_oracle([1] * len(simple), width), sizes)
+    wide = width_oracle(m.n)     # the root's own columns, a bit per slot
+    cols = [packed_oracle([b >> e & 1 for b in core], wide) for e in range(core_n)]
+    assert _canonical(k, cols, len(core), wide) == root
     calls, oracle_calls = [], []
     dc = tutte._dc
 
@@ -430,14 +478,10 @@ def check_column_pass(m):
         return dc(*args)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tutte, "_dc", recorded)
-        packed = tutte._dc(n, m.rank, *root, TutteMemo())
-    expected = dc_node_oracle(n, canon, width, OracleMemo(), oracle_calls)
+        packed = tutte._classes(n, k, *root[1:], TutteMemo())
+    expected = classes_oracle(n, simple, sizes, width, OracleMemo(), oracle_calls)
     assert calls == oracle_calls
-    assert _unpack(packed, m.rank, n - m.rank) == expected
-    stripped_first = strip_oracle(n, bases)[:2]
-    family = canonical_oracle(*stripped_first)
-    assert strip_oracle(n, canon)[:2] == (stripped_first[0], family)
-    assert _canonical(*stripped_first)[0] == packed_oracle(family, width_oracle(stripped_first[0]))
+    assert _unpack(packed, k, core_n - k) == expected
 
 
 def with_loop_and_coloop(m):
@@ -467,8 +511,12 @@ class TestColumnPass:
 
     # n = 8 and 16, the widest ground sets of one- and two-byte slots, one
     # past each, whose nodes go on in the root's wider slots below them,
-    # and the deletion-contraction limit, 24
+    # and the deletion-contraction limit, 24: thetas, with no parallel
+    # pair, recurse on all their elements; minimal matroids, whose
+    # simplifications are U(k,k+1), recurse in the slots of k+1 elements
     @pytest.mark.parametrize("m", [
+        theta(3, 3, 2), theta(3, 3, 3), theta(6, 5, 5), theta(6, 6, 5), theta(8, 8, 8),
+        with_loop_and_coloop(theta(3, 2, 2)), with_loop_and_coloop(theta(5, 5, 5)),
         minimal(4, 8), minimal(4, 9), minimal(8, 16), minimal(8, 17),
         minimal(12, 24), uniform(3, 7).direct_sum(uniform(1, 1)),
         with_loop_and_coloop(minimal(3, 6)), with_loop_and_coloop(minimal(3, 7)),
@@ -482,8 +530,8 @@ class TestColumnPass:
     @given(derived_matroids())
     def test_engines_agree_across_slot_width_edges(self, m):
         # m without its loops and coloops, beside a parallel class that
-        # brings it to 9 or 17 elements (or past, for a large m), so that
-        # the recursion goes on in slots wider than its nodes need
+        # brings it to 9 or 17 elements (or past, for a large m), which the
+        # simplification takes back below the slot-width edge
         core = m.restrict(m.full_mask & ~(m.loops() | m.coloops()))
         for size in (9, 17):
             padded = with_loop_and_coloop(
@@ -491,37 +539,34 @@ class TestColumnPass:
             assert tutte_dc(padded, memo=TutteMemo()) == tutte_subset_sum(padded)
 
     # a root whose loops and coloops take it from 17 elements to 16 or
-    # fewer, or from 9 to 8 or fewer: stripped, it stays in its root's
-    # wider slots, so the run makes the entries of its core's run, with the
-    # same n and polynomials in the same order, keyed on the same masks in
-    # wider slots
+    # fewer, or from 9 to 8 or fewer: the root's column pass strips them
+    # before it packs, so the run recurses in its core's narrower slots and
+    # makes exactly the entries of its core's run, keys included
     @pytest.mark.parametrize("core, loops, coloops", [
-        (minimal(8, 16), 1, 0), (minimal(8, 16), 0, 1), (graphic(PETERSEN), 1, 1),
-        (minimal(4, 8), 1, 0), (minimal(4, 8), 0, 1), (minimal(3, 7), 1, 1),
+        (theta(6, 5, 5), 1, 0), (theta(6, 5, 5), 0, 1), (graphic(PETERSEN), 1, 1),
+        (theta(3, 3, 2), 1, 0), (theta(3, 3, 2), 0, 1), (theta(3, 2, 2), 1, 1),
     ], ids=["17-16-loop", "17-16-coloop", "17-15", "9-8-loop", "9-8-coloop", "9-7"])
     def test_strip_across_slot_width_edge(self, core, loops, coloops):
         padded = uniform(0, loops).direct_sum(core).direct_sum(uniform(coloops, coloops))
-        wide, narrow = slot_width(padded.n), slot_width(core.n)
-        assert wide > narrow
+        assert slot_width(padded.n) > slot_width(core.n)
         memo, core_memo = TutteMemo(), TutteMemo()
         assert tutte_dc(padded, memo=memo) == tutte_subset_sum(padded)
         tutte_dc(core, memo=core_memo)
         assert memo
-        assert ([(key[0], key_masks(key, wide), p) for key, p in memo._data.items()]
-                == [(key[0], key_masks(key, narrow), p) for key, p in core_memo._data.items()])
-        assert not memo._data.keys() & core_memo._data.keys()
+        assert memo._data == core_memo._data
 
-    # one memo across slot widths: minimal(8,16) in 2-byte slots and its
-    # 17-element padding in 4-byte slots make 7 entries each, none shared,
-    # and each run is what a fresh memo gives
+    # one memo across slot widths: a theta of 16 elements in 2-byte slots
+    # makes 10 entries, and its 17-element padding, stripped to the same
+    # core in the same slots, finds them all; each run is what a fresh
+    # memo gives
     def test_one_memo_across_slot_widths(self):
-        core = minimal(8, 16)
+        core = theta(6, 5, 5)
         padded = uniform(0, 1).direct_sum(core)
         memo = TutteMemo()
         for m in (core, padded):
             t = tutte_dc(m, memo=memo)
             assert t == tutte_subset_sum(m) == tutte_dc(m, memo=TutteMemo())
-        assert len(memo) == 14
+        assert len(memo) == 10
 
     # the default "memo-bytes" limit, one under which Petersen with a chord
     # ends with 1 of the 161 entries it makes with room for all, its root's,
@@ -532,7 +577,8 @@ class TestColumnPass:
     # have more bases than non-bases, on their cores.  M(K5) and the rank-2
     # partition (1,2,3,2) have more but are not sparse paving, and the tie
     # (18 of the 36 pairs) has as many: they and the rest recurse on their
-    # bases.
+    # simplifications' bases, the two rank-2 roots, minimal(5,10) and the
+    # padded minimal(4,8) over their parallel classes first.
     @pytest.mark.parametrize("capacity", [64 << 20, 10000, 40000])
     def test_memo_matches_oracle_recursion(self, capacity, fano, k4,
                                            monkeypatch):
@@ -553,6 +599,74 @@ class TestColumnPass:
             assert ([unpack_entry(key, packed) for key, packed in memo._data.items()]
                     == list(oracle_memo._data.values()))
             assert memo._bytes == oracle_memo._bytes
+
+
+class TestParallelClasses:
+    """Deletion-contraction over the root's parallel classes: one weighted
+    step per class of two or more, on the simplification's bases, against
+    subset-sum and the oracle's own class layer."""
+
+    @given(with_parallel_classes(13))
+    def test_engines_and_oracle_agree(self, m):
+        t = tutte_dc(m, memo=TutteMemo())
+        assert t == tutte_subset_sum(m)
+        assert t == dc_oracle(m.n, tuple(sorted(m.bases)), OracleMemo())
+        check_column_pass(m)
+
+    # a class of 3 beside U(2,4); three pairs, each a coloop of the
+    # simplification, U(3,3); a class of 4 beside a pair; a theta of two
+    # paths of one edge and one of two; a triangle with every edge doubled,
+    # sparse paving at the root; a loop beside a class of 4
+    @pytest.mark.parametrize("m", [
+        uniform(1, 3).direct_sum(uniform(2, 4)),
+        uniform(1, 2).direct_sum(uniform(1, 2)).direct_sum(uniform(1, 2)),
+        minimal(3, 7).direct_sum(uniform(1, 2)),
+        graphic(Multigraph(3, [(0, 1), (0, 1), (0, 2), (2, 1)])),
+        graphic(Multigraph(3, [(0, 1), (1, 2), (2, 0)] * 2)),
+        uniform(0, 1).direct_sum(minimal(3, 7)),
+    ], ids=["u13-u24", "u12-cubed", "minimal-3-7-u12", "theta-4", "triangle-doubled",
+            "loop-minimal-3-7"])
+    def test_fixed_classes(self, m):
+        t = tutte_dc(m, memo=TutteMemo())
+        assert t == tutte_subset_sum(m)
+        assert t == dc_oracle(m.n, tuple(sorted(m.bases)), OracleMemo())
+        check_column_pass(m)
+
+    # a class takes the root below a slot-width edge: Petersen with two
+    # edges doubled from 17 elements in 4-byte slots to 15 in 2-byte ones,
+    # a theta with one edge doubled from 9 to 8 in 1-byte slots, and that
+    # theta beside a loop and a coloop from 11; the root packs its
+    # simplification in the narrower slots (`check_column_pass`), and
+    # every key is a family in them
+    @pytest.mark.parametrize("m, n", [
+        (graphic(Multigraph(10, list(PETERSEN.edges) + [(0, 1), (5, 7)])), 15),
+        (parallel_copies(theta(3, 3, 2), 0, 1), 8),
+        (with_loop_and_coloop(parallel_copies(theta(3, 3, 2), 0, 1)), 8),
+    ], ids=["17-15", "9-8", "11-8"])
+    def test_class_across_slot_width_edge(self, m, n):
+        assert slot_width(m.n) > slot_width(n)
+        check_column_pass(m)
+        memo = TutteMemo()
+        assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
+        assert memo
+        for key in memo._data:
+            masks = key_masks(key, slot_width(n))
+            assert key[0] < n and masks[-1] < 1 << key[0]
+
+    # deletion-contraction finds the classes in its own root columns, and
+    # never takes subset-sum's path through the fundamental circuits
+    @pytest.mark.parametrize("m", [
+        graphic(G918), minimal(8, 16), rank2_from_partition([3, 3, 3]),
+        uniform(0, 1).direct_sum(minimal(3, 7)),
+    ], ids=["g-9-18", "minimal-8-16", "rank2-333", "loop-minimal-3-7"])
+    def test_no_simplification_is_read(self, m, monkeypatch):
+        expected = tutte_subset_sum(m)
+
+        def no_simplification(self):
+            raise AssertionError("deletion-contraction read Matroid.simplification")
+        monkeypatch.setattr(Matroid, "simplification", no_simplification)
+        fresh = Matroid(m.n, m.rank, m.bases)
+        assert tutte_dc(fresh, memo=TutteMemo()) == expected
 
 
 class TestIdentities:
@@ -641,23 +755,28 @@ class TestMemo:
         assert memo._bytes == 2 * cost
 
     # a cold run makes the same entries every time, so a new pivot rule or
-    # key shows here; the counts are those of `dc_oracle`, all on the bases
+    # key shows here; the counts are those of `dc_oracle`, all on the bases.
+    # minimal(8,16) makes none: its class of 8 is one weighted step, and
+    # both minors of its simplification, U(8,8) and U(7,8), are closed forms
     @pytest.mark.parametrize("m, entries", [
-        (graphic(PETERSEN), 155), (graphic(K5), 29), (minimal(8, 16), 7),
+        (graphic(PETERSEN), 155), (graphic(K5), 29), (minimal(8, 16), 0),
     ], ids=["petersen", "k5", "minimal-8-16"])
     def test_cold_entry_counts(self, m, entries):
-        memo = TutteMemo()
+        memo, oracle_memo = TutteMemo(), OracleMemo()
         tutte_dc(m, memo=memo)
-        assert len(memo) == entries
+        dc_oracle(m.n, tuple(sorted(m.bases)), oracle_memo)
+        assert len(memo) == len(oracle_memo) == entries
 
     # the recursion itself, node by node: the `_dc` calls and memo entries
     # of one cold run, on Petersen in two edge orders (the labels break
     # degree ties, so the orders give different recursions) and on the
-    # seed-4711 perfbench G(9,18)
+    # seed-4711 perfbench G(9,18), whose three parallel pairs leave a
+    # simplification of 15 elements and 1,275 bases, pivoted pair by pair
+    # first; the counts are those of `dc_oracle`
     @pytest.mark.parametrize("m, bases, calls, entries", [
         (graphic(PETERSEN), 2000, 411, 155),
         (graphic(PETERSEN_ENGINES), 2000, 410, 155),
-        (graphic(G918), 5084, 454, 155),
+        (graphic(G918), 5084, 177, 57),
     ], ids=["petersen", "petersen-engines", "g-9-18"])
     def test_cold_recursion_is_pinned(self, m, bases, calls, entries, monkeypatch):
         count = Counter()
@@ -671,6 +790,9 @@ class TestMemo:
         assert len(m.bases) == bases
         assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
         assert (count["_dc"], len(memo)) == (calls, entries)
+        oracle_calls, oracle_memo = [], OracleMemo()
+        dc_oracle(m.n, tuple(sorted(m.bases)), oracle_memo, oracle_calls)
+        assert (len(oracle_calls), len(oracle_memo)) == (calls, entries)
 
     # the closed form comes before a single basis is packed
     @pytest.mark.parametrize("m", [uniform(9, 18), uniform(0, 5), uniform(4, 4)],
@@ -720,13 +842,14 @@ class TestMemo:
 
     @given(derived_matroids())
     def test_keys_are_sorted_families(self, m):
-        """Each key a cold recursion writes, read at its root's slot width,
-        is (n, one int) holding strictly ascending nonzero masks below 2^n,
-        all of one size k, fewer than C(n,k), with no empty or full column:
-        the bases of a matroid with no loop or coloop."""
+        """Each key a cold recursion from the root's column pass writes,
+        read at the slot width of the root's simplification, is (n, one int)
+        holding strictly ascending nonzero masks below 2^n, all of one size
+        k, fewer than C(n,k), with no empty or full column: the bases of a
+        matroid with no loop or coloop."""
         memo = TutteMemo()
-        tutte._dc(m.n, m.rank, *_canonical(m.n, m.bases), memo)
-        width = slot_width(m.n)
+        tutte._root(m.n, m.rank, m.bases, memo)
+        width = slot_width(simplification_oracle(*strip_oracle(m.n, tuple(m.bases))[:2])[0])
         for key in memo._data:
             n, masks = key[0], key_masks(key, width)
             assert all(masks)
@@ -746,8 +869,8 @@ class TestMemo:
         assert first == second
         assert len(memo) == size_after_first
 
-    @pytest.mark.parametrize("m", [graphic(PETERSEN), minimal(8, 16)],
-                             ids=["petersen", "minimal-8-16"])
+    @pytest.mark.parametrize("m", [graphic(PETERSEN), graphic(G918)],
+                             ids=["petersen", "g-9-18"])
     def test_charge_covers_the_keys(self, m):
         memo = TutteMemo()
         tutte_dc(m, memo=memo)
