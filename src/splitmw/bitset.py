@@ -150,6 +150,47 @@ def to_slots(masks: Iterable[int], width: int) -> bytes:
     return b"".join(m.to_bytes(width, sys.byteorder) for m in masks)
 
 
+# each byte's number of set bits; for b < 8, the bytes with no bit at b or up
+_BYTE_COUNTS = bytes(map(int.bit_count, range(256)))
+_BELOW = tuple(bytes(range(1 << b)) for b in range(8))
+
+
+def checked_slots(masks, n: int, k: int) -> bytes | None:
+    """`to_slots(masks, slot_width(n))` of a sized family, or None unless
+    n <= 64 and every mask is an int below 2^n with k elements: checked by
+    C-level passes over the slots' byte positions, those at or above bit n
+    (byte j below 2^(n-8j)), then those below it through a table of bit
+    counts.  `array` takes anything with `__index__`, so `sum` first
+    refuses any mask that adds to no int."""
+    width = slot_width(n)
+    if width not in _ARRAY_CODES:
+        return None
+    # packed at 4 bytes or more, and cut down after: `array` parses each
+    # 1- or 2-byte item through a format string, at three times the cost
+    wide = max(width, 4)
+    try:
+        sum(masks)
+        raw = to_slots(masks, wide)
+    except (TypeError, OverflowError):
+        return None
+    for j in range(n >> 3, wide):
+        if _byte_column(raw, j, wide).translate(None, _BELOW[max(n - 8 * j, 0)]):
+            return None
+    # each slot's bit count is one byte of the sum, as ints, of each byte
+    # position's counts: it is at most 64, so no byte carries
+    total = 0
+    for j in range((n + 7) >> 3):
+        counts = _byte_column(raw, j, wide).translate(_BYTE_COUNTS)
+        total += int.from_bytes(counts, "little")
+    if total.to_bytes(len(masks), "little").count(k) != len(masks):
+        return None
+    if wide > width:    # each slot's low `width` bytes, one item of `width`
+        step = wide // width
+        low = 0 if sys.byteorder == "little" else step - 1
+        raw = from_slots(raw, width)[low::step].tobytes()
+    return raw
+
+
 def from_slots(raw: bytes, width: int):
     """The masks in a run of `width`-byte slots, as a sequence of ints."""
     code = _ARRAY_CODES.get(width)
@@ -254,6 +295,11 @@ def _byte_text(j: int) -> tuple[str, ...]:
                  for elements in _byte_elements(j))
 
 
+def _byte_column(raw: bytes, j: int, width: int) -> bytes:
+    """Byte j (bit 8j up) of each `width`-byte slot, in native byte order."""
+    return raw[j if sys.byteorder == "little" else width - 1 - j::width]
+
+
 def _byte_pieces(raw: bytes, n: int, table):
     """(each slot's pieces joined, how many byte positions were joined) for
     the slots of n-bit masks, n <= 64: each byte j looked up in table(j),
@@ -266,7 +312,7 @@ def _byte_pieces(raw: bytes, n: int, table):
     joined = None
     count = 0
     for j in range((n + 7) >> 3):
-        column = raw[j if sys.byteorder == "little" else width - 1 - j::width]
+        column = _byte_column(raw, j, width)
         if column.count(0) == len(column):
             continue
         piece = map(table(j).__getitem__, column)

@@ -106,6 +106,11 @@ def _cmd_tutte(args) -> int:
         print("engine mismatch: deletion-contraction and subset-sum "
               "disagree", file=sys.stderr)
         return 1
+    # identities that hold whatever code both engines share
+    if t.evaluate(1, 1) != len(m.bases) or t.evaluate(2, 2) != 1 << m.n:
+        print("engine mismatch: T(1,1) is not the basis count or T(2,2) "
+              "is not 2^n", file=sys.stderr)
+        return 1
     print(_dumps(t.to_dict()))
     return 0
 

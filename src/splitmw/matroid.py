@@ -12,11 +12,13 @@ Conventions used throughout the package:
     `bitset`), built once per matroid in record order: the families of
     minors (`delete`/`contract`/`restrict`) are one relabeling of the kept
     columns, unpacked in C; a minor's family is valid by construction, so
-    it skips the constructor's per-basis checks.  Loops and coloops are
-    one C-level OR or AND over the family.  Records (`to_dict`, or a
-    `RecordWriter`'s record and JSON text) write each mask through per-byte
-    tables, or past 64 bits through its binary numeral, in lex order: sorted
-    as ints once, or, for a deletion or contraction, its parent's order.
+    it skips the constructor's per-basis checks, which read a caller's
+    list or tuple as packed slots (`bitset.checked_slots`) and keep them
+    for the deletion-contraction root.  Loops and coloops are one C-level
+    OR or AND over the family.  Records (`to_dict`, or a `RecordWriter`'s
+    record and JSON text) write each mask through per-byte tables, or past
+    64 bits through its binary numeral, in lex order: sorted as ints once,
+    or, for a deletion or contraction, its parent's order.
   * Whole-table queries (the independent sets and the rank levels, which
     the flats, the paving tests and the subset-sum engine read) hold one
     bit per subset in a 2^n-bit int and close it under inclusion with n
@@ -43,6 +45,7 @@ from operator import and_, or_
 
 from .bitset import (
     bits,
+    checked_slots,
     column_view,
     down_closure,
     element_lists,
@@ -76,30 +79,21 @@ from .errors import (
 )
 
 
-def _fits(masks, outside: int, rank: int) -> bool:
-    """Whether every mask is an int with `rank` elements and none in
-    `outside`; False, not an error, on any mask that is not."""
-    try:
-        for b in masks:
-            if b & outside or b.bit_count() != rank:
-                return False
-    except (TypeError, AttributeError):     # the constructor's scan names it
-        return False
-    return True
-
-
 class Matroid:
     """An immutable matroid given by its bases.
 
     The constructor performs only cheap structural checks (exact-int n and
-    rank, sizes, ranges, non-emptiness); it trusts the caller that the
-    family satisfies basis exchange.  Minors, valid by construction, skip
-    even those (`_trusted`).  Use `from_bases` for untrusted input -- it
+    rank, sizes, ranges, non-emptiness), on a list or tuple by C-level
+    passes over its packed slots, which it keeps (`_cache["slots"]`) if no
+    mask repeats; it trusts the caller that the family satisfies basis
+    exchange.  Minors, valid by construction, skip even those
+    (`_trusted`).  Use `from_bases` for untrusted input -- it
     additionally runs the exchange check -- or call `check_exchange()`
     explicitly.  The check is local (Maurer's criterion): the basis graph
     is connected and the link of every (r-2)-set is complete multipartite,
     in O(|B|*k^2) dict operations, k = min(r, n-r).  A mask that is no int
-    raises InputError; a bool mask counts as the int it equals.
+    raises InputError, whatever iterable holds it; a bool mask counts as
+    the int it equals.
     """
 
     __slots__ = ("n", "rank", "bases", "_cache")
@@ -112,10 +106,13 @@ class Matroid:
             raise EmptyBasesError("a matroid needs at least one basis")
         if not 0 <= rank <= n:
             raise ValueError(f"rank {rank} out of range for n={n}")
-        outside = ~((1 << n) - 1)
-        # a list or tuple is checked as given, faster to iterate than the
-        # set; on a fault, the set's order picks the basis the error names
-        if not (isinstance(given, (list, tuple)) and _fits(given, outside, rank)):
+        # a list or tuple is packed and checked as given, in C; on a fault,
+        # and for any other iterable, the set's scan names the basis
+        slots = None
+        if isinstance(given, (list, tuple)):
+            slots = checked_slots(given, n, rank)
+        if slots is None:
+            outside = ~((1 << n) - 1)
             try:
                 for b in bases:
                     if b & outside or b.bit_count() != rank:
@@ -124,9 +121,11 @@ class Matroid:
                         raise WrongBasisSizeError(
                             f"basis {tuple(bits(b))} has {b.bit_count()} elements, "
                             f"expected rank {rank}")
-            except TypeError:
+            except (TypeError, AttributeError):
                 raise InputError(f"basis mask {b!r} is not an int") from None
         self._fill(n, rank, bases)
+        if slots is not None and len(given) == len(bases):   # no mask repeats
+            self._cache["slots"] = slots
 
     def _fill(self, n, rank, bases):
         set_slot = object.__setattr__

@@ -21,17 +21,19 @@ Two independent engines cross-check each other:
     non-bases N; if no two of them share k-1 elements, it is sparse
     paving, and relaxing each of N, its circuit-hyperplanes, adds
     x + y - xy (Brylawski), so T is T(U(k,n)) + |N|*(xy - x - y).  Any
-    other root is read once, column by column (`_root`): its loops and
-    coloops, the empty and full columns, are stripped, and a core with
-    more bases than non-bases takes the same rule.  Two columns of the
-    core are disjoint iff their elements are parallel, so the same pass
-    finds its parallel classes, and the root is relabeled and packed once,
-    as its simplification (`_canonical`): one element per class, by (class
-    of two or more, degree, index), the simplification's bases in the slot
-    width of its own elements.  Every node below keeps that labeling and
-    those slots, so equal minors coalesce in the memo and no node sorts or
-    repacks.  The elements of classes of p >= 2 are pivoted first, with no
-    memo (`_classes`): T(N) = T(N\\e) + (1 + y + ... + y^(p-1))*T(N/e),
+    other root is read once, column by column (`_root`), off the slots its
+    constructor checked and kept, in the caller's order, or else packed
+    from the set: its loops and coloops, the empty and full columns, are
+    stripped, and a core with more bases than non-bases takes the same
+    rule.  Two columns of the core are disjoint iff their elements are
+    parallel, so the same pass finds its parallel classes, and the root is
+    relabeled and packed once, as its simplification (`_canonical`): one
+    element per class, by (class of two or more, degree, index), the
+    simplification's bases, sorted, in the slot width of its own
+    elements.  Every node below keeps that labeling and those slots, so
+    equal minors coalesce in the memo and no node sorts or repacks.  The
+    elements of classes of p >= 2 are pivoted first, with no memo
+    (`_classes`): T(N) = T(N\\e) + (1 + y + ... + y^(p-1))*T(N/e),
     y^p*T(N\\e) if e is a loop of the node, (x + y + ... + y^(p-1))*T(N\\e)
     if it is a coloop (Haggard, Pearce and Royle, "Computing Tutte
     polynomials", ACM TOMS 2010).  Below them a node, one int, reads its n
@@ -55,7 +57,7 @@ from functools import lru_cache
 from itertools import chain
 from math import comb
 
-from .bitset import (bits, column_view, columns, k_subsets, place, popcount_classes,
+from .bitset import (bits, columns, k_subsets, place, popcount_classes,
                      slot_ones, slot_width, to_slots, unpack)
 from .errors import (SIZE_LIMITS, InputError, LimitExceededError, check_size,
                      require_int, require_record)
@@ -496,13 +498,19 @@ def _dc(n: int, k: int, packed: int, ones: int, memo: TutteMemo) -> int:
     return core
 
 
-def _root(n: int, k: int, bases, memo: TutteMemo) -> int:
+def _root(n: int, k: int, bases, memo: TutteMemo, raw: bytes | None = None) -> int:
     """T, packed, of a root that is not closed before its columns are read:
     one pass over its columns finds its loops and coloops, and its core,
     less them, takes the sparse paving rule if it has more bases than
     non-bases, else recurses on its simplification (`_canonical`), its
-    parallel classes first (`_classes`)."""
-    cols, ones, width = column_view(n, bases)
+    parallel classes first (`_classes`).  The columns are read off `raw`,
+    the bases in `slot_width(n)` slots in any order (`_canonical` sorts),
+    if the constructor kept them, else off the set, packed here."""
+    width = slot_width(n)
+    if raw is None:
+        raw = to_slots(bases, width)
+    ones = slot_ones(len(bases), width)
+    cols = columns(int.from_bytes(raw, sys.byteorder), ones, n)
     kept, k, shift = _core(k, cols, ones)
     if 0 < len(kept) < n and 2 * len(bases) > comb(len(kept), k):
         packed = _sparse_paving(len(kept), k,
@@ -525,5 +533,6 @@ def tutte_dc(m: Matroid, memo: TutteMemo | None = None) -> TuttePolynomial:
     if 2 * len(bases) > comb(n, k):     # a tie keeps the bases
         packed = _sparse_paving(n, k, bases)
     if packed is None:
-        packed = _root(n, k, bases, _global_memo if memo is None else memo)
+        packed = _root(n, k, bases, _global_memo if memo is None else memo,
+                       m._cache.get("slots"))
     return _unpack(packed, k, n - k)

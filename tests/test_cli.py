@@ -168,6 +168,43 @@ class TestPipelines:
         assert code == 1
         assert "mismatch" in err
 
+    # one defect in the Whitney expansion that both engines share (the
+    # uniform closed form is built by it too): on the first corpus matroid
+    # where they agree on a wrong polynomial, which `--engine both` printed
+    # with exit 0, the free identities T(1,1) = |B| and T(2,2) = 2^n fail
+    def test_shared_defect_fails_the_identities(self, monkeypatch, capsys):
+        from splitmw import tutte
+        from splitmw.corpus import tutte_identity_corpus
+
+        def defective(whitney):
+            total, row = 0, tutte._FIELD * tutte._STRIDE
+            for ws in reversed(whitney):
+                across = 0
+                for w in reversed(ws):
+                    across = (across << tutte._FIELD) - across + w + (w > 5)
+                total = (total << row) - total + across
+            return total
+
+        def clear():
+            tutte._uniform_packed.cache_clear()
+            tutte._uniform_tutte.cache_clear()
+
+        corpus = tutte_identity_corpus()
+        truth = {id(m): tutte.tutte_subset_sum(m) for m in corpus}
+        monkeypatch.setattr(tutte, "_from_whitney", defective)
+        clear()
+        try:
+            m = next(m for m in corpus
+                     if tutte.tutte_dc(m, memo=tutte.TutteMemo())
+                     == tutte.tutte_subset_sum(m) != truth[id(m)])
+            code, out, err = run_cli(["tutte", "-", "--engine", "both"],
+                                     json.dumps(m.to_dict()), monkeypatch, capsys)
+        finally:
+            clear()
+        assert code == 1 and out == ""
+        assert err == ("engine mismatch: T(1,1) is not the basis count or "
+                       "T(2,2) is not 2^n\n")
+
     def test_cyclic_flats_fixture(self, monkeypatch, capsys):
         gdoc = json.dumps({"format": "multigraph-v1", "vertices": 4,
                            "edges": [[0, 1], [0, 1], [1, 2], [1, 2], [2, 3], [3, 0]]})

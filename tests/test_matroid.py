@@ -5,7 +5,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitmw import (
@@ -29,9 +29,9 @@ from splitmw import (
     uniform,
 )
 from splitmw import matroid as matroid_module
-from splitmw.bitset import (bits, columns, element_masks, lex_order, mask_of, place,
-                            popcount_classes, slot_ones, table_of, to_slots, unpack,
-                            up_closure)
+from splitmw.bitset import (bits, checked_slots, columns, element_masks, lex_order,
+                            mask_of, place, popcount_classes, slot_ones, slot_width,
+                            table_of, to_slots, unpack, up_closure)
 from splitmw.corpus import (
     graphic_corpus,
     minimal_matroids,
@@ -1027,6 +1027,136 @@ class TestPackedColumns:
             Matroid(4, 2, make(masks[:2] + [bad] + masks[2:]))
         assert str(exc.value) == message
         assert Matroid(4, 2, make(masks)).bases == frozenset(masks)
+
+
+class Index:
+    """A mask that `array` packs, through `__index__`, but that is no int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
+
+
+class AndOnly:
+    """A mask that takes `&` but has no `bit_count`."""
+
+    def __and__(self, other):
+        return 0
+
+    def __repr__(self):
+        return "AndOnly()"
+
+
+def checked_slots_oracle(masks, n: int, k: int):
+    """`checked_slots` one basis at a time: the masks' slots if n <= 64 and
+    each is an int (a bool counts) in [0, 2^n) with k bits, else None."""
+    if n > 64 or not all(isinstance(b, int) and 0 <= b < 1 << n and b.bit_count() == k
+                         for b in masks):
+        return None
+    return b"".join(int(b).to_bytes(slot_width(n), sys.byteorder) for b in masks)
+
+
+@st.composite
+def faulty_families(draw, n: int):
+    """(masks, k): a list or tuple of k-element masks below 2^n, repeats
+    allowed, with up to two faults put in: an element moved to bit n or
+    up (past the slot width too, as far as bit 35), one too few or too
+    many elements, negative, past 64 bits, a float, a str, None, a bool or
+    an `Index`."""
+    k, count = draw(st.integers(0, n)), draw(st.integers(1, 12))
+    rnd = draw(st.randoms(use_true_random=False))
+    valid = [mask_of(rnd.sample(range(n), k)) for _ in range(count)]
+    masks, top = list(valid), max(8 * slot_width(n) - 1, 35)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(masks) - 1))
+        b = valid[i]
+        fault = draw(st.sampled_from(["wide", "size", "negative", "past-64", "float",
+                                      "str", "None", "bool", "index"]))
+        if fault == "wide":     # an element at or past n, in place of b's lowest
+            b = (b & (b - 1)) | 1 << draw(st.integers(n, max(n, top)))
+        elif fault == "size" and n:
+            b ^= 1 << draw(st.integers(0, n - 1))
+        elif fault == "negative":
+            b = -b - 1
+        elif fault == "past-64":
+            b |= 1 << draw(st.integers(64, 70))
+        else:
+            b = {"float": float(b), "str": str(b), "None": None, "index": Index(b),
+                 "bool": draw(st.booleans()), "size": b}[fault]
+        masks[i] = b
+    return draw(st.sampled_from([list, tuple]))(masks), k
+
+
+class TestCheckedSlots:
+    """`bitset.checked_slots`, the constructor's check of a list or tuple,
+    against one basis at a time, and the slots the constructor keeps."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 32, 33, 64])
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_against_the_per_basis_oracle(self, n, data):
+        masks, k = data.draw(faulty_families(n))
+        assert checked_slots(masks, n, k) == checked_slots_oracle(masks, n, k)
+
+    # bytes of eight elements: the table's count of 0xFF
+    @pytest.mark.parametrize("n, k, masks", [
+        (8, 8, [0xFF]), (16, 16, [0xFFFF]), (64, 64, [(1 << 64) - 1]),
+        (16, 8, [0x00FF, 0xFF00, 0x0F0F]), (24, 9, [0x01FF00, 0xFF0001]),
+    ])
+    def test_full_bytes(self, n, k, masks):
+        assert checked_slots(masks, n, k) == checked_slots_oracle(masks, n, k) is not None
+        assert checked_slots(masks, n, k - 1) is None
+
+    # packed at 4 bytes and cut down to the slot width: an element between
+    # the two is refused, not cut off
+    @pytest.mark.parametrize("n", [1, 7, 9, 16])
+    def test_elements_past_the_slot_width(self, n):
+        for e in (8 * slot_width(n), 31):
+            bad = 1 << e | 1
+            assert checked_slots([1, bad], n, 1) is None
+            with pytest.raises(ValueError) as exc:
+                Matroid(n, 1, [1, bad])
+            assert str(exc.value) == f"basis mask {bad:#x} has elements >= n={n}"
+
+    def test_no_slot_type_past_64_bits(self):
+        assert checked_slots([1, 1 << 64], 65, 1) is None
+        m = Matroid(65, 1, [1, 1 << 64])
+        assert m.bases == {1, 1 << 64} and "slots" not in m._cache
+        with pytest.raises(ValueError, match="has elements >= n=65"):
+            Matroid(65, 1, [1, 1 << 65])
+        with pytest.raises(WrongBasisSizeError):
+            Matroid(65, 1, (1, 3 << 63))
+        with pytest.raises(InputError, match="is not an int"):
+            Matroid(65, 1, [1, Index(2)])
+
+    # whatever the path, a mask that is no int raises InputError naming it
+    @pytest.mark.parametrize("make", [list, tuple, set, iter],
+                             ids=["list", "tuple", "set", "generator"])
+    @pytest.mark.parametrize("bad", [Index(0b101), AndOnly(), 0.5, None],
+                             ids=["index", "and-only", "float", "None"])
+    def test_a_mask_that_is_no_int(self, make, bad):
+        with pytest.raises(InputError) as exc:
+            Matroid(3, 2, make([0b011, bad, 0b110]))
+        assert str(exc.value) == f"basis mask {bad!r} is not an int"
+
+    def test_kept_slots(self):
+        masks = [0b0110, 0b0011, 0b1001, 0b0101, 0b1010]
+        for given in (masks, tuple(masks)):
+            m = Matroid(4, 2, given)
+            assert m._cache["slots"] == to_slots(masks, 1)
+        assert Matroid(2, 1, [True, 2])._cache["slots"] == to_slots([1, 2], 1)
+        # repeats, other iterables and minors keep none
+        for given in (masks + masks[:1], set(masks), iter(masks)):
+            assert "slots" not in Matroid(4, 2, given)._cache
+        assert "slots" not in Matroid(2, 1, [True, 1, 2])._cache
+        m = Matroid(4, 2, masks)
+        for minor in (m.delete(0), m.contract(3), m.restrict(0b0111), m.dual()):
+            assert "slots" not in minor._cache
 
 
 def assert_minors_inherit_lex_order(m, depth: int = 1):

@@ -31,7 +31,7 @@ from splitmw.corpus import (
     tutte_identity_corpus,
     uniform_matroids,
 )
-from splitmw import matroid, tutte
+from splitmw import bitset, matroid, tutte
 from splitmw.bitset import slot_width
 from splitmw.errors import SIZE_LIMITS, InputError
 from splitmw.tutte import (
@@ -134,8 +134,8 @@ class TestSparsePaving:
     def test_clean_root_packs_nothing(self, m, monkeypatch):
         def no_packing(*args):
             raise AssertionError("a sparse paving root packed its bases or built a table")
-        for module, name in [(tutte, "to_slots"), (tutte, "column_view"),
-                             (tutte, "popcount_classes"), (matroid, "table_of")]:
+        for module, name in [(tutte, "to_slots"), (tutte, "popcount_classes"),
+                             (matroid, "table_of")]:
             monkeypatch.setattr(module, name, no_packing)
         monkeypatch.setitem(SIZE_LIMITS, "tables", 4)
         memo = TutteMemo()
@@ -734,6 +734,42 @@ class TestIdentities:
             assert t.evaluate(0, 2) == count_totally_cyclic_orientations(g)
 
 
+class TestRootSlots:
+    """A root read off the slots its constructor kept, in the caller's order,
+    or off its set: the same polynomial and the same memo keys either way."""
+
+    @pytest.mark.parametrize("m", [
+        graphic(PETERSEN_ENGINES), graphic(G918),
+        graphic(PETERSEN).direct_sum(uniform(0, 1)).direct_sum(uniform(1, 1)),
+    ], ids=["petersen", "g-9-18", "loop-and-coloop"])
+    def test_any_order_or_iterable(self, m):
+        masks = sorted(m.bases)
+        random.Random(7).shuffle(masks)
+        expected = tutte_subset_sum(m)
+        keys = []
+        for given, kept in [(masks, True), (masks + masks[:3], False),
+                            ((b for b in masks), False), (frozenset(masks), False)]:
+            built = Matroid(m.n, m.rank, given)
+            assert ("slots" in built._cache) == kept
+            memo = TutteMemo()
+            assert tutte_dc(built, memo=memo) == expected
+            keys.append(list(memo._data))
+        assert keys[0] and all(k == keys[0] for k in keys)
+
+    def test_list_built_root_packs_nothing_again(self, monkeypatch):
+        def no_view(*args):
+            raise AssertionError("the root's columns were packed from its set")
+        monkeypatch.setattr(bitset, "column_view", no_view)
+        packed = []
+        real = tutte.to_slots
+        monkeypatch.setattr(tutte, "to_slots",
+                            lambda masks, width: packed.append(masks) or real(masks, width))
+        m = graphic(PETERSEN_ENGINES)
+        assert "slots" in m._cache
+        assert tutte_dc(m, memo=TutteMemo()) == tutte_subset_sum(m)
+        assert packed and not any(masks is m.bases for masks in packed)
+
+
 class TestMemo:
     def test_tiny_capacity_still_correct(self, monkeypatch):
         monkeypatch.setitem(SIZE_LIMITS, "memo-bytes", 1500)
@@ -801,7 +837,6 @@ class TestMemo:
         def no_packing(*args):
             raise AssertionError("the bases of a uniform root were packed")
         monkeypatch.setattr(tutte, "to_slots", no_packing)
-        monkeypatch.setattr(tutte, "column_view", no_packing)
         assert tutte_dc(m, memo=TutteMemo()) == _uniform_tutte(m.rank, m.n)
 
     # a full size class's table is its popcount class: no basis is
