@@ -5,6 +5,10 @@ Exit codes: 0 = success / all checks pass, or stdout closed by its reader;
 unverified trace, an engine mismatch, or a classification breach); 2 =
 input or usage error.  Every verb reads `-` as standard input, and all
 output records are single-line canonical JSON so pipelines compose.
+
+A run builds the parser of its verb alone (`VERBS`, `build_parser`) and
+imports, after the reader, only the modules that verb runs, so a job
+compiles no engine, flats or tracer it does not call.
 """
 
 from __future__ import annotations
@@ -14,9 +18,7 @@ import json
 import os
 import sys
 
-from . import tutte as tutte_mod
 from .errors import ClassificationFailureError, InputError, SplitMWError, check_size
-from .flats import cyclic_flats, is_split
 from .matroid import (
     Matroid,
     graphic,
@@ -26,8 +28,21 @@ from .matroid import (
     uniform,
 )
 
-# Each verb imports only what it runs: `merino_welsh`, `prooftrace` and
-# `graphs` load on first use, here and in the handlers below.
+# Each verb imports only what it runs: `tutte`, `flats`, `merino_welsh`,
+# `prooftrace` and `graphs` load on first use, here and in the handlers
+# below, so a file that the reader refuses compiles none of them.
+
+
+def cyclic_flats(m: Matroid):
+    """`flats.cyclic_flats`, imported on first call."""
+    from .flats import cyclic_flats
+    return cyclic_flats(m)
+
+
+def is_split(m: Matroid):
+    """`flats.is_split`, imported on first call."""
+    from .flats import is_split
+    return is_split(m)
 
 
 def check_mw(m: Matroid):
@@ -98,11 +113,13 @@ def _cmd_construct(args) -> int:
 def _cmd_tutte(args) -> int:
     m = _load_matroid(args.input,
                       "deletion-contraction" if args.engine == "dc" else "tables")
+    from . import tutte
+
     if args.engine == "subset":
-        t = tutte_mod.tutte_subset_sum(m)
+        t = tutte.tutte_subset_sum(m)
     else:
-        t = tutte_mod.tutte_dc(m)
-    if args.engine == "both" and t != tutte_mod.tutte_subset_sum(m):
+        t = tutte.tutte_dc(m)
+    if args.engine == "both" and t != tutte.tutte_subset_sum(m):
         print("engine mismatch: deletion-contraction and subset-sum "
               "disagree", file=sys.stderr)
         return 1
@@ -182,67 +199,84 @@ def _cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="splitmw",
-        description="Exact matroid toolkit: Tutte polynomials, cyclic flats, "
-                    "split recognition, Merino-Welsh certification.")
-    sub = parser.add_subparsers(dest="verb", required=True)
+def _input(p) -> None:
+    p.add_argument("input")
 
-    p = sub.add_parser("construct", help="build a matroid and emit matroid-bases-v1")
+
+def _construct_arguments(p) -> None:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--uniform", metavar="K,N")
     grp.add_argument("--minimal", metavar="K,N")
     grp.add_argument("--graphic", metavar="FILE")
     grp.add_argument("--rank2", metavar="A1,A2,...")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("tutte", help="Tutte polynomial of a matroid (tutte-v1)")
-    p.add_argument("input")
+
+def _tutte_arguments(p) -> None:
+    _input(p)
     p.add_argument("--engine", choices=("subset", "dc", "both"), default="dc")
-    p.set_defaults(func=_cmd_tutte)
 
-    p = sub.add_parser("check-mw", help="Merino-Welsh inequalities (mw-v1)")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_check_mw)
 
-    p = sub.add_parser("cyclic-flats", help="cyclic flats and classification "
-                                            "(cyclic-flats-v1)")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_cyclic_flats)
-
-    p = sub.add_parser("is-split", help="print whether the matroid is split")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_is_split)
-
-    p = sub.add_parser("enumerate-rank2",
-                       help="stream the exhaustive rank-2 verification")
+def _enumerate_rank2_arguments(p) -> None:
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.set_defaults(func=_cmd_enumerate_rank2)
 
-    p = sub.add_parser("trace", help="certificate tree for a split matroid "
-                                     "(trace-v1)")
-    p.add_argument("input")
+
+def _trace_arguments(p) -> None:
+    _input(p)
     p.add_argument("--dot", action="store_true",
                    help="emit a DOT graph instead of JSON")
-    p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser("oracle", help="brute-force spanning tree and "
-                                      "orientation counts for a multigraph")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("selftest", help="run the acceptance suite")
+def _selftest_arguments(p) -> None:
     p.add_argument("--criteria", metavar="N,N,...",
                    help="run only the listed criteria")
-    p.set_defaults(func=_cmd_selftest)
 
+
+# verb -> (help, handler, what adds its arguments), in the order of `--help`
+VERBS = {
+    "construct": ("build a matroid and emit matroid-bases-v1",
+                  _cmd_construct, _construct_arguments),
+    "tutte": ("Tutte polynomial of a matroid (tutte-v1)", _cmd_tutte, _tutte_arguments),
+    "check-mw": ("Merino-Welsh inequalities (mw-v1)", _cmd_check_mw, _input),
+    "cyclic-flats": ("cyclic flats and classification (cyclic-flats-v1)",
+                     _cmd_cyclic_flats, _input),
+    "is-split": ("print whether the matroid is split", _cmd_is_split, _input),
+    "enumerate-rank2": ("stream the exhaustive rank-2 verification",
+                        _cmd_enumerate_rank2, _enumerate_rank2_arguments),
+    "trace": ("certificate tree for a split matroid (trace-v1)", _cmd_trace,
+              _trace_arguments),
+    "oracle": ("brute-force spanning tree and orientation counts for a "
+               "multigraph", _cmd_oracle, _input),
+    "selftest": ("run the acceptance suite", _cmd_selftest, _selftest_arguments),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or, given one, of that verb alone.  The
+    one-verb parser's usage line lists every verb, as the full one's does;
+    the full one's errors name the verb argument `verb`, which a fixed
+    metavar would rename, so only the one-verb parser takes one."""
+    parser = argparse.ArgumentParser(
+        prog="splitmw",
+        description="Exact matroid toolkit: Tutte polynomials, cyclic flats, "
+                    "split recognition, Merino-Welsh certification.")
+    sub = parser.add_subparsers(
+        dest="verb", required=True,
+        metavar=None if verb is None else "{%s}" % ",".join(VERBS))
+    for name, (text, handler, add_arguments) in VERBS.items():
+        if verb in (None, name):
+            p = sub.add_parser(name, help=text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a verb first builds its own parser alone; `splitmw --help`, no verb
+    # and an unknown verb take the full one
+    verb = argv[0] if argv and argv[0] in VERBS else None
+    args = build_parser(verb).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()      # a closed stdout shows here, not at exit

@@ -13,12 +13,13 @@ Conventions used throughout the package:
     minors (`delete`/`contract`/`restrict`) are one relabeling of the kept
     columns, unpacked in C; a minor's family is valid by construction, so
     it skips the constructor's per-basis checks, which read a caller's
-    list or tuple as packed slots (`bitset.checked_slots`) and keep them
-    for the deletion-contraction root.  Loops and coloops are one C-level
-    OR or AND over the family.  Records (`to_dict`, or a `RecordWriter`'s
-    record and JSON text) write each mask through per-byte tables, or past
-    64 bits through its binary numeral, in lex order: sorted as ints once,
-    or, for a deletion or contraction, its parent's order.
+    list or tuple, the reader's (`from_bases`) included, as packed slots
+    (`bitset.checked_slots`) and keep them for the deletion-contraction
+    root.  Loops and coloops are one C-level OR or AND over the family.
+    Records (`to_dict`, or a `RecordWriter`'s record and JSON text) write
+    each mask through per-byte tables, or past 64 bits through its binary
+    numeral, in lex order: sorted as ints once, or, for a deletion or
+    contraction, its parent's order.
   * Whole-table queries (the independent sets and the rank levels, which
     the flats, the paving tests and the subset-sum engine read) hold one
     bit per subset in a 2^n-bit int and close it under inclusion with n
@@ -27,6 +28,12 @@ Conventions used throughout the package:
     class, which is its popcount class), and n per rank level from the
     girth up (the levels below it are size classes), up to the "tables"
     entry of `errors.SIZE_LIMITS`.
+  * Validation (`from_bases`) runs Maurer's exchange check
+    (`check_exchange`), except on a family with more bases than non-bases
+    whose non-bases (`non_bases`, read once off the held k-sets) pairwise
+    share at most k-2 elements (`circuit_hyperplanes`): that family is a
+    sparse paving matroid's, uniform included, within the "tables" limit.
+    The deletion-contraction root reads the same two methods.
 
 Minors reindex the surviving elements to {0, ..., n'-1} order-preservingly:
 index i of M\\e or M/e is old element i + (i >= e), and index i of M|a is
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress, filterfalse
 from math import comb
 from operator import and_, or_
@@ -88,7 +95,8 @@ class Matroid:
     mask repeats; it trusts the caller that the family satisfies basis
     exchange.  Minors, valid by construction, skip even those
     (`_trusted`).  Use `from_bases` for untrusted input -- it
-    additionally runs the exchange check -- or call `check_exchange()`
+    additionally checks exchange, or that the family is a dense sparse
+    paving one (`circuit_hyperplanes`) -- or call `check_exchange()`
     explicitly.  The check is local (Maurer's criterion): the basis graph
     is connected and the link of every (r-2)-set is complete multipartite,
     in O(|B|*k^2) dict operations, k = min(r, n-r).  A mask that is no int
@@ -101,7 +109,11 @@ class Matroid:
     def __init__(self, n: int, rank: int, bases: Iterable[int]):
         require_int("n", n)
         require_int("rank", rank)
-        given, bases = bases, frozenset(bases)
+        self._fill_checked(n, rank, bases, frozenset(bases))
+
+    def _fill_checked(self, n: int, rank: int, given, bases: frozenset) -> None:
+        """The constructor's checks and fill, of `bases`, the set of the
+        masks `given`, which are packed if they are a list or tuple."""
         if not bases:
             raise EmptyBasesError("a matroid needs at least one basis")
         if not 0 <= rank <= n:
@@ -339,6 +351,38 @@ class Matroid:
     def is_uniform(self) -> bool:
         """True iff the bases are all rank-sized subsets of the ground set."""
         return len(self.bases) == comb(self.n, self.rank)
+
+    def non_bases(self) -> frozenset[int] | None:
+        """The k-sets that are no bases, if the bases outnumber them
+        (2|B| > C(n,k)), else None: read once, off the held k-sets
+        (`_k_sets`), with no 2^n-bit table."""
+        cache = self._cache
+        if "non_bases" not in cache:
+            n, k, family = self.n, self.rank, self.bases
+            non_bases = None
+            if self.is_uniform():
+                non_bases = frozenset()
+            elif 2 * len(family) > comb(n, k):
+                non_bases = _k_sets(n, k) - family
+            cache["non_bases"] = non_bases
+        return cache["non_bases"]
+
+    def circuit_hyperplanes(self) -> frozenset[int] | None:
+        """The non-bases, if the bases outnumber them and no two of them
+        share k-1 elements, else None.  Then the non-bases are
+        circuit-hyperplanes, and the family, whatever it was given as, is
+        the bases of a sparse paving matroid (Bansal, Pendavingh and van
+        der Pol, "On the number of matroids", Combinatorica 2015), uniform
+        included.  Two non-bases share k-1 elements iff they share a
+        (k-1)-subset, so k|N| > C(n,k-1) refutes it before N is read."""
+        n, k = self.n, self.rank
+        count = comb(n, k) - len(self.bases)
+        if count and (2 * count >= comb(n, k) or k * count > comb(n, k - 1)):
+            return None
+        non_bases = self.non_bases()
+        if len({h ^ 1 << e for h in non_bases for e in bits(h)}) == k * count:
+            return non_bases
+        return None
 
     # -- minors, duals, sums ---------------------------------------------
 
@@ -616,6 +660,14 @@ def _link_witness(z: int, vertices: int, ext: dict) -> tuple[int, int, int]:
     return z | a | v, z | u | w, a.bit_length() - 1
 
 
+@lru_cache(maxsize=None)
+def _k_sets(n: int, k: int) -> frozenset:
+    """The masks of every k-subset of n elements, held like the Tutte
+    engine's closed forms: C(n,k) masks, under twice the bases of a family
+    that reads them for its non-bases."""
+    return frozenset(k_subsets(k, n))
+
+
 def matroid_from_dict(d: dict) -> Matroid:
     """Parse and fully validate a matroid-bases-v1 record."""
     require_record(d, "matroid-bases-v1", ("n", "rank", "bases"))
@@ -629,19 +681,30 @@ def matroid_from_dict(d: dict) -> Matroid:
 
 def from_bases(n: int, rank: int, bases: Iterable[Iterable[int]]) -> Matroid:
     """Build a matroid from explicit bases, validating element types and
-    ranges, distinctness, and the exchange axiom."""
+    ranges, distinctness, and the exchange axiom.  Within the "tables" size
+    limit, a family whose non-bases are circuit-hyperplanes
+    (`Matroid.circuit_hyperplanes`) is a matroid's without Maurer's pass;
+    every other family, and so every failure, takes it."""
     require_int("n", n)
     require_int("rank", rank)
-    m = Matroid(n, rank, _checked_masks(n, bases))
-    m.check_exchange()
+    masks, family = _checked_masks(n, bases)
+    # the list is packed and checked in C, its slots kept for the
+    # deletion-contraction root; the family is the set's own frozenset, so
+    # that a fault is named, and an exchange witness found, in its order
+    # (the list's frozenset may iterate in another)
+    m = object.__new__(Matroid)
+    m._fill_checked(n, rank, masks, frozenset(family))
+    if n > SIZE_LIMITS["tables"] or m.circuit_hyperplanes() is None:
+        m.check_exchange()
     return m
 
 
-def _checked_masks(n: int, bases: Iterable[Iterable[int]]) -> set[int]:
-    """The masks of `bases`, checked one element at a time; raises
-    InputError at the first bad element, repeated element or repeated
-    basis, so that every error names the first offender."""
-    masks = set()
+def _checked_masks(n: int, bases: Iterable[Iterable[int]]) -> tuple[list[int], set[int]]:
+    """The masks of `bases`, in record order and as a set, checked one
+    element at a time; raises InputError at the first bad element, repeated
+    element or repeated basis, so that every error names the first
+    offender."""
+    masks, seen = [], set()
     for subset in map(tuple, bases):
         for e in subset:
             require_int("element", e)
@@ -650,10 +713,11 @@ def _checked_masks(n: int, bases: Iterable[Iterable[int]]) -> set[int]:
         mask = mask_of(subset)
         if mask.bit_count() != len(subset):
             raise InputError(f"basis {list(subset)} repeats an element")
-        if mask in masks:
+        if mask in seen:
             raise InputError(f"basis {bits(mask)} is listed more than once")
-        masks.add(mask)
-    return masks
+        seen.add(mask)
+        masks.append(mask)
+    return masks, seen
 
 
 def uniform(k: int, n: int) -> Matroid:

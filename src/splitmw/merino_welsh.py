@@ -7,7 +7,9 @@ For a loopless and coloopless matroid the three inequality forms are
     T(2,0) *  T(0,2)    >= T(1,1)^2        (multiplicative)
 
 and multiplicative implies additive implies max (AM-GM plus nonnegativity).
-All arithmetic is exact.
+All arithmetic is exact.  `check_mw` imports the Tutte engine on its first
+call, so importing this module, as `prooftrace` does for the report types,
+compiles no engine.
 
 Rank-2 matroids without loops are exactly "parallel classes + all cross
 pairs as bases", so their isomorphism classes are integer partitions of n
@@ -24,9 +26,22 @@ from typing import NamedTuple
 
 from .errors import check_size
 from .matroid import Matroid, rank2_from_partition
-# perfbench/tracing.py wraps this module's `tutte_subset_sum` too, so the
-# name stays although nothing here calls it
-from .tutte import tutte_dc, tutte_subset_sum  # noqa: F401
+
+
+# perfbench/tracing.py wraps these two names of this module, so they stay
+# bound, as first-use wrappers, although nothing here calls them; the
+# engine itself loads on the first `check_mw`, so a trace loads none
+
+def tutte_dc(m: Matroid, memo=None):
+    """`tutte.tutte_dc`, imported on first call."""
+    from .tutte import tutte_dc
+    return tutte_dc(m, memo)
+
+
+def tutte_subset_sum(m: Matroid):
+    """`tutte.tutte_subset_sum`, imported on first call."""
+    from .tutte import tutte_subset_sum
+    return tutte_subset_sum(m)
 
 
 class MWReport(NamedTuple):
@@ -65,6 +80,8 @@ def check_mw(m: Matroid) -> MWReport:
     Checks the deletion-contraction size limit, then requires a loopless
     and coloopless matroid; raises naming the offending elements otherwise.
     """
+    from .tutte import tutte_dc
+
     check_size("deletion-contraction", m.n)
     m.require_clean()
     t = tutte_dc(m)

@@ -18,9 +18,11 @@ Two independent engines cross-check each other:
     and the packed bases (see `bitset`).  A uniform root, and a sparse
     paving one, closes before a single mask is packed: a root with more
     bases than non-bases (the k-sets that are no bases) reads its
-    non-bases N; if no two of them share k-1 elements, it is sparse
-    paving, and relaxing each of N, its circuit-hyperplanes, adds
-    x + y - xy (Brylawski), so T is T(U(k,n)) + |N|*(xy - x - y).  Any
+    non-bases N (`Matroid.non_bases`, shared with the reader's validation);
+    if no two of them share k-1 elements, it is sparse paving
+    (`Matroid.circuit_hyperplanes`), and relaxing each of N, its
+    circuit-hyperplanes, adds x + y - xy (Brylawski), so T is
+    T(U(k,n)) + |N|*(xy - x - y).  Any
     other root is read once, column by column (`_root`), off the slots its
     constructor checked and kept, in the caller's order, or else packed
     from the set: its loops and coloops, the empty and full columns, are
@@ -57,8 +59,8 @@ from functools import lru_cache
 from itertools import chain
 from math import comb
 
-from .bitset import (bits, columns, k_subsets, place, popcount_classes,
-                     slot_ones, slot_width, to_slots, unpack)
+from .bitset import (columns, place, popcount_classes, slot_ones, slot_width,
+                     to_slots, unpack)
 from .errors import (SIZE_LIMITS, InputError, LimitExceededError, check_size,
                      require_int, require_record)
 from .matroid import Matroid
@@ -362,27 +364,14 @@ def _uniform_tutte(k: int, n: int) -> TuttePolynomial:
     return _unpack(_uniform_packed(k, n), k, n - k)
 
 
-@lru_cache(maxsize=None)
-def _k_sets(n: int, k: int) -> frozenset:
-    """The masks of every k-subset of n elements, held like the closed
-    forms: C(n,k) masks, under twice the bases of a root that reads them
-    for its non-bases."""
-    return frozenset(k_subsets(k, n))
-
-
-def _sparse_paving(n: int, k: int, bases) -> int | None:
-    """T, packed, of the rank-k matroid on n elements with these bases, more
-    than its non-bases N, if it is sparse paving (uniform included), else
-    None.  Two non-bases share k-1 elements iff they share a (k-1)-subset;
-    if none do, N are its circuit-hyperplanes, and relaxing each one adds
-    x + y - xy to T (Brylawski).  So the non-bases' (k-1)-subsets are
-    distinct, and k|N| > C(n,k-1) refutes it before N is read."""
-    if k * (comb(n, k) - len(bases)) > comb(n, k - 1):
+def _sparse_paving(m: Matroid) -> int | None:
+    """T, packed, of m if its non-bases, fewer than its bases, are its
+    circuit-hyperplanes (`Matroid.circuit_hyperplanes`): relaxing each one
+    adds x + y - xy to T (Brylawski); else None."""
+    hyperplanes = m.circuit_hyperplanes()
+    if hyperplanes is None:
         return None
-    non_bases = _k_sets(n, k) - bases
-    if len({h ^ 1 << e for h in non_bases for e in bits(h)}) == k * len(non_bases):
-        return _uniform_packed(k, n) + len(non_bases) * _RELAXED
-    return None
+    return _uniform_packed(m.rank, m.n) + len(hyperplanes) * _RELAXED
 
 
 def _core(k: int, cols: list[int], ones: int) -> tuple[list[int], int, int]:
@@ -513,8 +502,8 @@ def _root(n: int, k: int, bases, memo: TutteMemo, raw: bytes | None = None) -> i
     cols = columns(int.from_bytes(raw, sys.byteorder), ones, n)
     kept, k, shift = _core(k, cols, ones)
     if 0 < len(kept) < n and 2 * len(bases) > comb(len(kept), k):
-        packed = _sparse_paving(len(kept), k,
-                                frozenset(unpack(place(kept), len(bases), width)))
+        core = Matroid._trusted(len(kept), k, unpack(place(kept), len(bases), width))
+        packed = _sparse_paving(core)
         if packed is not None:
             return packed << shift
     n, packed, ones, sizes = _canonical(k, kept, len(bases), width)
@@ -529,9 +518,7 @@ def tutte_dc(m: Matroid, memo: TutteMemo | None = None) -> TuttePolynomial:
     n, k, bases = m.n, m.rank, m.bases
     if m.is_uniform():
         return _uniform_tutte(k, n)     # before packing a single basis
-    packed = None
-    if 2 * len(bases) > comb(n, k):     # a tie keeps the bases
-        packed = _sparse_paving(n, k, bases)
+    packed = _sparse_paving(m)          # a tie keeps the bases
     if packed is None:
         packed = _root(n, k, bases, _global_memo if memo is None else memo,
                        m._cache.get("slots"))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -160,7 +161,7 @@ class TestPipelines:
 
     def test_tutte_engine_mismatch_exits_1(self, monkeypatch, capsys):
         from splitmw.tutte import TuttePolynomial
-        monkeypatch.setattr(cli.tutte_mod, "tutte_subset_sum",
+        monkeypatch.setattr("splitmw.tutte.tutte_subset_sum",
                             lambda m: TuttePolynomial(((0, 7),)))
         doc = construct(["--uniform", "1,2"], monkeypatch, capsys)
         code, _, err = run_cli(["tutte", "-", "--engine", "both"],
@@ -504,7 +505,8 @@ def test_wide_inputs_answer_at_once(verb, reader, tmp_path):
 # what a verb that does not run it must not pay for at start-up
 UNUSED_AT_START = {"dataclasses", "hashlib", "splitmw.graphs",
                    "splitmw.merino_welsh", "splitmw.prooftrace",
-                   "splitmw.acceptance", "splitmw.corpus"}
+                   "splitmw.acceptance", "splitmw.corpus", "splitmw.tutte",
+                   "splitmw.flats"}
 
 
 def modules_added(code: str) -> set[str]:
@@ -559,9 +561,11 @@ def test_cli_import_leaves_unused_modules_out():
 
 
 @pytest.mark.parametrize("verb, loads", [
-    ("tutte", set()), ("is-split", set()), ("cyclic-flats", set()),
-    ("check-mw", {"splitmw.merino_welsh"}),
-    ("trace", {"hashlib", "splitmw.merino_welsh", "splitmw.prooftrace"})])
+    ("tutte", {"splitmw.tutte"}), ("is-split", {"splitmw.flats"}),
+    ("cyclic-flats", {"splitmw.flats"}),
+    ("check-mw", {"splitmw.merino_welsh", "splitmw.tutte"}),
+    ("trace", {"hashlib", "splitmw.flats", "splitmw.merino_welsh",
+               "splitmw.prooftrace"})])
 def test_file_verb_loads_only_what_it_runs(verb, loads, tmp_path):
     path = tmp_path / "t47.json"
     path.write_text(json.dumps(splitmw.minimal(4, 7).to_dict()))
@@ -569,3 +573,31 @@ def test_file_verb_loads_only_what_it_runs(verb, loads, tmp_path):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main([{verb!r}, {str(path)!r}]) == 0")
     assert modules_added(code) & UNUSED_AT_START == loads
+
+
+@pytest.mark.parametrize("verb", ["tutte", "is-split", "cyclic-flats",
+                                  "check-mw", "trace"])
+def test_refused_file_loads_no_engine(verb, tmp_path):
+    # minimal(4,7) less a basis breaks exchange: the reader exits 2 before
+    # the verb imports what it would run
+    record = splitmw.minimal(4, 7).to_dict()
+    del record["bases"][6]
+    path = tmp_path / "near47.json"
+    path.write_text(json.dumps(record))
+    code = ("import contextlib, io\nfrom splitmw.cli import main\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert main([{verb!r}, {str(path)!r}]) == 2")
+    assert modules_added(code) & UNUSED_AT_START == set()
+
+
+def test_prooftrace_import_loads_no_engine():
+    assert "splitmw.tutte" not in modules_added("import splitmw.prooftrace")
+
+
+def test_one_verb_parser_keeps_the_usage_line():
+    full = cli.build_parser()
+    for verb in cli.VERBS:
+        one = cli.build_parser(verb)
+        assert one.format_usage() == full.format_usage()
+        (sub,) = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == [verb]

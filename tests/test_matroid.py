@@ -840,6 +840,105 @@ def agree_with_pairwise_oracle(m) -> bool:
     return True
 
 
+@st.composite
+def dense_families(draw):
+    """(n, k, masks in a drawn record order) of a family of k-sets, n <= 10:
+    one with fewer than half of the k-sets missing at random; or a sparse
+    paving family, whose missing k-sets, drawn in turn, each share at most
+    k-2 elements with those before; or that family less one more k-set, or
+    less two that share k-1 elements with one missing one (never a
+    matroid: two non-bases of a paving matroid that share k-1 elements lie
+    in one hyperplane, whose k+1 k-sets are all missing)."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(0, n))
+    ksets = [mask_of(c) for c in combinations(range(n), k)]
+    kind = draw(st.sampled_from(["random", "sparse-paving", "less-one", "less-two"]))
+    if kind == "random":
+        missing = draw(st.sets(st.sampled_from(ksets), max_size=(len(ksets) - 1) // 2))
+    else:
+        missing = set()
+        for c in draw(st.lists(st.sampled_from(ksets), max_size=12)):
+            if (len(missing) + 1 < len(ksets)
+                    and all((c & h).bit_count() <= k - 2 for h in missing)):
+                missing.add(c)
+        near = sorted({b for b in ksets if b not in missing
+                       and any((b & h).bit_count() == k - 1 for h in missing)})
+        if kind == "less-one" and len(missing) + 1 < len(ksets):
+            missing.add(draw(st.sampled_from([b for b in ksets if b not in missing])))
+        elif kind == "less-two" and len(near) >= 2 and len(missing) + 2 < len(ksets):
+            missing.update(draw(st.lists(st.sampled_from(near), min_size=2,
+                                         max_size=2, unique=True)))
+    family = [b for b in ksets if b not in missing]
+    return n, k, draw(st.permutations(family))
+
+
+class TestDenseAcceptance:
+    """`from_bases` takes a family whose non-bases, fewer than its bases,
+    are circuit-hyperplanes (`Matroid.circuit_hyperplanes`) without
+    Maurer's pass, and every other family through it."""
+
+    @settings(max_examples=300)
+    @given(dense_families())
+    def test_agrees_with_the_exchange_check(self, drawn):
+        n, k, masks = drawn
+        lists = [bits(b) for b in masks]
+        m = Matroid(n, k, set(masks))
+        non_bases = {b for b in map(mask_of, combinations(range(n), k))
+                     if b not in m.bases}
+        dense = 2 * len(m.bases) > comb(n, k)
+        assert m.non_bases() == (non_bases if dense else None)
+        stable = all((a & b).bit_count() <= k - 2
+                     for a, b in combinations(non_bases, 2))
+        assert m.circuit_hyperplanes() == (non_bases if dense and stable else None)
+        if m.circuit_hyperplanes() is not None:     # accepted only if a matroid
+            assert pairwise_exchange_violation(m) is None
+        # the same matroid, or the same error text, witness included, as
+        # the set read and checked by Maurer's pass alone
+        try:
+            expected = reference_from_bases(n, k, lists)
+        except SplitMWError as exc:
+            with pytest.raises(type(exc)) as got:
+                from_bases(n, k, lists)
+            assert str(got.value) == str(exc)
+        else:
+            assert from_bases(n, k, lists) == expected
+
+    @pytest.mark.parametrize("m", [uniform(6, 12), sparse_paving(5, 12, 20, 1)],
+                             ids=["U(6,12)", "sparse-paving(5,12)"])
+    def test_skips_maurers_pass(self, m, monkeypatch):
+        def no_pass(family):
+            raise AssertionError("Maurer's pass ran on a dense sparse paving family")
+        monkeypatch.setattr(matroid_module, "_exchange_witness", no_pass)
+        assert matroid_from_dict(m.to_dict()) == m
+
+    def test_past_the_tables_limit_takes_maurers_pass(self, monkeypatch):
+        def no_test(self):
+            raise AssertionError("the circuit-hyperplane test ran past the tables limit")
+        monkeypatch.setattr(Matroid, "circuit_hyperplanes", no_test)
+        n = SIZE_LIMITS["tables"] + 1
+        assert from_bases(n, 1, [[e] for e in range(n)]) == uniform(1, n)
+
+    def test_non_bases_read_once(self):
+        m = sparse_paving(4, 9, 6, 2)
+        assert m.non_bases() is m.non_bases()
+        assert len(m.non_bases()) == 6 and not m.non_bases() & m.bases
+        assert uniform(3, 6).non_bases() == frozenset()
+        # a tie keeps the bases: 10 of the 20 3-sets of 6 elements
+        tie = Matroid(6, 3, sorted(uniform(3, 6).bases)[:10])
+        assert tie.non_bases() is None and tie.circuit_hyperplanes() is None
+
+    def test_reader_keeps_the_slots_and_the_sets_order(self):
+        # the list is checked in C and its slots kept for the
+        # deletion-contraction root; the family iterates as the set of
+        # the masks in record order does, which the exchange witness follows
+        m = graphic(PETERSEN)
+        record = m.to_dict()
+        masks = [mask_of(b) for b in record["bases"]]
+        read = matroid_from_dict(record)
+        assert read._cache["slots"] == to_slots(masks, slot_width(m.n))
+        assert list(read.bases) == list(frozenset(set(masks)))
+
+
 class TestSerialization:
     def test_round_trip(self):
         for m in (minimal(4, 7), uniform(2, 4), uniform(0, 3),

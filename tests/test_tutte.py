@@ -162,7 +162,7 @@ class TestSparsePaving:
         assert (not memo) == closed
 
     # only a root with more bases than non-bases reads its non-bases, so
-    # the held k-sets of `_k_sets` are never built for the others: the tie
+    # the held k-sets of `matroid._k_sets` are never built for the others: the tie
     # (18 of the 36 pairs), Petersen and minimal(8,16).  Their
     # simplifications are not read for non-bases either, though those of
     # the tie and of minimal(8,16), U(2,2) and U(8,9), have more bases.
@@ -172,7 +172,7 @@ class TestSparsePaving:
     def test_other_roots_read_no_non_bases(self, m, monkeypatch):
         def no_k_sets(*args):
             raise AssertionError("the k-sets of a root with few bases were read")
-        monkeypatch.setattr(tutte, "_k_sets", no_k_sets)
+        monkeypatch.setattr(matroid, "_k_sets", no_k_sets)
         assert tutte_dc(m, memo=TutteMemo()) == tutte_subset_sum(m)
 
     # dense roots at the slot-width edges: the sparse paving (8,17) takes
@@ -202,13 +202,13 @@ class TestSparsePaving:
     def test_dense_core_takes_the_closed_form(self, m, core, monkeypatch):
         def no_recursion(*args):
             raise AssertionError("a dense root with a sparse paving core recursed")
-        read, k_sets_of = [], tutte._k_sets
+        read, k_sets_of = [], matroid._k_sets
 
         def k_sets(n, k):
             read.append((n, k))
             return k_sets_of(n, k)
         monkeypatch.setattr(tutte, "_dc", no_recursion)
-        monkeypatch.setattr(tutte, "_k_sets", k_sets)
+        monkeypatch.setattr(matroid, "_k_sets", k_sets)
         assert 2 * len(m.bases) > comb(m.n, m.rank)
         assert m.loops() or m.coloops()
         memo = TutteMemo()
@@ -219,8 +219,8 @@ class TestSparsePaving:
     # a root that is not dense, but whose core, less its loops and coloops,
     # is: the sparse paving (7,16) has 11,290 of C(16,7) = 11,440 7-sets, so
     # beside a coloop 11,290 of C(17,8) = 24,310 8-sets.  One column pass
-    # strips them, and the core takes the closed form on its own bases and
-    # k-sets, with no node
+    # strips them, and the core, alone, takes the closed form on its own
+    # bases and k-sets, with no node
     @pytest.mark.parametrize("m", [
         sparse_paving(7, 16, 150, 6).direct_sum(uniform(1, 1)),
         uniform(0, 1).direct_sum(sparse_paving(7, 16, 150, 6)).direct_sum(uniform(1, 1)),
@@ -230,9 +230,11 @@ class TestSparsePaving:
             raise AssertionError("a root with a sparse paving core recursed")
         read, rule = [], tutte._sparse_paving
 
-        def recorded(n, k, bases):
-            read.append((n, k, bases))
-            return rule(n, k, bases)
+        def recorded(m):
+            packed = rule(m)
+            if packed is not None:
+                read.append((m.n, m.rank, m.bases))
+            return packed
         monkeypatch.setattr(tutte, "_dc", no_recursion)
         monkeypatch.setattr(tutte, "_sparse_paving", recorded)
         assert 2 * len(m.bases) <= comb(m.n, m.rank)
