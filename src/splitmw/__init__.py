@@ -15,7 +15,8 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "errors": ("ClassificationFailureError", "ColoopsPresentError",
-               "EmptyBasesError", "ExchangeViolationError", "InputError",
+               "EmptyBasesError", "EngineMismatchError", "ExchangeViolationError",
+               "InputError",
                "LimitExceededError", "LoopsPresentError", "NotCleanInputError",
                "NotSplitError", "SplitMWError", "WrongBasisSizeError"),
     "matroid": ("Matroid", "from_bases", "graphic", "matroid_from_dict",

@@ -14,13 +14,13 @@ from contextlib import redirect_stdout
 from typing import NamedTuple
 
 from . import corpus
-from .errors import ClassificationFailureError
+from .errors import ClassificationFailureError, EngineMismatchError
 from .flats import cyclic_flats, is_copaving, is_paving, is_split
 from .graphs import _orientation_counts, count_spanning_trees
 from .matroid import graphic, minimal, rank2_from_partition, uniform
 from .merino_welsh import rank2_census_partitions, rank2_threshold_check
 from .prooftrace import trace
-from .tutte import tutte_dc, tutte_subset_sum
+from .tutte import check_identities, tutte_dc, tutte_subset_sum
 
 
 def _criterion_1() -> tuple[bool, str]:
@@ -98,7 +98,9 @@ def _criterion_5() -> tuple[bool, str]:
 
 
 def _criterion_6() -> tuple[bool, str]:
-    """Engine equivalence (deletion-contraction vs subset sum), n <= 14."""
+    """Engine equivalence (deletion-contraction vs subset sum), n <= 14,
+    and T(1,1) = |B| and T(2,2) = 2^n, which code both engines share
+    cannot fake (`tutte.check_identities`)."""
     members = list(corpus.tutte_identity_corpus())
     members.extend(a.direct_sum(b)
                    for a, b in corpus.direct_sum_pairs(members, count=40, max_n=14))
@@ -106,8 +108,13 @@ def _criterion_6() -> tuple[bool, str]:
     for m in members:
         if m.n > 14:
             continue
-        if tutte_dc(m) != tutte_subset_sum(m):
+        t = tutte_dc(m)
+        if t != tutte_subset_sum(m):
             return False, f"engines disagree on {m!r}"
+        try:
+            check_identities(m, t)
+        except EngineMismatchError as exc:
+            return False, f"{exc} for {m!r}"
         checked += 1
     return True, f"{checked} matroids coefficient-identical"
 

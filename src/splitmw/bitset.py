@@ -23,7 +23,7 @@ import sys
 from array import array
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress, repeat
 from operator import add
 
 
@@ -32,6 +32,31 @@ def mask_of(items: Iterable[int]) -> int:
     for i in items:
         m |= 1 << i
     return m
+
+
+@lru_cache(maxsize=None)
+def _powers(n: int) -> dict[int, int]:
+    """{e: 1 << e} for each e in range(n)."""
+    return {e: 1 << e for e in range(n)}
+
+
+def masks_of(rows, n: int) -> list[int] | None:
+    """`[mask_of(row) for row in rows]` of a list of lists or tuples of
+    exact ints, each in range(n) and none twice in its row, with n <= 64,
+    by C-level passes: one set of the elements' types, then one sum of
+    powers of two per row, each looked up by its element in a table of n,
+    and one bit count of every mask (a sum of powers of two has fewer bits
+    than terms iff one repeats); else None."""
+    if not (n <= 64 and type(rows) is list and set(map(type, rows)) <= {list, tuple}
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        return None
+    try:
+        masks = list(map(sum, map(map, repeat(_powers(n).__getitem__), rows)))
+    except KeyError:    # an element outside range(n)
+        return None
+    if sum(map(int.bit_count, masks)) != sum(map(len, rows)):
+        return None
+    return masks
 
 
 def bits(mask: int) -> list[int]:

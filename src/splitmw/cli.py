@@ -18,7 +18,8 @@ import json
 import os
 import sys
 
-from .errors import ClassificationFailureError, InputError, SplitMWError, check_size
+from .errors import (ClassificationFailureError, EngineMismatchError, InputError,
+                     SplitMWError, check_size)
 from .matroid import (
     Matroid,
     graphic,
@@ -120,15 +121,8 @@ def _cmd_tutte(args) -> int:
     else:
         t = tutte.tutte_dc(m)
     if args.engine == "both" and t != tutte.tutte_subset_sum(m):
-        print("engine mismatch: deletion-contraction and subset-sum "
-              "disagree", file=sys.stderr)
-        return 1
-    # identities that hold whatever code both engines share
-    if t.evaluate(1, 1) != len(m.bases) or t.evaluate(2, 2) != 1 << m.n:
-        print("engine mismatch: T(1,1) is not the basis count or T(2,2) "
-              "is not 2^n", file=sys.stderr)
-        return 1
-    print(_dumps(t.to_dict()))
+        raise EngineMismatchError("deletion-contraction and subset-sum disagree")
+    print(_dumps(tutte.check_identities(m, t).to_dict()))
     return 0
 
 
@@ -288,6 +282,9 @@ def main(argv=None) -> int:
         return 0
     except ClassificationFailureError as exc:
         print(f"classification failure: {exc}", file=sys.stderr)
+        return 1
+    except EngineMismatchError as exc:  # `tutte`, and `check_mw`'s identities
+        print(f"engine mismatch: {exc}", file=sys.stderr)
         return 1
     except (SplitMWError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -107,6 +107,12 @@ class ColoopsPresentError(NotCleanInputError):
         super().__init__(f"matroid has coloops at elements {self.elements}")
 
 
+class EngineMismatchError(SplitMWError):
+    """A Tutte polynomial fails a check that every right one passes: the
+    two engines disagree, or T(1,1) is not the basis count or T(2,2) is
+    not 2^n, identities that no code the engines share can fake."""
+
+
 class NotSplitError(SplitMWError):
     """The matroid is not a split matroid."""
 

@@ -24,16 +24,18 @@ Conventions used throughout the package:
     the flats, the paving tests and the subset-sum engine read) hold one
     bit per subset in a 2^n-bit int and close it under inclusion with n
     shift/AND/OR passes (see `bitset`): n for the independent sets, from
-    the bases' table (one byte write per basis, or none for a full size
-    class, which is its popcount class), and n per rank level from the
-    girth up (the levels below it are size classes), up to the "tables"
-    entry of `errors.SIZE_LIMITS`.
-  * Validation (`from_bases`) runs Maurer's exchange check
-    (`check_exchange`), except on a family with more bases than non-bases
-    whose non-bases (`non_bases`, read once off the held k-sets) pairwise
-    share at most k-2 elements (`circuit_hyperplanes`): that family is a
-    sparse paving matroid's, uniform included, within the "tables" limit.
-    The deletion-contraction root reads the same two methods.
+    the bases' table (one byte write per basis, or, with more bases than
+    non-bases, one per non-basis off the size class k; none if uniform),
+    none for a paving family's, and n per rank level from the girth up
+    (the levels below it are size classes), up to the "tables" entry of
+    `errors.SIZE_LIMITS`.
+  * Validation (`from_bases`) checks elements in bulk and runs Maurer's
+    exchange check (`check_exchange`), except on a paving family with
+    more bases than non-bases: its non-bases (`non_bases`, read once off
+    the held k-sets) are the k-subsets of sets that pairwise meet in at
+    most k-2 elements (`hyperplanes`), within the "tables" limit.  The
+    deletion-contraction root and the independent sets read the same two
+    methods.
 
 Minors reindex the surviving elements to {0, ..., n'-1} order-preservingly:
 index i of M\\e or M/e is old element i + (i >= e), and index i of M|a is
@@ -43,7 +45,7 @@ size, rank, and basis family.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Iterable
 from functools import lru_cache, reduce
 from itertools import compress, filterfalse
@@ -61,6 +63,7 @@ from .bitset import (
     k_subsets,
     lex_order,
     mask_of,
+    masks_of,
     minor_families,
     place,
     popcount_classes,
@@ -95,8 +98,8 @@ class Matroid:
     mask repeats; it trusts the caller that the family satisfies basis
     exchange.  Minors, valid by construction, skip even those
     (`_trusted`).  Use `from_bases` for untrusted input -- it
-    additionally checks exchange, or that the family is a dense sparse
-    paving one (`circuit_hyperplanes`) -- or call `check_exchange()`
+    additionally checks exchange, or that the family is a dense paving
+    one (`hyperplanes`) -- or call `check_exchange()`
     explicitly.  The check is local (Maurer's criterion): the basis graph
     is connected and the link of every (r-2)-set is complete multipartite,
     in O(|B|*k^2) dict operations, k = min(r, n-r).  A mask that is no int
@@ -224,14 +227,23 @@ class Matroid:
 
     def independent_sets(self) -> int:
         """Table (see `bitset`) of the independent sets: the down-closure
-        of the bases, n passes over a 2^n-bit int."""
+        of the bases' table, n passes over a 2^n-bit int.  A family with
+        more bases than non-bases (`non_bases`) scatters only those: its
+        table is the size class k less them, the whole class if uniform.
+        A paving one (`hyperplanes`) needs no closure: every smaller set is
+        independent."""
         check_size("tables", self.n)
         cached = self._cache.get("indepsets")
         if cached is None:
-            n = self.n
-            bases = (popcount_classes(n)[self.rank] if self.is_uniform()
-                     else table_of(self.bases, n))
-            cached = self._cache["indepsets"] = down_closure(bases, n)
+            n, k, non_bases = self.n, self.rank, self.non_bases()
+            pop = popcount_classes(n)
+            if non_bases is None:
+                cached = down_closure(table_of(self.bases, n), n)
+            else:
+                bases = pop[k] ^ table_of(non_bases, n) if non_bases else pop[k]
+                cached = (down_closure(bases, n) if self.hyperplanes() is None
+                          else reduce(or_, pop[:k], bases))
+            self._cache["indepsets"] = cached
         return cached
 
     def rank_levels(self) -> tuple[int, ...]:
@@ -367,22 +379,26 @@ class Matroid:
             cache["non_bases"] = non_bases
         return cache["non_bases"]
 
-    def circuit_hyperplanes(self) -> frozenset[int] | None:
-        """The non-bases, if the bases outnumber them and no two of them
-        share k-1 elements, else None.  Then the non-bases are
-        circuit-hyperplanes, and the family, whatever it was given as, is
-        the bases of a sparse paving matroid (Bansal, Pendavingh and van
-        der Pol, "On the number of matroids", Combinatorica 2015), uniform
-        included.  Two non-bases share k-1 elements iff they share a
-        (k-1)-subset, so k|N| > C(n,k-1) refutes it before N is read."""
-        n, k = self.n, self.rank
-        count = comb(n, k) - len(self.bases)
-        if count and (2 * count >= comb(n, k) or k * count > comb(n, k - 1)):
-            return None
-        non_bases = self.non_bases()
-        if len({h ^ 1 << e for h in non_bases for e in bits(h)}) == k * count:
-            return non_bases
-        return None
+    def hyperplanes(self) -> frozenset[int] | None:
+        """The hyperplanes of k or more elements, if the bases outnumber
+        the non-bases and the family, whatever it was given as, is the
+        bases of a paving matroid, else None; decided once, by
+        `_paving_hyperplanes` on the non-bases.  At rank k >= 2 a paving
+        matroid has no loop, and a coloop only beside U(k-1,n-1), with
+        C(n-1,k-1) bases.  So a loop refutes it, looked for only if the
+        bases are few enough to miss one, at most C(n-1,k), and so does a
+        coloop, looked for only if they are fewer than C(n-1,k-1): before
+        the non-bases are read."""
+        cache = self._cache
+        if "hyperplanes" not in cache:
+            n, k, count = self.n, self.rank, len(self.bases)
+            found = None
+            if 2 * count > comb(n, k) and not (
+                    k >= 2 and (count <= comb(n - 1, k) and self.loops()
+                                or count < comb(n - 1, k - 1) and self.coloops())):
+                found = _paving_hyperplanes(self.non_bases(), k)
+            cache["hyperplanes"] = found
+        return cache["hyperplanes"]
 
     # -- minors, duals, sums ---------------------------------------------
 
@@ -557,17 +573,7 @@ def _exchange_witness(family) -> tuple[int, int, int] | None:
     """Maurer's criterion (see `Matroid.check_exchange`) on a family of
     equal-size masks: None if it holds, else a witness (b1, b2, e) of
     failed exchange, two masks and an element."""
-    # ext[s] = mask of the a with s + a in the family, for each (r-1)-set s
-    # inside a member; a's bit is `low` throughout
-    ext = {}
-    get = ext.get
-    for b in family:
-        rest = b
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            s = b ^ low
-            ext[s] = get(s, 0) | low
+    ext = _extensions(family)
     # links[z] = the neighbourhoods ext[z + a] of the vertices a of z's
     # link, for each (r-2)-set z
     links = defaultdict(list)
@@ -615,6 +621,22 @@ def _exchange_witness(family) -> tuple[int, int, int] | None:
     return _walk_witness(family, start, min(family - reached))
 
 
+def _extensions(family) -> dict[int, int]:
+    """ext[s] = the mask of the a with s + a in a family of equal-size
+    masks, for each s that is a member less one element: one dict write
+    per member and element."""
+    ext = {}
+    get = ext.get
+    for b in family:
+        rest = b
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            s = b ^ low
+            ext[s] = get(s, 0) | low
+    return ext
+
+
 def _walk_witness(family, b1: int, b2: int) -> tuple[int, int, int]:
     """A witness of failed exchange between members b1 and b2 that lie in
     different components of the basis graph: walk b1 toward b2, one swap
@@ -660,6 +682,32 @@ def _link_witness(z: int, vertices: int, ext: dict) -> tuple[int, int, int]:
     return z | a | v, z | u | w, a.bit_length() - 1
 
 
+def _paving_hyperplanes(non_bases: frozenset[int], k: int) -> frozenset[int] | None:
+    """The sets H of k or more elements whose k-subsets are exactly these
+    non-bases of a family of k-sets, pairwise meeting in at most k-2, if
+    there are such sets, else None.  Then the family is the bases of a
+    paving matroid, and the H its hyperplanes of k or more elements
+    (Hartmanis 1959; Oxley, "Matroid Theory", 2.1).
+
+    One pass maps each (k-1)-subset s of a non-basis to ext[s], the e with
+    s + e a non-basis (`_extensions`).  If no two non-bases share a
+    (k-1)-subset, each is its own H: a sparse paving family, uniform
+    included.  Else each s with two or more in ext[s] lies in the H
+    s + ext[s], which holds all its k-subsets iff every one of its
+    C(|H|,k-1) (k-1)-subsets names it so; two such H then never share k-1
+    elements, which would name a larger one.  A non-basis h in such an H
+    has all its (k-1)-subsets in it, so h less its least element tells
+    whether h is its own H."""
+    ext = _extensions(non_bases)
+    if len(ext) == k * len(non_bases):
+        return non_bases
+    named = Counter(s | x for s, x in ext.items() if x & (x - 1))
+    if any(count != comb(h.bit_count(), k - 1) for h, count in named.items()):
+        return None
+    return frozenset(named).union(h for h in non_bases
+                                  if not (x := ext[h & (h - 1)]) & (x - 1))
+
+
 @lru_cache(maxsize=None)
 def _k_sets(n: int, k: int) -> frozenset:
     """The masks of every k-subset of n elements, held like the Tutte
@@ -682,9 +730,9 @@ def matroid_from_dict(d: dict) -> Matroid:
 def from_bases(n: int, rank: int, bases: Iterable[Iterable[int]]) -> Matroid:
     """Build a matroid from explicit bases, validating element types and
     ranges, distinctness, and the exchange axiom.  Within the "tables" size
-    limit, a family whose non-bases are circuit-hyperplanes
-    (`Matroid.circuit_hyperplanes`) is a matroid's without Maurer's pass;
-    every other family, and so every failure, takes it."""
+    limit, a dense paving family (`Matroid.hyperplanes`) is a matroid's
+    without Maurer's pass; every other family, and so every failure, takes
+    it."""
     require_int("n", n)
     require_int("rank", rank)
     masks, family = _checked_masks(n, bases)
@@ -694,16 +742,20 @@ def from_bases(n: int, rank: int, bases: Iterable[Iterable[int]]) -> Matroid:
     # (the list's frozenset may iterate in another)
     m = object.__new__(Matroid)
     m._fill_checked(n, rank, masks, frozenset(family))
-    if n > SIZE_LIMITS["tables"] or m.circuit_hyperplanes() is None:
+    if n > SIZE_LIMITS["tables"] or m.hyperplanes() is None:
         m.check_exchange()
     return m
 
 
 def _checked_masks(n: int, bases: Iterable[Iterable[int]]) -> tuple[list[int], set[int]]:
-    """The masks of `bases`, in record order and as a set, checked one
-    element at a time; raises InputError at the first bad element, repeated
-    element or repeated basis, so that every error names the first
-    offender."""
+    """The masks of `bases`, in record order and as a set: checked in bulk
+    (`bitset.masks_of`, then one set), or, on a fault and for input that
+    no bulk pass takes, one element at a time, which raises InputError at
+    the first bad element, repeated element or repeated basis, so that
+    every error names the first offender."""
+    masks = masks_of(bases, n)
+    if masks is not None and len(seen := set(masks)) == len(masks):
+        return masks, seen
     masks, seen = [], set()
     for subset in map(tuple, bases):
         for e in subset:

@@ -79,12 +79,14 @@ def check_mw(m: Matroid) -> MWReport:
 
     Checks the deletion-contraction size limit, then requires a loopless
     and coloopless matroid; raises naming the offending elements otherwise.
+    Raises EngineMismatchError if T(1,1) is not the basis count or T(2,2)
+    not 2^n (`tutte.check_identities`).
     """
-    from .tutte import tutte_dc
+    from .tutte import check_identities, tutte_dc
 
     check_size("deletion-contraction", m.n)
     m.require_clean()
-    t = tutte_dc(m)
+    t = check_identities(m, tutte_dc(m))
     return report_from_evaluations(m.n, m.rank,
                                    t.evaluate(2, 0), t.evaluate(0, 2),
                                    t.evaluate(1, 1))

@@ -12,17 +12,18 @@ Two independent engines cross-check each other:
     ranks are binomials.  The Whitney numbers are expanded into the one
     packed int `tutte_dc` uses (see `_from_whitney`), and `_unpack` reads it.
   * `tutte_dc` -- deletion-contraction with eager loop/coloop stripping,
-    a closed form for uniform minors and one for sparse paving roots, one
+    a closed form for uniform minors and one for paving roots, one
     weighted step per parallel class of the root, and a memo, bounded by
     the "memo-bytes" size limit by evicting its oldest entries, keyed on n
-    and the packed bases (see `bitset`).  A uniform root, and a sparse
-    paving one, closes before a single mask is packed: a root with more
-    bases than non-bases (the k-sets that are no bases) reads its
-    non-bases N (`Matroid.non_bases`, shared with the reader's validation);
-    if no two of them share k-1 elements, it is sparse paving
-    (`Matroid.circuit_hyperplanes`), and relaxing each of N, its
-    circuit-hyperplanes, adds x + y - xy (Brylawski), so T is
-    T(U(k,n)) + |N|*(xy - x - y).  Any
+    and the packed bases (see `bitset`).  A uniform root, and a paving
+    one, closes before a single mask is packed: a root with more bases
+    than non-bases (the k-sets that are no bases) reads its non-bases
+    (`Matroid.non_bases`, shared with the reader's validation); if they
+    are the k-subsets of sets that pairwise meet in at most k-2, its
+    hyperplanes H of k or more elements, it is paving
+    (`Matroid.hyperplanes`), and only the sets of s >= k elements within
+    one H have rank k-1, so T is T(U(k,n)) + (xy - x - y) * sum over H of
+    sum of C(|H|,s)*(y-1)^(s-k) over s = k..|H| (`_paving`).  Any
     other root is read once, column by column (`_root`), off the slots its
     constructor checked and kept, in the caller's order, or else packed
     from the set: its loops and coloops, the empty and full columns, are
@@ -55,14 +56,15 @@ always have shape (rank+1) x (corank+1) of the source matroid.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from functools import lru_cache
 from itertools import chain
 from math import comb
 
 from .bitset import (columns, place, popcount_classes, slot_ones, slot_width,
                      to_slots, unpack)
-from .errors import (SIZE_LIMITS, InputError, LimitExceededError, check_size,
-                     require_int, require_record)
+from .errors import (SIZE_LIMITS, EngineMismatchError, InputError,
+                     LimitExceededError, check_size, require_int, require_record)
 from .matroid import Matroid
 
 
@@ -161,6 +163,15 @@ class TuttePolynomial:
                 "rank": self.x_degree_bound,
                 "corank": self.y_degree_bound,
                 "coeffs": [[str(c) for c in row] for row in self.coeffs]}
+
+
+def check_identities(m: Matroid, t: TuttePolynomial) -> TuttePolynomial:
+    """t, if T(1,1) is the basis count of m and T(2,2) is 2^n, which hold
+    whatever code the two engines share; else raise EngineMismatchError.
+    The CLI checks every polynomial that it prints or reports on."""
+    if t.evaluate(1, 1) != len(m.bases) or t.evaluate(2, 2) != 1 << m.n:
+        raise EngineMismatchError("T(1,1) is not the basis count or T(2,2) is not 2^n")
+    return t
 
 
 def tutte_from_dict(d: dict) -> TuttePolynomial:
@@ -296,22 +307,19 @@ _DIGIT_BITS, _DIGIT_BYTES = sys.int_info.bits_per_digit, sys.int_info.sizeof_dig
 _INT_HEAD, _ZERO_BYTES = sys.getsizeof(1) - _DIGIT_BYTES, sys.getsizeof(0)
 
 
-def _int_bytes(i: int) -> int:
-    """What sys.getsizeof measures of the nonnegative int i."""
-    return max(_ZERO_BYTES, _INT_HEAD + _DIGIT_BYTES * -(-i.bit_length() // _DIGIT_BITS))
-
-
 class TutteMemo:
     """Memo shared across recursions, bounded by the "memo-bytes" size
     limit: past it, the oldest entries go first.  A key is (n, the packed
     bases, in the slot width of the root's simplification they came from)
     of a matroid with no loop or coloop, exact, so only equal families in
-    equal slots share an entry.  Entries are packed polynomials (see `_FIELD`), immutable
-    ints, returned as they are.
+    equal slots share an entry.  Entries are packed polynomials (see
+    `_FIELD`), immutable ints, returned as they are; `_dc` reads the dict
+    itself.
 
     Each entry is charged what `sys.getsizeof` measures of its key pair,
     the key's packed int and its packed polynomial, by arithmetic on sizes
-    read once (`_int_bytes`); the memo's own hash table is not charged."""
+    read once (`_entry_cost`); `put` inlines it for its two ints, which
+    are never 0.  The memo's own hash table is not charged."""
 
     def __init__(self):
         self._data: dict = {}
@@ -319,21 +327,25 @@ class TutteMemo:
 
     @staticmethod
     def _entry_cost(key, packed: int) -> int:
-        return _PAIR_BYTES + _int_bytes(key[1]) + _int_bytes(packed)
+        return _PAIR_BYTES + sum(
+            max(_ZERO_BYTES, _INT_HEAD + _DIGIT_BYTES * -(-i.bit_length() // _DIGIT_BITS))
+            for i in (key[1], packed))
 
     def get(self, key):
         return self._data.get(key)
 
     def put(self, key, packed: int):
-        if key in self._data:
+        data = self._data
+        if key in data:
             return
-        self._data[key] = packed
-        self._bytes += self._entry_cost(key, packed)
+        data[key] = packed
+        self._bytes += _PAIR_BYTES + 2 * _INT_HEAD + _DIGIT_BYTES * (
+            -(-key[1].bit_length() // _DIGIT_BITS) - packed.bit_length() // -_DIGIT_BITS)
         limit = SIZE_LIMITS["memo-bytes"]
         # keep at least one entry so progress is visible
-        while self._bytes > limit and len(self._data) > 1:
-            old_key = next(iter(self._data))
-            self._bytes -= self._entry_cost(old_key, self._data.pop(old_key))
+        while self._bytes > limit and len(data) > 1:
+            old_key = next(iter(data))
+            self._bytes -= self._entry_cost(old_key, data.pop(old_key))
 
     def clear(self):
         self._data.clear()
@@ -364,14 +376,31 @@ def _uniform_tutte(k: int, n: int) -> TuttePolynomial:
     return _unpack(_uniform_packed(k, n), k, n - k)
 
 
-def _sparse_paving(m: Matroid) -> int | None:
-    """T, packed, of m if its non-bases, fewer than its bases, are its
-    circuit-hyperplanes (`Matroid.circuit_hyperplanes`): relaxing each one
-    adds x + y - xy to T (Brylawski); else None."""
-    hyperplanes = m.circuit_hyperplanes()
+@lru_cache(maxsize=None)
+def _hyperplane_weight(k: int, size: int) -> int:
+    """sum of C(size,s) * (y-1)^(s-k) over s = k..size, packed, by Horner's
+    rule in y-1, which is 2^_FIELD - 1 packed: 1 for size k."""
+    weight = 0
+    for s in range(size, k - 1, -1):
+        weight = weight * ((1 << _FIELD) - 1) + comb(size, s)
+    return weight
+
+
+def _paving(m: Matroid) -> int | None:
+    """T, packed, of m if it has more bases than non-bases and is paving
+    (`Matroid.hyperplanes`), else None.  Only the sets of s >= k elements
+    within a hyperplane H of k or more have a rank other than U(k,n)'s,
+    k-1, and none lies in two H, so each adds (xy - x - y)*(y-1)^(s-k):
+    T(M) = T(U(k,n)) + (xy - x - y) * sum over H of its weight
+    (`_hyperplane_weight`).  An H of k elements adds xy - x - y, as
+    relaxing a circuit-hyperplane takes it away (Brylawski)."""
+    hyperplanes = m.hyperplanes()
     if hyperplanes is None:
         return None
-    return _uniform_packed(m.rank, m.n) + len(hyperplanes) * _RELAXED
+    k = m.rank
+    return _uniform_packed(k, m.n) + _RELAXED * sum(
+        count * _hyperplane_weight(k, size)
+        for size, count in Counter(map(int.bit_count, hyperplanes)).items())
 
 
 def _core(k: int, cols: list[int], ones: int) -> tuple[list[int], int, int]:
@@ -465,7 +494,7 @@ def _dc(n: int, k: int, packed: int, ones: int, memo: TutteMemo) -> int:
         # or coloop unless k is 0 or n, where the closed form is y^n or x^n
         return _uniform_packed(k, n)
     key = (n, packed)
-    core = memo.get(key)     # an entry's matroid has no loop or coloop
+    core = memo._data.get(key)      # an entry's matroid has no loop or coloop
     if core is not None:
         return core
     cols = columns(packed, ones, n)
@@ -490,7 +519,7 @@ def _dc(n: int, k: int, packed: int, ones: int, memo: TutteMemo) -> int:
 def _root(n: int, k: int, bases, memo: TutteMemo, raw: bytes | None = None) -> int:
     """T, packed, of a root that is not closed before its columns are read:
     one pass over its columns finds its loops and coloops, and its core,
-    less them, takes the sparse paving rule if it has more bases than
+    less them, takes the paving rule if it has more bases than
     non-bases, else recurses on its simplification (`_canonical`), its
     parallel classes first (`_classes`).  The columns are read off `raw`,
     the bases in `slot_width(n)` slots in any order (`_canonical` sorts),
@@ -503,7 +532,7 @@ def _root(n: int, k: int, bases, memo: TutteMemo, raw: bytes | None = None) -> i
     kept, k, shift = _core(k, cols, ones)
     if 0 < len(kept) < n and 2 * len(bases) > comb(len(kept), k):
         core = Matroid._trusted(len(kept), k, unpack(place(kept), len(bases), width))
-        packed = _sparse_paving(core)
+        packed = _paving(core)
         if packed is not None:
             return packed << shift
     n, packed, ones, sizes = _canonical(k, kept, len(bases), width)
@@ -518,7 +547,7 @@ def tutte_dc(m: Matroid, memo: TutteMemo | None = None) -> TuttePolynomial:
     n, k, bases = m.n, m.rank, m.bases
     if m.is_uniform():
         return _uniform_tutte(k, n)     # before packing a single basis
-    packed = _sparse_paving(m)          # a tie keeps the bases
+    packed = _paving(m)                 # a tie keeps the bases
     if packed is None:
         packed = _root(n, k, bases, _global_memo if memo is None else memo,
                        m._cache.get("slots"))

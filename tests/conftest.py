@@ -239,6 +239,75 @@ def sparse_paving(k: int, n: int, hyperplanes: int, seed: int) -> Matroid:
     return Matroid(n, k, [b for b in ksets if b not in kept])
 
 
+def drawn_hyperplanes(draw, n: int, k: int, tries: int) -> list[int]:
+    """Up to `tries` drawn sets of k to n-1 of n elements, each kept if it
+    meets every one kept before in at most k-2 elements and the kept ones'
+    k-subsets stay fewer than half of the k-sets: the hyperplanes of k or
+    more elements of a paving matroid with more bases than non-bases, its
+    non-bases their k-subsets (Hartmanis)."""
+    kept, missing = [], 0
+    for _ in range(tries):
+        h = mask_of(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=n - 1)))
+        count = comb(h.bit_count(), k)
+        if (2 * (missing + count) < comb(n, k)
+                and all((h & g).bit_count() <= k - 2 for g in kept)):
+            kept.append(h)
+            missing += count
+    return kept
+
+
+def within_hyperplanes(n: int, k: int, hyperplanes) -> set[int]:
+    """The k-sets of n elements that lie in one of these sets."""
+    return {b for b in map(mask_of, combinations(range(n), k))
+            if any(b & h == b for h in hyperplanes)}
+
+
+@st.composite
+def paving_matroids(draw, max_n: int = 10):
+    """(m, hyperplanes): a paving matroid of rank 1 <= k < n <= max_n with
+    more bases than non-bases, whose non-bases are the k-subsets of drawn
+    hyperplanes (`drawn_hyperplanes`), and those hyperplanes."""
+    n = draw(st.integers(2, max_n))
+    k = draw(st.integers(1, n - 1))
+    hyperplanes = drawn_hyperplanes(draw, n, k, draw(st.integers(0, 5)))
+    missing = within_hyperplanes(n, k, hyperplanes)
+    bases = [b for b in map(mask_of, combinations(range(n), k)) if b not in missing]
+    return Matroid(n, k, bases), frozenset(hyperplanes)
+
+
+def paving_hyperplanes_oracle(m) -> frozenset[int] | None:
+    """The hyperplanes of k or more elements of the matroid m, if it has
+    more bases than non-bases and is paving (`is_paving_oracle`), else
+    None: the closure of each non-basis h, h with each e for which every
+    h - x + e, x in h, is a non-basis too."""
+    n, k = m.n, m.rank
+    if 2 * len(m.bases) <= comb(n, k) or not is_paving_oracle(m):
+        return None
+    non_bases = {b for b in map(mask_of, combinations(range(n), k)) if b not in m.bases}
+    return frozenset(h | sum(1 << e for e in range(n) if not h >> e & 1
+                             and all(h ^ 1 << x | 1 << e in non_bases for x in bits(h)))
+                     for h in non_bases)
+
+
+def paving_tutte_oracle(m) -> dict[tuple[int, int], int]:
+    """T(M) of a paving matroid with more bases than non-bases, as a sparse
+    {(i, j): coeff} dict: T(U(k,n)), with the term of each set A of s >= k
+    elements within a hyperplane (`paving_hyperplanes_oracle`), rank k-1
+    instead of k, changed from (y-1)^(s-k) to (x-1)*(y-1)^(s-k+1)."""
+    k, n = m.rank, m.n
+    poly = uniform_tutte_oracle(k, n)
+    for h in paving_hyperplanes_oracle(m):
+        for s in range(k, h.bit_count() + 1):
+            count, d = comb(h.bit_count(), s), s - k
+            for j in range(d + 2):
+                term = count * comb(d + 1, j) * (-1) ** (d + 1 - j)
+                poly[1, j] = poly.get((1, j), 0) + term
+                poly[0, j] = poly.get((0, j), 0) - term
+            for j in range(d + 1):
+                poly[0, j] -= count * comb(d, j) * (-1) ** (d - j)
+    return {key: c for key, c in poly.items() if c}
+
+
 def grown_sparse_paving(k: int, n: int, hyperplanes: int, seed: int) -> Matroid:
     """`sparse_paving` with its least circuit-hyperplane that some element
     can grow grown by the least such element (`grown_hyperplane`)."""
@@ -618,34 +687,47 @@ def pack_oracle(t) -> int:
                for i, row in enumerate(t.coeffs) for j, c in enumerate(row))
 
 
-class OracleMemo(TutteMemo):
-    """A `TutteMemo` of `dc_oracle`'s polynomials, each charged as its
-    packed int would be."""
+def unpack_oracle(packed: int, rank: int, corank: int):
+    """The (rank+1) x (corank+1) polynomial that `pack_oracle` packed."""
+    limit = max(SIZE_LIMITS["deletion-contraction"], SIZE_LIMITS["tables"])
+    field = comb(limit, limit // 2).bit_length()
+    return TuttePolynomial([[packed >> field * (i * (limit + 1) + j) & ((1 << field) - 1)
+                             for j in range(corank + 1)] for i in range(rank + 1)])
 
-    @staticmethod
-    def _entry_cost(key, t):
-        return TutteMemo._entry_cost(key, pack_oracle(t))
+
+class OracleMemo(TutteMemo):
+    """A `TutteMemo` of `dc_oracle`'s polynomials, held packed
+    (`pack_oracle`), so charged and evicted as `tutte._dc`'s entries are,
+    and read back as polynomials, of the rank of the key's first basis, in
+    its lowest slot."""
+
+    def get(self, key):
+        packed = self._data.get(key)
+        if packed is None:
+            return None
+        n, family = key
+        rank = (family & ((1 << n) - 1)).bit_count()
+        return unpack_oracle(packed, rank, n - rank)
+
+    def put(self, key, t):
+        super().put(key, pack_oracle(t))
 
 
 def dc_oracle(n: int, bases: tuple[int, ...], memo, calls=None):
     """Deletion-contraction over sorted tuples and coefficient matrices with
-    the oracles above.  A root with more bases than non-bases whose
-    non-bases, as element sets, pairwise share at most k-2 elements is
-    sparse paving and takes `sparse_paving_tutte_oracle`, with no memo
-    entry; if it is not, but has loops or coloops, its core, less them, is
-    a root of its own, times x^coloops * y^loops.  Any other root recurses
-    on its simplification (`simplification_oracle`), in the slot width of
-    its elements: first over its classes (`classes_oracle`), then with no
-    relabeling (see `dc_node_oracle`)."""
+    the oracles above.  A root with more bases than non-bases that is
+    paving (`paving_hyperplanes_oracle`) takes `paving_tutte_oracle`, with
+    no memo entry; if it is not, but has loops or coloops, its core, less
+    them, is a root of its own, times x^coloops * y^loops.  Any other root
+    recurses on its simplification (`simplification_oracle`), in the slot
+    width of its elements: first over its classes (`classes_oracle`), then
+    with no relabeling (see `dc_node_oracle`)."""
     k = bases[0].bit_count()
-    if 2 * len(bases) > comb(n, k):
-        held = set(bases)
-        non_bases = [set(c) for c in combinations(range(n), k)
-                     if mask_of(c) not in held]
-        if all(len(a & b) <= k - 2 for a, b in combinations(non_bases, 2)):
-            coeffs = sparse_paving_tutte_oracle(Matroid(n, k, bases))
-            return TuttePolynomial([[coeffs.get((i, j), 0) for j in range(n - k + 1)]
-                                    for i in range(k + 1)])
+    root = Matroid(n, k, bases)
+    if paving_hyperplanes_oracle(root) is not None:
+        coeffs = paving_tutte_oracle(root)
+        return TuttePolynomial([[coeffs.get((i, j), 0) for j in range(n - k + 1)]
+                                for i in range(k + 1)])
     core_n, core, ncoloops, nloops = strip_oracle(n, bases)
     if core_n < n:
         return poly_shift(dc_oracle(core_n, core, memo, calls), ncoloops, nloops)

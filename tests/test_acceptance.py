@@ -48,6 +48,23 @@ def test_criterion_9_split_recognition_fixtures(capsys):
     _run(9, capsys)
 
 
+# a defect in the one decoder both engines share makes them agree on a
+# wrong polynomial, T plus 1: criterion 6 fails on its identities
+def test_criterion_6_fails_on_a_shared_decoder_defect(monkeypatch):
+    from splitmw import tutte
+
+    decode = tutte._unpack
+    monkeypatch.setattr(tutte, "_unpack",
+                        lambda packed, rank, corank: decode(packed + 1, rank, corank))
+    tutte._uniform_tutte.cache_clear()
+    try:
+        result = acceptance.run_criterion(6)
+    finally:
+        tutte._uniform_tutte.cache_clear()
+    assert not result.passed
+    assert result.detail.startswith("T(1,1) is not the basis count or T(2,2) is not 2^n for ")
+
+
 def test_unknown_criterion_rejected():
     with pytest.raises(ValueError):
         acceptance.run_criterion(10)

@@ -28,6 +28,30 @@ def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
     return code, out, err
 
 
+def defective_from_whitney(whitney):
+    """`tutte._from_whitney` with one defect in its inner Horner step,
+    which both engines share: subset-sum expands through it, and
+    deletion-contraction's uniform closed form is built by it."""
+    from splitmw import tutte
+
+    total, row = 0, tutte._FIELD * tutte._STRIDE
+    for ws in reversed(whitney):
+        across = 0
+        for w in reversed(ws):
+            across = (across << tutte._FIELD) - across + w + (w > 5)
+        total = (total << row) - total + across
+    return total
+
+
+def tutte_caches_clear():
+    """Drop the closed forms that `tutte` keeps across calls."""
+    from splitmw import tutte
+
+    tutte._uniform_packed.cache_clear()
+    tutte._uniform_tutte.cache_clear()
+    tutte._hyperplane_weight.cache_clear()
+
+
 def construct(argv_tail, monkeypatch, capsys):
     code, out, _ = run_cli(["construct"] + argv_tail, None, monkeypatch, capsys)
     assert code == 0
@@ -177,22 +201,10 @@ class TestPipelines:
         from splitmw import tutte
         from splitmw.corpus import tutte_identity_corpus
 
-        def defective(whitney):
-            total, row = 0, tutte._FIELD * tutte._STRIDE
-            for ws in reversed(whitney):
-                across = 0
-                for w in reversed(ws):
-                    across = (across << tutte._FIELD) - across + w + (w > 5)
-                total = (total << row) - total + across
-            return total
-
-        def clear():
-            tutte._uniform_packed.cache_clear()
-            tutte._uniform_tutte.cache_clear()
-
         corpus = tutte_identity_corpus()
         truth = {id(m): tutte.tutte_subset_sum(m) for m in corpus}
-        monkeypatch.setattr(tutte, "_from_whitney", defective)
+        monkeypatch.setattr(tutte, "_from_whitney", defective_from_whitney)
+        clear = tutte_caches_clear
         clear()
         try:
             m = next(m for m in corpus
@@ -202,6 +214,29 @@ class TestPipelines:
                                      json.dumps(m.to_dict()), monkeypatch, capsys)
         finally:
             clear()
+        assert code == 1 and out == ""
+        assert err == ("engine mismatch: T(1,1) is not the basis count or "
+                       "T(2,2) is not 2^n\n")
+
+    # the same defect under `check-mw`, which reads deletion-contraction
+    # alone: on the first clean corpus matroid whose polynomial it breaks,
+    # the report would be wrong; the identities stop it with exit 1
+    def test_shared_defect_fails_check_mw(self, monkeypatch, capsys):
+        from splitmw import tutte
+        from splitmw.corpus import tutte_identity_corpus
+
+        corpus = [m for m in tutte_identity_corpus() if m.is_clean()]
+        truth = {id(m): tutte.tutte_subset_sum(m) for m in corpus}
+        monkeypatch.setattr(tutte, "_from_whitney", defective_from_whitney)
+        monkeypatch.setattr(tutte, "_global_memo", tutte.TutteMemo())
+        tutte_caches_clear()
+        try:
+            m = next(m for m in corpus
+                     if tutte.tutte_dc(m, memo=tutte.TutteMemo()) != truth[id(m)])
+            code, out, err = run_cli(["check-mw", "-"], json.dumps(m.to_dict()),
+                                     monkeypatch, capsys)
+        finally:
+            tutte_caches_clear()
         assert code == 1 and out == ""
         assert err == ("engine mismatch: T(1,1) is not the basis count or "
                        "T(2,2) is not 2^n\n")

@@ -30,7 +30,7 @@ from splitmw import (
 )
 from splitmw import matroid as matroid_module
 from splitmw.bitset import (bits, checked_slots, columns, element_masks, lex_order,
-                            mask_of, place, popcount_classes, slot_ones, slot_width,
+                            mask_of, masks_of, place, popcount_classes, slot_ones, slot_width,
                             table_of, to_slots, unpack, up_closure)
 from splitmw.corpus import (
     graphic_corpus,
@@ -51,19 +51,24 @@ from conftest import (
     contract_oracle,
     delete_oracle,
     derived_matroids,
+    drawn_hyperplanes,
     every_family,
+    grown_sparse_paving,
     independence_table_oracle,
     is_exchange_witness,
     is_paving_oracle,
     loops_oracle,
     pairwise_exchange_violation,
     parallel_classes_oracle,
+    paving_hyperplanes_oracle,
+    paving_matroids,
     rank_oracle,
     rank_table_oracle,
     restrict_oracle,
     sparse_paving,
     to_dict_oracle,
     trace_oracle,
+    within_hyperplanes,
     with_parallels_and_loops,
 )
 
@@ -127,12 +132,23 @@ class TestConstructors:
             from_bases(4, 2, bases)
         assert str(exc.value) == message
 
+    # the reader's bulk pass: the masks of a list of lists or tuples, or
+    # None on any fault, which the element loop then names
+    def test_masks_of(self):
+        assert masks_of([[0, 1], (2, 3), []], 4) == [0b11, 0b1100, 0]
+        for rows in ([[0, True]], [[0, 1.0]], [[0, 4]], [[-1, 0]], [[1, 1]],
+                     ((0, 1),), [{0, 1}], [iter([0, 1])]):
+            assert masks_of(rows, 4) is None
+        assert masks_of([[0]], 65) is None
+
     @given(st.integers(0, 5), st.integers(0, 3),
            st.lists(st.lists(st.one_of(st.integers(-1, 5), st.sampled_from(
                [True, False, 1.0, "1", None])), max_size=3), max_size=6))
     def test_from_bases_agrees_with_the_element_loop(self, n, rank, bases):
-        assert outcome(from_bases, n, rank, bases) == \
-            outcome(reference_from_bases, n, rank, bases)
+        expected = outcome(reference_from_bases, n, rank, bases)
+        assert outcome(from_bases, n, rank, bases) == expected
+        # rows that are tuples take the bulk checks too
+        assert outcome(from_bases, n, rank, [tuple(b) for b in bases]) == expected
 
     def test_uniform_small(self):
         assert uniform(1, 2).bases == frozenset({0b01, 0b10})
@@ -848,13 +864,35 @@ def dense_families(draw):
     k-2 elements with those before; or that family less one more k-set, or
     less two that share k-1 elements with one missing one (never a
     matroid: two non-bases of a paving matroid that share k-1 elements lie
-    in one hyperplane, whose k+1 k-sets are all missing)."""
+    in one hyperplane, whose k+1 k-sets are all missing).  Or a paving
+    family, whose missing k-sets are those within drawn hyperplanes
+    (`drawn_hyperplanes`); or that family with one of them back, or less
+    one more k-set; or the family less the k-subsets of two sets that meet
+    in k-1 elements."""
     n = draw(st.integers(1, 10))
     k = draw(st.integers(0, n))
     ksets = [mask_of(c) for c in combinations(range(n), k)]
-    kind = draw(st.sampled_from(["random", "sparse-paving", "less-one", "less-two"]))
+    kind = draw(st.sampled_from(["random", "sparse-paving", "less-one", "less-two",
+                                 "paving", "paving-plus-one", "paving-less-one",
+                                 "meeting"]))
     if kind == "random":
         missing = draw(st.sets(st.sampled_from(ksets), max_size=(len(ksets) - 1) // 2))
+    elif kind.startswith("paving") and k < n:
+        hyperplanes = drawn_hyperplanes(draw, n, k, draw(st.integers(0, 4)))
+        missing = within_hyperplanes(n, k, hyperplanes)
+        if kind == "paving-plus-one" and missing:
+            missing.remove(draw(st.sampled_from(sorted(missing))))
+        elif kind == "paving-less-one" and len(missing) + 1 < len(ksets):
+            missing.add(draw(st.sampled_from([b for b in ksets if b not in missing])))
+    elif kind == "meeting" and 1 <= k < n:
+        first = mask_of(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=n - 1)))
+        shared = mask_of(draw(st.sets(st.sampled_from(bits(first)), min_size=k - 1,
+                                      max_size=k - 1)))
+        outside = [e for e in range(n) if not first >> e & 1]
+        second = shared | mask_of(draw(st.sets(st.sampled_from(outside), min_size=1)))
+        missing = within_hyperplanes(n, k, [first, second])
+        if len(missing) >= len(ksets):
+            missing = set()
     else:
         missing = set()
         for c in draw(st.lists(st.sampled_from(ksets), max_size=12)):
@@ -873,11 +911,11 @@ def dense_families(draw):
 
 
 class TestDenseAcceptance:
-    """`from_bases` takes a family whose non-bases, fewer than its bases,
-    are circuit-hyperplanes (`Matroid.circuit_hyperplanes`) without
-    Maurer's pass, and every other family through it."""
+    """`from_bases` takes a paving family with more bases than non-bases
+    (`Matroid.hyperplanes`) without Maurer's pass, and every other family
+    through it."""
 
-    @settings(max_examples=300)
+    @settings(max_examples=500)
     @given(dense_families())
     def test_agrees_with_the_exchange_check(self, drawn):
         n, k, masks = drawn
@@ -887,34 +925,57 @@ class TestDenseAcceptance:
                      if b not in m.bases}
         dense = 2 * len(m.bases) > comb(n, k)
         assert m.non_bases() == (non_bases if dense else None)
-        stable = all((a & b).bit_count() <= k - 2
-                     for a, b in combinations(non_bases, 2))
-        assert m.circuit_hyperplanes() == (non_bases if dense and stable else None)
-        if m.circuit_hyperplanes() is not None:     # accepted only if a matroid
-            assert pairwise_exchange_violation(m) is None
         # the same matroid, or the same error text, witness included, as
         # the set read and checked by Maurer's pass alone
         try:
             expected = reference_from_bases(n, k, lists)
         except SplitMWError as exc:
+            assert m.hyperplanes() is None
             with pytest.raises(type(exc)) as got:
                 from_bases(n, k, lists)
             assert str(got.value) == str(exc)
         else:
+            # a matroid: the hyperplanes are found iff it is dense paving
+            assert m.hyperplanes() == paving_hyperplanes_oracle(m)
             assert from_bases(n, k, lists) == expected
+        if m.hyperplanes() is not None:     # accepted only if a matroid
+            assert pairwise_exchange_violation(m) is None
 
-    @pytest.mark.parametrize("m", [uniform(6, 12), sparse_paving(5, 12, 20, 1)],
-                             ids=["U(6,12)", "sparse-paving(5,12)"])
+    @given(paving_matroids())
+    def test_finds_drawn_hyperplanes(self, drawn):
+        m, hyperplanes = drawn
+        assert m.hyperplanes() == hyperplanes == paving_hyperplanes_oracle(m)
+        assert from_bases(m.n, m.rank, [bits(b) for b in m.bases]) == m
+
+    # U(k-1,n-1) beside a coloop is paving, with the one hyperplane E - c;
+    # a loop, or a coloop beside any other family, refutes paving at rank
+    # 2 or more before the non-bases are read
+    @pytest.mark.parametrize("m, found", [
+        (uniform(3, 5).direct_sum(uniform(1, 1)), frozenset({0b11111})),
+        (uniform(1, 3).direct_sum(uniform(0, 2)), frozenset({0b11000})),
+        (uniform(0, 1).direct_sum(sparse_paving(4, 9, 6, 1)), None),
+        (sparse_paving(4, 7, 3, 3).direct_sum(uniform(1, 1)), None),
+    ], ids=["u35-coloop", "u13-loops", "loop-4-9", "4-7-coloop"])
+    def test_loops_and_coloops(self, m, found, monkeypatch):
+        assert m.hyperplanes() == found == paving_hyperplanes_oracle(m)
+        if found is None:
+            fresh = Matroid(m.n, m.rank, m.bases)
+            monkeypatch.setattr(matroid_module, "_k_sets", None)
+            assert fresh.hyperplanes() is None
+
+    @pytest.mark.parametrize("m", [uniform(6, 12), sparse_paving(5, 12, 20, 1),
+                                   grown_sparse_paving(7, 16, 150, 6)],
+                             ids=["U(6,12)", "sparse-paving(5,12)", "grown-7-16"])
     def test_skips_maurers_pass(self, m, monkeypatch):
         def no_pass(family):
-            raise AssertionError("Maurer's pass ran on a dense sparse paving family")
+            raise AssertionError("Maurer's pass ran on a dense paving family")
         monkeypatch.setattr(matroid_module, "_exchange_witness", no_pass)
         assert matroid_from_dict(m.to_dict()) == m
 
     def test_past_the_tables_limit_takes_maurers_pass(self, monkeypatch):
         def no_test(self):
-            raise AssertionError("the circuit-hyperplane test ran past the tables limit")
-        monkeypatch.setattr(Matroid, "circuit_hyperplanes", no_test)
+            raise AssertionError("the paving test ran past the tables limit")
+        monkeypatch.setattr(Matroid, "hyperplanes", no_test)
         n = SIZE_LIMITS["tables"] + 1
         assert from_bases(n, 1, [[e] for e in range(n)]) == uniform(1, n)
 
@@ -925,7 +986,7 @@ class TestDenseAcceptance:
         assert uniform(3, 6).non_bases() == frozenset()
         # a tie keeps the bases: 10 of the 20 3-sets of 6 elements
         tie = Matroid(6, 3, sorted(uniform(3, 6).bases)[:10])
-        assert tie.non_bases() is None and tie.circuit_hyperplanes() is None
+        assert tie.non_bases() is None and tie.hyperplanes() is None
 
     def test_reader_keeps_the_slots_and_the_sets_order(self):
         # the list is checked in C and its slots kept for the

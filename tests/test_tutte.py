@@ -56,6 +56,8 @@ from conftest import (
     pack_oracle,
     packed_oracle,
     pairwise_exchange_violation,
+    paving_matroids,
+    paving_tutte_oracle,
     poly_add,
     sparse_paving,
     sparse_paving_matroids,
@@ -145,14 +147,14 @@ class TestSparsePaving:
     # U(1,5) plus a loop, k = 1: the loop's singleton is the one non-basis,
     # so it is isolated; the others' non-bases are not.  The sparse paving
     # (7,16) with one circuit-hyperplane grown into an 8-element
-    # hyperplane has 7 more non-bases, each next to it; M(K5)'s triangles
-    # with an edge share 3 edges.  Those recurse on their bases.  Rank 2
-    # with classes of 3 has non-bases {a,b} and {a,c} in each class, and
-    # recurses on its simplification, U(2,3), whose closed form makes no
-    # entry either.
+    # hyperplane has 7 more non-bases, each next to it: paving, it closes
+    # too.  M(K5)'s triangles with an edge share 3 edges, and those sets
+    # of 4 edges are no hyperplanes, so it recurses on its bases.  Rank 2
+    # with classes of 3 has non-bases {a,b} and {a,c} in each class, the
+    # pairs of three hyperplanes, and closes as well.
     @pytest.mark.parametrize("m, closed", [
         (uniform(1, 5).direct_sum(uniform(0, 1)), True),
-        (grown_sparse_paving(7, 16, 150, 6), False),
+        (grown_sparse_paving(7, 16, 150, 6), True),
         (graphic(K5), False),
         (rank2_from_partition([3, 3, 3]), True),
     ], ids=["u15-loop", "7-16-150-grown", "k5", "rank2-333"])
@@ -207,12 +209,15 @@ class TestSparsePaving:
         def k_sets(n, k):
             read.append((n, k))
             return k_sets_of(n, k)
+        # subset-sum's independent sets read the non-bases of a dense
+        # family too, so it runs on a copy first
+        expected = tutte_subset_sum(Matroid(m.n, m.rank, m.bases))
         monkeypatch.setattr(tutte, "_dc", no_recursion)
         monkeypatch.setattr(matroid, "_k_sets", k_sets)
         assert 2 * len(m.bases) > comb(m.n, m.rank)
         assert m.loops() or m.coloops()
         memo = TutteMemo()
-        assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
+        assert tutte_dc(m, memo=memo) == expected
         assert not memo
         assert read == [core]
 
@@ -228,7 +233,7 @@ class TestSparsePaving:
     def test_dense_core_of_a_sparse_root_takes_the_closed_form(self, m, monkeypatch):
         def no_recursion(*args):
             raise AssertionError("a root with a sparse paving core recursed")
-        read, rule = [], tutte._sparse_paving
+        read, rule = [], tutte._paving
 
         def recorded(m):
             packed = rule(m)
@@ -236,7 +241,7 @@ class TestSparsePaving:
                 read.append((m.n, m.rank, m.bases))
             return packed
         monkeypatch.setattr(tutte, "_dc", no_recursion)
-        monkeypatch.setattr(tutte, "_sparse_paving", recorded)
+        monkeypatch.setattr(tutte, "_paving", recorded)
         assert 2 * len(m.bases) <= comb(m.n, m.rank)
         memo = TutteMemo()
         assert tutte_dc(m, memo=memo) == tutte_subset_sum(m)
@@ -254,7 +259,8 @@ class TestSparsePaving:
             assert not memo
 
     # one circuit-hyperplane grown into a hyperplane of k+1 elements: the
-    # root is paving but not sparse paving, so it recurses on its bases
+    # root is paving but not sparse paving, and closes all the same if it
+    # has more bases than non-bases
     @given(sparse_paving_matroids(grow=True))
     def test_engines_agree_with_a_grown_hyperplane(self, drawn):
         m, clean = drawn
@@ -262,8 +268,47 @@ class TestSparsePaving:
         t = tutte_dc(m, memo=memo)
         assert t == tutte_subset_sum(m)
         assert (dense_to_sparse(t) == sparse_paving_tutte_oracle(m)) == clean
-        if clean:
+        if 2 * len(m.bases) > comb(m.n, m.rank):
+            assert dense_to_sparse(t) == paving_tutte_oracle(m)
             assert not memo
+
+
+class TestPaving:
+    """The root rule for paving roots with more bases than non-bases:
+    T(U(k,n)) plus (xy - x - y) times each hyperplane's weight, with no
+    node and no memo entry, against subset-sum, which has no such rule."""
+
+    @given(paving_matroids(12))
+    def test_rule_against_subset_sum(self, drawn):
+        m, hyperplanes = drawn
+        memo = TutteMemo()
+        t = tutte_dc(m, memo=memo)
+        assert t == tutte_subset_sum(m)
+        assert _unpack(tutte._paving(m), m.rank, m.n - m.rank) == t
+        assert dense_to_sparse(t) == paving_tutte_oracle(m)
+        assert not memo
+
+    # the grown root of the probe inputs: one hyperplane of 8 elements,
+    # the 149 others of 7
+    def test_grown_root_closes(self, monkeypatch):
+        def no_recursion(*args):
+            raise AssertionError("a paving root recursed")
+        m = grown_sparse_paving(7, 16, 150, 6)
+        expected = tutte_subset_sum(Matroid(m.n, m.rank, m.bases))
+        monkeypatch.setattr(tutte, "_dc", no_recursion)
+        monkeypatch.setattr(tutte, "_classes", no_recursion)
+        memo = TutteMemo()
+        assert tutte_dc(m, memo=memo) == expected
+        assert not memo
+        assert Counter(map(int.bit_count, m.hyperplanes())) == {7: 149, 8: 1}
+
+    # a hyperplane H of k or more elements weighs the sum of
+    # C(|H|,s)*(y-1)^(s-k) over s = k..|H|
+    def test_hyperplane_weight(self):
+        z = (1 << tutte._FIELD) - 1     # y - 1, packed
+        assert tutte._hyperplane_weight(3, 3) == 1
+        assert tutte._hyperplane_weight(3, 4) == 4 + z
+        assert tutte._hyperplane_weight(2, 5) == 10 + 10 * z + 5 * z ** 2 + z ** 3
 
 
 class TestClosedForms:
@@ -447,14 +492,6 @@ def key_masks(key, width: int) -> list[int]:
     return out
 
 
-def unpack_entry(key, packed):
-    """The polynomial of a memo entry, its rank read off the key's first
-    basis, in its lowest slot."""
-    n, family = key
-    rank = (family & ((1 << n) - 1)).bit_count()
-    return _unpack(packed, rank, n - rank)
-
-
 def check_column_pass(m):
     """The root's packing and every node of the recursion below it against
     the one-basis-at-a-time oracles: `_canonical` on the columns of m's
@@ -573,14 +610,14 @@ class TestColumnPass:
     # the default "memo-bytes" limit, one under which Petersen with a chord
     # ends with 1 of the 161 entries it makes with room for all, its root's,
     # and one under which it ends with 52.  The Fano plane, M(K4), the
-    # sparse paving (5,10) and U(3,6) less a basis are sparse paving, so
-    # both take the closed form and make no entry; so do the sums of a
-    # sparse paving (3,7) with a loop and of a (4,7) with a coloop, which
-    # have more bases than non-bases, on their cores.  M(K5) and the rank-2
-    # partition (1,2,3,2) have more but are not sparse paving, and the tie
-    # (18 of the 36 pairs) has as many: they and the rest recurse on their
-    # simplifications' bases, the two rank-2 roots, minimal(5,10) and the
-    # padded minimal(4,8) over their parallel classes first.
+    # sparse paving (5,10), U(3,6) less a basis and the rank-2 partition
+    # (1,2,3,2) are paving, so both take the closed form and make no entry;
+    # so do the sums of a sparse paving (3,7) with a loop and of a (4,7)
+    # with a coloop, which have more bases than non-bases, on their cores.
+    # M(K5) has more but is not paving, and the tie (18 of the 36 pairs)
+    # has as many: they and the rest recurse on their simplifications'
+    # bases, the tie, minimal(5,10) and the padded minimal(4,8) over their
+    # parallel classes first.
     @pytest.mark.parametrize("capacity", [64 << 20, 10000, 40000])
     def test_memo_matches_oracle_recursion(self, capacity, fano, k4,
                                            monkeypatch):
@@ -598,8 +635,7 @@ class TestColumnPass:
             oracle = dc_oracle(m.n, tuple(sorted(m.bases)), oracle_memo)
             assert tutte_dc(m, memo=memo) == oracle
             assert list(memo._data) == list(oracle_memo._data)
-            assert ([unpack_entry(key, packed) for key, packed in memo._data.items()]
-                    == list(oracle_memo._data.values()))
+            assert list(memo._data.values()) == list(oracle_memo._data.values())
             assert memo._bytes == oracle_memo._bytes
 
 
@@ -853,6 +889,30 @@ class TestMemo:
                                 for a in range(1 << 18))
         assert tutte_subset_sum(m) == _uniform_tutte(9, 18)
 
+    # a family with more bases than non-bases scatters only those, off its
+    # size class: the sparse paving (7,16) its 150 non-bases, not its
+    # 11,290 bases, with no closure, since it is paving; M(K5) its 85, then
+    # closes the table, since its triangles are circuits
+    @pytest.mark.parametrize("m, scattered, closed", [
+        (sparse_paving(7, 16, 150, 6), 150, False), (graphic(K5), 85, True),
+    ], ids=["7-16-150", "k5"])
+    def test_dense_table_scatters_the_non_bases(self, m, scattered, closed,
+                                                 monkeypatch):
+        expected = bitset.down_closure(bitset.table_of(m.bases, m.n), m.n)
+        counts, closures = [], []
+
+        def recorded(masks, n):
+            counts.append(len(masks))
+            return bitset.table_of(masks, n)
+
+        def closure(table, n):
+            closures.append(n)
+            return bitset.down_closure(table, n)
+        monkeypatch.setattr(matroid, "table_of", recorded)
+        monkeypatch.setattr(matroid, "down_closure", closure)
+        assert m.independent_sets() == expected
+        assert counts == [scattered] and bool(closures) == closed
+
     # the root is relabeled and sorted once per call, warm or cold, and no
     # node below it sorts
     @pytest.mark.parametrize("m", [
@@ -917,12 +977,13 @@ class TestMemo:
     def test_charge_is_measured_after_traces(self, monkeypatch):
         # the process-wide memo that `check_mw` fills on the matroids that
         # `trace` certifies and on their leaves (the trace itself runs no
-        # engine): the sparse paving roots take the closed form, and the
-        # grown ones make entries
+        # engine): the sparse paving and grown roots take the closed form,
+        # and the grown ones' duals, which are not paving, make entries
         memo = TutteMemo()
         monkeypatch.setattr(tutte, "_global_memo", memo)
         for seed in range(3):
-            for m in (sparse_paving(4, 9, 6, seed), grown_sparse_paving(4, 9, 6, seed)):
+            grown = grown_sparse_paving(4, 9, 6, seed)
+            for m in (sparse_paving(4, 9, 6, seed), grown, grown.dual()):
                 t = trace(m)
                 assert t.verified and check_mw(m) == t.root.mw
                 for node in t.walk():
