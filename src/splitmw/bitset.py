@@ -14,7 +14,9 @@ machine type that fits n bits, read as one int; past 64 bits, slots of
 masks that hold e; so element degrees, loops and coloops are bit counts
 and ANDs of whole columns, and relabeling the ground set is one shift and
 OR per element.  Dropping columns or taking a run of slots keeps the slot
-width, so a family may sit in slots wider than its own n needs.
+width, so a family may sit in slots wider than its own n needs.  The
+record order of a family and its element lists and JSON text, read off
+its slots byte by byte, are `records`'.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from array import array
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from operator import add
 
 
 def mask_of(items: Iterable[int]) -> int:
@@ -180,6 +181,11 @@ _BYTE_COUNTS = bytes(map(int.bit_count, range(256)))
 _BELOW = tuple(bytes(range(1 << b)) for b in range(8))
 
 
+def _byte_column(raw: bytes, j: int, width: int) -> bytes:
+    """Byte j (bit 8j up) of each `width`-byte slot, in native byte order."""
+    return raw[j if sys.byteorder == "little" else width - 1 - j::width]
+
+
 def checked_slots(masks, n: int, k: int) -> bytes | None:
     """`to_slots(masks, slot_width(n))` of a sized family, or None unless
     n <= 64 and every mask is an int below 2^n with k elements: checked by
@@ -268,112 +274,6 @@ def minor_families(cols: list[int], e: int, ones: int, count: int,
     dropped = list(unpack(place(cols[:e] + cols[e + 1:]), count, width))
     return (list(compress(dropped, unpack(cols[e] ^ ones, count, width))),
             list(compress(dropped, unpack(cols[e], count, width))))
-
-
-def _reversed_bits() -> bytes:
-    """Each byte with its eight bits in reverse order, built by doubling:
-    adding bit k to a byte adds bit 7-k to its reversal."""
-    rev = [0]
-    for k in range(8):
-        rev += [r | (0x80 >> k) for r in rev]
-    return bytes(rev)
-
-
-_REVERSED_BITS = _reversed_bits()
-
-
-def _reversed_slots(raw: bytes) -> bytes:
-    """Every bit of a run of slots in reverse order: each slot's mask is
-    bit-reversed within the slot width, and the slots come out last first."""
-    return raw.translate(_REVERSED_BITS)[::-1]
-
-
-def lex_order(masks: Iterable[int], n: int) -> bytes:
-    """The slots (see `to_slots`) of masks of equal size, in lexicographic
-    order of their ascending element lists.
-
-    For two such lists, the first place they differ holds the smallest
-    element of the symmetric difference, and the list that has it comes
-    first.  Bit-reversed, that element is the highest differing bit, so the
-    order is descending order of the bit-reversed masks: one C-level sort of
-    ints between two byte-table reversals."""
-    width = slot_width(n)
-    flipped = from_slots(_reversed_slots(to_slots(masks, width)), width)
-    # reversing again also turns the ascending sort into descending order
-    return _reversed_slots(to_slots(sorted(flipped), width))
-
-
-# one table per byte position of a slot of at most 64 bits; wider slots are
-# written through their numerals instead
-@lru_cache(maxsize=8)
-def _byte_elements(j: int) -> tuple[list[int], ...]:
-    """For each byte value, the elements its set bits stand for when it is
-    byte j of a mask."""
-    return tuple([8 * j + i for i in range(8) if b >> i & 1] for b in range(256))
-
-
-@lru_cache(maxsize=8)
-def _byte_text(j: int) -> tuple[str, ...]:
-    """For each byte value, the text ",e1,e2,..." of the elements its set
-    bits stand for when it is byte j of a mask."""
-    return tuple("".join(f",{e}" for e in elements)
-                 for elements in _byte_elements(j))
-
-
-def _byte_column(raw: bytes, j: int, width: int) -> bytes:
-    """Byte j (bit 8j up) of each `width`-byte slot, in native byte order."""
-    return raw[j if sys.byteorder == "little" else width - 1 - j::width]
-
-
-def _byte_pieces(raw: bytes, n: int, table):
-    """(each slot's pieces joined, how many byte positions were joined) for
-    the slots of n-bit masks, n <= 64: each byte j looked up in table(j),
-    the pieces added by C-level maps.  Byte positions that are zero in every
-    slot add nothing and are skipped; slots that are all zero are found by
-    one C-level count, and each gets byte 0's piece."""
-    width = slot_width(n)
-    if raw.count(0) == len(raw):
-        return [table(0)[0]] * (len(raw) // width), 1
-    joined = None
-    count = 0
-    for j in range((n + 7) >> 3):
-        column = _byte_column(raw, j, width)
-        if column.count(0) == len(column):
-            continue
-        piece = map(table(j).__getitem__, column)
-        joined = piece if joined is None else map(add, joined, piece)
-        count += 1
-    return joined, count
-
-
-def _wide(n: int) -> bool:
-    """Whether n-bit slots are wider than a machine type.  Chaining one
-    map per byte position would then cost time and memory quadratic in the
-    elements of a wide full basis, so such slots are read one at a time."""
-    return slot_width(n) not in _ARRAY_CODES
-
-
-def element_lists(raw: bytes, n: int) -> list[list[int]]:
-    """The ascending element list of each slot's mask (slots of n-bit masks,
-    see `to_slots`), as new lists, through per-byte tables of lists; past
-    64 bits, each mask through one scan of its numeral (`members`)."""
-    if _wide(n):
-        return [members(mask) for mask in from_slots(raw, slot_width(n))]
-    lists, joined = _byte_pieces(raw, n, _byte_elements)
-    if joined == 1:
-        lists = map(list.copy, lists)   # not the table's own lists
-    return list(lists)
-
-
-def element_text(raw: bytes, n: int) -> str:
-    """`json.dumps(element_lists(raw, n), separators=(",", ":"))`, written
-    through per-byte tables of text instead of lists: each slot's pieces
-    ",e1,e2,..." are joined by "],[" and the comma after each "[" dropped.
-    Past 64 bits, the text of `element_lists` with its spaces dropped."""
-    if _wide(n):
-        return str(element_lists(raw, n)).replace(" ", "")
-    texts, _ = _byte_pieces(raw, n, _byte_text)
-    return ("[[" + "],[".join(texts) + "]]").replace("[,", "[")
 
 
 def spread(table: int, n: int) -> bytes:

@@ -6,17 +6,21 @@ unverified trace, an engine mismatch, or a classification breach); 2 =
 input or usage error.  Every verb reads `-` as standard input, and all
 output records are single-line canonical JSON so pipelines compose.
 
-A run builds the parser of its verb alone (`VERBS`, `build_parser`) and
-imports, after the reader, only the modules that verb runs, so a job
-compiles no engine, flats or tracer it does not call.
+A run of `VERB INPUT`, for a verb whose one positional is its input
+(`INPUT_DEFAULTS`) and an INPUT that is `-` or no option, takes its
+arguments with no parser (`_input_args`), so the job imports no argparse.
+Any other run builds the argparse parser of its verb alone (`VERBS`,
+`build_parser`), which writes every option, `--help` and usage error.
+Each verb imports, after the reader, only the modules it runs, so a job
+compiles no engine, flats, tracer or record writer it does not call.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import (ClassificationFailureError, EngineMismatchError, InputError,
                      SplitMWError, check_size)
@@ -193,6 +197,13 @@ def _cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+# verb -> the defaults of its options, for each verb whose one positional is
+# its input: `_input_args` reads `VERB INPUT` of these with no parser, and
+# their argparse options take the same defaults
+INPUT_DEFAULTS = {"tutte": {"engine": "dc"}, "check-mw": {}, "cyclic-flats": {},
+                  "is-split": {}, "trace": {"dot": False}, "oracle": {}}
+
+
 def _input(p) -> None:
     p.add_argument("input")
 
@@ -207,7 +218,8 @@ def _construct_arguments(p) -> None:
 
 def _tutte_arguments(p) -> None:
     _input(p)
-    p.add_argument("--engine", choices=("subset", "dc", "both"), default="dc")
+    p.add_argument("--engine", choices=("subset", "dc", "both"),
+                   default=INPUT_DEFAULTS["tutte"]["engine"])
 
 
 def _enumerate_rank2_arguments(p) -> None:
@@ -216,7 +228,7 @@ def _enumerate_rank2_arguments(p) -> None:
 
 def _trace_arguments(p) -> None:
     _input(p)
-    p.add_argument("--dot", action="store_true",
+    p.add_argument("--dot", action="store_true", default=INPUT_DEFAULTS["trace"]["dot"],
                    help="emit a DOT graph instead of JSON")
 
 
@@ -248,7 +260,10 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The parser of every verb, or, given one, of that verb alone.  The
     one-verb parser's usage line lists every verb, as the full one's does;
     the full one's errors name the verb argument `verb`, which a fixed
-    metavar would rename, so only the one-verb parser takes one."""
+    metavar would rename, so only the one-verb parser takes one.  argparse
+    is imported here: a `VERB INPUT` run builds no parser."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="splitmw",
         description="Exact matroid toolkit: Tutte polynomials, cyclic flats, "
@@ -264,13 +279,30 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _input_args(argv) -> SimpleNamespace | None:
+    """What `build_parser(verb).parse_args(argv)` returns for argv =
+    [VERB, INPUT], with VERB in `INPUT_DEFAULTS` and INPUT either `-` or
+    not starting with `-`, which argparse reads as the positional: the
+    verb, the input, the handler and the option defaults.  None for any
+    other argv, which the parser reads."""
+    if len(argv) != 2 or argv[0] not in INPUT_DEFAULTS:
+        return None
+    verb, path = argv
+    if path.startswith("-") and path != "-":
+        return None
+    return SimpleNamespace(verb=verb, input=path, **INPUT_DEFAULTS[verb],
+                           func=VERBS[verb][1])
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a verb first builds its own parser alone; `splitmw --help`, no verb
-    # and an unknown verb take the full one
-    verb = argv[0] if argv and argv[0] in VERBS else None
-    args = build_parser(verb).parse_args(argv)
+    args = _input_args(argv)
+    if args is None:
+        # a verb first builds its own parser alone; `splitmw --help`, no
+        # verb and an unknown verb take the full one
+        verb = argv[0] if argv and argv[0] in VERBS else None
+        args = build_parser(verb).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()      # a closed stdout shows here, not at exit

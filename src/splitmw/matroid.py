@@ -16,10 +16,11 @@ Conventions used throughout the package:
     list or tuple, the reader's (`from_bases`) included, as packed slots
     (`bitset.checked_slots`) and keep them for the deletion-contraction
     root.  Loops and coloops are one C-level OR or AND over the family.
-    Records (`to_dict`, or a `RecordWriter`'s record and JSON text) write
-    each mask through per-byte tables, or past 64 bits through its binary
-    numeral, in lex order: sorted as ints once, or, for a deletion or
-    contraction, its parent's order.
+    Records (`to_dict`, or a `records.RecordWriter`'s record and JSON
+    text) write each mask through per-byte tables, or past 64 bits through
+    its binary numeral, in lex order: sorted as ints once, or, for a
+    deletion or contraction, its parent's order.  That code is `records`',
+    loaded by the first matroid that sorts its bases or writes a record.
   * Whole-table queries (the independent sets and the rank levels, which
     the flats, the paving tests and the subset-sum engine read) hold one
     bit per subset in a 2^n-bit int and close it under inclusion with n
@@ -34,8 +35,9 @@ Conventions used throughout the package:
     more bases than non-bases: its non-bases (`non_bases`, read once off
     the held k-sets) are the k-subsets of sets that pairwise meet in at
     most k-2 elements (`hyperplanes`), within the "tables" limit.  The
-    deletion-contraction root and the independent sets read the same two
-    methods.
+    deletion-contraction root, the independent sets and, at rank 3 or
+    more, the simplification read the same two methods.  Maurer's search
+    is `exchange`'s, loaded only by a family that takes it.
 
 Minors reindex the surviving elements to {0, ..., n'-1} order-preservingly:
 index i of M\\e or M/e is old element i + (i >= e), and index i of M|a is
@@ -45,10 +47,11 @@ size, rank, and basis family.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+import sys
+from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache, reduce
-from itertools import compress, filterfalse
+from itertools import compress
 from math import comb
 from operator import and_, or_
 
@@ -56,17 +59,15 @@ from .bitset import (
     bits,
     checked_slots,
     column_view,
+    columns,
     down_closure,
-    element_lists,
-    element_text,
-    from_slots,
     k_subsets,
-    lex_order,
     mask_of,
     masks_of,
     minor_families,
     place,
     popcount_classes,
+    slot_ones,
     slot_width,
     spread,
     table_of,
@@ -188,13 +189,15 @@ class Matroid:
         """(cols, ones, width): the bases packed into one int, one slot of
         `width` bytes each, and cols[e], the slots of the bases that hold e,
         at each slot's bit 0; `ones` is the full column (see `bitset`).
-        Built once, on first use, from `_lex_slots`: in record order, as are
-        the families that `_minor` splits off the columns."""
+        Built once, on first use, from `_lex_slots` read as one int: in
+        record order, as are the families that `_minor` splits off the
+        columns."""
         cached = self._cache.get("columns")
         if cached is None:
-            lex = from_slots(self._lex_slots(), slot_width(self.n))
-            cols, ones, width = column_view(self.n, lex)
-            cached = (tuple(cols), ones, width)
+            n, width = self.n, slot_width(self.n)
+            ones = slot_ones(len(self.bases), width)
+            packed = int.from_bytes(self._lex_slots(), sys.byteorder)
+            cached = (tuple(columns(packed, ones, n)), ones, width)
             self._cache["columns"] = cached
         return cached
 
@@ -330,7 +333,11 @@ class Matroid:
         By `_circuits`: f is a loop if X[f] is empty, parallel to x in B if
         X[f] = {x}, and to g outside B with X[g] = X[f] iff, for x the least
         of X[f], B - x - y + f + g is a basis for no y in X[f] - x (g's
-        circuit in the basis B - x + f lies in X[f] - x + f + g)."""
+        circuit in the basis B - x + f lies in X[f] - x + f + g).  A paving
+        matroid (`hyperplanes`) of rank 3 or more has no circuit of fewer
+        than 3 elements, so it is simple, with no circuit pass."""
+        if self.rank >= 3 and self.hyperplanes() is not None:
+            return self, [1 << e for e in range(self.n)]
         b, circuits = self._circuits()
         family, merged, heads = self.bases, {}, {}  # head -> its class; X -> heads
         for f, x in circuits.items():
@@ -408,7 +415,7 @@ class Matroid:
         both minors); if one side is empty, e is a loop or a coloop, and
         both minors are the other side.  Dropping e from two bases that both
         or neither hold keeps the least element of their symmetric
-        difference, which orders them (`bitset.lex_order`), so the split, in
+        difference, which orders them (`records.lex_order`), so the split, in
         the columns' record order, gives the minor its `_lex_slots` unsorted."""
         if not 0 <= e < self.n:
             raise IndexError(f"element {e} out of range for n={self.n}")
@@ -479,8 +486,11 @@ class Matroid:
         (the non-loops) is below the rank, the complements of the bases
         within the support are checked instead, and the witness mapped
         back.  The witness is valid but need not be the first failing pair
-        in sorted order.
+        in sorted order.  The search is `exchange`'s, imported here: a family
+        that the reader accepts by its hyperplanes never loads it.
         """
+        from .exchange import _exchange_witness, _walk_witness
+
         family = self.bases
         # A loop is in no basis, so it takes part in no swap: cost is
         # independent of how many loops the ground set has.
@@ -516,109 +526,25 @@ class Matroid:
 
         All bases have `rank` elements, and for lists of equal length
         lexicographic order is descending order of the bit-reversed masks
-        (see `bitset.lex_order`), so the masks are sorted as ints."""
+        (see `records.lex_order`), so the masks are sorted as ints.  The
+        records module is imported on a miss alone, so no hit pays for it."""
         cached = self._cache.get("lex")
         if cached is None:
+            from .records import lex_order
             cached = self._cache["lex"] = lex_order(self.bases, self.n)
         return cached
 
     def to_dict(self) -> dict:
         """matroid-bases-v1 record, in canonical order (bases sorted
         ascending within, lexicographically across), each basis written
-        out by `bitset.element_lists` as a new list."""
+        out by `records.element_lists` as a new list."""
+        from .records import element_lists
         return self._record(element_lists(self._lex_slots(), self.n))
 
     def _record(self, bases: list) -> dict:
         """`to_dict`, with `bases` the element lists in record order."""
         return {"format": "matroid-bases-v1", "n": self.n, "rank": self.rank,
                 "bases": bases}
-
-
-class RecordWriter:
-    """Records (`Matroid.to_dict`) and their JSON text, `json.dumps(record,
-    separators=(",", ":"), sort_keys=True)`, written with no JSON encoder
-    from the tables `lists` (mask -> element list) and `texts` (mask ->
-    "e1,e2,..."), each mask once; the records share lists: read-only."""
-
-    def __init__(self):
-        self.lists, self.texts = {}, {}
-
-    def write(self, m: Matroid) -> tuple[dict, str]:
-        """(record, text) of m by C-level lookups of its masks in record
-        order, once its new masks are written in through `bitset`.  A record
-        whose masks are all new (a trace root, or a direct-sum component)
-        takes its lists and text whole from its slots instead, and seeds
-        both tables from them."""
-        n, lists, texts = m.n, self.lists, self.texts
-        raw = m._lex_slots()
-        masks = from_slots(raw, slot_width(n))
-        new = list(filterfalse(lists.__contains__, masks))
-        if len(new) == len(masks):
-            bases, inner = element_lists(raw, n), element_text(raw, n)[2:-2]
-            lists.update(zip(masks, bases))
-            texts.update(zip(masks, inner.split("],[")))
-        else:
-            if new:
-                raw = to_slots(new, slot_width(n))
-                lists.update(zip(new, element_lists(raw, n)))
-                texts.update(zip(new, element_text(raw, n)[2:-2].split("],[")))
-            bases = list(map(lists.__getitem__, masks))
-            inner = "],[".join(map(texts.__getitem__, masks))
-        return (m._record(bases),
-                f'{{"bases":[[{inner}]],'
-                f'"format":"matroid-bases-v1","n":{n},"rank":{m.rank}}}')
-
-
-def _exchange_witness(family) -> tuple[int, int, int] | None:
-    """Maurer's criterion (see `Matroid.check_exchange`) on a family of
-    equal-size masks: None if it holds, else a witness (b1, b2, e) of
-    failed exchange, two masks and an element."""
-    ext = _extensions(family)
-    # links[z] = the neighbourhoods ext[z + a] of the vertices a of z's
-    # link, for each (r-2)-set z
-    links = defaultdict(list)
-    for s, nbhd in ext.items():
-        rest = s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            links[s ^ low].append(nbhd)
-    # The c vertices with neighbourhood N lie outside N, so c <= m - |N| on
-    # a link of m vertices, and the c add up to m over the distinct N.  So
-    # the sum of m - |N| over the distinct N is m iff every class has
-    # c = m - |N|, that is, iff each vertex's non-neighbours are exactly
-    # the vertices with its neighbourhood: iff the link is complete
-    # multipartite.
-    for z, nbhds in links.items():
-        m = len(nbhds)
-        classes = set(nbhds)
-        if m * len(classes) - sum(map(int.bit_count, classes)) != m:
-            return _link_witness(z, reduce(or_, classes), ext)
-
-    # Connectivity of the basis graph: a search from the smallest member
-    # that takes the members through each (r-1)-set once.
-    start = min(family)
-    reached = {start}
-    stack = [start]
-    pop = ext.pop
-    while stack:
-        b = stack.pop()
-        rest = b
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            s = b ^ low
-            others = pop(s, 0)
-            while others:
-                f = others & -others
-                others ^= f
-                nb = s | f
-                if nb not in reached:
-                    reached.add(nb)
-                    stack.append(nb)
-    if len(reached) == len(family):
-        return None
-    return _walk_witness(family, start, min(family - reached))
 
 
 def _extensions(family) -> dict[int, int]:
@@ -635,51 +561,6 @@ def _extensions(family) -> dict[int, int]:
             s = b ^ low
             ext[s] = get(s, 0) | low
     return ext
-
-
-def _walk_witness(family, b1: int, b2: int) -> tuple[int, int, int]:
-    """A witness of failed exchange between members b1 and b2 that lie in
-    different components of the basis graph: walk b1 toward b2, one swap
-    b1 - e + f (e in b1 - b2, f in b2 - b1) at a time.  Each step stays in
-    b1's component and comes one closer to b2, which it never reaches, so
-    within r steps some e has no such f, and (b1, b2, e) is the witness."""
-    while True:
-        away = b1 & ~b2
-        e = away & -away
-        base = b1 ^ e
-        toward = b2 & ~b1
-        while toward:
-            f = toward & -toward
-            toward ^= f
-            if base | f in family:
-                b1 = base | f
-                break
-        else:
-            return b1, b2, e.bit_length() - 1
-
-
-def _link_witness(z: int, vertices: int, ext: dict) -> tuple[int, int, int]:
-    """A witness in the link of z that fails the class count: non-adjacent
-    u and v with w in N(u) - N(v); for any a in N(v), exchange of a from
-    z+a+v toward z+u+w fails, since v is adjacent to neither u nor w."""
-    classes = {}
-    rest = vertices
-    while rest:
-        a = rest & -rest
-        rest ^= a
-        nbhd = ext[z | a]
-        classes[nbhd] = classes.get(nbhd, 0) | a
-    for nu, members in classes.items():
-        others = vertices & ~nu & ~members
-        if others:
-            break
-    u, v = members & -members, others & -others
-    nv = ext[z | v]
-    if not nu & ~nv:
-        u, v, nu, nv = v, u, nv, nu
-    only_u = nu & ~nv
-    w, a = only_u & -only_u, nv & -nv
-    return z | a | v, z | u | w, a.bit_length() - 1
 
 
 def _paving_hyperplanes(non_bases: frozenset[int], k: int) -> frozenset[int] | None:

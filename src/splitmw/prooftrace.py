@@ -16,7 +16,7 @@ T(M1) T(M2) ... over the components of a direct sum.  Each node still
 decides its own three inequalities from its own numbers.  The same process
 computes every number, and equal minors share one node (below), so a
 verified trace is not an independent check of the argument (ROADMAP.md,
-open item 7: an independent trace checker).
+open item 9: an independent trace checker).
 
 Each distinct minor is checked once per trace: a matroid equal to one
 already built (same size, rank and bases) shares that node, with its
@@ -24,7 +24,7 @@ pivot, children, record and verdict, so a direct sum of equal components
 or a minor reached along two pivot orders costs one subtree.  The output
 is the same tree, node for node.  A node keeps only what it writes, and
 `matroid_from_dict(node.record)` rebuilds its matroid.  Every node's
-record and digest text come from one `matroid.RecordWriter` per trace,
+record and digest text come from one `records.RecordWriter` per trace,
 which writes each basis once, so the records share basis lists.
 
 A connected split matroid in which *no* element admits a clean pivot must
@@ -42,10 +42,11 @@ from typing import NamedTuple
 
 from .errors import ClassificationFailureError, NotSplitError, check_size
 from .flats import is_split
-from .matroid import Matroid, RecordWriter, recognize_minimal
+from .matroid import Matroid, recognize_minimal
 # perfbench/tracing.py wraps this module's `check_mw` too, so the name
 # stays although nothing here calls it
 from .merino_welsh import MWReport, check_mw, report_from_evaluations  # noqa: F401
+from .records import RecordWriter
 
 RULE_DIRECT_SUM = "direct-sum-split"
 RULE_DELETE_CONTRACT = "delete-contract"

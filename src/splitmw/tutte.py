@@ -12,7 +12,9 @@ Two independent engines cross-check each other:
     ranks are binomials.  The Whitney numbers are expanded into the one
     packed int `tutte_dc` uses (see `_from_whitney`), and `_unpack` reads it.
   * `tutte_dc` -- deletion-contraction with eager loop/coloop stripping,
-    a closed form for uniform minors and one for paving roots, one
+    a closed form for uniform minors (packed from its binomial
+    coefficients, `_uniform_packed`, so that the engines share no
+    expansion, only the decoder `_unpack`) and one for paving roots, one
     weighted step per parallel class of the root, and a memo, bounded by
     the "memo-bytes" size limit by evicting its oldest entries, keyed on n
     and the packed bases (see `bitset`).  A uniform root, and a paving
@@ -360,13 +362,16 @@ _global_memo = TutteMemo()
 
 @lru_cache(maxsize=None)
 def _uniform_packed(k: int, n: int) -> int:
-    """Closed form for U_{k,n}, packed, from the corank-nullity sum: the
-    C(n,s) subsets of size s have rank min(s,k), so corank deficit
-    max(k-s,0) and nullity max(s-k,0).  Cached, since ints are immutable."""
-    whitney = [[0] * (n - k + 1) for _ in range(k + 1)]
-    for s in range(n + 1):
-        whitney[max(k - s, 0)][max(s - k, 0)] = comb(n, s)
-    return _from_whitney(whitney)
+    """Closed form for U_{k,n}, packed directly from its coefficients, with
+    no Whitney numbers, so that the engines share no expansion: for
+    0 < k < n,
+        T = sum of C(n-i-1, k-i)*x^i over i = 1..k
+            + sum of C(n-j-1, k-1)*y^j over j = 1..n-k,
+    and x^n at k = n, y^n at k = 0.  Cached, since ints are immutable."""
+    if k in (0, n):
+        return 1 << _FIELD * (_STRIDE * k + n - k)
+    return (sum(comb(n - i - 1, k - i) << _FIELD * _STRIDE * i for i in range(1, k + 1))
+            + sum(comb(n - j - 1, k - 1) << _FIELD * j for j in range(1, n - k + 1)))
 
 
 @lru_cache(maxsize=None)

@@ -332,6 +332,15 @@ def uniform_tutte_oracle(k: int, n: int) -> dict[tuple[int, int], int]:
     return poly
 
 
+def tutte_caches_clear():
+    """Drop the closed forms that `tutte` keeps across calls."""
+    from splitmw import tutte
+
+    tutte._uniform_packed.cache_clear()
+    tutte._uniform_tutte.cache_clear()
+    tutte._hyperplane_weight.cache_clear()
+
+
 def sparse_paving_tutte_oracle(m) -> dict[tuple[int, int], int]:
     """T(M) = T(U(k,n)) - lam*(x + y - xy) for a sparse paving matroid of
     rank k on n elements with lam = C(n,k) - |B| circuit-hyperplanes, as a

@@ -17,7 +17,7 @@ from splitmw import SplitMWError, cli, matroid_from_dict
 from splitmw.errors import SIZE_LIMITS
 from splitmw.graphs import multigraph_from_dict
 
-from conftest import derived_matroids
+from conftest import derived_matroids, tutte_caches_clear
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -26,30 +26,6 @@ def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
     code = cli.main(argv)
     out, err = capsys.readouterr()
     return code, out, err
-
-
-def defective_from_whitney(whitney):
-    """`tutte._from_whitney` with one defect in its inner Horner step,
-    which both engines share: subset-sum expands through it, and
-    deletion-contraction's uniform closed form is built by it."""
-    from splitmw import tutte
-
-    total, row = 0, tutte._FIELD * tutte._STRIDE
-    for ws in reversed(whitney):
-        across = 0
-        for w in reversed(ws):
-            across = (across << tutte._FIELD) - across + w + (w > 5)
-        total = (total << row) - total + across
-    return total
-
-
-def tutte_caches_clear():
-    """Drop the closed forms that `tutte` keeps across calls."""
-    from splitmw import tutte
-
-    tutte._uniform_packed.cache_clear()
-    tutte._uniform_tutte.cache_clear()
-    tutte._hyperplane_weight.cache_clear()
 
 
 def construct(argv_tail, monkeypatch, capsys):
@@ -193,17 +169,19 @@ class TestPipelines:
         assert code == 1
         assert "mismatch" in err
 
-    # one defect in the Whitney expansion that both engines share (the
-    # uniform closed form is built by it too): on the first corpus matroid
-    # where they agree on a wrong polynomial, which `--engine both` printed
-    # with exit 0, the free identities T(1,1) = |B| and T(2,2) = 2^n fail
+    # one defect in the decoder that both engines share (`_unpack`, here of
+    # T + 1): on the first corpus matroid where they agree on a wrong
+    # polynomial, which `--engine both` printed with exit 0, the free
+    # identities T(1,1) = |B| and T(2,2) = 2^n fail
     def test_shared_defect_fails_the_identities(self, monkeypatch, capsys):
         from splitmw import tutte
         from splitmw.corpus import tutte_identity_corpus
 
         corpus = tutte_identity_corpus()
         truth = {id(m): tutte.tutte_subset_sum(m) for m in corpus}
-        monkeypatch.setattr(tutte, "_from_whitney", defective_from_whitney)
+        decode = tutte._unpack
+        monkeypatch.setattr(tutte, "_unpack", lambda packed, rank, corank:
+                            decode(packed + 1, rank, corank))
         clear = tutte_caches_clear
         clear()
         try:
@@ -227,7 +205,9 @@ class TestPipelines:
 
         corpus = [m for m in tutte_identity_corpus() if m.is_clean()]
         truth = {id(m): tutte.tutte_subset_sum(m) for m in corpus}
-        monkeypatch.setattr(tutte, "_from_whitney", defective_from_whitney)
+        decode = tutte._unpack
+        monkeypatch.setattr(tutte, "_unpack", lambda packed, rank, corank:
+                            decode(packed + 1, rank, corank))
         monkeypatch.setattr(tutte, "_global_memo", tutte.TutteMemo())
         tutte_caches_clear()
         try:
@@ -537,11 +517,13 @@ def test_wide_inputs_answer_at_once(verb, reader, tmp_path):
         assert seconds < 1
 
 
-# what a verb that does not run it must not pay for at start-up
-UNUSED_AT_START = {"dataclasses", "hashlib", "splitmw.graphs",
+# what a verb that does not run it must not pay for at start-up: argparse
+# serves options, help and usage errors alone, the record writer `trace`
+# (and `construct`), and Maurer's search a family that takes it
+UNUSED_AT_START = {"argparse", "dataclasses", "hashlib", "splitmw.graphs",
                    "splitmw.merino_welsh", "splitmw.prooftrace",
                    "splitmw.acceptance", "splitmw.corpus", "splitmw.tutte",
-                   "splitmw.flats"}
+                   "splitmw.flats", "splitmw.records", "splitmw.exchange"}
 
 
 def modules_added(code: str) -> set[str]:
@@ -600,21 +582,25 @@ def test_cli_import_leaves_unused_modules_out():
     ("cyclic-flats", {"splitmw.flats"}),
     ("check-mw", {"splitmw.merino_welsh", "splitmw.tutte"}),
     ("trace", {"hashlib", "splitmw.flats", "splitmw.merino_welsh",
-               "splitmw.prooftrace"})])
+               "splitmw.prooftrace", "splitmw.records"})])
 def test_file_verb_loads_only_what_it_runs(verb, loads, tmp_path):
-    path = tmp_path / "t47.json"
-    path.write_text(json.dumps(splitmw.minimal(4, 7).to_dict()))
-    code = ("import contextlib, io\nfrom splitmw.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main([{verb!r}, {str(path)!r}]) == 0")
-    assert modules_added(code) & UNUSED_AT_START == loads
+    # minimal(4,7) takes Maurer's pass; U(6,12), a dense paving family, is
+    # read by its hyperplanes and loads no witness search
+    for m, search in [(splitmw.minimal(4, 7), {"splitmw.exchange"}),
+                      (splitmw.uniform(6, 12), set())]:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(m.to_dict()))
+        code = ("import contextlib, io\nfrom splitmw.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert main([{verb!r}, {str(path)!r}]) == 0")
+        assert modules_added(code) & UNUSED_AT_START == loads | search, m
 
 
 @pytest.mark.parametrize("verb", ["tutte", "is-split", "cyclic-flats",
                                   "check-mw", "trace"])
 def test_refused_file_loads_no_engine(verb, tmp_path):
-    # minimal(4,7) less a basis breaks exchange: the reader exits 2 before
-    # the verb imports what it would run
+    # minimal(4,7) less a basis breaks exchange: the reader exits 2, from
+    # Maurer's pass, before the verb imports what it would run
     record = splitmw.minimal(4, 7).to_dict()
     del record["bases"][6]
     path = tmp_path / "near47.json"
@@ -622,7 +608,7 @@ def test_refused_file_loads_no_engine(verb, tmp_path):
     code = ("import contextlib, io\nfrom splitmw.cli import main\n"
             "with contextlib.redirect_stderr(io.StringIO()):\n"
             f"    assert main([{verb!r}, {str(path)!r}]) == 2")
-    assert modules_added(code) & UNUSED_AT_START == set()
+    assert modules_added(code) & UNUSED_AT_START == {"splitmw.exchange"}
 
 
 def test_prooftrace_import_loads_no_engine():
@@ -636,3 +622,32 @@ def test_one_verb_parser_keeps_the_usage_line():
         assert one.format_usage() == full.format_usage()
         (sub,) = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
         assert list(sub.choices) == [verb]
+
+
+def test_input_args_are_argparses(monkeypatch, capsys):
+    # `VERB INPUT`, for a verb whose one positional is its input, is read
+    # with no parser into the namespace its argparse parser gives
+    for verb in cli.INPUT_DEFAULTS:
+        for path in ("x.json", "-"):
+            argv = [verb, path]
+            assert vars(cli._input_args(argv)) == vars(cli.build_parser(verb).parse_args(argv))
+
+    class Parsed(Exception):
+        pass
+
+    def build_parser(verb=None):
+        raise Parsed(verb)
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    assert cli.main(["is-split", "/nonexistent.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # an option, help, a second positional, no input, an input that reads
+    # as an option, and the other verbs reach argparse
+    for argv in (["tutte", "x.json", "--engine", "both"], ["trace", "--dot", "x.json"],
+                 ["tutte", "x.json", "--dot"], ["check-mw", "-h"], ["is-split", "--help"],
+                 ["cyclic-flats", "x.json", "y.json"], ["oracle"], ["trace", "-x"],
+                 ["tutte", "--"], ["tutte", "-1"], ["construct", "x.json"],
+                 ["selftest", "x"], ["tute", "x.json"], ["--help"], []):
+        with pytest.raises(Parsed):
+            cli.main(argv)
+

@@ -28,8 +28,9 @@ from splitmw import (
     tutte_subset_sum,
     uniform,
 )
+from splitmw import exchange
 from splitmw import matroid as matroid_module
-from splitmw.bitset import (bits, checked_slots, columns, element_masks, lex_order,
+from splitmw.bitset import (bits, checked_slots, columns, element_masks,
                             mask_of, masks_of, place, popcount_classes, slot_ones, slot_width,
                             table_of, to_slots, unpack, up_closure)
 from splitmw.corpus import (
@@ -40,6 +41,7 @@ from splitmw.corpus import (
 )
 from splitmw.errors import SIZE_LIMITS, require_int
 from splitmw.flats import _by_size, _flat_table, is_paving
+from splitmw.records import lex_order
 
 from conftest import (
     PETERSEN,
@@ -969,7 +971,7 @@ class TestDenseAcceptance:
     def test_skips_maurers_pass(self, m, monkeypatch):
         def no_pass(family):
             raise AssertionError("Maurer's pass ran on a dense paving family")
-        monkeypatch.setattr(matroid_module, "_exchange_witness", no_pass)
+        monkeypatch.setattr(exchange, "_exchange_witness", no_pass)
         assert matroid_from_dict(m.to_dict()) == m
 
     def test_past_the_tables_limit_takes_maurers_pass(self, monkeypatch):

@@ -47,7 +47,7 @@ from splitmw.prooftrace import (
     _leaf_report,
     matroid_digest,
 )
-from splitmw.matroid import RecordWriter
+from splitmw.records import RecordWriter
 
 from conftest import (
     clean_pivot_oracle,
@@ -620,17 +620,21 @@ class TestDigestText:
         # a record with no mask in the tables is written whole from its own
         # slots, with no repacking; one with some known masks repacks only
         # its new ones, and takes the known ones' lists from the tables
-        from splitmw import matroid
+        from splitmw import records
+        # both records' order is sorted before the writer runs, so that only
+        # the writer's own packing is seen
+        fewer = Matroid(4, 2, [0b11, 0b101, 0b110, 0b1001, 0b1010])
+        u25 = uniform(2, 5)
+        fewer._lex_slots(), u25._lex_slots()
         packed = []
-        to_slots = matroid.to_slots
-        monkeypatch.setattr(matroid, "to_slots",
+        to_slots = records.to_slots
+        monkeypatch.setattr(records, "to_slots",
                             lambda masks, width: packed.append(list(masks))
                             or to_slots(masks, width))
         writer = RecordWriter()
-        fewer = Matroid(4, 2, [0b11, 0b101, 0b110, 0b1001, 0b1010])
         first, _ = writer.write(fewer)
         assert packed == []
-        second, _ = writer.write(uniform(2, 5))
+        second, _ = writer.write(u25)
         assert [sorted(masks) for masks in packed] == [
             [0b1100, 0b10001, 0b10010, 0b10100, 0b11000]]
         known = {tuple(b): b for b in first["bases"]}

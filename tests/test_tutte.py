@@ -64,6 +64,7 @@ from conftest import (
     sparse_paving_tutte_oracle,
     simplification_oracle,
     strip_oracle,
+    tutte_caches_clear,
     uniform_tutte_oracle,
     whitney_numbers_oracle,
     width_oracle,
@@ -87,6 +88,18 @@ PETERSEN_ENGINES = Multigraph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5
 G918 = Multigraph(9, [(1, 4), (4, 3), (3, 5), (5, 2), (2, 0), (0, 8), (8, 6), (6, 7),
                       (7, 1), (8, 1), (2, 6), (5, 3), (7, 4), (7, 6), (7, 0), (0, 6),
                       (4, 7), (2, 8)])
+
+
+def defective_from_whitney(whitney):
+    """`tutte._from_whitney` with one defect in its inner Horner step:
+    subset-sum expands through it, and deletion-contraction does not."""
+    total, row = 0, tutte._FIELD * tutte._STRIDE
+    for ws in reversed(whitney):
+        across = 0
+        for w in reversed(ws):
+            across = (across << tutte._FIELD) - across + w + (w > 5)
+        total = (total << row) - total + across
+    return total
 
 
 def theta(*lengths):
@@ -356,6 +369,31 @@ class TestClosedForms:
                   rank2_from_partition([2, 2, 1])):
             assert dense_to_sparse(tutte_dc(m)) == oracle_tutte_coeffs(m)
 
+    def test_uniform_form_against_the_corank_nullity_sum(self):
+        for n in range(21):
+            for k in range(n + 1):
+                oracle = uniform_tutte_oracle(k, n)
+                assert dense_to_sparse(_uniform_tutte(k, n)) == {
+                    key: c for key, c in oracle.items() if c}
+
+    def test_uniform_form_shares_no_expansion(self, monkeypatch):
+        # deletion-contraction packs U(k,n) from its own coefficients, so a
+        # defect in subset-sum's Whitney expansion leaves it right on the
+        # uniform corpus, and the two engines disagree there
+        corpus = uniform_matroids(10)
+        monkeypatch.setattr(tutte, "_from_whitney", defective_from_whitney)
+        tutte_caches_clear()
+        try:
+            disagree = 0
+            for m in corpus:
+                t = tutte_dc(m, memo=TutteMemo())
+                oracle = uniform_tutte_oracle(m.rank, m.n)
+                assert dense_to_sparse(t) == {key: c for key, c in oracle.items() if c}
+                disagree += t != tutte_subset_sum(m)
+        finally:
+            tutte_caches_clear()
+        assert disagree > 0
+
 
 class TestEvaluation:
     def test_rank1_family_points(self):
@@ -431,6 +469,30 @@ class TestWhitneyNumbers:
         w = whitney_numbers(m)
         assert sum(map(sum, w)) == 1 << m.n
         assert w[0][0] == len(m.bases)
+
+    # a paving matroid of rank 3 or more has no circuit of fewer than 3
+    # elements, so subset-sum reads it as its own simplification with no
+    # circuit pass; at rank 2 a paving matroid may have a parallel class
+    @pytest.mark.parametrize("m", [sparse_paving(7, 16, 150, 6),
+                                   sparse_paving(6, 14, 140, 6),
+                                   grown_sparse_paving(7, 16, 150, 6)],
+                             ids=["sparse-paving-7-16", "sparse-paving-6-14", "grown-7-16"])
+    def test_paving_takes_no_circuit_pass(self, m, monkeypatch):
+        expected = tutte_subset_sum(Matroid(m.n, m.rank, m.bases))
+
+        def no_pass(self):
+            raise AssertionError("the circuit pass ran on a paving matroid")
+
+        monkeypatch.setattr(Matroid, "_circuits", no_pass)
+        fresh = Matroid(m.n, m.rank, m.bases)
+        assert tutte_subset_sum(fresh) == expected
+        assert fresh.simplification() == (fresh, [1 << e for e in range(m.n)])
+
+    def test_rank2_paving_keeps_its_classes(self):
+        m = rank2_from_partition([2, 1, 1, 1])
+        assert m.hyperplanes() is not None
+        si, classes = m.simplification()
+        assert (si.n, classes) == (4, [0b100, 0b1000, 0b10000, 0b11])
 
     # counted over the simplification, each parallel class once
     @given(with_parallels_and_loops(10))
